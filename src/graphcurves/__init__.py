@@ -15,15 +15,15 @@ from .errors import (DegenerateNode, Disconnected, GenerationFailed,
                      ScalarDomainMismatch, UnknownName, ValidationError)
 from .framings import (Framing, GaugeTransform, SurfaceFlatBundle, apply_gauge,
                        apply_gauge_bundle, flat_linearization,
-                       flat_local_dimension, forget_flat, schottky_holonomies,
-                       subspace_flags, trace_invariants, tree_gauge,
-                       vertex_relation_residual, zero_section)
-from .graphs import (CATALOG_NAMES, Dart, SpanningTreeData, TrivalentGraph,
-                     build_graph, canonical_hash, catalog_graph, graph_from_json,
+                       flat_local_dimension, schottky_holonomies, subspace_flags,
+                       trace_invariants, tree_gauge, vertex_relation_residual,
+                       zero_section)
+from .graphs import (CATALOG_NAMES, SpanningTreeData, TrivalentGraph, build_graph,
+                     canonical_hash, catalog_graph, graph_from_json,
                      graph_to_json, random_trivalent, spanning_tree)
 from .higgs import (HiggsField, assemble_higgs_constraints, gauge_transform_higgs,
                     higgs_from_edge_residues, higgs_residual, higgs_space,
-                    random_higgs_field, residue_matrix, residue_parameterization)
+                    random_higgs_field, residue_parameterization)
 from .hitchin import (bires_det_residual, hitchin_edge_coords, hitchin_image,
                       hitchin_jacobian, is_regular, jacobian_fd_error,
                       polarization)

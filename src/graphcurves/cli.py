@@ -17,13 +17,13 @@ from pathlib import Path
 
 from . import spectral as spectral_mod
 from .errors import GraphCurveError, NumericalError, ValidationError
-from .framings import (Framing, flat_local_dimension, subspace_flags,
-                       vertex_relation_residual, zero_section)
+from .framings import (Framing, flat_linearization, flat_local_dimension,
+                       subspace_flags, vertex_relation_residual, zero_section)
 from .graphs import (CATALOG_NAMES, canonical_hash, catalog_graph,
                      graph_from_json, graph_to_json, random_trivalent,
                      spanning_tree)
 from .higgs import (higgs_residual, higgs_space, random_higgs_field,
-                    residue_parameterization)
+                    residue_parameterization_matrix)
 from .hitchin import (hitchin_edge_coords, hitchin_image, hitchin_jacobian,
                       is_regular, jacobian_fd_error)
 from .scalars import EXACT, FLOAT, check_domain, scalar_to_json
@@ -32,6 +32,13 @@ from .sections import bires_coordinates, canonical_space, double_canonical_space
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _resolve_graph(spec: str):
@@ -78,12 +85,11 @@ def _jsonable(value):
 
 def _with_trials(args, one_trial):
     """Run one_trial per seed; a single trial keeps a flat result shape."""
-    trials = max(1, args.trials)
-    if trials == 1:
+    if args.trials == 1:
         return one_trial(args.seed)
     per_trial = [dict(one_trial(args.seed + k), seed=args.seed + k)
-                 for k in range(trials)]
-    return {"trials": trials, "per_trial": per_trial}
+                 for k in range(args.trials)]
+    return {"trials": args.trials, "per_trial": per_trial}
 
 
 def cmd_graph(args) -> dict:
@@ -131,11 +137,11 @@ def cmd_flat(args) -> dict:
         framing = Framing.random(graph, seed, domain)
         bundle = zero_section(framing)
         tree = spanning_tree(graph)
-        param = residue_parameterization(framing, domain)
         return {
             "local_dim": flat_local_dimension(bundle),
             "vertex_residual": float(vertex_relation_residual(bundle)),
-            "linearization_matches_higgs": param.matches_flat_linearization,
+            "linearization_matches_higgs":
+                residue_parameterization_matrix(framing) == flat_linearization(bundle),
             "flags": subspace_flags(bundle, tree),
         }
 
@@ -244,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="catalog name or graph JSON file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--domain", choices=[EXACT, FLOAT], default=None)
-        p.add_argument("--trials", type=int, default=1)
+        p.add_argument("--trials", type=_positive_int, default=1)
         p.add_argument("--out", default=None, help="also write the report here")
     return parser
 

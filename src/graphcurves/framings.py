@@ -158,6 +158,17 @@ def apply_gauge(gauge: GaugeTransform, framing: Framing) -> Framing:
     return Framing(g, mats, framing.domain)
 
 
+def tree_gauge(framing: Framing, tree: SpanningTreeData) -> GaugeTransform:
+    """The gauge with identity at the root that trivializes all tree darts."""
+    g = framing.graph
+    fix = [None] * g.vertex_count
+    fix[tree.root] = IDENTITY
+    for v in tree.order[1:]:
+        d = tree.entry_dart[v]
+        fix[v] = fix[g.vertex_of(d)] * framing.matrix(d)
+    return GaugeTransform(g, fix, framing.domain)
+
+
 def schottky_holonomies(framing: Framing, tree: SpanningTreeData):
     """Cotree holonomies after gauge-fixing the tree darts to the identity.
 
@@ -167,16 +178,12 @@ def schottky_holonomies(framing: Framing, tree: SpanningTreeData):
     each cotree edge's lower dart.
     """
     g = framing.graph
-    fix = [None] * g.vertex_count
-    fix[tree.root] = IDENTITY
-    for v in tree.order[1:]:
-        d = tree.entry_dart[v]
-        fix[v] = fix[g.vertex_of(d)] * framing.matrix(d)
+    gauge = tree_gauge(framing, tree)
     out = []
     for e in tree.cotree_edges:
         a, b = g.edges[e]
-        out.append(fix[g.vertex_of(a)] * framing.matrix(a)
-                   * fix[g.vertex_of(b)].inv())
+        out.append(gauge.matrix(g.vertex_of(a)) * framing.matrix(a)
+                   * gauge.matrix(g.vertex_of(b)).inv())
     return out
 
 
@@ -235,16 +242,6 @@ class SurfaceFlatBundle:
     def meridian(self, d: int) -> Mat2:
         return self._meridians[d]
 
-    def edge_compatibility_residual(self):
-        g = self.graph
-        worst = 0
-        for d in range(g.dart_count):
-            p = g.partner(d)
-            t = self.framing.matrix(p)
-            worst = max(worst, (self._meridians[p]
-                                - t * self._meridians[d].inv() * t.inv()).max_norm())
-        return worst
-
     def vertex_holonomy(self, v: int) -> Mat2:
         d0, d1, d2 = self.graph.vertex_darts(v)
         return self._meridians[d0] * self._meridians[d1] * self._meridians[d2]
@@ -270,10 +267,6 @@ class SurfaceFlatBundle:
 def zero_section(framing: Framing) -> SurfaceFlatBundle:
     """All meridians trivial: the canonical flat refinement of a framing."""
     return SurfaceFlatBundle(framing, [IDENTITY] * framing.graph.dart_count)
-
-
-def forget_flat(bundle: SurfaceFlatBundle) -> Framing:
-    return bundle.framing
 
 
 def vertex_relation_residual(bundle: SurfaceFlatBundle):
@@ -371,13 +364,3 @@ def subspace_flags(bundle: SurfaceFlatBundle, tree: SpanningTreeData) -> dict:
     return {"all_meridians_trivial": meridians_ok,
             "cotree_holonomies_trivial": cotree_ok}
 
-
-def tree_gauge(framing: Framing, tree: SpanningTreeData) -> GaugeTransform:
-    """The gauge with identity at the root that trivializes all tree darts."""
-    g = framing.graph
-    fix = [None] * g.vertex_count
-    fix[tree.root] = IDENTITY
-    for v in tree.order[1:]:
-        d = tree.entry_dart[v]
-        fix[v] = fix[g.vertex_of(d)] * framing.matrix(d)
-    return GaugeTransform(g, fix, framing.domain)

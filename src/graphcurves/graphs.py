@@ -27,37 +27,36 @@ POINT_ZERO, POINT_ONE, POINT_INF = 0, 1, 2
 POINT_NAMES = ("0", "1", "inf")
 
 
-@dataclass(frozen=True)
-class Dart:
-    """One half-edge: its id, vertex, involution partner and local slot."""
-
-    id: int
-    vertex: int
-    partner: int
-    local_index: int
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class TrivalentGraph:
     """Immutable dart-encoded trivalent multigraph."""
 
     def __init__(self, vertex_count, pairing, dart_vertex=None):
-        if vertex_count < 2 or vertex_count % 2:
+        if not _is_int(vertex_count) or vertex_count < 2 or vertex_count % 2:
             raise NotTrivalent(
-                f"vertex count must be even and at least 2, got {vertex_count}")
+                f"vertex count must be an even integer >= 2, got {vertex_count!r}")
         n_darts = 3 * vertex_count
         if dart_vertex is None:
             dart_vertex = [d // 3 for d in range(n_darts)]
+        if not isinstance(dart_vertex, (list, tuple)):
+            raise MalformedPairing("dart_vertex must be a list of vertex ids")
         dart_vertex = list(dart_vertex)
         if len(dart_vertex) != n_darts:
             raise MalformedPairing(
                 f"dart_vertex must list all {n_darts} darts, got {len(dart_vertex)}")
+        if not isinstance(pairing, (list, tuple)):
+            raise MalformedPairing("pairing must be a list of dart pairs")
 
         partner = [None] * n_darts
         for pair in pairing:
-            if len(pair) != 2:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise MalformedPairing(f"pair {pair!r} is not a 2-tuple")
             a, b = pair
-            if not (0 <= a < n_darts and 0 <= b < n_darts):
+            if not (_is_int(a) and _is_int(b)
+                    and 0 <= a < n_darts and 0 <= b < n_darts):
                 raise MalformedPairing(f"dart id out of range in pair {pair!r}")
             if a == b:
                 raise MalformedPairing(f"dart {a} paired with itself")
@@ -71,7 +70,7 @@ class TrivalentGraph:
 
         owned = [[] for _ in range(vertex_count)]
         for d, v in enumerate(dart_vertex):
-            if not (0 <= v < vertex_count):
+            if not (_is_int(v) and 0 <= v < vertex_count):
                 raise MalformedPairing(f"dart {d} assigned to invalid vertex {v}")
             owned[v].append(d)
         for v, ds in enumerate(owned):
@@ -121,10 +120,6 @@ class TrivalentGraph:
     def vertex_of(self, d: int) -> int:
         return self._dart_vertex[d]
 
-    def local_index(self, d: int) -> int:
-        """Position of d within the sorted dart triple of its vertex."""
-        return self._local_index[d]
-
     def marked_point(self, d: int) -> int:
         """Marked point of the dart on its component: 0, 1 or 2 (= infinity)."""
         return self._local_index[d]
@@ -132,20 +127,10 @@ class TrivalentGraph:
     def vertex_darts(self, v: int):
         return self._vertex_darts[v]
 
-    def dart(self, d: int) -> Dart:
-        return Dart(d, self._dart_vertex[d], self._partner[d], self._local_index[d])
-
-    def darts(self):
-        return tuple(self.dart(d) for d in range(self.dart_count))
-
     # -- edge accessors -------------------------------------------------
 
     def edge_index(self, d: int) -> int:
         return self._edge_of_dart[d]
-
-    def edge_darts(self, e: int):
-        """(primary, partner) darts of edge e; the primary dart has the lower id."""
-        return self.edges[e]
 
     def edge_endpoints(self, e: int):
         a, b = self.edges[e]
@@ -321,7 +306,9 @@ def graph_from_json(obj: dict) -> TrivalentGraph:
     vertex_count = obj.get("vertices")
     dart_vertex = obj.get("dart_vertex")
     if vertex_count is None:
-        if dart_vertex is None:
-            raise MalformedPairing("graph JSON needs 'vertices' or 'dart_vertex'")
+        if not (isinstance(dart_vertex, list) and dart_vertex
+                and all(_is_int(v) for v in dart_vertex)):
+            raise MalformedPairing(
+                "graph JSON needs 'vertices' or a nonempty integer 'dart_vertex'")
         vertex_count = max(dart_vertex) + 1
     return TrivalentGraph(vertex_count, obj["pairing"], dart_vertex)

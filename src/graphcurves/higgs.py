@@ -111,10 +111,6 @@ class HiggsField:
         return cls(graph, rows)
 
 
-def residue_matrix(phi: HiggsField, v: int, point: int) -> Mat2:
-    return phi.residue_matrix(v, point)
-
-
 def assemble_higgs_constraints(framing: Framing, orientation: str = "low"):
     """Node-cancellation system for Higgs fields with the given framing.
 
@@ -292,7 +288,8 @@ def residue_parameterization(framing: Framing,
 
     The kernel maps isomorphically onto higgs_space(framing); the system
     matrix is compared against the flat-bundle linearization at the zero
-    section (equal entry by entry in the exact domain).
+    section, which is built from the same products with identity factors
+    and so equals it entry by entry in both domains.
     """
     if domain is None:
         domain = framing.domain
@@ -300,15 +297,7 @@ def residue_parameterization(framing: Framing,
     rows = residue_parameterization_matrix(framing)
     report = solve_kernel(rows, 3 * len(framing.graph.edges), domain)
     fields = [higgs_from_edge_residues(framing, vec) for vec in report.basis]
-
-    flat_rows = flat_linearization(zero_section(framing))
-    if domain == EXACT:
-        matches = flat_rows == rows
-    else:
-        scale = max([1.0] + [abs(x) for row in rows for x in row])
-        matches = (len(flat_rows) == len(rows)
-                   and max((abs(x - y) for fr, rr in zip(flat_rows, rows)
-                            for x, y in zip(fr, rr)), default=0.0) <= 1e-9 * scale)
+    matches = flat_linearization(zero_section(framing)) == rows
     return ResidueParameterization(matrix=rows, kernel=report,
                                    basis_fields=fields,
                                    matches_flat_linearization=matches)

@@ -28,10 +28,6 @@ class Mat2:
     def identity(cls) -> "Mat2":
         return cls(1, 0, 0, 1)
 
-    @classmethod
-    def zero(cls) -> "Mat2":
-        return cls(0, 0, 0, 0)
-
     def __repr__(self):
         return f"Mat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
@@ -125,14 +121,21 @@ def mat_close(m1: Mat2, m2: Mat2, tol) -> bool:
 
 
 def check_unimodular(m: Mat2, domain: str) -> Mat2:
-    """Require det = 1 (exactly, or within DET_TOL in the float domain)."""
+    """Require det = 1 (exactly, or within DET_TOL in the float domain).
+
+    The float tolerance is relative to |ad| + |bc|, the size of the
+    rounding error in computing ad - bc, so products of many unimodular
+    matrices, whose entries grow, still pass.
+    """
     check_domain(domain)
     det = m.det()
     if domain == EXACT:
         if det != 1:
             raise ValidationError(f"matrix determinant is {det}, expected 1")
-    elif abs(det - 1) > DET_TOL:
-        raise ValidationError(f"matrix determinant {det} is not 1 within {DET_TOL}")
+    else:
+        tol = DET_TOL * max(1, abs(m.a * m.d) + abs(m.b * m.c))
+        if abs(det - 1) > tol:
+            raise ValidationError(f"matrix determinant {det} is not 1 within {tol}")
     return m
 
 

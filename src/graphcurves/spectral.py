@@ -24,7 +24,7 @@ from random import Random
 from .errors import (DegenerateNode, InconsistentSpectralData,
                      IrregularDeterminant, NumericalError, ValidationError)
 from .framings import Framing
-from .graphs import TrivalentGraph
+from .graphs import TrivalentGraph, spanning_tree
 from .higgs import HiggsField, higgs_space
 from .hitchin import hitchin_image, is_regular
 from .linalg import integer_rank
@@ -234,11 +234,7 @@ def build_spectral_curve(phi: HiggsField, framing: Framing) -> SpectralCurve:
     """Assemble branch points and node eigendata into the double cover."""
     branch = branch_points(phi)
     nodes = all_node_eigendata(phi, framing)
-    curve = SpectralCurve(graph=phi.graph, branch=branch, nodes=nodes)
-    base = [phi.graph.edge_endpoints(e) for e in range(len(phi.graph.edges))]
-    if curve.quotient_dual_graph() != base:
-        raise InconsistentSpectralData("quotient dual graph disagrees with base")
-    return curve
+    return SpectralCurve(graph=phi.graph, branch=branch, nodes=nodes)
 
 
 # -- cycle spaces of the doubled dual graph -----------------------------
@@ -264,7 +260,11 @@ def _fundamental_cycles(vertex_count: int, edges):
 
     Returns vectors over the edge list: the cotree edge gets +1 and the
     tree path closes the loop with signs following the stored
-    orientations.
+    orientations.  The BFS scans each vertex's edges in ascending index
+    order.  On the cover's dual graph (_doubled_edges) that is a BFS of
+    the base in edge-index order lifted to the (+)-copies, not the
+    dart-order graphs.spanning_tree; this basis fixes
+    anti_invariant_cycles and so the meaning of the twist parameters.
     """
     adjacency = [[] for _ in range(vertex_count)]
     for i, (u, v) in enumerate(edges):
@@ -330,50 +330,21 @@ class PrymReport:
 
 def prym_report(graph: TrivalentGraph) -> PrymReport:
     """Combinatorial Prym dimension count; independent of the Higgs field."""
-    g = graph.genus
     edges = _doubled_edges(graph)
     cycles = _fundamental_cycles(graph.vertex_count, edges)
     b1_spectral = len(cycles)
 
     # Pair pulled-back cotree cochains of the base against the cover's
     # cycle basis; the pairing matrix has full column rank g when the
-    # pullback is injective.
-    base_cycles = _fundamental_cycles(graph.vertex_count,
-                                      [graph.edge_endpoints(e)
-                                       for e in range(len(graph.edges))])
-    b1_base = len(base_cycles)
-    cotree = _cotree_edges(graph)
+    # pullback is injective.  Indicator cochains of the edges off any
+    # spanning tree form a basis of the base's first cohomology.
+    cotree = spanning_tree(graph).cotree_edges
+    b1_base = len(cotree)
     pairing = [[z[2 * e] + z[2 * e + 1] for e in cotree] for z in cycles]
     pullback_rank = integer_rank(pairing)
     return PrymReport(b1_base=b1_base, b1_spectral=b1_spectral,
                       pullback_rank=pullback_rank,
                       prym_dim=b1_spectral - pullback_rank)
-
-
-def _cotree_edges(graph: TrivalentGraph):
-    """Base edges off a BFS spanning tree, ascending; a cohomology basis.
-
-    The indicator cochains of cotree edges represent a basis of the
-    base's first cohomology (they pair unimodularly with the fundamental
-    cycles of the same tree).
-    """
-    edges = [graph.edge_endpoints(e) for e in range(len(graph.edges))]
-    adjacency = [[] for _ in range(graph.vertex_count)]
-    for i, (u, v) in enumerate(edges):
-        adjacency[u].append((i, v))
-        if u != v:
-            adjacency[v].append((i, u))
-    parent = {0: None}
-    queue = deque([0])
-    tree = set()
-    while queue:
-        x = queue.popleft()
-        for i, y in sorted(adjacency[x]):
-            if y not in parent and y != x:
-                parent[y] = (i, x)
-                tree.add(i)
-                queue.append(y)
-    return [i for i in range(len(edges)) if i not in tree]
 
 
 def anti_invariant_cycles(graph: TrivalentGraph):

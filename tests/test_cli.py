@@ -137,11 +137,30 @@ def test_unknown_graph_name_exits_2():
     assert proc.returncode == 2
 
 
+THETA_PAIRING = [[0, 3], [1, 4], [2, 5]]
+MALFORMED_GRAPHS = [
+    {"vertices": 2, "pairing": [[0, 0], [1, 2], [3, 4], [5, 5]]},
+    {"pairing": [], "dart_vertex": []},
+    {"vertices": 2, "pairing": 5},
+    {"vertices": 2, "pairing": [["0", 3], [1, 4], [2, 5]]},
+    {"vertices": "2", "pairing": THETA_PAIRING},
+    {"vertices": 2.0, "pairing": THETA_PAIRING},
+]
+
+
 def test_malformed_graph_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"vertices": 2,
-                               "pairing": [[0, 0], [1, 2], [3, 4], [5, 5]]}))
-    proc = subprocess.run(PKG + ["graph", "--graph", str(bad)],
+    for obj in MALFORMED_GRAPHS:
+        bad.write_text(json.dumps(obj))
+        proc = subprocess.run(PKG + ["graph", "--graph", str(bad)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, (obj, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_exits_2(trials):
+    proc = subprocess.run(PKG + ["higgs", "--graph", "theta", "--trials", trials],
                           capture_output=True, text=True)
     assert proc.returncode == 2
 

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from graphcurves.graphs import CATALOG_NAMES, catalog_graph
+from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
 from graphcurves.matrices import adjoint_matrix, conj, mat_close
 from graphcurves.scalars import EXACT, FLOAT
 from graphcurves.framings import Framing, GaugeTransform, apply_gauge, zero_section, flat_linearization
@@ -15,7 +15,6 @@ from graphcurves.higgs import (
     higgs_residual,
     higgs_space,
     random_higgs_field,
-    residue_matrix,
     residue_parameterization,
     residue_parameterization_matrix,
 )
@@ -198,10 +197,12 @@ def test_parameterization_matches_flat_linearization(name):
 
 
 def test_parameterization_matrix_equals_linearization_rows():
-    g = catalog_graph("k33")
-    a = Framing.random(g, seed=31)
-    assert residue_parameterization_matrix(a) == \
-        flat_linearization(zero_section(a))
+    # Bitwise equality in both domains: the flat command reports it with ==.
+    for g in (catalog_graph("k33"), random_trivalent(40, seed=1)):
+        for domain in (EXACT, FLOAT):
+            a = Framing.random(g, seed=31, domain=domain)
+            assert residue_parameterization_matrix(a) == \
+                flat_linearization(zero_section(a))
 
 
 def test_edge_residue_lift():

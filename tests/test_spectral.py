@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from random import Random
 
@@ -212,6 +214,33 @@ def test_anti_invariant_cycle_count():
         for w in cycles:
             assert len(w) == 2 * len(g.edges)
             assert any(x != 0 for x in w)
+
+
+# sha256 prefixes of json.dumps(anti_invariant_cycles(g)) for the catalog
+# graphs and random_trivalent(12, seed), frozen so that the twist
+# parameters keep their meaning while other code changes.
+ANTI_INVARIANT_FROZEN = {
+    "theta": "04efebf6298e7bec",
+    "dumbbell": "da60a6b3b65e0d56",
+    "k4": "eccfd82e7cba8117",
+    "k33": "ad1285e9d1d5e8bd",
+    "prism": "24735084efc9a003",
+    0: "093f20b633248554",
+    1: "8d3d3f15b1c5f591",
+    2: "0872f6a53b24f51a",
+    3: "1d640e6c08cfd741",
+    4: "ae5b0d26c3251435",
+}
+
+
+def test_anti_invariant_cycles_frozen():
+    assert anti_invariant_cycles(catalog_graph("theta")) == \
+        [[-2, 2, 0, 0, 0, 0], [-1, 1, 1, -1, 0, 0], [-1, 1, 0, 0, 1, -1]]
+    for key, digest in ANTI_INVARIANT_FROZEN.items():
+        g = (catalog_graph(key) if isinstance(key, str)
+             else random_trivalent(12, seed=key))
+        blob = json.dumps(anti_invariant_cycles(g)).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest, key
 
 
 def test_anti_invariant_cycles_negate_under_swap():
