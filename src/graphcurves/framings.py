@@ -80,16 +80,21 @@ class GaugeTransform:
 
 
 class Framing:
-    """Determinant-one transport across every node, inverse on partner darts."""
+    """Determinant-one transport across every node, inverse on partner darts.
 
-    def __init__(self, graph: TrivalentGraph, dart_matrices, domain: str = EXACT):
+    det_scales, when given, holds one check_unimodular scale per dart
+    for matrices computed as products (see _gauged).
+    """
+
+    def __init__(self, graph: TrivalentGraph, dart_matrices, domain: str = EXACT,
+                 det_scales=None):
         check_domain(domain)
         mats = tuple(dart_matrices)
         if len(mats) != graph.dart_count:
             raise ValidationError(
                 f"need {graph.dart_count} dart matrices, got {len(mats)}")
-        for m in mats:
-            check_unimodular(m, domain)
+        for d, m in enumerate(mats):
+            check_unimodular(m, domain, det_scales[d] if det_scales else 1)
         self.graph = graph
         self.domain = domain
         self._mats = mats
@@ -148,14 +153,24 @@ class Framing:
         return cls.from_primary(graph, edge_matrices, domain)
 
 
+def _gauged(left: Mat2, m: Mat2, right: Mat2):
+    """left m right, and the check_unimodular scale of its determinant.
+
+    In floats that determinant's rounding error grows with the factors,
+    not with the product, which is near the identity when a gauge undoes
+    large factors; the scale is (product of the max norms)^2.
+    """
+    return left * m * right, (left.max_norm() * m.max_norm() * right.max_norm()) ** 2
+
+
 def apply_gauge(gauge: GaugeTransform, framing: Framing) -> Framing:
     """g(source) a(d) g(target)^-1 on every dart; a group action."""
     g = framing.graph
     inv = [gauge.matrix(v).inv() for v in range(g.vertex_count)]
-    mats = [gauge.matrix(g.vertex_of(d)) * framing.matrix(d)
-            * inv[g.vertex_of(g.partner(d))]
-            for d in range(g.dart_count)]
-    return Framing(g, mats, framing.domain)
+    mats, scales = zip(*(_gauged(gauge.matrix(g.vertex_of(d)), framing.matrix(d),
+                                 inv[g.vertex_of(g.partner(d))])
+                         for d in range(g.dart_count)))
+    return Framing(g, mats, framing.domain, det_scales=scales)
 
 
 def tree_gauge(framing: Framing, tree: SpanningTreeData) -> GaugeTransform:
@@ -212,16 +227,16 @@ class SurfaceFlatBundle:
     side, so edge compatibility holds by construction.  The vertex
     relations (product of the three meridians in marked-point order is
     the identity) are a residual to be checked, not an invariant of the
-    type.
+    type.  det_scales is as for Framing.
     """
 
-    def __init__(self, framing: Framing, meridians):
+    def __init__(self, framing: Framing, meridians, det_scales=None):
         meridians = tuple(meridians)
         if len(meridians) != framing.graph.dart_count:
             raise ValidationError(
                 f"need {framing.graph.dart_count} meridians, got {len(meridians)}")
-        for m in meridians:
-            check_unimodular(m, framing.domain)
+        for d, m in enumerate(meridians):
+            check_unimodular(m, framing.domain, det_scales[d] if det_scales else 1)
         self.framing = framing
         self.graph = framing.graph
         self.domain = framing.domain
@@ -280,10 +295,10 @@ def apply_gauge_bundle(gauge: GaugeTransform,
     """Gauge a bundle: framing as usual, meridians by conjugation at their vertex."""
     g = bundle.graph
     framing = apply_gauge(gauge, bundle.framing)
-    mer = [gauge.matrix(g.vertex_of(d)) * bundle.meridian(d)
-           * gauge.matrix(g.vertex_of(d)).inv()
-           for d in range(g.dart_count)]
-    return SurfaceFlatBundle(framing, mer)
+    mer, scales = zip(*(_gauged(gauge.matrix(g.vertex_of(d)), bundle.meridian(d),
+                                gauge.matrix(g.vertex_of(d)).inv())
+                        for d in range(g.dart_count)))
+    return SurfaceFlatBundle(framing, mer, det_scales=scales)
 
 
 def flat_linearization(bundle: SurfaceFlatBundle):

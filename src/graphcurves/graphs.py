@@ -39,6 +39,13 @@ class TrivalentGraph:
             raise NotTrivalent(
                 f"vertex count must be an even integer >= 2, got {vertex_count!r}")
         n_darts = 3 * vertex_count
+        # Sizes first, so a wrong vertex count allocates nothing 3V long.
+        if not isinstance(pairing, (list, tuple)):
+            raise MalformedPairing("pairing must be a list of dart pairs")
+        if len(pairing) != n_darts // 2:
+            raise MalformedPairing(
+                f"{vertex_count} vertices need {n_darts // 2} dart pairs, "
+                f"got {len(pairing)}")
         if dart_vertex is None:
             dart_vertex = [d // 3 for d in range(n_darts)]
         if not isinstance(dart_vertex, (list, tuple)):
@@ -47,9 +54,8 @@ class TrivalentGraph:
         if len(dart_vertex) != n_darts:
             raise MalformedPairing(
                 f"dart_vertex must list all {n_darts} darts, got {len(dart_vertex)}")
-        if not isinstance(pairing, (list, tuple)):
-            raise MalformedPairing("pairing must be a list of dart pairs")
 
+        # 3V/2 pairs of distinct, unrepeated darts cover all 3V darts.
         partner = [None] * n_darts
         for pair in pairing:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -64,9 +70,6 @@ class TrivalentGraph:
                 raise MalformedPairing(f"dart repeated in pairing near {pair!r}")
             partner[a] = b
             partner[b] = a
-        if any(p is None for p in partner):
-            missing = [d for d, p in enumerate(partner) if p is None]
-            raise MalformedPairing(f"darts {missing} missing from pairing")
 
         owned = [[] for _ in range(vertex_count)]
         for d, v in enumerate(dart_vertex):

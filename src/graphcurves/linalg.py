@@ -1,11 +1,26 @@
 """Rank and kernel computations in both scalar domains.
 
-Exact path: fraction Gaussian elimination to reduced row echelon form,
-with a zero-skip inner loop (the assembled systems are sparse).  Float
-path: numpy SVD with a relative singular value threshold.
+Exact path: fraction-free elimination on Python ints, in the spirit of
+Bareiss (1968), with row contents divided out where Bareiss divides by
+the previous pivot (that keeps the zero-skipping below).  Each row
+is first cleared of denominators (scaled by the lcm of its entries'
+denominators) and divided by its content, the gcd of its entries.  A row
+with entry f under a pivot p then becomes (p/γ)·row − (f/γ)·pivot_row
+with γ = gcd(p, f), and is again divided by its content, which keeps the
+integers small.  Rows with a zero under the pivot are skipped, and only
+the pivot row's nonzero columns are subtracted (the assembled systems
+are sparse).  Ranks need only this forward pass.  exact_rref also clears
+the entries above each pivot and divides each pivot row by its pivot
+once, at the end.  Every step scales a row by a nonzero rational or adds
+a multiple of another row to it, so the row space over the rationals
+never changes; the reduced row echelon form of a matrix is unique, so
+the result equals Gauss–Jordan over the rationals, Fraction for Fraction.
+
+Float path: numpy SVD with a relative singular value threshold.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,47 +29,95 @@ import numpy as np
 from .scalars import EXACT, FLOAT, RANK_RTOL, check_domain
 
 
-def exact_rref(rows, ncols):
-    """Reduced row echelon form over the rationals.
+def _integer_row(row):
+    """The row as primitive ints: cleared of denominators, content divided out."""
+    nonzero = [(j, Fraction(x)) for j, x in enumerate(row) if x]
+    den = math.lcm(*(x.denominator for _, x in nonzero))
+    out = [0] * len(row)
+    for j, x in nonzero:
+        out[j] = x.numerator * (den // x.denominator)
+    content = math.gcd(*out)
+    if content > 1:
+        return [x // content for x in out]
+    return out
 
-    Returns (matrix, pivot_columns); the input is not modified.
+
+def _reduce(row, pivot_row, c, support):
+    """Clear row[c] with the pivot row; returns the new primitive row.
+
+    The row becomes (p/γ)·row − (f/γ)·pivot_row, p = pivot_row[c],
+    f = row[c], γ = gcd(p, f); support lists the pivot row's nonzero
+    columns.  The row may be updated in place.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    p = pivot_row[c]
+    f = row[c]
+    gamma = math.gcd(p, f)
+    a = p // gamma
+    b = f // gamma
+    if a < 0:  # the negated update: same row up to sign, and a = 1 when p | f
+        a, b = -a, -b
+    if a != 1:
+        row = [a * x for x in row]
+    for j in support:
+        row[j] -= b * pivot_row[j]
+    content = math.gcd(*row)
+    if content > 1:
+        return [x // content for x in row]
+    return row
+
+
+def _support(row, start):
+    return [j for j in range(start, len(row)) if row[j]]
+
+
+def _echelon(m, ncols, reduced):
+    """Integer row echelon form of m, in place; returns the pivot columns.
+
+    Rows are swapped so that pivot k sits in row k.  With reduced, the
+    entries above each pivot are cleared as well.
+    """
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pr = m[r]
-        p = pr[c]
-        if p != 1:
-            for j in range(c, ncols):
-                if pr[j]:
-                    pr[j] /= p
-        for i in range(len(m)):
-            if i == r:
-                continue
-            f = m[i][c]
-            if f:
-                ri = m[i]
-                for j in range(c, ncols):
-                    if pr[j]:
-                        ri[j] -= f * pr[j]
-        pivots.append(c)
-        r += 1
         if r == len(m):
             break
-    return m, pivots
+        for i in range(r, len(m)):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        pr = m[r]
+        support = _support(pr, c)
+        for i in range(0 if reduced else r + 1, len(m)):
+            if i != r and m[i][c]:
+                m[i] = _reduce(m[i], pr, c, support)
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def exact_rref(rows, ncols):
+    """Reduced row echelon form over the rationals.
+
+    Returns (matrix, pivot_columns) with Fraction entries; the input is
+    not modified.  The elimination runs on integers (see the module
+    docstring) and each pivot row is divided by its pivot once, at the
+    end.  Because the reduced row echelon form is unique, the output is
+    the one rational Gauss–Jordan gives.
+    """
+    m = [_integer_row(row) for row in rows]
+    pivots = _echelon(m, ncols, reduced=True)
+    zero = Fraction(0)
+    out = []
+    for r, row in enumerate(m):
+        p = row[pivots[r]] if r < len(pivots) else 1
+        out.append([Fraction(x, p) if x else zero for x in row])
+    return out, pivots
 
 
 def exact_rank(rows, ncols) -> int:
-    return len(exact_rref(rows, ncols)[1])
+    return len(_echelon([_integer_row(row) for row in rows], ncols, reduced=False))
 
 
 def exact_nullspace(rows, ncols):
@@ -68,7 +131,8 @@ def exact_nullspace(rows, ncols):
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -m[r][free]
+            if m[r][free]:
+                v[c] = -m[r][free]
         basis.append(v)
     return basis
 
@@ -121,6 +185,29 @@ def integer_rank(rows) -> int:
     if not rows:
         return 0
     return exact_rank(rows, len(rows[0]))
+
+
+def independent_rows(rows):
+    """Indices of the rows not in the span of the rows before them.
+
+    Each row is reduced against an integer echelon of the rows chosen so
+    far; a nonzero remainder joins the echelon at its leading column.
+    The chosen rows are the first greedy basis of the row space.
+    """
+    echelon = []  # (pivot column, row, support), by pivot column
+    chosen = []
+    for k, row in enumerate(rows):
+        w = _integer_row(row)
+        for c, pr, support in echelon:
+            if w[c]:
+                w = _reduce(w, pr, c, support)
+        lead = next((j for j, x in enumerate(w) if x), None)
+        if lead is None:
+            continue
+        at = sum(1 for c, _, _ in echelon if c < lead)
+        echelon.insert(at, (lead, w, _support(w, lead)))
+        chosen.append(k)
+    return chosen
 
 
 def residual(rows, vector):

@@ -120,12 +120,14 @@ def mat_close(m1: Mat2, m2: Mat2, tol) -> bool:
     return (m1 - m2).max_norm() <= tol
 
 
-def check_unimodular(m: Mat2, domain: str) -> Mat2:
+def check_unimodular(m: Mat2, domain: str, scale=1) -> Mat2:
     """Require det = 1 (exactly, or within DET_TOL in the float domain).
 
     The float tolerance is relative to |ad| + |bc|, the size of the
     rounding error in computing ad - bc, so products of many unimodular
-    matrices, whose entries grow, still pass.
+    matrices, whose entries grow, still pass.  A caller that computed m
+    as a product passes the size of that product's rounding error as
+    scale, when it can exceed |ad| + |bc|.
     """
     check_domain(domain)
     det = m.det()
@@ -133,7 +135,7 @@ def check_unimodular(m: Mat2, domain: str) -> Mat2:
         if det != 1:
             raise ValidationError(f"matrix determinant is {det}, expected 1")
     else:
-        tol = DET_TOL * max(1, abs(m.a * m.d) + abs(m.b * m.c))
+        tol = DET_TOL * max(1, abs(m.a * m.d) + abs(m.b * m.c), scale)
         if abs(det - 1) > tol:
             raise ValidationError(f"matrix determinant {det} is not 1 within {tol}")
     return m

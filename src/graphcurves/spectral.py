@@ -27,7 +27,7 @@ from .framings import Framing
 from .graphs import TrivalentGraph, spanning_tree
 from .higgs import HiggsField, higgs_space
 from .hitchin import hitchin_image, is_regular
-from .linalg import integer_rank
+from .linalg import independent_rows, integer_rank
 from .matrices import Mat2, to_complex_mat
 from .scalars import EIGEN_TOL, FLOAT, RECONSTRUCT_TOL
 from .sections import ComponentDifferential
@@ -351,8 +351,9 @@ def anti_invariant_cycles(graph: TrivalentGraph):
     """Independent integer cycles of the cover negated by the sheet swap.
 
     The involution exchanges the two copies of each base edge; applying
-    (1 - swap) to the fundamental cycles and selecting an independent
-    subset yields prym_dim generators.
+    (1 - swap) to the fundamental cycles and keeping, in basis order,
+    each image that is independent of those before it yields prym_dim
+    generators.
     """
     edges = _doubled_edges(graph)
     cycles = _fundamental_cycles(graph.vertex_count, edges)
@@ -364,11 +365,7 @@ def anti_invariant_cycles(graph: TrivalentGraph):
             w[2 * e] = diff
             w[2 * e + 1] = -diff
         candidates.append(w)
-    chosen = []
-    for w in candidates:
-        if any(w) and integer_rank(chosen + [w]) > len(chosen):
-            chosen.append(w)
-    return chosen
+    return [candidates[k] for k in independent_rows(candidates)]
 
 
 # -- line bundles on the cover ------------------------------------------

@@ -145,6 +145,7 @@ MALFORMED_GRAPHS = [
     {"vertices": 2, "pairing": [["0", 3], [1, 4], [2, 5]]},
     {"vertices": "2", "pairing": THETA_PAIRING},
     {"vertices": 2.0, "pairing": THETA_PAIRING},
+    {"vertices": 200000, "pairing": [[0, 1], [2, 3], [4, 5]]},
 ]
 
 

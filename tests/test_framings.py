@@ -51,6 +51,9 @@ def test_framing_rejects_non_unimodular():
     with pytest.raises(ValidationError):
         Framing.from_primary(g, {0: Mat2(2, 0, 0, 1),
                                  1: IDENTITY, 2: IDENTITY})
+    with pytest.raises(ValidationError):  # float det off by 1e-6
+        Framing.from_primary(g, {0: Mat2(1 + 1e-6, 0.0, 0.0, 1.0),
+                                 1: IDENTITY, 2: IDENTITY}, FLOAT)
 
 
 def test_framing_random_deterministic():
@@ -133,6 +136,23 @@ def test_tree_gauge_accepts_large_float_framings(vertices, seed):
         d = t.entry_dart[v]
         step = gauge.matrix(g.vertex_of(d)) * a.matrix(d)
         assert step.entries() == gauge.matrix(v).entries()
+
+
+@pytest.mark.parametrize("vertices, seed", [(40, 2), (12, 3)])
+def test_apply_gauge_accepts_tree_gauge_of_float_framing(vertices, seed):
+    # Gauged tree darts and conjugated trivial meridians are near the
+    # identity, but their rounding error scales with the large gauge
+    # factors: |det - 1| reached 1.02e-12 on (40, 2).
+    g = random_trivalent(vertices, seed=seed)
+    a = Framing.random(g, seed=0, domain=FLOAT)
+    t = spanning_tree(g)
+    gauge = tree_gauge(a, t)
+    b = apply_gauge(gauge, a)
+    for v in t.order[1:]:
+        assert mat_close(b.matrix(t.entry_dart[v]), IDENTITY, 1e-6)
+    bundle = apply_gauge_bundle(gauge, zero_section(a))
+    for d in range(g.dart_count):
+        assert mat_close(bundle.meridian(d), IDENTITY, 1e-6)
 
 
 # -- holonomies ---------------------------------------------------------

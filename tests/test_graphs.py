@@ -99,6 +99,17 @@ def test_dart_count_must_be_multiple_of_three():
         build_graph(((0, 1), (2, 3)))
 
 
+def test_pair_count_checked_before_allocating():
+    # 200000 claimed vertices with three pairs: rejected on the pair count,
+    # before any 3V-long list is built, with a short message.
+    with pytest.raises(MalformedPairing) as info:
+        graph_from_json({"vertices": 200000, "pairing": [[0, 1], [2, 3], [4, 5]]})
+    assert len(str(info.value)) < 200
+    with pytest.raises(MalformedPairing) as info:
+        TrivalentGraph(2, ((0, 3), (1, 4), (2, 5)), list(range(200000)))
+    assert len(str(info.value)) < 200
+
+
 def test_vertex_map_must_be_trivalent():
     dart_vertex = (0, 0, 0, 0, 1, 1)  # vertex 0 gets four darts
     with pytest.raises(NotTrivalent):

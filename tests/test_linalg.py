@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphcurves.errors import ScalarDomainMismatch, ValidationError
 from graphcurves.linalg import (
@@ -42,7 +44,7 @@ from graphcurves.scalars import (
     scalar_to_json,
 )
 
-from helpers import minor_rank, svd_rank
+from helpers import fraction_rref, minor_rank, svd_rank
 
 
 # -- scalars ------------------------------------------------------------
@@ -289,3 +291,42 @@ def test_residual_float():
     rows = [[1.0, 2.0]]
     assert residual(rows, [2.0, -1.0]) == 0
     assert residual(rows, [1.0, 0.0]) == 1.0
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _matrices(draw):
+    """(rows, ncols) with integer, rational or zero entries; some rows
+    are combinations of the first two, so the rank is often deficient."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    entry = draw(st.sampled_from([st.integers(-4, 4), _RATIONALS, st.just(0)]))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(2, nrows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows, ncols
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_matrices())
+@example(([], 0))
+@example(([], 3))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[1, 2], [3, 4], [5, 6], [7, 8], [2, 4], [0, 1], [1, 1]], 2))
+@example(([[1, 0, 2, 0, 3, 0, 4], [Fraction(1, 2), 0, 1, 0, Fraction(3, 2), 0, 2]], 7))
+def test_exact_rref_equals_fraction_gauss_jordan(system):
+    rows, ncols = system
+    m, pivots = exact_rref(rows, ncols)
+    expected, expected_pivots = fraction_rref(rows, ncols)
+    assert pivots == expected_pivots
+    assert m == expected
+    assert all(type(x) is Fraction for row in m for x in row)
+    assert exact_rank(rows, ncols) == len(pivots)
+    if len(rows) <= 4 and ncols <= 4:
+        r = minor_rank(rows)
+        assert exact_rank(rows, ncols) == r
+        assert integer_rank(rows) == r

@@ -31,6 +31,8 @@ from graphcurves.spectral import (
     twist,
 )
 
+from helpers import naive_anti_invariant_cycles
+
 
 def field_from(graph, per_vertex):
     vec = []
@@ -241,6 +243,13 @@ def test_anti_invariant_cycles_frozen():
              else random_trivalent(12, seed=key))
         blob = json.dumps(anti_invariant_cycles(g)).encode()
         assert hashlib.sha256(blob).hexdigest()[:16] == digest, key
+
+
+def test_anti_invariant_cycles_match_naive_greedy():
+    graphs = [catalog_graph(name) for name in CATALOG_NAMES]
+    graphs += [random_trivalent(v, seed=s) for v in range(2, 31, 2) for s in range(5)]
+    for g in graphs:
+        assert anti_invariant_cycles(g) == naive_anti_invariant_cycles(g)
 
 
 def test_anti_invariant_cycles_negate_under_swap():
