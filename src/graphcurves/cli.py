@@ -52,6 +52,8 @@ def _resolve_graph(spec: str):
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot parse {spec!r} as JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {spec!r}: {exc}") from exc
     graph = graph_from_json(obj)
     return graph, graph_to_json(graph)
 
@@ -270,9 +272,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     blob = json.dumps(_jsonable(report), sort_keys=True, indent=2)
-    print(blob)
     if args.out:
-        Path(args.out).write_text(blob + "\n")
+        try:
+            Path(args.out).write_text(blob + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+    print(blob)
     elapsed_ms = (time.monotonic() - start) * 1000
     print(f"# wall_time_ms={elapsed_ms:.1f}", file=sys.stderr)
     return EXIT_OK

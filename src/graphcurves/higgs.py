@@ -1,9 +1,12 @@
 """Higgs fields on a framed graph curve.
 
 A Higgs field assigns to each vertex a traceless 2x2 matrix of
-logarithmic differentials, stored as the three independent entries
-(w11, w12, w21) with w22 = -w11.  At a node the residue matrices on the
-two sides must cancel after transport by the framing:
+logarithmic differentials, given by the three independent entries
+(w11, w12, w21) with w22 = -w11.  A HiggsField stores only the flat
+tuple of their 6V coefficients, (w11.r0, w11.r1, w12.r0, w12.r1, w21.r0,
+w21.r1) vertex by vertex; the per-vertex ComponentDifferential triples
+(vertex_data) are built from it on demand.  At a node the residue
+matrices on the two sides must cancel after transport by the framing:
 
     R_source + a(d) R_target a(d)^-1 = 0,
 
@@ -32,8 +35,26 @@ from .sections import RESIDUE_FUNCTIONAL, ComponentDifferential
 WKEYS = ("w11", "w12", "w21")
 
 
+def _residue_matrix(coeffs, base: int, point: int) -> Mat2:
+    """Residue matrix at a marked point from the six coefficients at base.
+
+    The residues of (r0, r1) are (r0, r1, -(r0 + r1)), as in
+    ComponentDifferential.residues.
+    """
+    return from_sl2_coords(*(
+        (coeffs[i], coeffs[i + 1], -(coeffs[i] + coeffs[i + 1]))[point]
+        for i in (base, base + 2, base + 4)))
+
+
 class HiggsField:
-    """Per-vertex traceless matrices of logarithmic differentials."""
+    """Per-vertex traceless matrices of logarithmic differentials.
+
+    The only stored data is ``coefficients``, the flat tuple of 6V
+    coefficients in coefficient_vector() order; ``vertex_data`` and
+    ``component`` rebuild ComponentDifferential objects from it.
+    """
+
+    __slots__ = ("graph", "coefficients")
 
     def __init__(self, graph: TrivalentGraph, vertex_data):
         vertex_data = tuple(tuple(trip) for trip in vertex_data)
@@ -44,43 +65,45 @@ class HiggsField:
             if len(trip) != 3:
                 raise ValidationError("each vertex needs (w11, w12, w21)")
         self.graph = graph
-        self.vertex_data = vertex_data
+        self.coefficients = tuple(x for trip in vertex_data for w in trip
+                                  for x in (w.r0, w.r1))
+
+    @property
+    def vertex_data(self):
+        """Per-vertex (w11, w12, w21) ComponentDifferential triples."""
+        c = self.coefficients
+        return tuple(
+            tuple(ComponentDifferential(c[i], c[i + 1]) for i in range(b, b + 6, 2))
+            for b in range(0, len(c), 6))
 
     def component(self, v: int, key: str) -> ComponentDifferential:
-        return self.vertex_data[v][WKEYS.index(key)]
+        i = 6 * v + 2 * WKEYS.index(key)
+        return ComponentDifferential(self.coefficients[i], self.coefficients[i + 1])
 
     def residue_matrix(self, v: int, point: int) -> Mat2:
         """Traceless residue matrix of the field at a marked point of vertex v."""
-        w11, w12, w21 = self.vertex_data[v]
-        return from_sl2_coords(w11.residue(point), w12.residue(point),
-                               w21.residue(point))
+        return _residue_matrix(self.coefficients, 6 * v, point)
 
     def coefficient_vector(self):
         """Flat list (w11.r0, w11.r1, w12.r0, w12.r1, w21.r0, w21.r1) per vertex."""
-        out = []
-        for trip in self.vertex_data:
-            for w in trip:
-                out.extend((w.r0, w.r1))
-        return out
+        return list(self.coefficients)
 
     def __add__(self, other):
-        return HiggsField(self.graph,
-                          [tuple(a + b for a, b in zip(ta, tb))
-                           for ta, tb in zip(self.vertex_data, other.vertex_data)])
+        return HiggsField.from_coefficient_vector(self.graph, tuple(
+            a + b for a, b in zip(self.coefficients, other.coefficients)))
 
     def __neg__(self):
-        return HiggsField(self.graph,
-                          [tuple(-w for w in trip) for trip in self.vertex_data])
+        return HiggsField.from_coefficient_vector(
+            self.graph, tuple(-a for a in self.coefficients))
 
     def scale(self, s):
-        return HiggsField(self.graph,
-                          [tuple(w.scale(s) for w in trip)
-                           for trip in self.vertex_data])
+        return HiggsField.from_coefficient_vector(
+            self.graph, tuple(s * a for a in self.coefficients))
 
     def __eq__(self, other):
         if not isinstance(other, HiggsField):
             return NotImplemented
-        return self.graph == other.graph and self.vertex_data == other.vertex_data
+        return self.graph == other.graph and self.coefficients == other.coefficients
 
     def to_json(self):
         return {"vertex_data": {
@@ -91,24 +114,20 @@ class HiggsField:
     @classmethod
     def from_json(cls, graph: TrivalentGraph, obj, domain: str):
         data = obj["vertex_data"]
-        rows = []
-        for v in range(graph.vertex_count):
-            entry = data[str(v)]
-            rows.append(tuple(
-                ComponentDifferential(scalar_from_json(entry[key][0], domain),
-                                      scalar_from_json(entry[key][1], domain))
-                for key in WKEYS))
-        return cls(graph, rows)
+        return cls.from_coefficient_vector(graph, [
+            scalar_from_json(data[str(v)][key][k], domain)
+            for v in range(graph.vertex_count) for key in WKEYS for k in (0, 1)])
 
     @classmethod
     def from_coefficient_vector(cls, graph: TrivalentGraph, vec):
-        rows = []
-        for v in range(graph.vertex_count):
-            base = 6 * v
-            rows.append(tuple(
-                ComponentDifferential(vec[base + 2 * k], vec[base + 2 * k + 1])
-                for k in range(3)))
-        return cls(graph, rows)
+        vec = tuple(vec)
+        if len(vec) != 6 * graph.vertex_count:
+            raise ValidationError(
+                f"need {6 * graph.vertex_count} coefficients, got {len(vec)}")
+        phi = cls.__new__(cls)
+        phi.graph = graph
+        phi.coefficients = vec
+        return phi
 
 
 def assemble_higgs_constraints(framing: Framing, orientation: str = "low"):
@@ -174,16 +193,16 @@ def higgs_residual(phi: HiggsField, framing: Framing):
 
 def gauge_transform_higgs(gauge: GaugeTransform, phi: HiggsField) -> HiggsField:
     """Conjugate the matrix of differentials at each vertex by the gauge."""
-    rows = []
-    for v, (w11, w12, w21) in enumerate(phi.vertex_data):
+    c = phi.coefficients
+    out = []
+    for v in range(phi.graph.vertex_count):
         ad = adjoint_matrix(gauge.matrix(v))
-        r0 = [w11.r0, w12.r0, w21.r0]
-        r1 = [w11.r1, w12.r1, w21.r1]
-        new_r0 = [sum(ad[r][k] * r0[k] for k in range(3)) for r in range(3)]
-        new_r1 = [sum(ad[r][k] * r1[k] for k in range(3)) for r in range(3)]
-        rows.append(tuple(ComponentDifferential(new_r0[r], new_r1[r])
-                          for r in range(3)))
-    return HiggsField(phi.graph, rows)
+        r0 = c[6 * v:6 * v + 6:2]
+        r1 = c[6 * v + 1:6 * v + 6:2]
+        for r in range(3):
+            out.append(sum(ad[r][k] * r0[k] for k in range(3)))
+            out.append(sum(ad[r][k] * r1[k] for k in range(3)))
+    return HiggsField.from_coefficient_vector(phi.graph, out)
 
 
 def random_higgs_field(framing: Framing, seed: int,
@@ -202,12 +221,10 @@ def random_higgs_field(framing: Framing, seed: int,
     else:
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
     zero = 0 if domain == EXACT else 0j
-    phi = HiggsField(framing.graph,
-                     [(ComponentDifferential(zero, zero),) * 3
-                      for _ in range(framing.graph.vertex_count)])
+    acc = [zero] * (6 * framing.graph.vertex_count)
     for c, psi in zip(coeffs, report.basis):
-        phi = phi + psi.scale(c)
-    return phi
+        acc = [a + c * x for a, x in zip(acc, psi.coefficients)]
+    return HiggsField.from_coefficient_vector(framing.graph, acc)
 
 
 # -- per-edge residue parameterization ---------------------------------
@@ -271,15 +288,12 @@ def higgs_from_edge_residues(framing: Framing, vec) -> HiggsField:
         per_dart[a] = x
         t = framing.matrix(b)
         per_dart[b] = -(t * x * t.inv())
-    rows = []
+    out = []
     for v in range(g.vertex_count):
         by_point = {g.marked_point(d): per_dart[d] for d in g.vertex_darts(v)}
-        r0_mat = by_point[0]
-        r1_mat = by_point[1]
-        rows.append(tuple(
-            ComponentDifferential(c0, c1)
-            for c0, c1 in zip(sl2_coords(r0_mat), sl2_coords(r1_mat))))
-    return HiggsField(g, rows)
+        for c0, c1 in zip(sl2_coords(by_point[0]), sl2_coords(by_point[1])):
+            out.extend((c0, c1))
+    return HiggsField.from_coefficient_vector(g, out)
 
 
 def residue_parameterization(framing: Framing,

@@ -12,6 +12,11 @@ matching bi-residues and so defines a global quadratic differential.
 Reading it in per-edge bi-residue coordinates gives a gauge-invariant
 quadratic map whose Jacobian comes from the symmetric bilinear
 polarization of det.
+
+The kernels work on the fields' flat coefficient tuples and on per-vertex
+(q0, q1, q2) triples, with the same scalar operations in the same order
+as the ComponentDifferential and ComponentQuadratic arithmetic they
+replace, so both domains give the same bits.
 """
 from __future__ import annotations
 
@@ -21,17 +26,36 @@ from .framings import Framing
 from .higgs import HiggsField, higgs_space
 from .linalg import rank as matrix_rank
 from .scalars import EXACT, FLOAT, MATCH_TOL, REGULAR_RTOL, domain_of
-from .sections import (ComponentQuadratic, GlobalQuadratic, bires_coordinates,
-                       multiply_differentials)
+from .sections import (ComponentQuadratic, GlobalQuadratic, _matched_biresidues,
+                       _product_coefficients, bires_coordinates)
+
+
+def _det_triples(c):
+    """Per-vertex (q0, q1, q2) of -(w11 w11 + w12 w21) from coefficients c."""
+    out = []
+    for b in range(0, len(c), 6):
+        p = _product_coefficients(c[b], c[b + 1], c[b], c[b + 1])
+        q = _product_coefficients(c[b + 2], c[b + 3], c[b + 4], c[b + 5])
+        out.append((-(p[0] + q[0]), -(p[1] + q[1]), -(p[2] + q[2])))
+    return out
+
+
+def _polarization_triples(c, d):
+    """Per-vertex (q0, q1, q2) of -(2 a11 b11 + a12 b21 + a21 b12)."""
+    out = []
+    for b in range(0, len(c), 6):
+        p = _product_coefficients(c[b], c[b + 1], d[b], d[b + 1])
+        q = _product_coefficients(c[b + 2], c[b + 3], d[b + 4], d[b + 5])
+        r = _product_coefficients(c[b + 4], c[b + 5], d[b + 2], d[b + 3])
+        out.append((-(2 * p[0] + q[0] + r[0]), -(2 * p[1] + q[1] + r[1]),
+                    -(2 * p[2] + q[2] + r[2])))
+    return out
 
 
 def hitchin_image(phi: HiggsField) -> GlobalQuadratic:
     """Per-vertex determinant of the matrix of differentials."""
-    comps = []
-    for w11, w12, w21 in phi.vertex_data:
-        comps.append(-(multiply_differentials(w11, w11)
-                       + multiply_differentials(w12, w21)))
-    return GlobalQuadratic(phi.graph, comps)
+    return GlobalQuadratic(phi.graph, [ComponentQuadratic(*t) for t in
+                                       _det_triples(phi.coefficients)])
 
 
 def bires_det_residual(phi: HiggsField):
@@ -63,12 +87,9 @@ def hitchin_edge_coords(phi: HiggsField, tol=MATCH_TOL):
 
 def polarization(phi: HiggsField, psi: HiggsField) -> GlobalQuadratic:
     """Symmetric bilinear form with det(phi + t psi) = det phi + t B + t^2 det psi."""
-    comps = []
-    for (a11, a12, a21), (b11, b12, b21) in zip(phi.vertex_data, psi.vertex_data):
-        comps.append(-(multiply_differentials(a11, b11).scale(2)
-                       + multiply_differentials(a12, b21)
-                       + multiply_differentials(a21, b12)))
-    return GlobalQuadratic(phi.graph, comps)
+    return GlobalQuadratic(phi.graph, [
+        ComponentQuadratic(*t)
+        for t in _polarization_triples(phi.coefficients, psi.coefficients)])
 
 
 @dataclass
@@ -89,7 +110,8 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
     """
     if basis is None:
         basis = higgs_space(framing).basis
-    rows = [bires_coordinates(polarization(phi, psi)) for psi in basis]
+    rows = [_matched_biresidues(phi.graph, _polarization_triples(
+        phi.coefficients, psi.coefficients)) for psi in basis]
     domain = domain_of(rows[0][0]) if rows else EXACT
     ncols = len(phi.graph.edges)
     return JacobianReport(matrix=rows, rank=matrix_rank(rows, ncols, domain),
@@ -101,10 +123,16 @@ def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None,
     """Central-difference Jacobian of the edge-coordinate map (float domain)."""
     if basis is None:
         basis = higgs_space(framing, FLOAT).basis
+    g = phi.graph
+    x = phi.coefficients
+    up, down = complex(step), complex(-step)
     rows = []
     for psi in basis:
-        plus = hitchin_edge_coords(phi + psi.scale(complex(step)))
-        minus = hitchin_edge_coords(phi + psi.scale(complex(-step)))
+        y = psi.coefficients
+        plus = _matched_biresidues(g, _det_triples(
+            [a + up * b for a, b in zip(x, y)]))
+        minus = _matched_biresidues(g, _det_triples(
+            [a + down * b for a, b in zip(x, y)]))
         rows.append([(p - m) / (2 * step) for p, m in zip(plus, minus)])
     return rows
 

@@ -121,8 +121,13 @@ def exact_rank(rows, ncols) -> int:
 
 
 def exact_nullspace(rows, ncols):
-    """Basis of the right kernel over the rationals, one vector per free column."""
-    m, pivots = exact_rref(rows, ncols)
+    """Basis of the right kernel over the rationals, one vector per free column.
+
+    Read straight off the integer reduced form: the entry for pivot
+    column c of row r is -m[r][free] / m[r][c], one Fraction per entry.
+    """
+    m = [_integer_row(row) for row in rows]
+    pivots = _echelon(m, ncols, reduced=True)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -131,8 +136,9 @@ def exact_nullspace(rows, ncols):
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
         for r, c in enumerate(pivots):
-            if m[r][free]:
-                v[c] = -m[r][free]
+            x = m[r][free]
+            if x:
+                v[c] = Fraction(-x, m[r][c])
         basis.append(v)
     return basis
 

@@ -104,10 +104,13 @@ def multiply_differentials(d1: ComponentDifferential,
     bi-residue of the product at each marked point is the product of the
     residues there.
     """
-    r0, r1 = d1.r0, d1.r1
-    s0, s1 = d2.r0, d2.r1
+    return ComponentQuadratic(*_product_coefficients(d1.r0, d1.r1, d2.r0, d2.r1))
+
+
+def _product_coefficients(r0, r1, s0, s1):
+    """(q0, q1, q2) of the product of (r0, r1) and (s0, s1) differentials."""
     cross = r0 * s1 + r1 * s0
-    return ComponentQuadratic(
+    return (
         r0 * s0,
         -2 * r0 * s0 - cross,
         r0 * s0 + cross + r1 * s1,
@@ -266,16 +269,21 @@ def bires_coordinates(omega: GlobalQuadratic, tol=MATCH_TOL):
     within tol relative to the overall scale in the float domain.
     Returns one scalar per edge in canonical edge order.
     """
-    g = omega.graph
-    exact = omega.domain() == EXACT
+    return _matched_biresidues(omega.graph,
+                               [c.coefficients() for c in omega.components], tol)
+
+
+def _matched_biresidues(g: TrivalentGraph, triples, tol=MATCH_TOL):
+    """bires_coordinates on per-vertex (q0, q1, q2) triples."""
+    exact = domain_of(triples[0][0]) == EXACT
     scale = 1
     if not exact:
-        scale = max([1.0] + [abs(x) for c in omega.components
-                             for x in c.coefficients()])
+        scale = max([1.0] + [abs(x) for t in triples for x in t])
+    bires = [(q0, q0 + q1 + q2, q2) for q0, q1, q2 in triples]
     coords = []
     for e, (a, b) in enumerate(g.edges):
-        lhs = omega.components[g.vertex_of(a)].biresidue(g.marked_point(a))
-        rhs = omega.components[g.vertex_of(b)].biresidue(g.marked_point(b))
+        lhs = bires[g.vertex_of(a)][g.marked_point(a)]
+        rhs = bires[g.vertex_of(b)][g.marked_point(b)]
         diff = abs(lhs - rhs)
         if (diff != 0) if exact else (diff > tol * scale):
             raise MatchingViolated(

@@ -25,20 +25,22 @@ from .errors import (DegenerateNode, InconsistentSpectralData,
                      IrregularDeterminant, NumericalError, ValidationError)
 from .framings import Framing
 from .graphs import TrivalentGraph, spanning_tree
-from .higgs import HiggsField, higgs_space
+from .higgs import HiggsField, _residue_matrix, higgs_space
 from .hitchin import hitchin_image, is_regular
 from .linalg import independent_rows, integer_rank
 from .matrices import Mat2, to_complex_mat
 from .scalars import EIGEN_TOL, FLOAT, RECONSTRUCT_TOL
-from .sections import ComponentDifferential
 
 
 def _as_complex_field(phi: HiggsField) -> HiggsField:
-    rows = []
-    for trip in phi.vertex_data:
-        rows.append(tuple(ComponentDifferential(complex(w.r0), complex(w.r1))
-                          for w in trip))
-    return HiggsField(phi.graph, rows)
+    return HiggsField.from_coefficient_vector(
+        phi.graph, [complex(x) for x in phi.coefficients])
+
+
+def _complex_residue_matrix(phi: HiggsField, v: int, point: int) -> Mat2:
+    """_as_complex_field(phi).residue_matrix(v, point), converting only vertex v."""
+    return _residue_matrix([complex(x) for x in phi.coefficients[6 * v:6 * v + 6]],
+                           0, point)
 
 
 def _as_complex_framing(framing: Framing) -> Framing:
@@ -123,11 +125,10 @@ def node_eigendata(phi: HiggsField, framing: Framing, edge: int,
                    tol: float = EIGEN_TOL) -> NodeLift:
     """Eigenvalues and eigenlines of the residue matrices at one node."""
     g = phi.graph
-    phi_c = _as_complex_field(phi)
     a_c = _as_complex_framing(framing)
     lo, hi = g.edges[edge]
-    r_lo = phi_c.residue_matrix(g.vertex_of(lo), g.marked_point(lo))
-    r_hi = phi_c.residue_matrix(g.vertex_of(hi), g.marked_point(hi))
+    r_lo = _complex_residue_matrix(phi, g.vertex_of(lo), g.marked_point(lo))
+    r_hi = _complex_residue_matrix(phi, g.vertex_of(hi), g.marked_point(hi))
     det = r_lo.det()
     scale = max(1.0, r_lo.max_norm() ** 2)
     if abs(det) <= 1e-12 * scale:
@@ -470,7 +471,7 @@ def reconstruct_higgs(node_data: dict, framing: Framing,
             raise InconsistentSpectralData(
                 f"eigenline transport mismatch {mismatch} at edge {e}")
 
-    rows = []
+    out = []
     for v in range(g.vertex_count):
         mats = {g.marked_point(d): per_dart[d] for d in g.vertex_darts(v)}
         total = mats[0] + mats[1] + mats[2]
@@ -478,11 +479,9 @@ def reconstruct_higgs(node_data: dict, framing: Framing,
         if total.max_norm() > tol * scale:
             raise InconsistentSpectralData(
                 f"residue matrices at vertex {v} sum to {total.max_norm()}")
-        rows.append(tuple(
-            ComponentDifferential(c0, c1)
-            for c0, c1 in zip((mats[0].a, mats[0].b, mats[0].c),
-                              (mats[1].a, mats[1].b, mats[1].c))))
-    return HiggsField(g, rows)
+        m0, m1 = mats[0], mats[1]
+        out.extend((m0.a, m1.a, m0.b, m1.b, m0.c, m1.c))
+    return HiggsField.from_coefficient_vector(g, out)
 
 
 def roundtrip_error(phi: HiggsField, framing: Framing) -> float:
@@ -491,10 +490,9 @@ def roundtrip_error(phi: HiggsField, framing: Framing) -> float:
     rebuilt = reconstruct_higgs(all_node_eigendata(phi, framing), framing)
     num = 0.0
     den = 1.0
-    for ta, tb in zip(phi_c.vertex_data, rebuilt.vertex_data):
-        for wa, wb in zip(ta, tb):
-            num = max(num, abs(wa.r0 - wb.r0), abs(wa.r1 - wb.r1))
-            den = max(den, abs(wa.r0), abs(wa.r1))
+    for a, b in zip(phi_c.coefficients, rebuilt.coefficients):
+        num = max(num, abs(a - b))
+        den = max(den, abs(a))
     return num / den
 
 
@@ -510,11 +508,14 @@ def random_regular_higgs(framing: Framing, seed: int,
     rng = Random(seed)
     for _ in range(max_tries):
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-        phi = None
+        acc = None
         for c, psi in zip(coeffs, report.basis):
-            phi = psi.scale(c) if phi is None else phi + psi.scale(c)
-        if phi is None:
+            y = psi.coefficients
+            acc = ([c * x for x in y] if acc is None
+                   else [a + c * x for a, x in zip(acc, y)])
+        if acc is None:
             break
+        phi = HiggsField.from_coefficient_vector(a_c.graph, acc)
         if not is_regular(hitchin_image(phi)).regular:
             continue
         try:

@@ -108,6 +108,22 @@ def fraction_rref(rows, ncols):
     return m, pivots
 
 
+def fraction_nullspace(rows, ncols):
+    """Right kernel read off fraction_rref, one vector per free column."""
+    m, pivots = fraction_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            if m[r][free]:
+                v[c] = -m[r][free]
+        basis.append(v)
+    return basis
+
+
 def naive_anti_invariant_cycles(graph):
     """anti_invariant_cycles by recomputing a rank for every candidate.
 
@@ -131,3 +147,185 @@ def naive_anti_invariant_cycles(graph):
         if any(w) and integer_rank(chosen + [w]) > len(chosen):
             chosen.append(w)
     return chosen
+
+
+# -- the per-component Hitchin layer, kept as a bitwise oracle -----------
+#
+# HiggsField stores one flat coefficient tuple and the Hitchin kernels work
+# on its scalars.  Below is the earlier code that went through
+# ComponentDifferential and ComponentQuadratic objects, verbatim except that
+# fields are passed as vertex_data tuples.  The tests compare bits, so a
+# changed order of scalar operations (or a signed zero) shows up.
+
+
+def old_multiply_differentials(d1, d2):
+    from graphcurves.sections import ComponentQuadratic
+
+    r0, r1 = d1.r0, d1.r1
+    s0, s1 = d2.r0, d2.r1
+    cross = r0 * s1 + r1 * s0
+    return ComponentQuadratic(
+        r0 * s0,
+        -2 * r0 * s0 - cross,
+        r0 * s0 + cross + r1 * s1,
+    )
+
+
+def old_add(x, y):
+    return [tuple(a + b for a, b in zip(ta, tb)) for ta, tb in zip(x, y)]
+
+
+def old_neg(x):
+    return [tuple(-w for w in trip) for trip in x]
+
+
+def old_scale(x, s):
+    return [tuple(w.scale(s) for w in trip) for trip in x]
+
+
+def old_residue_matrix(x, v, point):
+    from graphcurves.matrices import from_sl2_coords
+
+    w11, w12, w21 = x[v]
+    return from_sl2_coords(w11.residue(point), w12.residue(point),
+                           w21.residue(point))
+
+
+def old_hitchin_image(graph, x):
+    from graphcurves.sections import GlobalQuadratic
+
+    comps = []
+    for w11, w12, w21 in x:
+        comps.append(-(old_multiply_differentials(w11, w11)
+                       + old_multiply_differentials(w12, w21)))
+    return GlobalQuadratic(graph, comps)
+
+
+def old_polarization(graph, x, y):
+    from graphcurves.sections import GlobalQuadratic
+
+    comps = []
+    for (a11, a12, a21), (b11, b12, b21) in zip(x, y):
+        comps.append(-(old_multiply_differentials(a11, b11).scale(2)
+                       + old_multiply_differentials(a12, b21)
+                       + old_multiply_differentials(a21, b12)))
+    return GlobalQuadratic(graph, comps)
+
+
+def old_bires_coordinates(omega, tol=None):
+    from graphcurves.errors import MatchingViolated
+    from graphcurves.scalars import EXACT, MATCH_TOL
+
+    if tol is None:
+        tol = MATCH_TOL
+    g = omega.graph
+    exact = omega.domain() == EXACT
+    scale = 1
+    if not exact:
+        scale = max([1.0] + [abs(x) for c in omega.components
+                             for x in c.coefficients()])
+    coords = []
+    for e, (a, b) in enumerate(g.edges):
+        lhs = omega.components[g.vertex_of(a)].biresidue(g.marked_point(a))
+        rhs = omega.components[g.vertex_of(b)].biresidue(g.marked_point(b))
+        diff = abs(lhs - rhs)
+        if (diff != 0) if exact else (diff > tol * scale):
+            raise MatchingViolated(
+                f"bi-residues differ across edge {e}: {lhs} vs {rhs}")
+        coords.append(lhs)
+    return coords
+
+
+def old_hitchin_jacobian_rows(graph, x, basis):
+    return [old_bires_coordinates(old_polarization(graph, x, y)) for y in basis]
+
+
+def old_finite_difference_jacobian(graph, x, basis, step=1e-5):
+    rows = []
+    for y in basis:
+        plus = old_bires_coordinates(
+            old_hitchin_image(graph, old_add(x, old_scale(y, complex(step)))))
+        minus = old_bires_coordinates(
+            old_hitchin_image(graph, old_add(x, old_scale(y, complex(-step)))))
+        rows.append([(p - m) / (2 * step) for p, m in zip(plus, minus)])
+    return rows
+
+
+def old_random_higgs_field(framing, seed, domain, report):
+    """random_higgs_field's draws and its zero-started combination loop.
+
+    report is higgs_space(framing, domain), passed in to save a solve.
+    """
+    from random import Random
+
+    from graphcurves.scalars import EXACT
+    from graphcurves.sections import ComponentDifferential
+
+    rng = Random(seed)
+    if domain == EXACT:
+        coeffs = [Fraction(rng.randint(-9, 9)) for _ in report.basis]
+        if all(c == 0 for c in coeffs) and report.basis:
+            coeffs[0] = Fraction(1)
+    else:
+        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
+    zero = 0 if domain == EXACT else 0j
+    phi = [(ComponentDifferential(zero, zero),) * 3
+           for _ in range(framing.graph.vertex_count)]
+    for c, psi in zip(coeffs, report.basis):
+        phi = old_add(phi, old_scale(psi.vertex_data, c))
+    return phi
+
+
+def old_random_regular_higgs(framing, seed, max_tries=32):
+    """random_regular_higgs with its first-term-started combination loop."""
+    from random import Random
+
+    from graphcurves.errors import IrregularDeterminant, NumericalError
+    from graphcurves.higgs import HiggsField, higgs_space
+    from graphcurves.hitchin import is_regular
+    from graphcurves.scalars import FLOAT
+    from graphcurves.spectral import _as_complex_framing, all_node_eigendata
+
+    a_c = _as_complex_framing(framing)
+    report = higgs_space(a_c, FLOAT)
+    rng = Random(seed)
+    for _ in range(max_tries):
+        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
+        phi = None
+        for c, psi in zip(coeffs, report.basis):
+            term = old_scale(psi.vertex_data, c)
+            phi = term if phi is None else old_add(phi, term)
+        if phi is None:
+            break
+        if not is_regular(old_hitchin_image(a_c.graph, phi)).regular:
+            continue
+        try:
+            all_node_eigendata(HiggsField(a_c.graph, phi), a_c)
+        except NumericalError:
+            continue
+        return phi
+    raise IrregularDeterminant(
+        f"no regular Higgs field found in {max_tries} draws (seed {seed})")
+
+
+def scalar_bits(x):
+    """A key equal for two scalars only if their types and bits agree."""
+    if isinstance(x, complex):
+        return (type(x).__name__, float.hex(x.real), float.hex(x.imag))
+    if isinstance(x, float):
+        return (type(x).__name__, float.hex(x))
+    return (type(x).__name__, x)
+
+
+def bits(values):
+    """scalar_bits of a nested structure of scalars, tuples, lists and
+    component (quadratic) differentials."""
+    from graphcurves.sections import ComponentDifferential, ComponentQuadratic
+
+    if isinstance(values, ComponentDifferential):
+        values = (values.r0, values.r1)
+    elif isinstance(values, ComponentQuadratic):
+        values = values.coefficients()
+    if isinstance(values, (list, tuple)):
+        return [bits(v) for v in values]
+    return scalar_bits(values)

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphcurves import cli
+from graphcurves.graphs import graph_to_json, random_trivalent
 
 PKG = [sys.executable, "-m", "graphcurves"]
 
@@ -187,3 +194,72 @@ def test_stdout_is_sorted_and_indented():
     proc = run_cli("graph", "--graph", "theta")
     doc = json.loads(proc.stdout)
     assert proc.stdout == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_graph_directory_exits_2(tmp_path):
+    proc = run_cli("graph", "--graph", str(tmp_path), expect=2)
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_graph_file_not_utf8_exits_2(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"vertices": 2, "name": "\xe9\xff"}')
+    proc = run_cli("graph", "--graph", str(bad), expect=2)
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_unwritable_out_exits_2_before_printing(tmp_path):
+    dest = tmp_path / "missing" / "report.json"
+    proc = run_cli("graph", "--graph", "theta", "--out", str(dest), expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+# -- property test at the input boundary --------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10**6) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+_WRONG = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+          | st.integers(-3, 10**9) | st.lists(st.integers(-1, 8), max_size=3))
+
+
+@st.composite
+def _near_graphs(draw):
+    """A valid graph's JSON with one or two fields broken."""
+    obj = graph_to_json(random_trivalent(2 * draw(st.integers(1, 4)),
+                                         draw(st.integers(0, 3))))
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(["vertices", "pairing", "dart_vertex"]))
+        how = draw(st.sampled_from(["drop", "replace", "entry", "shorten",
+                                    "extend"]))
+        if how == "drop":
+            obj.pop(key, None)
+        elif how == "replace" or not isinstance(obj.get(key), list) \
+                or not obj[key]:
+            obj[key] = draw(_WRONG)
+        elif how == "entry":
+            i = draw(st.integers(0, len(obj[key]) - 1))
+            obj[key][i] = draw(_WRONG | st.lists(_WRONG, max_size=3))
+        elif how == "shorten":
+            obj[key] = obj[key][:-1]
+        else:
+            obj[key] = obj[key] + [obj[key][0]]
+    return obj
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(_JSON, _near_graphs()))
+def test_graph_file_fuzz_exits_0_or_2(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["graph", "--graph", str(path)])
+    assert code in (0, 2), err.getvalue()

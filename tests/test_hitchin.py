@@ -4,11 +4,12 @@ from random import Random
 import pytest
 
 from graphcurves.errors import MatchingViolated
-from graphcurves.graphs import CATALOG_NAMES, catalog_graph
+from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
 from graphcurves.scalars import EXACT, FLOAT
 from graphcurves.sections import ComponentQuadratic, GlobalQuadratic, bires_coordinates
 from graphcurves.framings import Framing
 from graphcurves.higgs import HiggsField, higgs_space, random_higgs_field
+from graphcurves.linalg import KernelReport
 from graphcurves.hitchin import (
     bires_det_residual,
     finite_difference_jacobian,
@@ -18,6 +19,20 @@ from graphcurves.hitchin import (
     is_regular,
     jacobian_fd_error,
     polarization,
+)
+
+from helpers import (
+    bits,
+    old_add,
+    old_bires_coordinates,
+    old_finite_difference_jacobian,
+    old_hitchin_image,
+    old_hitchin_jacobian_rows,
+    old_neg,
+    old_polarization,
+    old_random_higgs_field,
+    old_residue_matrix,
+    old_scale,
 )
 
 
@@ -199,3 +214,91 @@ def test_regularity_of_generic_images():
         if is_regular(hitchin_image(phi)).regular:
             hits += 1
     assert hits >= 4  # genericity: irregular fields are rare
+
+
+# -- bitwise oracle: the per-component code in helpers ------------------
+
+
+def _outcome(fn, *args):
+    """bits of fn(*args), or the fact that it raised MatchingViolated."""
+    try:
+        return bits(fn(*args))
+    except MatchingViolated:
+        return "MatchingViolated"
+
+
+def _oracle_framings(domain):
+    """Identity framings (their float Higgs bases hold signed zeros) on the
+    catalog, then random framings on the catalog and on random graphs."""
+    catalog = [catalog_graph(name) for name in CATALOG_NAMES]
+    graphs = catalog + [random_trivalent(v, s) for v in range(2, 31, 2)
+                        for s in range(3)]
+    return ([Framing.identity(g, domain) for g in catalog]
+            + [Framing.random(g, seed=k % 3, domain=domain)
+               for k, g in enumerate(graphs)])
+
+
+@pytest.mark.parametrize("domain", [EXACT, FLOAT])
+def test_coefficient_kernels_match_component_oracle(domain):
+    c = Fraction(3, 7) if domain == EXACT else complex(0.3, -1.7)
+    for k, framing in enumerate(_oracle_framings(domain)):
+        g = framing.graph
+        report = higgs_space(framing, domain)
+        basis = report.basis
+        fd_basis = basis if domain == FLOAT else higgs_space(framing, FLOAT).basis
+        phi = random_higgs_field(framing, k % 3, domain)
+        old = old_random_higgs_field(framing, k % 3, domain, report)
+        assert bits(phi.coefficient_vector()) == bits(
+            HiggsField(g, old).coefficient_vector())
+        psi = basis[0].vertex_data
+        assert bits((phi + basis[0].scale(c)).vertex_data) == bits(
+            old_add(old, old_scale(psi, c)))
+        assert bits((-phi).vertex_data) == bits(old_neg(old))
+        for v in range(g.vertex_count):
+            for point in range(3):
+                assert bits(phi.residue_matrix(v, point).entries()) == bits(
+                    old_residue_matrix(old, v, point).entries())
+        assert bits(hitchin_image(phi).components) == bits(
+            old_hitchin_image(g, old).components)
+        basis, fd_basis = basis[:4], fd_basis[:4]
+        for b in basis:
+            assert bits(polarization(phi, b).components) == bits(
+                old_polarization(g, old, b.vertex_data).components)
+        old_basis = [b.vertex_data for b in basis]
+        old_fd_basis = [b.vertex_data for b in fd_basis]
+        assert bits(hitchin_jacobian(phi, framing, basis).matrix) == bits(
+            old_hitchin_jacobian_rows(g, old, old_basis))
+        assert bits(finite_difference_jacobian(phi, framing, fd_basis)) == bits(
+            old_finite_difference_jacobian(g, old, old_fd_basis))
+        # A field that is not a Higgs field: MatchingViolated on both sides.
+        rng = Random(k)
+        bad = HiggsField.from_coefficient_vector(
+            g, [Fraction(rng.randint(-5, 5)) if domain == EXACT
+                else complex(rng.gauss(0, 1), 0) for _ in range(6 * g.vertex_count)])
+        old_bad = bad.vertex_data
+        assert _outcome(hitchin_edge_coords, bad) == _outcome(
+            lambda: old_bires_coordinates(old_hitchin_image(g, old_bad)))
+        assert _outcome(lambda: hitchin_jacobian(bad, framing, basis).matrix) == \
+            _outcome(old_hitchin_jacobian_rows, g, old_bad, old_basis)
+        assert _outcome(finite_difference_jacobian, bad, framing, fd_basis) == \
+            _outcome(old_finite_difference_jacobian, g, old_bad, old_fd_basis)
+
+
+def test_random_field_combination_keeps_signed_zeros(monkeypatch):
+    # Kernel bases from the solver have no coefficient that is zero in every
+    # vector, so only a planted basis shows the combination's starting value
+    # (0j + c x differs from c x when c x is a signed zero).
+    import graphcurves.higgs as higgs_mod
+
+    g = catalog_graph("theta")
+    zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+    vec = [zeros[i % 4] if i % 3 else complex(i, -1.5) for i in range(12)]
+    report = KernelReport(domain=FLOAT, nrows=0, ncols=12, rank=0,
+                          basis=[HiggsField.from_coefficient_vector(g, vec)])
+    monkeypatch.setattr(higgs_mod, "higgs_space", lambda framing, domain: report)
+    framing = Framing.identity(g, FLOAT)
+    for seed in range(8):
+        phi = random_higgs_field(framing, seed, FLOAT)
+        old = old_random_higgs_field(framing, seed, FLOAT, report)
+        assert bits(phi.coefficient_vector()) == bits(
+            HiggsField(g, old).coefficient_vector())

@@ -44,7 +44,7 @@ from graphcurves.scalars import (
     scalar_to_json,
 )
 
-from helpers import fraction_rref, minor_rank, svd_rank
+from helpers import fraction_nullspace, fraction_rref, minor_rank, svd_rank
 
 
 # -- scalars ------------------------------------------------------------
@@ -326,6 +326,9 @@ def test_exact_rref_equals_fraction_gauss_jordan(system):
     assert m == expected
     assert all(type(x) is Fraction for row in m for x in row)
     assert exact_rank(rows, ncols) == len(pivots)
+    basis = exact_nullspace(rows, ncols)
+    assert basis == fraction_nullspace(rows, ncols)
+    assert all(type(x) is Fraction for vec in basis for x in vec)
     if len(rows) <= 4 and ncols <= 4:
         r = minor_rank(rows)
         assert exact_rank(rows, ncols) == r

@@ -18,6 +18,7 @@ from graphcurves.higgs import HiggsField, random_higgs_field
 from graphcurves.hitchin import is_regular, hitchin_image
 from graphcurves.spectral import (
     NodeLift,
+    _as_complex_field,
     all_node_eigendata,
     anti_invariant_cycles,
     branch_points,
@@ -31,7 +32,7 @@ from graphcurves.spectral import (
     twist,
 )
 
-from helpers import naive_anti_invariant_cycles
+from helpers import bits, naive_anti_invariant_cycles, old_random_regular_higgs
 
 
 def field_from(graph, per_vertex):
@@ -356,3 +357,62 @@ def test_exact_inputs_accepted():
     curve = build_spectral_curve(phi, a)
     assert curve.arithmetic_genus == 5
     assert roundtrip_error(phi, a) < 1e-8
+
+
+def _lift_bits(lift):
+    return (bits(lift.lam), bits(lift.matching_residual),
+            {d: bits(pair) for d, pair in lift.lifts.items()})
+
+
+def test_node_eigendata_of_exact_field_equals_complex_copy():
+    # node_eigendata converts only the two residue matrices it reads; the
+    # bits must be those of converting the whole field first
+    graphs = [catalog_graph(n) for n in CATALOG_NAMES]
+    graphs += [random_trivalent(v, 1) for v in (8, 12)]
+    for k, g in enumerate(graphs):
+        a = Framing.random(g, seed=k, domain=EXACT)
+        phi = random_higgs_field(a, seed=k + 1)
+        phi_c = _as_complex_field(phi)
+        for e in range(len(g.edges)):
+            assert _lift_bits(node_eigendata(phi, a, e)) == \
+                _lift_bits(node_eigendata(phi_c, a, e))
+
+
+def test_random_regular_higgs_matches_component_oracle():
+    graphs = [catalog_graph(n) for n in CATALOG_NAMES]
+    graphs += [random_trivalent(v, s) for v in range(2, 31, 2) for s in range(3)]
+    for k, g in enumerate(graphs):
+        a = Framing.random(g, seed=k % 3, domain=FLOAT)
+        try:
+            phi = random_regular_higgs(a, seed=k)
+        except IrregularDeterminant:
+            with pytest.raises(IrregularDeterminant):
+                old_random_regular_higgs(a, seed=k)
+            continue
+        assert bits(phi.coefficient_vector()) == bits(
+            HiggsField(g, old_random_regular_higgs(a, seed=k)).coefficient_vector())
+
+
+def test_regular_field_combination_keeps_signed_zeros(monkeypatch):
+    # As in test_hitchin: only a planted basis shows the combination's
+    # starting value.  The one basis field is a regular Higgs field with an
+    # exactly zero coefficient, so c * 0j is a signed zero for some seeds.
+    import graphcurves.higgs as higgs_mod
+    import graphcurves.spectral as spectral_mod
+    from graphcurves.higgs import higgs_space
+    from graphcurves.linalg import KernelReport
+
+    g = catalog_graph("k4")
+    a = Framing.random(g, seed=3)
+    basis = [psi.coefficient_vector() for psi in higgs_space(a).basis]
+    vec = [sum(k * b[i] for k, b in enumerate(basis, 1)) for i in range(6 * 4)]
+    vec = [x - vec[0] / basis[0][0] * y for x, y in zip(vec, basis[0])]
+    assert vec[0] == 0
+    phi = HiggsField.from_coefficient_vector(g, [complex(x) for x in vec])
+    assert is_regular(hitchin_image(phi)).regular
+    report = KernelReport(domain=FLOAT, nrows=0, ncols=24, rank=0, basis=[phi])
+    for mod in (higgs_mod, spectral_mod):
+        monkeypatch.setattr(mod, "higgs_space", lambda framing, domain: report)
+    for seed in range(8):
+        assert bits(random_regular_higgs(a, seed).coefficient_vector()) == bits(
+            HiggsField(g, old_random_regular_higgs(a, seed)).coefficient_vector())
