@@ -26,7 +26,8 @@ from .higgs import (higgs_residual, higgs_space, random_higgs_field,
                     residue_parameterization_matrix)
 from .hitchin import (hitchin_edge_coords, hitchin_image, hitchin_jacobian,
                       is_regular, jacobian_fd_error)
-from .scalars import EXACT, FLOAT, check_domain, scalar_to_json
+from .linalg import rank as matrix_rank
+from .scalars import EXACT, FLOAT, scalar_to_json
 from .sections import bires_coordinates, canonical_space, double_canonical_space
 
 EXIT_OK = 0
@@ -113,13 +114,10 @@ def cmd_graph(args) -> dict:
 def cmd_sections(args) -> dict:
     graph, inputs = _resolve_graph(args.graph)
     domain = args.domain or EXACT
-    check_domain(domain)
     can = canonical_space(graph, domain)
     double = double_canonical_space(graph, domain)
     coords = [bires_coordinates(omega) for omega in double.basis]
     ncols = len(graph.edges)
-    from .linalg import rank as matrix_rank
-
     results = {
         "genus": graph.genus,
         "dim_K": can.dim,
@@ -157,7 +155,7 @@ def cmd_higgs(args) -> dict:
 
     def one_trial(seed):
         framing = Framing.random(graph, seed, domain)
-        space = higgs_space(framing, domain)
+        space = higgs_space(framing)
         residual = max([0.0] + [float(abs(higgs_residual(phi, framing)))
                                 for phi in space.basis])
         return {
@@ -176,11 +174,11 @@ def cmd_hitchin(args) -> dict:
 
     def one_trial(seed):
         framing = Framing.random(graph, seed, domain)
-        phi = random_higgs_field(framing, seed, domain)
+        phi = random_higgs_field(framing, seed)
         coords = hitchin_edge_coords(phi)
         jac = hitchin_jacobian(phi, framing)
         float_framing = Framing.random(graph, seed, FLOAT)
-        float_phi = random_higgs_field(float_framing, seed, FLOAT)
+        float_phi = random_higgs_field(float_framing, seed)
         return {
             "edge_coords": [scalar_to_json(x) for x in coords],
             "regular": is_regular(hitchin_image(phi)).regular,
@@ -194,9 +192,6 @@ def cmd_hitchin(args) -> dict:
 
 def cmd_spectral(args) -> dict:
     graph, inputs = _resolve_graph(args.graph)
-    domain = args.domain or FLOAT
-    if domain != FLOAT:
-        raise ValidationError("spectral computations run in the float domain")
 
     def one_trial(seed):
         framing = Framing.random(graph, seed, FLOAT)
@@ -220,7 +215,7 @@ def cmd_spectral(args) -> dict:
             "roundtrip_err": spectral_mod.roundtrip_error(phi, framing),
         }
 
-    return _report("spectral", {"graph": inputs}, domain, args.seed,
+    return _report("spectral", {"graph": inputs}, FLOAT, args.seed,
                    _with_trials(args, one_trial))
 
 
@@ -242,18 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        p.add_argument("--graph", default="theta",
+                       help="catalog name or graph JSON file")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None, help="also write the report here")
         if name == "graph":
-            p.add_argument("--graph", default="theta",
-                           help="catalog name or graph JSON file")
             p.add_argument("--random", type=int, default=None, metavar="N",
                            help="generate a random graph on N vertices instead")
-        else:
-            p.add_argument("--graph", default="theta",
-                           help="catalog name or graph JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--domain", choices=[EXACT, FLOAT], default=None)
-        p.add_argument("--trials", type=_positive_int, default=1)
-        p.add_argument("--out", default=None, help="also write the report here")
+            continue
+        p.add_argument("--domain", default=None,
+                       choices=[FLOAT] if name == "spectral" else [EXACT, FLOAT])
+        if name != "sections":
+            p.add_argument("--trials", type=_positive_int, default=1)
     return parser
 
 

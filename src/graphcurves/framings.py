@@ -33,9 +33,7 @@ from .graphs import SpanningTreeData, TrivalentGraph
 from .linalg import solve_kernel
 from .matrices import (IDENTITY, Mat2, SL2_BASIS, check_unimodular, mat_from_json,
                        mat_to_json, random_unimodular, sl2_coords)
-from .scalars import EXACT, FLAT_TOL, check_domain
-
-IDENTITY_TOL = 1e-10  # float-domain threshold for "this matrix is the identity"
+from .scalars import EXACT, FLAT_TOL, IDENTITY_TOL, check_domain
 
 
 def _is_identity(m: Mat2, domain: str) -> bool:
@@ -122,10 +120,6 @@ class Framing:
 
     def matrix(self, d: int) -> Mat2:
         return self._mats[d]
-
-    def primary_matrices(self):
-        """Matrices on the lower dart of each edge, canonical edge order."""
-        return [self._mats[a] for a, _ in self.graph.edges]
 
     def inversion_residual(self):
         """Largest deviation of a(partner(d)) a(d) from the identity."""
@@ -349,15 +343,15 @@ def flat_linearization(bundle: SurfaceFlatBundle):
     return rows
 
 
-def flat_local_dimension(bundle: SurfaceFlatBundle, tol=FLAT_TOL) -> int:
+def flat_local_dimension(bundle: SurfaceFlatBundle) -> int:
     """Kernel dimension of the vertex-relation Jacobian at the bundle.
 
-    The bundle must actually satisfy the relations (residual <= tol).
+    The bundle must actually satisfy the relations (residual <= FLAT_TOL).
     """
     res = vertex_relation_residual(bundle)
-    if res > tol:
+    if res > FLAT_TOL:
         raise NotOnVariety(
-            f"vertex relation residual {res} exceeds {tol}")
+            f"vertex relation residual {res} exceeds {FLAT_TOL}")
     rows = flat_linearization(bundle)
     report = solve_kernel(rows, 3 * len(bundle.graph.edges), bundle.domain)
     return report.dim

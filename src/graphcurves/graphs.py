@@ -24,7 +24,9 @@ from .errors import (Disconnected, GenerationFailed, MalformedPairing,
 
 # Marked point labels by local index: z = 0, z = 1, z = infinity.
 POINT_ZERO, POINT_ONE, POINT_INF = 0, 1, 2
-POINT_NAMES = ("0", "1", "inf")
+
+# Draws of random_trivalent before it gives up on a connected graph.
+MAX_ATTEMPTS = 1000
 
 
 def _is_int(x) -> bool:
@@ -102,18 +104,10 @@ class TrivalentGraph:
         self._check_connected()
 
     def _check_connected(self):
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for d in self._vertex_darts[v]:
-                w = self._dart_vertex[self._partner[d]]
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != self.vertex_count:
+        reached = len(spanning_tree(self).order)
+        if reached != self.vertex_count:
             raise Disconnected(
-                f"graph has {self.vertex_count} vertices but only {len(seen)} reachable")
+                f"graph has {self.vertex_count} vertices but only {reached} reachable")
 
     # -- dart accessors -------------------------------------------------
 
@@ -208,19 +202,19 @@ def catalog_graph(name: str) -> TrivalentGraph:
     return TrivalentGraph(vertex_count, pairing)
 
 
-def random_trivalent(vertex_count: int, seed: int,
-                     max_attempts: int = 1000) -> TrivalentGraph:
+def random_trivalent(vertex_count: int, seed: int) -> TrivalentGraph:
     """Uniformly random connected trivalent graph on the given vertices.
 
     Draws uniform perfect matchings on the darts and rejects disconnected
-    outcomes; deterministic for a fixed (vertex_count, seed).
+    outcomes, at most MAX_ATTEMPTS times; deterministic for a fixed
+    (vertex_count, seed).
     """
     if vertex_count < 2 or vertex_count % 2:
         raise NotTrivalent(
             f"vertex count must be even and at least 2, got {vertex_count}")
     rng = Random(seed)
     darts = list(range(3 * vertex_count))
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         rng.shuffle(darts)
         pairing = [(darts[2 * i], darts[2 * i + 1]) for i in range(len(darts) // 2)]
         try:
@@ -229,7 +223,7 @@ def random_trivalent(vertex_count: int, seed: int,
             continue
     raise GenerationFailed(
         f"no connected trivalent graph on {vertex_count} vertices "
-        f"after {max_attempts} attempts (seed {seed})")
+        f"after {MAX_ATTEMPTS} attempts (seed {seed})")
 
 
 @dataclass(frozen=True)
@@ -244,13 +238,16 @@ class SpanningTreeData:
     root: int
     order: tuple
     entry_dart: tuple
-    tree_darts: frozenset
     tree_edges: tuple
     cotree_edges: tuple
 
 
 def spanning_tree(graph: TrivalentGraph) -> SpanningTreeData:
-    """BFS spanning tree scanning darts in increasing id order."""
+    """BFS spanning tree scanning darts in increasing id order.
+
+    On a disconnected graph it spans the component of vertex 0, which
+    is how TrivalentGraph detects one.
+    """
     entry = [None] * graph.vertex_count
     seen = {0}
     order = [0]
@@ -266,11 +263,10 @@ def spanning_tree(graph: TrivalentGraph) -> SpanningTreeData:
                 entry[w] = d
                 tree_edges.append(graph.edge_index(d))
                 queue.append(w)
-    tree_darts = frozenset(d for e in tree_edges for d in graph.edges[e])
-    cotree = tuple(e for e in range(len(graph.edges)) if e not in set(tree_edges))
+    in_tree = set(tree_edges)
+    cotree = tuple(e for e in range(len(graph.edges)) if e not in in_tree)
     return SpanningTreeData(root=0, order=tuple(order), entry_dart=tuple(entry),
-                            tree_darts=tree_darts, tree_edges=tuple(tree_edges),
-                            cotree_edges=cotree)
+                            tree_edges=tuple(tree_edges), cotree_edges=cotree)
 
 
 def canonical_hash(graph: TrivalentGraph) -> str:

@@ -22,6 +22,7 @@ trivial bundle carries sl2 tensor the g-dimensional section space).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 
 from .errors import ValidationError
@@ -29,7 +30,7 @@ from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, solve_kernel
 from .matrices import Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
-from .scalars import EXACT, check_domain, scalar_from_json, scalar_to_json
+from .scalars import EXACT, scalar_from_json, scalar_to_json
 from .sections import RESIDUE_FUNCTIONAL, ComponentDifferential
 
 WKEYS = ("w11", "w12", "w21")
@@ -50,8 +51,8 @@ class HiggsField:
     """Per-vertex traceless matrices of logarithmic differentials.
 
     The only stored data is ``coefficients``, the flat tuple of 6V
-    coefficients in coefficient_vector() order; ``vertex_data`` and
-    ``component`` rebuild ComponentDifferential objects from it.
+    coefficients in coefficient_vector() order; ``vertex_data`` rebuilds
+    ComponentDifferential objects from it.
     """
 
     __slots__ = ("graph", "coefficients")
@@ -75,10 +76,6 @@ class HiggsField:
         return tuple(
             tuple(ComponentDifferential(c[i], c[i + 1]) for i in range(b, b + 6, 2))
             for b in range(0, len(c), 6))
-
-    def component(self, v: int, key: str) -> ComponentDifferential:
-        i = 6 * v + 2 * WKEYS.index(key)
-        return ComponentDifferential(self.coefficients[i], self.coefficients[i + 1])
 
     def residue_matrix(self, v: int, point: int) -> Mat2:
         """Traceless residue matrix of the field at a marked point of vertex v."""
@@ -167,13 +164,10 @@ def assemble_higgs_constraints(framing: Framing, orientation: str = "low"):
     return rows
 
 
-def higgs_space(framing: Framing, domain: str | None = None) -> KernelReport:
-    """Solve the node-cancellation system; basis elements are HiggsFields."""
-    if domain is None:
-        domain = framing.domain
-    check_domain(domain)
+def higgs_space(framing: Framing) -> KernelReport:
+    """Solve the node-cancellation system in the framing's domain, as HiggsFields."""
     rows = assemble_higgs_constraints(framing)
-    report = solve_kernel(rows, 6 * framing.graph.vertex_count, domain)
+    report = solve_kernel(rows, 6 * framing.graph.vertex_count, framing.domain)
     report.basis = [HiggsField.from_coefficient_vector(framing.graph, vec)
                     for vec in report.basis]
     return report
@@ -205,18 +199,18 @@ def gauge_transform_higgs(gauge: GaugeTransform, phi: HiggsField) -> HiggsField:
     return HiggsField.from_coefficient_vector(phi.graph, out)
 
 
-def random_higgs_field(framing: Framing, seed: int,
-                       domain: str | None = None) -> HiggsField:
-    """Seeded random element of the Higgs space (a kernel combination)."""
-    if domain is None:
-        domain = framing.domain
-    report = higgs_space(framing, domain)
+def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
+    """Seeded random element of the framing's Higgs space (a kernel combination).
+
+    The kernel has dimension at least 3g - 3 (9g - 9 equations in 12g - 12
+    unknowns), so the basis is never empty.
+    """
+    domain = framing.domain
+    report = higgs_space(framing)
     rng = Random(seed)
     if domain == EXACT:
-        from fractions import Fraction
-
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in report.basis]
-        if all(c == 0 for c in coeffs) and report.basis:
+        if all(c == 0 for c in coeffs):
             coeffs[0] = Fraction(1)
     else:
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
@@ -296,20 +290,17 @@ def higgs_from_edge_residues(framing: Framing, vec) -> HiggsField:
     return HiggsField.from_coefficient_vector(g, out)
 
 
-def residue_parameterization(framing: Framing,
-                             domain: str | None = None) -> ResidueParameterization:
+def residue_parameterization(framing: Framing) -> ResidueParameterization:
     """Solve the Higgs space in residue coordinates and cross-check it.
 
-    The kernel maps isomorphically onto higgs_space(framing); the system
-    matrix is compared against the flat-bundle linearization at the zero
-    section, which is built from the same products with identity factors
-    and so equals it entry by entry in both domains.
+    The kernel, in the framing's domain, maps isomorphically onto
+    higgs_space(framing); the system matrix is compared against the
+    flat-bundle linearization at the zero section, which is built from
+    the same products with identity factors and so equals it entry by
+    entry in both domains.
     """
-    if domain is None:
-        domain = framing.domain
-    check_domain(domain)
     rows = residue_parameterization_matrix(framing)
-    report = solve_kernel(rows, 3 * len(framing.graph.edges), domain)
+    report = solve_kernel(rows, 3 * len(framing.graph.edges), framing.domain)
     fields = [higgs_from_edge_residues(framing, vec) for vec in report.basis]
     matches = flat_linearization(zero_section(framing)) == rows
     return ResidueParameterization(matrix=rows, kernel=report,

@@ -25,9 +25,11 @@ from dataclasses import dataclass
 from .framings import Framing
 from .higgs import HiggsField, higgs_space
 from .linalg import rank as matrix_rank
-from .scalars import EXACT, FLOAT, MATCH_TOL, REGULAR_RTOL, domain_of
+from .scalars import EXACT, REGULAR_RTOL, domain_of
 from .sections import (ComponentQuadratic, GlobalQuadratic, _matched_biresidues,
                        _product_coefficients, bires_coordinates)
+
+FD_STEP = 1e-5  # central-difference step of the finite-difference Jacobian
 
 
 def _det_triples(c):
@@ -75,14 +77,14 @@ def bires_det_residual(phi: HiggsField):
     return worst
 
 
-def hitchin_edge_coords(phi: HiggsField, tol=MATCH_TOL):
+def hitchin_edge_coords(phi: HiggsField):
     """det(phi) in per-edge bi-residue coordinates.
 
     Raises MatchingViolated when the bi-residues disagree across some
     node, which is the signature of a field that does not satisfy the
     node cancellation for any framing.
     """
-    return bires_coordinates(hitchin_image(phi), tol)
+    return bires_coordinates(hitchin_image(phi))
 
 
 def polarization(phi: HiggsField, psi: HiggsField) -> GlobalQuadratic:
@@ -118,14 +120,16 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
                           basis_size=len(basis))
 
 
-def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None,
-                               step: float = 1e-5):
-    """Central-difference Jacobian of the edge-coordinate map (float domain)."""
+def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None):
+    """Central-difference Jacobian of the edge-coordinate map, step FD_STEP.
+
+    Complex rows; the default basis is higgs_space(framing).
+    """
     if basis is None:
-        basis = higgs_space(framing, FLOAT).basis
+        basis = higgs_space(framing).basis
     g = phi.graph
     x = phi.coefficients
-    up, down = complex(step), complex(-step)
+    up, down = complex(FD_STEP), complex(-FD_STEP)
     rows = []
     for psi in basis:
         y = psi.coefficients
@@ -133,17 +137,16 @@ def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None,
             [a + up * b for a, b in zip(x, y)]))
         minus = _matched_biresidues(g, _det_triples(
             [a + down * b for a, b in zip(x, y)]))
-        rows.append([(p - m) / (2 * step) for p, m in zip(plus, minus)])
+        rows.append([(p - m) / (2 * FD_STEP) for p, m in zip(plus, minus)])
     return rows
 
 
-def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
-                      step: float = 1e-5) -> float:
+def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None) -> float:
     """Relative max-norm gap between the Jacobian and central differences."""
     if basis is None:
-        basis = higgs_space(framing, FLOAT).basis
+        basis = higgs_space(framing).basis
     exact_rows = hitchin_jacobian(phi, framing, basis).matrix
-    fd_rows = finite_difference_jacobian(phi, framing, basis, step)
+    fd_rows = finite_difference_jacobian(phi, framing, basis)
     scale = max([1.0] + [abs(x) for row in exact_rows for x in row])
     gap = max((abs(x - y) for er, fr in zip(exact_rows, fd_rows)
                for x, y in zip(er, fr)), default=0.0)

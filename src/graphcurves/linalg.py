@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, FLOAT, RANK_RTOL, check_domain
+from .scalars import EXACT, RANK_RTOL, check_domain
 
 
 def _integer_row(row):
@@ -149,27 +149,27 @@ def _as_array(rows, ncols) -> np.ndarray:
     return np.array([[complex(x) for x in row] for row in rows], dtype=complex)
 
 
-def float_rank(rows, ncols, rtol: float = RANK_RTOL) -> int:
+def _svd_rank(s) -> int:
+    """Singular values above RANK_RTOL * s_max."""
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int(np.sum(s > RANK_RTOL * s[0]))
+
+
+def float_rank(rows, ncols) -> int:
     a = _as_array(rows, ncols)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    return _svd_rank(np.linalg.svd(a, compute_uv=False))
 
 
-def float_nullspace(rows, ncols, rtol: float = RANK_RTOL):
+def float_nullspace(rows, ncols):
     """Orthonormal kernel basis from the trailing right singular vectors."""
     a = _as_array(rows, ncols)
     if a.shape[0] == 0:
         return [[complex(i == j) for j in range(ncols)] for i in range(ncols)]
     _, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0:
-        r = 0
-    else:
-        r = int(np.sum(s > rtol * s[0]))
-    return [list(vh[k].conj()) for k in range(r, ncols)]
+    return [list(vh[k].conj()) for k in range(_svd_rank(s), ncols)]
 
 
 def rank(rows, ncols, domain: str) -> int:

@@ -21,15 +21,18 @@ EXACT = "exact"
 FLOAT = "float"
 DOMAINS = (EXACT, FLOAT)
 
-# Tolerances shared across modules.  Exact-domain checks are exact; these
-# bounds apply to the float domain unless stated otherwise.
-RANK_RTOL = 1e-9        # singular values below RANK_RTOL * s_max count as zero
-DET_TOL = 1e-12         # |det - 1| allowed for unimodular matrices
-MATCH_TOL = 1e-9        # bi-residue agreement across a node
-FLAT_TOL = 1e-8         # residual bound for points of the relation variety
-EIGEN_TOL = 1e-10       # eigenline transport mismatch at a node
-RECONSTRUCT_TOL = 1e-8  # spectral-data consistency and round-trip tolerance
-REGULAR_RTOL = 1e-12    # relative threshold for "nonzero" in regularity tests
+# Every float tolerance of the package.  Exact-domain checks are exact;
+# these bounds apply to the float domain unless stated otherwise.
+RANK_RTOL = 1e-9         # singular values below RANK_RTOL * s_max count as zero
+DET_TOL = 1e-12          # |det - 1| allowed for unimodular matrices
+IDENTITY_TOL = 1e-10     # max-norm distance at which a matrix is the identity
+MATCH_TOL = 1e-9         # bi-residue agreement across a node
+FLAT_TOL = 1e-8          # residual bound for points of the relation variety
+EIGEN_TOL = 1e-10        # eigenline transport mismatch at a node
+RECONSTRUCT_TOL = 1e-8   # spectral-data consistency and round-trip tolerance
+REGULAR_RTOL = 1e-12     # relative threshold for "nonzero" in regularity tests
+DEGENERATE_RTOL = 1e-12  # node residue |det| below this * max(1, |R|^2) vanishes
+TRANSVERSE_RTOL = 1e-13  # eigenline pairs this close (relative) are not transverse
 
 
 def check_domain(domain: str) -> str:
@@ -80,7 +83,7 @@ def scalar_from_json(v, domain: str):
     raise ScalarDomainMismatch("float scalars serialize as [re, im] pairs")
 
 
-def random_nonzero_int(rng, bound: int = 3) -> int:
-    """Uniform nonzero integer in [-bound, bound]."""
-    k = rng.randint(1, bound)
+def random_nonzero_int(rng) -> int:
+    """Uniform nonzero integer in [-3, 3]."""
+    k = rng.randint(1, 3)
     return k if rng.random() < 0.5 else -k

@@ -262,18 +262,18 @@ def double_canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> Kernel
     return report
 
 
-def bires_coordinates(omega: GlobalQuadratic, tol=MATCH_TOL):
+def bires_coordinates(omega: GlobalQuadratic):
     """Per-edge bi-residues of a global quadratic differential.
 
     The two sides of each node must agree: exactly in the exact domain,
-    within tol relative to the overall scale in the float domain.
+    within MATCH_TOL relative to the overall scale in the float domain.
     Returns one scalar per edge in canonical edge order.
     """
     return _matched_biresidues(omega.graph,
-                               [c.coefficients() for c in omega.components], tol)
+                               [c.coefficients() for c in omega.components])
 
 
-def _matched_biresidues(g: TrivalentGraph, triples, tol=MATCH_TOL):
+def _matched_biresidues(g: TrivalentGraph, triples):
     """bires_coordinates on per-vertex (q0, q1, q2) triples."""
     exact = domain_of(triples[0][0]) == EXACT
     scale = 1
@@ -285,7 +285,7 @@ def _matched_biresidues(g: TrivalentGraph, triples, tol=MATCH_TOL):
         lhs = bires[g.vertex_of(a)][g.marked_point(a)]
         rhs = bires[g.vertex_of(b)][g.marked_point(b)]
         diff = abs(lhs - rhs)
-        if (diff != 0) if exact else (diff > tol * scale):
+        if (diff != 0) if exact else (diff > MATCH_TOL * scale):
             raise MatchingViolated(
                 f"bi-residues differ across edge {e}: {lhs} vs {rhs}")
         coords.append(lhs)

@@ -29,7 +29,11 @@ from .higgs import HiggsField, _residue_matrix, higgs_space
 from .hitchin import hitchin_image, is_regular
 from .linalg import independent_rows, integer_rank
 from .matrices import Mat2, to_complex_mat
-from .scalars import EIGEN_TOL, FLOAT, RECONSTRUCT_TOL
+from .scalars import (DEGENERATE_RTOL, EIGEN_TOL, FLOAT, RECONSTRUCT_TOL,
+                      TRANSVERSE_RTOL)
+
+# Kernel combinations random_regular_higgs draws before it gives up.
+MAX_DRAWS = 32
 
 
 def _as_complex_field(phi: HiggsField) -> HiggsField:
@@ -84,6 +88,13 @@ def branch_points(phi: HiggsField) -> BranchData:
 # -- node eigendata -----------------------------------------------------
 
 
+def _normalize(v):
+    x, y = v
+    if abs(x) >= abs(y):
+        return (1.0 + 0.0j, y / x) if x != 0 else (0.0j, 1.0 + 0.0j)
+    return (x / y, 1.0 + 0.0j)
+
+
 def _eigenline(m: Mat2, mu: complex):
     """Projective eigenvector of a traceless 2x2 matrix for eigenvalue mu.
 
@@ -94,15 +105,19 @@ def _eigenline(m: Mat2, mu: complex):
     v2 = (m.a + mu, m.c)
     n1 = abs(v1[0]) + abs(v1[1])
     n2 = abs(v2[0]) + abs(v2[1])
-    x, y = v1 if n1 >= n2 else v2
-    if abs(x) >= abs(y):
-        return (1.0 + 0.0j, y / x)
-    return (x / y, 1.0 + 0.0j)
+    return _normalize(v1 if n1 >= n2 else v2)
 
 
 def line_mismatch(l1, l2) -> float:
     """Projective distance |x1 y2 - y1 x2| between normalized lines."""
     return abs(l1[0] * l2[1] - l1[1] * l2[0])
+
+
+def _transport_mismatch(t: Mat2, target_lines, source_lines) -> float:
+    """How far transport by t is from carrying the target-side (+, -)
+    eigenlines to the normalized source-side (-, +) ones."""
+    return max(line_mismatch(_normalize(t.apply(target_lines[0])), source_lines[1]),
+               line_mismatch(_normalize(t.apply(target_lines[1])), source_lines[0]))
 
 
 @dataclass
@@ -121,49 +136,37 @@ class NodeLift:
     matching_residual: float
 
 
-def node_eigendata(phi: HiggsField, framing: Framing, edge: int,
-                   tol: float = EIGEN_TOL) -> NodeLift:
-    """Eigenvalues and eigenlines of the residue matrices at one node."""
+def node_eigendata(phi: HiggsField, framing: Framing, edge: int) -> NodeLift:
+    """Eigenvalues and eigenlines of the residue matrices at one node.
+
+    Transport by the lower dart's matrix must send target-side
+    eigenlines to source-side ones with the eigenvalue negated, within
+    EIGEN_TOL.
+    """
     g = phi.graph
-    a_c = _as_complex_framing(framing)
     lo, hi = g.edges[edge]
     r_lo = _complex_residue_matrix(phi, g.vertex_of(lo), g.marked_point(lo))
     r_hi = _complex_residue_matrix(phi, g.vertex_of(hi), g.marked_point(hi))
     det = r_lo.det()
     scale = max(1.0, r_lo.max_norm() ** 2)
-    if abs(det) <= 1e-12 * scale:
+    if abs(det) <= DEGENERATE_RTOL * scale:
         raise DegenerateNode(f"residue determinant {det} vanishes at edge {edge}")
     lam = cmath.sqrt(-det)
     lifts = {
         lo: (_eigenline(r_lo, lam), _eigenline(r_lo, -lam)),
         hi: (_eigenline(r_hi, lam), _eigenline(r_hi, -lam)),
     }
-    # Transport by the lower dart's matrix sends target-side eigenlines to
-    # source-side ones with the eigenvalue negated.
-    t = a_c.matrix(lo)
-    plus_image = t.apply(lifts[hi][0])
-    minus_image = t.apply(lifts[hi][1])
-    mismatch = max(
-        line_mismatch(_normalize(plus_image), lifts[lo][1]),
-        line_mismatch(_normalize(minus_image), lifts[lo][0]),
-    )
-    if mismatch > tol:
+    mismatch = _transport_mismatch(to_complex_mat(framing.matrix(lo)),
+                                   lifts[hi], lifts[lo])
+    if mismatch > EIGEN_TOL:
         raise InconsistentSpectralData(
             f"eigenline transport mismatch {mismatch} at edge {edge}")
     return NodeLift(edge=edge, lam=lam, lifts=lifts, matching_residual=mismatch)
 
 
-def _normalize(v):
-    x, y = v
-    if abs(x) >= abs(y):
-        return (1.0 + 0.0j, y / x) if x != 0 else (0.0j, 1.0 + 0.0j)
-    return (x / y, 1.0 + 0.0j)
-
-
-def all_node_eigendata(phi: HiggsField, framing: Framing,
-                       tol: float = EIGEN_TOL) -> dict:
+def all_node_eigendata(phi: HiggsField, framing: Framing) -> dict:
     """NodeLift for every edge, keyed by edge index."""
-    return {e: node_eigendata(phi, framing, e, tol)
+    return {e: node_eigendata(phi, framing, e)
             for e in range(len(phi.graph.edges))}
 
 
@@ -204,13 +207,10 @@ class SpectralCurve:
         """(vertex_count, edge list) of the cover's dual graph.
 
         Each base edge appears twice with the same endpoints, labeled by
-        the node (edge, sign).
+        the node (edge, sign), in _doubled_edges order.
         """
-        edges = []
-        for e in range(len(self.graph.edges)):
-            u, v = self.graph.edge_endpoints(e)
-            edges.append(((u, v), (e, 1)))
-            edges.append(((u, v), (e, -1)))
+        edges = [(uv, (i // 2, -1 if i % 2 else 1))
+                 for i, uv in enumerate(_doubled_edges(self.graph))]
         return self.graph.vertex_count, edges
 
     def involution_on_nodes(self):
@@ -257,7 +257,7 @@ def _doubled_edges(graph: TrivalentGraph):
 
 
 def _fundamental_cycles(vertex_count: int, edges):
-    """Integer cycle basis from a BFS spanning tree of a multigraph.
+    """Integer cycle basis from a BFS spanning tree of a connected multigraph.
 
     Returns vectors over the edge list: the cotree edge gets +1 and the
     tree path closes the loop with signs following the stored
@@ -273,7 +273,6 @@ def _fundamental_cycles(vertex_count: int, edges):
         if u != v:
             adjacency[v].append((i, u))
     parent = {0: None}  # vertex -> (edge index, direction into vertex)
-    order = [0]
     queue = deque([0])
     tree = set()
     while queue:
@@ -282,10 +281,7 @@ def _fundamental_cycles(vertex_count: int, edges):
             if y not in parent and y != x:
                 parent[y] = (i, x)
                 tree.add(i)
-                order.append(y)
                 queue.append(y)
-    if len(order) != vertex_count:
-        raise ValidationError("doubled dual graph is disconnected")
 
     def path_to_root(x):
         """Flow of walking x up to the root, as (edge index, sign) steps.
@@ -426,7 +422,8 @@ def _rank_one_projector_pair(lam, line_plus, line_minus):
     x1, y1 = line_plus
     x2, y2 = line_minus
     det = x1 * y2 - x2 * y1
-    if abs(det) <= 1e-13 * max(1.0, abs(x1) + abs(y1)) * max(1.0, abs(x2) + abs(y2)):
+    if abs(det) <= (TRANSVERSE_RTOL * max(1.0, abs(x1) + abs(y1))
+                    * max(1.0, abs(x2) + abs(y2))):
         raise InconsistentSpectralData("eigenlines at a node are not transverse")
     # P diag(lam, -lam) P^-1 with P = [line_plus | line_minus].
     p = Mat2(x1, x2, y1, y2)
@@ -434,18 +431,17 @@ def _rank_one_projector_pair(lam, line_plus, line_minus):
     return p * d * p.inv()
 
 
-def reconstruct_higgs(node_data: dict, framing: Framing,
-                      tol: float = RECONSTRUCT_TOL) -> HiggsField:
+def reconstruct_higgs(node_data: dict, framing: Framing) -> HiggsField:
     """Rebuild the Higgs field from per-node eigenvalues and eigenlines.
 
     Each dart's residue matrix is determined by its edge's lam and its
     eigenline pair; the three residue matrices at a vertex must sum to
     zero and the framing must transport eigenlines across each node with
-    the eigenvalue negated, both within tol.  The field is then read off
-    from the residues at marked points 0 and 1 of every vertex.
+    the eigenvalue negated, both within RECONSTRUCT_TOL.  The field is
+    then read off from the residues at marked points 0 and 1 of every
+    vertex.
     """
     g = framing.graph
-    a_c = _as_complex_framing(framing)
     if sorted(node_data) != list(range(len(g.edges))):
         raise InconsistentSpectralData("node data must cover every edge exactly once")
 
@@ -459,15 +455,10 @@ def reconstruct_higgs(node_data: dict, framing: Framing,
                 raise InconsistentSpectralData(f"missing eigenlines for dart {d}")
             plus, minus = lift.lifts[d]
             per_dart[d] = _rank_one_projector_pair(lam, plus, minus)
-        # Cross-node consistency: transport negates the eigenvalue.
-        t = a_c.matrix(lo)
-        mismatch = max(
-            line_mismatch(_normalize(t.apply(lift.lifts[hi][0])),
-                          _normalize(lift.lifts[lo][1])),
-            line_mismatch(_normalize(t.apply(lift.lifts[hi][1])),
-                          _normalize(lift.lifts[lo][0])),
-        )
-        if mismatch > tol:
+        mismatch = _transport_mismatch(to_complex_mat(framing.matrix(lo)),
+                                       lift.lifts[hi],
+                                       [_normalize(x) for x in lift.lifts[lo]])
+        if mismatch > RECONSTRUCT_TOL:
             raise InconsistentSpectralData(
                 f"eigenline transport mismatch {mismatch} at edge {e}")
 
@@ -476,7 +467,7 @@ def reconstruct_higgs(node_data: dict, framing: Framing,
         mats = {g.marked_point(d): per_dart[d] for d in g.vertex_darts(v)}
         total = mats[0] + mats[1] + mats[2]
         scale = max(1.0, max(m.max_norm() for m in mats.values()))
-        if total.max_norm() > tol * scale:
+        if total.max_norm() > RECONSTRUCT_TOL * scale:
             raise InconsistentSpectralData(
                 f"residue matrices at vertex {v} sum to {total.max_norm()}")
         m0, m1 = mats[0], mats[1]
@@ -496,25 +487,23 @@ def roundtrip_error(phi: HiggsField, framing: Framing) -> float:
     return num / den
 
 
-def random_regular_higgs(framing: Framing, seed: int,
-                         max_tries: int = 32) -> HiggsField:
+def random_regular_higgs(framing: Framing, seed: int) -> HiggsField:
     """Seeded random Higgs field with regular determinant (float domain).
 
-    Draws kernel combinations until the determinant is regular and every
-    node is non-degenerate; deterministic for fixed inputs.
+    Draws up to MAX_DRAWS kernel combinations until the determinant is
+    regular and every node is non-degenerate; deterministic for fixed
+    inputs.
     """
     a_c = _as_complex_framing(framing)
-    report = higgs_space(a_c, FLOAT)
+    report = higgs_space(a_c)
     rng = Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
         acc = None
         for c, psi in zip(coeffs, report.basis):
             y = psi.coefficients
             acc = ([c * x for x in y] if acc is None
                    else [a + c * x for a, x in zip(acc, y)])
-        if acc is None:
-            break
         phi = HiggsField.from_coefficient_vector(a_c.graph, acc)
         if not is_regular(hitchin_image(phi)).regular:
             continue
@@ -524,4 +513,4 @@ def random_regular_higgs(framing: Framing, seed: int,
             continue
         return phi
     raise IrregularDeterminant(
-        f"no regular Higgs field found in {max_tries} draws (seed {seed})")
+        f"no regular Higgs field found in {MAX_DRAWS} draws (seed {seed})")

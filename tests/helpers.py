@@ -283,11 +283,10 @@ def old_random_regular_higgs(framing, seed, max_tries=32):
     from graphcurves.errors import IrregularDeterminant, NumericalError
     from graphcurves.higgs import HiggsField, higgs_space
     from graphcurves.hitchin import is_regular
-    from graphcurves.scalars import FLOAT
     from graphcurves.spectral import _as_complex_framing, all_node_eigendata
 
     a_c = _as_complex_framing(framing)
-    report = higgs_space(a_c, FLOAT)
+    report = higgs_space(a_c)
     rng = Random(seed)
     for _ in range(max_tries):
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]

@@ -170,7 +170,7 @@ def test_criterion_06_jacobian():
     for name in ("theta", "k4"):
         g = catalog_graph(name)
         a = Framing.random(g, seed=66, domain=FLOAT)
-        basis = higgs_space(a, FLOAT).basis
+        basis = higgs_space(a).basis
         for _ in range(10):
             phi = _combo_field(g, basis, rng)
             err = jacobian_fd_error(phi, a, basis)

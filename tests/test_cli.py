@@ -263,3 +263,27 @@ def test_graph_file_fuzz_exits_0_or_2(tmp_path_factory, obj):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["graph", "--graph", str(path)])
     assert code in (0, 2), err.getvalue()
+
+
+# -- the options each subcommand takes -----------------------------------
+
+# graph takes no --domain or --trials, sections no --trials, and spectral
+# runs in the float domain only.
+NOT_TAKEN = [
+    ("graph", "--domain", "exact"),
+    ("graph", "--domain", "float"),
+    ("graph", "--trials", "2"),
+    ("sections", "--trials", "2"),
+    ("spectral", "--domain", "exact"),
+]
+
+
+@pytest.mark.parametrize("args", NOT_TAKEN)
+def test_option_not_taken_exits_2(args):
+    proc = run_cli(*args, expect=2)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    with contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit) as exc:
+        cli.main(list(args))
+    assert exc.value.code == 2

@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 from random import Random
 
@@ -7,7 +8,7 @@ from graphcurves.errors import NotOnVariety, ValidationError
 from graphcurves.graphs import (CATALOG_NAMES, catalog_graph, random_trivalent,
                                 spanning_tree)
 from graphcurves.matrices import IDENTITY, Mat2, mat_close
-from graphcurves.scalars import EXACT, FLOAT
+from graphcurves.scalars import EXACT, FLOAT, IDENTITY_TOL
 from graphcurves.framings import (
     Framing,
     GaugeTransform,
@@ -298,3 +299,24 @@ def test_subspace_flags():
                      "cotree_holonomies_trivial": True}
     flags = subspace_flags(commuting_diagonal_bundle(), t)
     assert flags["all_meridians_trivial"] is False
+
+
+def test_subspace_flags_float_domain():
+    g = catalog_graph("theta")
+    t = spanning_tree(g)
+    both = {"all_meridians_trivial": True, "cotree_holonomies_trivial": True}
+    assert subspace_flags(zero_section(Framing.identity(g, FLOAT)), t) == both
+    flags = subspace_flags(zero_section(Framing.random(g, seed=2, domain=FLOAT)), t)
+    assert flags == {"all_meridians_trivial": True,
+                     "cotree_holonomies_trivial": False}
+    # Edge 0 is the tree edge, so the holonomy of cotree edge 1 is its own
+    # matrix: a distance s from the identity.
+    for s, trivial in ((IDENTITY_TOL / 2, True), (2 * IDENTITY_TOL, False)):
+        near = Mat2(cmath.exp(s), 0j, 0j, cmath.exp(-s))
+        a = Framing.from_primary(g, {0: IDENTITY, 1: near, 2: IDENTITY}, FLOAT)
+        assert subspace_flags(zero_section(a), t) == {
+            "all_meridians_trivial": True, "cotree_holonomies_trivial": trivial}
+        b = SurfaceFlatBundle.from_primary(Framing.identity(g, FLOAT),
+                                           {0: near, 1: IDENTITY, 2: IDENTITY})
+        assert subspace_flags(b, t) == {
+            "all_meridians_trivial": trivial, "cotree_holonomies_trivial": True}

@@ -10,6 +10,7 @@ from graphcurves.sections import ComponentQuadratic, GlobalQuadratic, bires_coor
 from graphcurves.framings import Framing
 from graphcurves.higgs import HiggsField, higgs_space, random_higgs_field
 from graphcurves.linalg import KernelReport
+from graphcurves.matrices import to_complex_mat
 from graphcurves.hitchin import (
     bires_det_residual,
     finite_difference_jacobian,
@@ -243,10 +244,12 @@ def test_coefficient_kernels_match_component_oracle(domain):
     c = Fraction(3, 7) if domain == EXACT else complex(0.3, -1.7)
     for k, framing in enumerate(_oracle_framings(domain)):
         g = framing.graph
-        report = higgs_space(framing, domain)
+        report = higgs_space(framing)
         basis = report.basis
-        fd_basis = basis if domain == FLOAT else higgs_space(framing, FLOAT).basis
-        phi = random_higgs_field(framing, k % 3, domain)
+        fd_basis = basis if domain == FLOAT else higgs_space(Framing(
+            g, [to_complex_mat(framing.matrix(d)) for d in range(g.dart_count)],
+            FLOAT)).basis
+        phi = random_higgs_field(framing, k % 3)
         old = old_random_higgs_field(framing, k % 3, domain, report)
         assert bits(phi.coefficient_vector()) == bits(
             HiggsField(g, old).coefficient_vector())
@@ -295,10 +298,10 @@ def test_random_field_combination_keeps_signed_zeros(monkeypatch):
     vec = [zeros[i % 4] if i % 3 else complex(i, -1.5) for i in range(12)]
     report = KernelReport(domain=FLOAT, nrows=0, ncols=12, rank=0,
                           basis=[HiggsField.from_coefficient_vector(g, vec)])
-    monkeypatch.setattr(higgs_mod, "higgs_space", lambda framing, domain: report)
+    monkeypatch.setattr(higgs_mod, "higgs_space", lambda framing: report)
     framing = Framing.identity(g, FLOAT)
     for seed in range(8):
-        phi = random_higgs_field(framing, seed, FLOAT)
+        phi = random_higgs_field(framing, seed)
         old = old_random_higgs_field(framing, seed, FLOAT, report)
         assert bits(phi.coefficient_vector()) == bits(
             HiggsField(g, old).coefficient_vector())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -340,6 +341,36 @@ def test_reconstruct_rejects_collapsed_lines():
         reconstruct_higgs(nodes, a)
 
 
+def test_reconstruct_rejects_inconsistent_node_data():
+    g = catalog_graph("theta")
+    a = Framing.random(g, seed=17, domain=FLOAT)
+    nodes = all_node_eigendata(random_regular_higgs(a, seed=18), a)
+    lift = nodes[0]
+    lo, hi = g.edges[0]
+    plus, minus = lift.lifts[hi]
+    cases = {
+        "cover every edge": {e: x for e, x in nodes.items() if e != 0},
+        "missing eigenlines for dart": {
+            **nodes, 0: replace(lift, lifts={lo: lift.lifts[lo]})},
+        # Swapped lines stay transverse, but transport no longer matches them.
+        "transport mismatch": {
+            **nodes, 0: replace(lift, lifts={**lift.lifts, hi: (minus, plus)})},
+        "sum to": {**nodes, 0: replace(lift, lam=2 * lift.lam)},
+    }
+    for message, data in cases.items():
+        with pytest.raises(InconsistentSpectralData, match=message):
+            reconstruct_higgs(data, a)
+
+
+def test_node_eigendata_rejects_wrong_framing():
+    g = catalog_graph("k4")
+    a = Framing.random(g, seed=21, domain=FLOAT)
+    phi = random_regular_higgs(a, seed=22)
+    other = Framing.random(g, seed=23, domain=FLOAT)
+    with pytest.raises(InconsistentSpectralData, match="transport mismatch"):
+        all_node_eigendata(phi, other)
+
+
 def test_random_regular_higgs_is_regular_and_deterministic():
     g = catalog_graph("k4")
     a = Framing.random(g, seed=21, domain=FLOAT)
@@ -412,7 +443,7 @@ def test_regular_field_combination_keeps_signed_zeros(monkeypatch):
     assert is_regular(hitchin_image(phi)).regular
     report = KernelReport(domain=FLOAT, nrows=0, ncols=24, rank=0, basis=[phi])
     for mod in (higgs_mod, spectral_mod):
-        monkeypatch.setattr(mod, "higgs_space", lambda framing, domain: report)
+        monkeypatch.setattr(mod, "higgs_space", lambda framing: report)
     for seed in range(8):
         assert bits(random_regular_higgs(a, seed).coefficient_vector()) == bits(
             HiggsField(g, old_random_regular_higgs(a, seed)).coefficient_vector())
