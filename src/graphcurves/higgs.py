@@ -21,6 +21,7 @@ trivial bundle carries sl2 tensor the g-dimensional section space).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -28,7 +29,7 @@ from random import Random
 from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .graphs import TrivalentGraph
-from .linalg import KernelReport, solve_kernel
+from .linalg import KernelReport, _clear_denominators, solve_kernel
 from .matrices import Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
 from .scalars import EXACT, scalar_from_json, scalar_to_json
 from .sections import RESIDUE_FUNCTIONAL, ComponentDifferential
@@ -174,14 +175,31 @@ def higgs_space(framing: Framing) -> KernelReport:
 
 
 def higgs_residual(phi: HiggsField, framing: Framing):
-    """Largest entry of R_source + a R_target a^-1 over all edges."""
+    """Largest entry of R_source + a R_target a^-1 over all edges.
+
+    Exact fields on exact framings are checked on integers: with phi
+    scaled by its lcm denominator L and a = T/d for an integer matrix T,
+    d^2 L (R_s + a R_t a^-1) = d^2 L R_s + T (L R_t) adj(T), since a^-1
+    is the adjugate of a (det a = 1).
+    """
     g = framing.graph
     worst = 0
+    if framing.domain != EXACT or not all(
+            type(x) is Fraction for x in phi.coefficients):
+        for a, b in g.edges:
+            r_s = phi.residue_matrix(g.vertex_of(a), g.marked_point(a))
+            r_t = phi.residue_matrix(g.vertex_of(b), g.marked_point(b))
+            t = framing.matrix(a)
+            worst = max(worst, (r_s + t * r_t * t.inv()).max_norm())
+        return worst
+    coeffs, den = _clear_denominators(phi.coefficients)
     for a, b in g.edges:
-        r_s = phi.residue_matrix(g.vertex_of(a), g.marked_point(a))
-        r_t = phi.residue_matrix(g.vertex_of(b), g.marked_point(b))
-        t = framing.matrix(a)
-        worst = max(worst, (r_s + t * r_t * t.inv()).max_norm())
+        r_s = _residue_matrix(coeffs, 6 * g.vertex_of(a), g.marked_point(a))
+        r_t = _residue_matrix(coeffs, 6 * g.vertex_of(b), g.marked_point(b))
+        (p, q, r, s), d = _clear_denominators(framing.matrix(a).entries())
+        m = (r_s.scale(d * d) + Mat2(p, q, r, s) * r_t * Mat2(s, -q, -r, p)).max_norm()
+        if m:
+            worst = max(worst, Fraction(m, den * d * d))
     return worst
 
 
@@ -205,17 +223,24 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
     The kernel has dimension at least 3g - 3 (9g - 9 equations in 12g - 12
     unknowns), so the basis is never empty.
     """
-    domain = framing.domain
     report = higgs_space(framing)
     rng = Random(seed)
-    if domain == EXACT:
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in report.basis]
-        if all(c == 0 for c in coeffs):
-            coeffs[0] = Fraction(1)
-    else:
-        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-    zero = 0 if domain == EXACT else 0j
-    acc = [zero] * (6 * framing.graph.vertex_count)
+    if framing.domain == EXACT:
+        coeffs = [rng.randint(-9, 9) for _ in report.basis]
+        if not any(coeffs):
+            coeffs[0] = 1
+        # sum c_k psi_k over the numerators at one common denominator
+        cleared = [_clear_denominators(psi.coefficients) for psi in report.basis]
+        den = math.lcm(*(d for _, d in cleared))
+        acc = [0] * (6 * framing.graph.vertex_count)
+        for c, (ints, d) in zip(coeffs, cleared):
+            if c:
+                s = c * (den // d)
+                acc = [a + s * x for a, x in zip(acc, ints)]
+        return HiggsField.from_coefficient_vector(
+            framing.graph, [Fraction(a, den) for a in acc])
+    coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
+    acc = [0j] * (6 * framing.graph.vertex_count)
     for c, psi in zip(coeffs, report.basis):
         acc = [a + c * x for a, x in zip(acc, psi.coefficients)]
     return HiggsField.from_coefficient_vector(framing.graph, acc)

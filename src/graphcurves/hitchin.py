@@ -16,15 +16,19 @@ polarization of det.
 The kernels work on the fields' flat coefficient tuples and on per-vertex
 (q0, q1, q2) triples, with the same scalar operations in the same order
 as the ComponentDifferential and ComponentQuadratic arithmetic they
-replace, so both domains give the same bits.
+replace, so both domains give the same bits.  hitchin_jacobian runs on
+the integer numerators of exact fields and divides once per entry, which
+gives the same Fractions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
+from .errors import MatchingViolated
 from .framings import Framing
 from .higgs import HiggsField, higgs_space
-from .linalg import rank as matrix_rank
+from .linalg import _clear_denominators, rank as matrix_rank
 from .scalars import EXACT, REGULAR_RTOL, domain_of
 from .sections import (ComponentQuadratic, GlobalQuadratic, _matched_biresidues,
                        _product_coefficients, bires_coordinates)
@@ -108,15 +112,37 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
     """Differential of the edge-coordinate determinant map at phi.
 
     Row k holds the per-edge bi-residues of the polarization of phi with
-    the k-th basis field of the framing's Higgs space.
+    the k-th basis field of the framing's Higgs space.  When phi and the
+    basis hold Fraction coefficients, the rows are computed on their
+    integer numerators and the rank is taken of those integer rows.
     """
     if basis is None:
         basis = higgs_space(framing).basis
-    rows = [_matched_biresidues(phi.graph, _polarization_triples(
-        phi.coefficients, psi.coefficients)) for psi in basis]
-    domain = domain_of(rows[0][0]) if rows else EXACT
-    ncols = len(phi.graph.edges)
-    return JacobianReport(matrix=rows, rank=matrix_rank(rows, ncols, domain),
+    g = phi.graph
+    ncols = len(g.edges)
+    if not all(type(x) is Fraction for f in [phi, *basis] for x in f.coefficients):
+        rows = [_matched_biresidues(g, _polarization_triples(
+            phi.coefficients, psi.coefficients)) for psi in basis]
+        domain = domain_of(rows[0][0]) if rows else EXACT
+        return JacobianReport(matrix=rows, rank=matrix_rank(rows, ncols, domain),
+                              basis_size=len(basis))
+    # Exact fields: the polarization is bilinear, so the integer row of
+    # phi * den_phi against psi * den_psi is den_phi * den_psi times row k.
+    x, den_phi = _clear_denominators(phi.coefficients)
+    int_rows, rows = [], []
+    for psi in basis:
+        y, den_psi = _clear_denominators(psi.coefficients)
+        try:
+            coords = _matched_biresidues(g, _polarization_triples(x, y))
+        except MatchingViolated:
+            # raise again with the rational bi-residues in the message
+            _matched_biresidues(g, _polarization_triples(
+                phi.coefficients, psi.coefficients))
+            raise
+        int_rows.append(coords)
+        den = den_phi * den_psi
+        rows.append([Fraction(c, den) for c in coords])
+    return JacobianReport(matrix=rows, rank=matrix_rank(int_rows, ncols, EXACT),
                           basis_size=len(basis))
 
 

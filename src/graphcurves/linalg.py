@@ -16,6 +16,15 @@ a multiple of another row to it, so the row space over the rationals
 never changes; the reduced row echelon form of a matrix is unique, so
 the result equals Gauss–Jordan over the rationals, Fraction for Fraction.
 
+exact_rank (and integer_rank through it) first eliminates the primitive
+integer rows mod the prime P = 2^61 - 1.  Every minor of the integer
+matrix reduces mod P to the same minor of the reduced matrix, so the
+rank mod P is never larger than the rank over the rationals (Cohen, A
+Course in Computational Algebraic Number Theory, 1993, ch. 2).  A rank
+mod P equal to min(nrows, ncols) is therefore the rational rank; any
+lower result may be a drop at P, and the rank is recomputed by the
+integer elimination above.
+
 Float path: numpy SVD with a relative singular value threshold.
 """
 from __future__ import annotations
@@ -28,14 +37,19 @@ import numpy as np
 
 from .scalars import EXACT, RANK_RTOL, check_domain
 
+P = 2**61 - 1  # the Mersenne prime behind exact_rank's certificate
+
+
+def _clear_denominators(vec):
+    """(ints, den) with den the lcm of the denominators of the int or
+    Fraction entries of vec and ints[j] = vec[j] * den."""
+    den = math.lcm(*(x.denominator for x in vec if x))
+    return [x.numerator * (den // x.denominator) if x else 0 for x in vec], den
+
 
 def _integer_row(row):
     """The row as primitive ints: cleared of denominators, content divided out."""
-    nonzero = [(j, Fraction(x)) for j, x in enumerate(row) if x]
-    den = math.lcm(*(x.denominator for _, x in nonzero))
-    out = [0] * len(row)
-    for j, x in nonzero:
-        out[j] = x.numerator * (den // x.denominator)
+    out, _ = _clear_denominators(row)
     content = math.gcd(*out)
     if content > 1:
         return [x // content for x in out]
@@ -116,8 +130,49 @@ def exact_rref(rows, ncols):
     return out, pivots
 
 
+def _rank_mod_p(m, ncols) -> int:
+    """Rank of the integer matrix m reduced mod P, by Gaussian elimination.
+
+    Entries left of the pivot column are never read again, so they are
+    not updated.
+    """
+    m = [[x % P for x in row] for row in m]
+    n = len(m)
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        for i in range(r, n):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        pr = m[r]
+        inv = pow(pr[c], -1, P)
+        support = _support(pr, c + 1)
+        for i in range(r + 1, n):
+            row = m[i]
+            f = row[c]
+            if f:
+                f = f * inv % P
+                for j in support:
+                    row[j] = (row[j] - f * pr[j]) % P
+        r += 1
+    return r
+
+
 def exact_rank(rows, ncols) -> int:
-    return len(_echelon([_integer_row(row) for row in rows], ncols, reduced=False))
+    """Rank over the rationals, certified mod P when it is full.
+
+    The integer rows are first eliminated mod P; a full rank there is
+    the answer, and anything lower is recomputed by _echelon.
+    """
+    m = [_integer_row(row) for row in rows]
+    full = min(len(m), ncols)
+    if _rank_mod_p(m, ncols) == full:
+        return full
+    return len(_echelon(m, ncols, reduced=False))
 
 
 def exact_nullspace(rows, ncols):

@@ -6,11 +6,24 @@ numpy's SVD, and fraction_rref is Gauss-Jordan on Fraction objects.
 All are slow and meant for small fixtures only.
 """
 
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def cli_env():
+    """Environment for a `python -m graphcurves` child: the repository's
+    src first on PYTHONPATH, so an uninstalled checkout runs too."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def exact_det(rows):
@@ -305,6 +318,18 @@ def old_random_regular_higgs(framing, seed, max_tries=32):
         return phi
     raise IrregularDeterminant(
         f"no regular Higgs field found in {max_tries} draws (seed {seed})")
+
+
+def old_higgs_residual(phi, framing):
+    """higgs_residual through Mat2 products of Fraction residue matrices."""
+    g = framing.graph
+    worst = 0
+    for a, b in g.edges:
+        r_s = phi.residue_matrix(g.vertex_of(a), g.marked_point(a))
+        r_t = phi.residue_matrix(g.vertex_of(b), g.marked_point(b))
+        t = framing.matrix(a)
+        worst = max(worst, (r_s + t * r_t * t.inv()).max_norm())
+    return worst
 
 
 def scalar_bits(x):

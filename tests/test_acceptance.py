@@ -54,6 +54,8 @@ from graphcurves.spectral import (
     roundtrip_error,
 )
 
+from helpers import cli_env
+
 
 def _line(num, ok, text):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {text}")
@@ -270,7 +272,7 @@ def test_criterion_11_cli_determinism():
     ]
     for cmd in commands:
         runs = [subprocess.run([sys.executable, "-m", "graphcurves"] + cmd,
-                               capture_output=True, text=True)
+                               capture_output=True, text=True, env=cli_env())
                 for _ in range(2)]
         if runs[0].returncode != 0 or runs[1].returncode != 0:
             _line(11, False, f"{cmd[0]}: nonzero exit")

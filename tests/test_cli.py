@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from graphcurves import cli
 from graphcurves.graphs import graph_to_json, random_trivalent
 
+from helpers import cli_env
+
 PKG = [sys.executable, "-m", "graphcurves"]
 
 
 def run_cli(*args, expect=0):
-    proc = subprocess.run(PKG + list(args), capture_output=True, text=True)
+    proc = subprocess.run(PKG + list(args), capture_output=True, text=True,
+                          env=cli_env())
     assert proc.returncode == expect, proc.stderr
     return proc
 
@@ -140,7 +143,7 @@ def test_wall_time_on_stderr_only():
 
 def test_unknown_graph_name_exits_2():
     proc = subprocess.run(PKG + ["graph", "--graph", "petersen"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 2
 
 
@@ -161,7 +164,7 @@ def test_malformed_graph_file_exits_2(tmp_path):
     for obj in MALFORMED_GRAPHS:
         bad.write_text(json.dumps(obj))
         proc = subprocess.run(PKG + ["graph", "--graph", str(bad)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 2, (obj, proc.stderr)
         assert "Traceback" not in proc.stderr
 
@@ -169,7 +172,7 @@ def test_malformed_graph_file_exits_2(tmp_path):
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_trials_below_one_exits_2(trials):
     proc = subprocess.run(PKG + ["higgs", "--graph", "theta", "--trials", trials],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 2
 
 

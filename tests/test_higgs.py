@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
-from graphcurves.matrices import adjoint_matrix, conj, mat_close
+from graphcurves.matrices import Mat2, adjoint_matrix, conj, mat_close
 from graphcurves.scalars import EXACT, FLOAT
 from graphcurves.framings import Framing, GaugeTransform, apply_gauge, zero_section, flat_linearization
 from graphcurves.higgs import (
@@ -19,7 +19,7 @@ from graphcurves.higgs import (
     residue_parameterization_matrix,
 )
 
-from helpers import minor_rank
+from helpers import bits, minor_rank, old_higgs_residual
 
 
 GENERIC_DIM = {name: 3 * catalog_graph(name).genus - 3 for name in CATALOG_NAMES}
@@ -179,6 +179,27 @@ def test_identity_gauge_fixes_fields():
     phi = random_higgs_field(Framing.random(g, seed=1), seed=1)
     same = gauge_transform_higgs(GaugeTransform.identity(g), phi)
     assert same.coefficient_vector() == phi.coefficient_vector()
+
+
+def test_integer_residual_matches_fraction_oracle():
+    graphs = ([catalog_graph(name) for name in CATALOG_NAMES]
+              + [random_trivalent(v, 1) for v in range(2, 31, 2)])
+    # det 1 with denominators, so the gauged framings are not integral
+    rational = Mat2(Fraction(2), Fraction(1, 3), Fraction(0), Fraction(1, 2))
+    for k, g in enumerate(graphs):
+        framing = Framing.random(g, seed=k % 3)
+        gauge = GaugeTransform(g, [rational] * g.vertex_count)
+        for a in (framing, apply_gauge(gauge, framing)):
+            basis = higgs_space(a).basis
+            for phi in basis[:6]:
+                assert bits(higgs_residual(phi, a)) == bits(old_higgs_residual(phi, a)) \
+                    == bits(0)
+            vec = basis[k % len(basis)].coefficient_vector()
+            vec[k % len(vec)] += Fraction(1, 7)
+            bad = HiggsField.from_coefficient_vector(g, vec)
+            worst = higgs_residual(bad, a)
+            assert bits(worst) == bits(old_higgs_residual(bad, a))
+            assert type(worst) is Fraction and worst > 0
 
 
 # -- residue parameterization ------------------------------------------

@@ -24,6 +24,7 @@ from graphcurves.hitchin import (
 
 from helpers import (
     bits,
+    fraction_rref,
     old_add,
     old_bires_coordinates,
     old_finite_difference_jacobian,
@@ -305,3 +306,57 @@ def test_random_field_combination_keeps_signed_zeros(monkeypatch):
         old = old_random_higgs_field(framing, seed, FLOAT, report)
         assert bits(phi.coefficient_vector()) == bits(
             HiggsField(g, old).coefficient_vector())
+
+
+# -- exact kernels on integer numerators against the Fraction code -------
+
+
+def _integer_oracle_framings():
+    graphs = ([catalog_graph(name) for name in CATALOG_NAMES]
+              + [random_trivalent(v, 1) for v in range(2, 31, 2)])
+    return [Framing.random(g, seed=k % 3) for k, g in enumerate(graphs)]
+
+
+def _matching_violated(fn, *args):
+    with pytest.raises(MatchingViolated) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_integer_kernels_match_fraction_oracle():
+    for k, framing in enumerate(_integer_oracle_framings()):
+        g = framing.graph
+        report = higgs_space(framing)
+        phi = random_higgs_field(framing, k)
+        old = old_random_higgs_field(framing, k, EXACT, report)
+        assert bits(phi.coefficient_vector()) == bits(
+            HiggsField(g, old).coefficient_vector())
+        old_basis = [b.vertex_data for b in report.basis]
+        jac = hitchin_jacobian(phi, framing, report.basis)
+        old_rows = old_hitchin_jacobian_rows(g, old, old_basis)
+        assert bits(jac.matrix) == bits(old_rows)
+        assert all(type(x) is Fraction for row in jac.matrix for x in row)
+        assert jac.rank == len(fraction_rref(old_rows, len(g.edges))[1])
+        # Not a Higgs field, with denominators: the same exception and message.
+        rng = Random(k)
+        bad = HiggsField.from_coefficient_vector(g, [
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(6 * g.vertex_count)])
+        assert _matching_violated(hitchin_jacobian, bad, framing, report.basis) == \
+            _matching_violated(old_hitchin_jacobian_rows, g, bad.vertex_data, old_basis)
+
+
+def test_exact_and_float_agree_at_genus_41():
+    # the `higgs` dim and rank and the `hitchin` jacobian_rank of the CLI,
+    # in both domains, on one graph of genus 41
+    g = random_trivalent(80, 1)
+    generic = 3 * g.genus - 3
+    for seed in (0, 1):
+        ranks = []
+        for domain in (EXACT, FLOAT):
+            framing = Framing.random(g, seed, domain)
+            space = higgs_space(framing)
+            phi = random_higgs_field(framing, seed)
+            jac = hitchin_jacobian(phi, framing, space.basis)
+            ranks.append((space.dim, space.rank, jac.rank))
+        assert ranks[0] == ranks[1] == (generic, 6 * g.vertex_count - generic, generic)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphcurves.linalg as linalg_mod
 from graphcurves.errors import ScalarDomainMismatch, ValidationError
 from graphcurves.linalg import (
     exact_nullspace,
@@ -333,3 +334,111 @@ def test_exact_rref_equals_fraction_gauss_jordan(system):
         r = minor_rank(rows)
         assert exact_rank(rows, ncols) == r
         assert integer_rank(rows) == r
+
+
+# -- the mod-P certificate of exact_rank ---------------------------------
+
+
+@st.composite
+def _shaped_matrices(draw):
+    """(rows, ncols): empty, all-zero, tall, wide or square, with rows
+    often combinations of earlier ones."""
+    shape = draw(st.sampled_from(["empty", "zero", "tall", "wide", "square"]))
+    if shape == "empty":
+        return [], draw(st.integers(0, 5))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if shape == "tall":
+        nrows = ncols + draw(st.integers(1, 3))
+    elif shape == "wide":
+        ncols = nrows + draw(st.integers(1, 3))
+    elif shape == "square":
+        ncols = nrows
+    if shape == "zero":
+        return [[0] * ncols for _ in range(nrows)], ncols
+    entry = draw(st.sampled_from([st.integers(-5, 5), _RATIONALS]))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[i - 1])]
+    return rows, ncols
+
+
+def _oracle_rank(rows, ncols):
+    return len(fraction_rref(rows, ncols)[1])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_shaped_matrices())
+def test_certified_rank_matches_oracles(system):
+    rows, ncols = system
+    r = exact_rank(rows, ncols)
+    assert r == _oracle_rank(rows, ncols)
+    if len(rows) <= 4 and ncols <= 4:
+        assert r == minor_rank(rows)
+    if rows and all(type(x) is int for row in rows for x in row):
+        assert integer_rank(rows) == r
+
+
+@st.composite
+def _drops_mod_3(draw):
+    """(rows, ncols, scaled): rows congruent mod 3 to nonzero multiples of
+    the first, which has an entry 1, so no row content is divisible by 3
+    and the rank mod 3 of the primitive rows is 1, while the rational
+    rank is usually larger.  With scaled, one row is divided by 3 and
+    shifted, which puts a denominator 3 into the input."""
+    nrows, ncols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    small = st.integers(-3, 3)
+    first = [draw(small) for _ in range(ncols)]
+    first[draw(st.integers(0, ncols - 1))] = 1
+    rows = [first]
+    for _ in range(1, nrows):
+        k = draw(st.sampled_from([-2, -1, 1, 2]))
+        rows.append([k * x + 3 * draw(small) for x in first])
+    scaled = draw(st.booleans())
+    if scaled:
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        rows[i] = [Fraction(x, 3) for x in rows[i]]
+        rows[i][j] += 1
+    return rows, ncols, scaled
+
+
+def _count_echelon_calls(mp):
+    """Record the calls of the integer elimination behind exact_rank."""
+    calls = []
+    echelon = linalg_mod._echelon
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return echelon(*args, **kwargs)
+
+    mp.setattr(linalg_mod, "_echelon", counted)
+    return calls
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_drops_mod_3())
+def test_rank_falls_back_when_the_prime_divides_a_minor(system):
+    rows, ncols, scaled = system
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_mod, "P", 3)
+        calls = _count_echelon_calls(mp)
+        r = exact_rank(rows, ncols)
+    assert r == _oracle_rank(rows, ncols)
+    if r > 1 and not scaled:
+        assert calls  # the rank mod 3 is at most 1: only the fallback knows r
+
+
+def test_rank_fallback_and_certificate_at_p_3(monkeypatch):
+    calls = _count_echelon_calls(monkeypatch)
+    monkeypatch.setattr(linalg_mod, "P", 3)
+    # det 3: rank 1 mod 3, rank 2 over the rationals
+    assert exact_rank([[1, 1], [1, 4]], 2) == 2
+    assert len(calls) == 1
+    # det 1: full rank mod 3 is certified without the integer elimination
+    assert exact_rank([[1, 1], [1, 2]], 2) == 2
+    assert integer_rank([[2, 1, 0], [1, 1, 5]]) == 2
+    assert len(calls) == 1
+    # denominators 3 are cleared before the reduction: rows (1, 3) and (1, 6)
+    assert exact_rank([[Fraction(1, 3), 1], [Fraction(1, 6), 1]], 2) == 2
+    assert len(calls) == 2
