@@ -4,6 +4,12 @@ Every subcommand prints one JSON object to stdout, built only from the
 inputs, the seed and the scalar domain, so identical invocations produce
 byte-identical output; wall time goes to stderr.  Exit codes: 0 on
 success, 2 on invalid input, 3 on a numerical failure.
+
+The report is the package's only output format, and _jsonable its only
+scalar encoding: an exact scalar (Fraction) becomes its "p/q" string
+(an integer value prints without "/1"), a complex float becomes an
+[re, im] pair of floats.  A graph JSON file (graphs.graph_from_json) is
+the only input format.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from .higgs import (higgs_residual, higgs_space, random_higgs_field,
 from .hitchin import (hitchin_edge_coords, hitchin_image, hitchin_jacobian,
                       is_regular, jacobian_fd_error)
 from .linalg import rank as matrix_rank
-from .scalars import EXACT, FLOAT, scalar_to_json
+from .scalars import EXACT, FLOAT
 from .sections import bires_coordinates, canonical_space, double_canonical_space
 
 EXIT_OK = 0
@@ -75,7 +81,7 @@ def _report(command: str, inputs, domain: str, seed, results: dict) -> dict:
 
 
 def _jsonable(value):
-    if isinstance(value, (Fraction,)):
+    if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -180,7 +186,7 @@ def cmd_hitchin(args) -> dict:
         float_framing = Framing.random(graph, seed, FLOAT)
         float_phi = random_higgs_field(float_framing, seed)
         return {
-            "edge_coords": [scalar_to_json(x) for x in coords],
+            "edge_coords": coords,
             "regular": is_regular(hitchin_image(phi)).regular,
             "jacobian_rank": jac.rank,
             "fd_rel_err": jacobian_fd_error(float_phi, float_framing),
@@ -203,8 +209,10 @@ def cmd_spectral(args) -> dict:
             "genus": curve.arithmetic_genus,
             "components": curve.component_count,
             "nodes": curve.node_count,
-            "fixed_points": 2 * curve.component_count,
-            "quotient_matches_base": True,
+            "fixed_points": sum(len(points) for points in
+                                curve.fixed_points_per_component().values()),
+            "quotient_matches_base": curve.quotient_dual_graph() == [
+                graph.edge_endpoints(e) for e in range(len(graph.edges))],
             "prym": {
                 "b1_base": prym.b1_base,
                 "b1_spectral": prym.b1_spectral,

@@ -30,9 +30,9 @@ from random import Random
 
 from .errors import NotOnVariety, ValidationError
 from .graphs import SpanningTreeData, TrivalentGraph
-from .linalg import solve_kernel
-from .matrices import (IDENTITY, Mat2, SL2_BASIS, check_unimodular, mat_from_json,
-                       mat_to_json, random_unimodular, sl2_coords)
+from .linalg import rank
+from .matrices import (IDENTITY, Mat2, SL2_BASIS, check_unimodular, random_unimodular,
+                       sl2_coords)
 from .scalars import EXACT, FLAT_TOL, IDENTITY_TOL, check_domain
 
 
@@ -131,20 +131,6 @@ class Framing:
         if not isinstance(other, Framing):
             return NotImplemented
         return self.graph == other.graph and self._mats == other._mats
-
-    def to_json(self):
-        return {"darts": {str(a): mat_to_json(self._mats[a])
-                          for a, _ in self.graph.edges}}
-
-    @classmethod
-    def from_json(cls, graph: TrivalentGraph, obj, domain: str = EXACT):
-        darts = obj["darts"]
-        edge_matrices = []
-        for e, (a, _) in enumerate(graph.edges):
-            if str(a) not in darts:
-                raise ValidationError(f"framing JSON missing dart {a} (edge {e})")
-            edge_matrices.append(mat_from_json(darts[str(a)], domain))
-        return cls.from_primary(graph, edge_matrices, domain)
 
 
 def _gauged(left: Mat2, m: Mat2, right: Mat2):
@@ -255,23 +241,6 @@ class SurfaceFlatBundle:
         d0, d1, d2 = self.graph.vertex_darts(v)
         return self._meridians[d0] * self._meridians[d1] * self._meridians[d2]
 
-    def to_json(self):
-        out = self.framing.to_json()
-        out["meridians"] = {str(a): mat_to_json(self._meridians[a])
-                            for a, _ in self.graph.edges}
-        return out
-
-    @classmethod
-    def from_json(cls, graph: TrivalentGraph, obj, domain: str = EXACT):
-        framing = Framing.from_json(graph, obj, domain)
-        mer = obj["meridians"]
-        edge_meridians = []
-        for e, (a, _) in enumerate(graph.edges):
-            if str(a) not in mer:
-                raise ValidationError(f"bundle JSON missing meridian {a} (edge {e})")
-            edge_meridians.append(mat_from_json(mer[str(a)], domain))
-        return cls.from_primary(framing, edge_meridians)
-
 
 def zero_section(framing: Framing) -> SurfaceFlatBundle:
     """All meridians trivial: the canonical flat refinement of a framing."""
@@ -352,9 +321,8 @@ def flat_local_dimension(bundle: SurfaceFlatBundle) -> int:
     if res > FLAT_TOL:
         raise NotOnVariety(
             f"vertex relation residual {res} exceeds {FLAT_TOL}")
-    rows = flat_linearization(bundle)
-    report = solve_kernel(rows, 3 * len(bundle.graph.edges), bundle.domain)
-    return report.dim
+    ncols = 3 * len(bundle.graph.edges)
+    return ncols - rank(flat_linearization(bundle), ncols, bundle.domain)
 
 
 def subspace_flags(bundle: SurfaceFlatBundle, tree: SpanningTreeData) -> dict:

@@ -31,10 +31,8 @@ from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, _clear_denominators, solve_kernel
 from .matrices import Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
-from .scalars import EXACT, scalar_from_json, scalar_to_json
+from .scalars import EXACT
 from .sections import RESIDUE_FUNCTIONAL, ComponentDifferential
-
-WKEYS = ("w11", "w12", "w21")
 
 
 def _residue_matrix(coeffs, base: int, point: int) -> Mat2:
@@ -103,19 +101,6 @@ class HiggsField:
             return NotImplemented
         return self.graph == other.graph and self.coefficients == other.coefficients
 
-    def to_json(self):
-        return {"vertex_data": {
-            str(v): {key: [scalar_to_json(w.r0), scalar_to_json(w.r1)]
-                     for key, w in zip(WKEYS, trip)}
-            for v, trip in enumerate(self.vertex_data)}}
-
-    @classmethod
-    def from_json(cls, graph: TrivalentGraph, obj, domain: str):
-        data = obj["vertex_data"]
-        return cls.from_coefficient_vector(graph, [
-            scalar_from_json(data[str(v)][key][k], domain)
-            for v in range(graph.vertex_count) for key in WKEYS for k in (0, 1)])
-
     @classmethod
     def from_coefficient_vector(cls, graph: TrivalentGraph, vec):
         vec = tuple(vec)
@@ -128,22 +113,17 @@ class HiggsField:
         return phi
 
 
-def assemble_higgs_constraints(framing: Framing, orientation: str = "low"):
+def assemble_higgs_constraints(framing: Framing):
     """Node-cancellation system for Higgs fields with the given framing.
 
     Three rows per edge (the (x11, x12, x21) coordinates of the matrix
-    equation), six columns per vertex.  orientation chooses which dart
-    anchors each edge's equation; "low" (the default) and "high" produce
-    different matrices with identical kernels.
+    equation), six columns per vertex; each edge's lower dart anchors
+    its equation.
     """
-    if orientation not in ("low", "high"):
-        raise ValidationError(f"unknown orientation {orientation!r}")
     g = framing.graph
     ncols = 6 * g.vertex_count
     rows = []
-    for a, b in g.edges:
-        d = a if orientation == "low" else b
-        p = g.partner(d)
+    for d, p in g.edges:
         block = [[0] * ncols for _ in range(3)]
         # Source side: identity transport.
         func = RESIDUE_FUNCTIONAL[g.marked_point(d)]

@@ -10,7 +10,7 @@ import cmath
 from fractions import Fraction
 
 from .errors import ValidationError
-from .scalars import DET_TOL, EXACT, check_domain, scalar_from_json, scalar_to_json
+from .scalars import DET_TOL, EXACT, check_domain
 
 
 class Mat2:
@@ -176,16 +176,3 @@ def random_unimodular(rng, domain: str) -> Mat2:
 
 def to_complex_mat(m: Mat2) -> Mat2:
     return Mat2(complex(m.a), complex(m.b), complex(m.c), complex(m.d))
-
-
-def mat_to_json(m: Mat2):
-    return [[scalar_to_json(m.a), scalar_to_json(m.b)],
-            [scalar_to_json(m.c), scalar_to_json(m.d)]]
-
-
-def mat_from_json(obj, domain: str) -> Mat2:
-    if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or any(not isinstance(row, (list, tuple)) or len(row) != 2 for row in obj)):
-        raise ValidationError("matrix JSON must be a 2x2 nested list")
-    return Mat2(scalar_from_json(obj[0][0], domain), scalar_from_json(obj[0][1], domain),
-                scalar_from_json(obj[1][0], domain), scalar_from_json(obj[1][1], domain))

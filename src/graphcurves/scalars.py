@@ -7,9 +7,6 @@ All linear algebra runs in one of two interchangeable scalar domains:
   domain is a proof for the given input.
 * ``FLOAT``: double-precision complex numbers.  Ranks are counted from
   singular values with the relative threshold :data:`RANK_RTOL`.
-
-Exact scalars serialize as fraction strings ("3/2"), float scalars as
-``[re, im]`` pairs.
 """
 from __future__ import annotations
 
@@ -61,26 +58,6 @@ def as_scalar(x, domain: str):
         raise ScalarDomainMismatch(
             f"cannot use {type(x).__name__} value in the exact domain")
     return complex(x)
-
-
-def scalar_to_json(x):
-    if isinstance(x, (int, Fraction)):
-        return str(x)
-    x = complex(x)
-    return [x.real, x.imag]
-
-
-def scalar_from_json(v, domain: str):
-    check_domain(domain)
-    if domain == EXACT:
-        if isinstance(v, (str, int)):
-            return Fraction(v)
-        raise ScalarDomainMismatch("exact scalars serialize as fraction strings")
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
-    if isinstance(v, (int, float)):
-        return complex(v)
-    raise ScalarDomainMismatch("float scalars serialize as [re, im] pairs")
 
 
 def random_nonzero_int(rng) -> int:

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from .errors import MatchingViolated, ScalarDomainMismatch
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, solve_kernel
-from .scalars import (EXACT, MATCH_TOL, as_scalar, check_domain, domain_of,
-                      scalar_from_json, scalar_to_json)
+from .scalars import EXACT, MATCH_TOL, as_scalar, check_domain, domain_of
 
 # Residue functionals on (r0, r1), indexed by marked point.
 RESIDUE_FUNCTIONAL = ((1, 0), (0, 1), (-1, -1))
@@ -167,35 +166,11 @@ class GlobalDifferential(_GlobalSection):
             worst = max(worst, abs(s))
         return worst
 
-    def to_json(self):
-        return {"vertex_data": {str(v): [scalar_to_json(c.r0), scalar_to_json(c.r1)]
-                                for v, c in enumerate(self.components)}}
-
-    @classmethod
-    def from_json(cls, graph, obj, domain):
-        data = obj["vertex_data"]
-        comps = [ComponentDifferential(scalar_from_json(data[str(v)][0], domain),
-                                       scalar_from_json(data[str(v)][1], domain))
-                 for v in range(graph.vertex_count)]
-        return cls(graph, comps)
-
 
 class GlobalQuadratic(_GlobalSection):
     """Tuple of component quadratic differentials with matching bi-residues."""
 
     _probe_field = "q0"
-
-    def to_json(self):
-        return {"vertex_data": {str(v): [scalar_to_json(x) for x in c.coefficients()]
-                                for v, c in enumerate(self.components)}}
-
-    @classmethod
-    def from_json(cls, graph, obj, domain):
-        data = obj["vertex_data"]
-        comps = [ComponentQuadratic(*(scalar_from_json(x, domain)
-                                      for x in data[str(v)]))
-                 for v in range(graph.vertex_count)]
-        return cls(graph, comps)
 
 
 def canonical_matrix(graph: TrivalentGraph):

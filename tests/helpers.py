@@ -162,6 +162,39 @@ def naive_anti_invariant_cycles(graph):
     return chosen
 
 
+def higher_dart_higgs_constraints(framing):
+    """assemble_higgs_constraints with each edge's equation anchored at its
+    higher dart instead of its lower one.
+
+    The two systems differ row by row (one is the other transported
+    across the node) but must have the same kernel.
+    """
+    from graphcurves.matrices import adjoint_matrix
+    from graphcurves.sections import RESIDUE_FUNCTIONAL
+
+    g = framing.graph
+    ncols = 6 * g.vertex_count
+    rows = []
+    for p, d in g.edges:
+        block = [[0] * ncols for _ in range(3)]
+        func = RESIDUE_FUNCTIONAL[g.marked_point(d)]
+        base = 6 * g.vertex_of(d)
+        for r in range(3):
+            block[r][base + 2 * r] += func[0]
+            block[r][base + 2 * r + 1] += func[1]
+        ad = adjoint_matrix(framing.matrix(d))
+        func = RESIDUE_FUNCTIONAL[g.marked_point(p)]
+        base = 6 * g.vertex_of(p)
+        for r in range(3):
+            for k in range(3):
+                coeff = ad[r][k]
+                if coeff:
+                    block[r][base + 2 * k] += coeff * func[0]
+                    block[r][base + 2 * k + 1] += coeff * func[1]
+        rows.extend(block)
+    return rows
+
+
 # -- the per-component Hitchin layer, kept as a bitwise oracle -----------
 #
 # HiggsField stores one flat coefficient tuple and the Hitchin kernels work

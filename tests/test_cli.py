@@ -1,15 +1,20 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcurves import cli
-from graphcurves.graphs import graph_to_json, random_trivalent
+from graphcurves.framings import Framing
+from graphcurves.graphs import catalog_graph, graph_to_json, random_trivalent
+from graphcurves.higgs import random_higgs_field
+from graphcurves.hitchin import hitchin_edge_coords
 
 from helpers import cli_env
 
@@ -95,6 +100,31 @@ def test_hitchin_command():
     assert res["fd_rel_err"] < 1e-6
 
 
+@pytest.mark.parametrize("domain", ["exact", "float"])
+def test_report_scalar_encoding(domain):
+    # exact scalars print as "p/q" (or integer) strings, floats as [re, im]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["hitchin", "--graph", "theta", "--seed", "5",
+                         "--domain", domain]) == 0
+    framing = Framing.random(catalog_graph("theta"), 5, domain)
+    coords = hitchin_edge_coords(random_higgs_field(framing, 5))
+    printed = json.loads(out.getvalue())["results"]["edge_coords"]
+    assert len(printed) == len(coords) == 3
+    for text, x in zip(printed, coords):
+        if domain == "exact":
+            assert isinstance(x, Fraction)
+            assert isinstance(text, str)
+            assert re.fullmatch(r"-?\d+(/\d+)?", text)
+            assert Fraction(text) == x
+        else:
+            assert isinstance(x, complex)
+            assert isinstance(text, list) and len(text) == 2
+            assert all(type(part) is float for part in text)
+            assert complex(*text) == x
+
+
 def test_spectral_command():
     out = report("spectral", "--graph", "theta", "--seed", "5")
     res = out["results"]
@@ -177,8 +207,6 @@ def test_trials_below_one_exits_2(trials):
 
 
 def test_graph_file_input(tmp_path):
-    from graphcurves.graphs import catalog_graph, graph_to_json
-
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(graph_to_json(catalog_graph("theta"))))
     out = report("graph", "--graph", str(path))

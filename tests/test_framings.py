@@ -78,14 +78,6 @@ def test_framing_random_unimodular(domain):
         assert mat_close(prod, IDENTITY, 1e-12)
 
 
-def test_framing_json_round_trip():
-    g = catalog_graph("k4")
-    a = Framing.random(g, seed=4)
-    back = Framing.from_json(g, a.to_json(), EXACT)
-    assert all(back.matrix(d).entries() == a.matrix(d).entries()
-               for d in range(g.dart_count))
-
-
 # -- gauge action -------------------------------------------------------
 
 
@@ -247,14 +239,6 @@ def test_gauge_preserves_vertex_residual():
     gb = apply_gauge_bundle(GaugeTransform.random(g, seed=12), b)
     assert vertex_relation_residual(gb) == 0
     assert gb.framing.inversion_residual() == 0
-
-
-def test_bundle_json_round_trip():
-    b = commuting_diagonal_bundle()
-    g = b.framing.graph
-    back = SurfaceFlatBundle.from_json(g, b.to_json(), EXACT)
-    for d in range(g.dart_count):
-        assert back.meridian(d).entries() == b.meridian(d).entries()
 
 
 # -- linearization at a flat point --------------------------------------

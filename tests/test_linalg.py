@@ -29,8 +29,6 @@ from graphcurves.matrices import (
     conj,
     from_sl2_coords,
     mat_close,
-    mat_from_json,
-    mat_to_json,
     random_unimodular,
     sl2_coords,
 )
@@ -41,8 +39,6 @@ from graphcurves.scalars import (
     check_domain,
     domain_of,
     random_nonzero_int,
-    scalar_from_json,
-    scalar_to_json,
 )
 
 from helpers import fraction_nullspace, fraction_rref, minor_rank, svd_rank
@@ -73,18 +69,6 @@ def test_as_scalar():
     assert as_scalar(Fraction(1, 2), FLOAT) == 0.5 + 0j
     with pytest.raises(ScalarDomainMismatch):
         as_scalar(0.5, EXACT)
-
-
-def test_scalar_json_round_trip():
-    for x in (Fraction(3, 7), Fraction(-2), 0, 11):
-        assert scalar_from_json(scalar_to_json(x), EXACT) == x
-    z = 1.5 - 2.25j
-    assert scalar_from_json(scalar_to_json(z), FLOAT) == z
-
-
-def test_scalar_json_rejects_cross_domain():
-    with pytest.raises(ScalarDomainMismatch):
-        scalar_from_json([1.0, 0.0], EXACT)
 
 
 def test_random_nonzero_int():
@@ -183,14 +167,6 @@ def test_check_unimodular():
     assert check_unimodular(IDENTITY, EXACT) is IDENTITY
     with pytest.raises(ValidationError):
         check_unimodular(Mat2(2, 0, 0, 1), EXACT)
-
-
-def test_mat_json_round_trip():
-    m = Mat2(Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(2))
-    assert mat_from_json(mat_to_json(m), EXACT).entries() == m.entries()
-    z = Mat2(1 + 2j, 0j, -1j, 0.5 + 0j)
-    back = mat_from_json(mat_to_json(z), FLOAT)
-    assert mat_close(back, z, 0)
 
 
 # -- kernels and ranks --------------------------------------------------

@@ -11,7 +11,6 @@ from graphcurves.sections import (
     RESIDUE_FUNCTIONAL,
     ComponentDifferential,
     ComponentQuadratic,
-    GlobalDifferential,
     GlobalQuadratic,
     bires_coordinates,
     canonical_matrix,
@@ -192,20 +191,3 @@ def test_global_arithmetic_and_domain():
     assert s.domain() == EXACT
     wf = constant_differential(g, 1.0, -2.0, domain=FLOAT)
     assert wf.domain() == FLOAT
-
-
-def test_global_differential_json_round_trip():
-    g = catalog_graph("dumbbell")
-    w = constant_differential(g, Fraction(1, 3), Fraction(-2))
-    obj = w.to_json()
-    back = GlobalDifferential.from_json(g, obj, EXACT)
-    for v in range(g.vertex_count):
-        assert back.component(v).residues() == w.component(v).residues()
-
-
-def test_global_quadratic_json_round_trip():
-    g = catalog_graph("theta")
-    q = double_canonical_space(g).basis[0]
-    back = GlobalQuadratic.from_json(g, q.to_json(), EXACT)
-    for v in range(g.vertex_count):
-        assert back.component(v).coefficients() == q.component(v).coefficients()
