@@ -29,8 +29,7 @@ from .hitchin import (bires_det_residual, hitchin_edge_coords, hitchin_image,
                       polarization)
 from .matrices import Mat2
 from .scalars import EXACT, FLOAT
-from .sections import (ComponentDifferential, ComponentQuadratic,
-                       GlobalDifferential, GlobalQuadratic, bires_coordinates,
+from .sections import (GlobalDifferential, GlobalQuadratic, bires_coordinates,
                        canonical_space, double_canonical_space,
                        multiply_differentials)
 from .spectral import (BranchData, NodeLift, PrymReport, SpectralCurve,

@@ -315,12 +315,13 @@ def flat_linearization(bundle: SurfaceFlatBundle):
 def flat_local_dimension(bundle: SurfaceFlatBundle) -> int:
     """Kernel dimension of the vertex-relation Jacobian at the bundle.
 
-    The bundle must actually satisfy the relations (residual <= FLAT_TOL).
+    The bundle must actually satisfy the relations: exactly in the exact
+    domain, with residual <= FLAT_TOL in the float domain.
     """
     res = vertex_relation_residual(bundle)
-    if res > FLAT_TOL:
-        raise NotOnVariety(
-            f"vertex relation residual {res} exceeds {FLAT_TOL}")
+    tol = 0 if bundle.domain == EXACT else FLAT_TOL
+    if res > tol:
+        raise NotOnVariety(f"vertex relation residual {res} exceeds {tol}")
     ncols = 3 * len(bundle.graph.edges)
     return ncols - rank(flat_linearization(bundle), ncols, bundle.domain)
 

@@ -2,11 +2,11 @@
 
 A Higgs field assigns to each vertex a traceless 2x2 matrix of
 logarithmic differentials, given by the three independent entries
-(w11, w12, w21) with w22 = -w11.  A HiggsField stores only the flat
-tuple of their 6V coefficients, (w11.r0, w11.r1, w12.r0, w12.r1, w21.r0,
-w21.r1) vertex by vertex; the per-vertex ComponentDifferential triples
-(vertex_data) are built from it on demand.  At a node the residue
-matrices on the two sides must cancel after transport by the framing:
+(w11, w12, w21) with w22 = -w11.  A HiggsField is the flat tuple of
+their 6V coefficients, (w11.r0, w11.r1, w12.r0, w12.r1, w21.r0, w21.r1)
+vertex by vertex: the (r0, r1) layout of sections.GlobalDifferential
+three times over.  At a node the residue matrices on the two sides must
+cancel after transport by the framing:
 
     R_source + a(d) R_target a(d)^-1 = 0,
 
@@ -26,20 +26,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, _clear_denominators, solve_kernel
 from .matrices import Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
 from .scalars import EXACT
-from .sections import RESIDUE_FUNCTIONAL, ComponentDifferential
+from .sections import RESIDUE_FUNCTIONAL, _coefficient_tuple
 
 
 def _residue_matrix(coeffs, base: int, point: int) -> Mat2:
     """Residue matrix at a marked point from the six coefficients at base.
 
-    The residues of (r0, r1) are (r0, r1, -(r0 + r1)), as in
-    ComponentDifferential.residues.
+    The residues of (r0, r1) at the marked points (0, 1, inf) are
+    (r0, r1, -(r0 + r1)).
     """
     return from_sl2_coords(*(
         (coeffs[i], coeffs[i + 1], -(coeffs[i] + coeffs[i + 1]))[point]
@@ -50,67 +49,34 @@ class HiggsField:
     """Per-vertex traceless matrices of logarithmic differentials.
 
     The only stored data is ``coefficients``, the flat tuple of 6V
-    coefficients in coefficient_vector() order; ``vertex_data`` rebuilds
-    ComponentDifferential objects from it.
+    coefficients (w11.r0, w11.r1, w12.r0, w12.r1, w21.r0, w21.r1) per
+    vertex.
     """
 
     __slots__ = ("graph", "coefficients")
 
-    def __init__(self, graph: TrivalentGraph, vertex_data):
-        vertex_data = tuple(tuple(trip) for trip in vertex_data)
-        if len(vertex_data) != graph.vertex_count:
-            raise ValidationError(
-                f"need data for {graph.vertex_count} vertices, got {len(vertex_data)}")
-        for trip in vertex_data:
-            if len(trip) != 3:
-                raise ValidationError("each vertex needs (w11, w12, w21)")
+    def __init__(self, graph: TrivalentGraph, coefficients):
         self.graph = graph
-        self.coefficients = tuple(x for trip in vertex_data for w in trip
-                                  for x in (w.r0, w.r1))
-
-    @property
-    def vertex_data(self):
-        """Per-vertex (w11, w12, w21) ComponentDifferential triples."""
-        c = self.coefficients
-        return tuple(
-            tuple(ComponentDifferential(c[i], c[i + 1]) for i in range(b, b + 6, 2))
-            for b in range(0, len(c), 6))
+        self.coefficients = _coefficient_tuple(graph, coefficients, 6)
 
     def residue_matrix(self, v: int, point: int) -> Mat2:
         """Traceless residue matrix of the field at a marked point of vertex v."""
         return _residue_matrix(self.coefficients, 6 * v, point)
 
-    def coefficient_vector(self):
-        """Flat list (w11.r0, w11.r1, w12.r0, w12.r1, w21.r0, w21.r1) per vertex."""
-        return list(self.coefficients)
-
     def __add__(self, other):
-        return HiggsField.from_coefficient_vector(self.graph, tuple(
+        return HiggsField(self.graph, (
             a + b for a, b in zip(self.coefficients, other.coefficients)))
 
     def __neg__(self):
-        return HiggsField.from_coefficient_vector(
-            self.graph, tuple(-a for a in self.coefficients))
+        return HiggsField(self.graph, (-a for a in self.coefficients))
 
     def scale(self, s):
-        return HiggsField.from_coefficient_vector(
-            self.graph, tuple(s * a for a in self.coefficients))
+        return HiggsField(self.graph, (s * a for a in self.coefficients))
 
     def __eq__(self, other):
         if not isinstance(other, HiggsField):
             return NotImplemented
         return self.graph == other.graph and self.coefficients == other.coefficients
-
-    @classmethod
-    def from_coefficient_vector(cls, graph: TrivalentGraph, vec):
-        vec = tuple(vec)
-        if len(vec) != 6 * graph.vertex_count:
-            raise ValidationError(
-                f"need {6 * graph.vertex_count} coefficients, got {len(vec)}")
-        phi = cls.__new__(cls)
-        phi.graph = graph
-        phi.coefficients = vec
-        return phi
 
 
 def assemble_higgs_constraints(framing: Framing):
@@ -149,8 +115,7 @@ def higgs_space(framing: Framing) -> KernelReport:
     """Solve the node-cancellation system in the framing's domain, as HiggsFields."""
     rows = assemble_higgs_constraints(framing)
     report = solve_kernel(rows, 6 * framing.graph.vertex_count, framing.domain)
-    report.basis = [HiggsField.from_coefficient_vector(framing.graph, vec)
-                    for vec in report.basis]
+    report.basis = [HiggsField(framing.graph, vec) for vec in report.basis]
     return report
 
 
@@ -194,7 +159,7 @@ def gauge_transform_higgs(gauge: GaugeTransform, phi: HiggsField) -> HiggsField:
         for r in range(3):
             out.append(sum(ad[r][k] * r0[k] for k in range(3)))
             out.append(sum(ad[r][k] * r1[k] for k in range(3)))
-    return HiggsField.from_coefficient_vector(phi.graph, out)
+    return HiggsField(phi.graph, out)
 
 
 def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
@@ -217,13 +182,12 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
             if c:
                 s = c * (den // d)
                 acc = [a + s * x for a, x in zip(acc, ints)]
-        return HiggsField.from_coefficient_vector(
-            framing.graph, [Fraction(a, den) for a in acc])
+        return HiggsField(framing.graph, [Fraction(a, den) for a in acc])
     coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
     acc = [0j] * (6 * framing.graph.vertex_count)
     for c, psi in zip(coeffs, report.basis):
         acc = [a + c * x for a, x in zip(acc, psi.coefficients)]
-    return HiggsField.from_coefficient_vector(framing.graph, acc)
+    return HiggsField(framing.graph, acc)
 
 
 # -- per-edge residue parameterization ---------------------------------
@@ -292,7 +256,7 @@ def higgs_from_edge_residues(framing: Framing, vec) -> HiggsField:
         by_point = {g.marked_point(d): per_dart[d] for d in g.vertex_darts(v)}
         for c0, c1 in zip(sl2_coords(by_point[0]), sl2_coords(by_point[1])):
             out.extend((c0, c1))
-    return HiggsField.from_coefficient_vector(g, out)
+    return HiggsField(g, out)
 
 
 def residue_parameterization(framing: Framing) -> ResidueParameterization:

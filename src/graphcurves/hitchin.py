@@ -4,7 +4,7 @@ Vertex by vertex the image is det of the matrix of differentials,
 
     det(phi)(v) = -w11^2 - w12 w21,
 
-computed through products of component differentials.  Its bi-residue at
+computed through products of the per-vertex differentials.  Its bi-residue at
 any marked point equals the determinant of the residue matrix there,
 identically in the field; since residue matrices on the two sides of a
 node are conjugate up to sign, the image of an actual Higgs field has
@@ -13,12 +13,11 @@ Reading it in per-edge bi-residue coordinates gives a gauge-invariant
 quadratic map whose Jacobian comes from the symmetric bilinear
 polarization of det.
 
-The kernels work on the fields' flat coefficient tuples and on per-vertex
-(q0, q1, q2) triples, with the same scalar operations in the same order
-as the ComponentDifferential and ComponentQuadratic arithmetic they
-replace, so both domains give the same bits.  hitchin_jacobian runs on
-the integer numerators of exact fields and divides once per entry, which
-gives the same Fractions.
+The kernels map a field's flat 6V coefficient tuple to the flat 3V
+(q0, q1, q2)-per-vertex tuple of a GlobalQuadratic, with the same
+scalar operations in the same order in both domains.  hitchin_jacobian
+runs on the integer numerators of exact fields and divides once per
+entry, which gives the same Fractions as the rational computation.
 """
 from __future__ import annotations
 
@@ -30,38 +29,37 @@ from .framings import Framing
 from .higgs import HiggsField, higgs_space
 from .linalg import _clear_denominators, rank as matrix_rank
 from .scalars import EXACT, REGULAR_RTOL, domain_of
-from .sections import (ComponentQuadratic, GlobalQuadratic, _matched_biresidues,
-                       _product_coefficients, bires_coordinates)
+from .sections import (GlobalQuadratic, _matched_biresidues, _product_coefficients,
+                       bires_coordinates)
 
 FD_STEP = 1e-5  # central-difference step of the finite-difference Jacobian
 
 
-def _det_triples(c):
-    """Per-vertex (q0, q1, q2) of -(w11 w11 + w12 w21) from coefficients c."""
+def _det_coefficients(c):
+    """(q0, q1, q2) per vertex, flat, of -(w11 w11 + w12 w21) from coefficients c."""
     out = []
     for b in range(0, len(c), 6):
         p = _product_coefficients(c[b], c[b + 1], c[b], c[b + 1])
         q = _product_coefficients(c[b + 2], c[b + 3], c[b + 4], c[b + 5])
-        out.append((-(p[0] + q[0]), -(p[1] + q[1]), -(p[2] + q[2])))
+        out.extend((-(p[0] + q[0]), -(p[1] + q[1]), -(p[2] + q[2])))
     return out
 
 
-def _polarization_triples(c, d):
-    """Per-vertex (q0, q1, q2) of -(2 a11 b11 + a12 b21 + a21 b12)."""
+def _polarization_coefficients(c, d):
+    """(q0, q1, q2) per vertex, flat, of -(2 a11 b11 + a12 b21 + a21 b12)."""
     out = []
     for b in range(0, len(c), 6):
         p = _product_coefficients(c[b], c[b + 1], d[b], d[b + 1])
         q = _product_coefficients(c[b + 2], c[b + 3], d[b + 4], d[b + 5])
         r = _product_coefficients(c[b + 4], c[b + 5], d[b + 2], d[b + 3])
-        out.append((-(2 * p[0] + q[0] + r[0]), -(2 * p[1] + q[1] + r[1]),
+        out.extend((-(2 * p[0] + q[0] + r[0]), -(2 * p[1] + q[1] + r[1]),
                     -(2 * p[2] + q[2] + r[2])))
     return out
 
 
 def hitchin_image(phi: HiggsField) -> GlobalQuadratic:
     """Per-vertex determinant of the matrix of differentials."""
-    return GlobalQuadratic(phi.graph, [ComponentQuadratic(*t) for t in
-                                       _det_triples(phi.coefficients)])
+    return GlobalQuadratic(phi.graph, _det_coefficients(phi.coefficients))
 
 
 def bires_det_residual(phi: HiggsField):
@@ -71,11 +69,11 @@ def bires_det_residual(phi: HiggsField):
     differentials is the product of residues, so both sides agree
     identically.  Exposed as a residual so the identity can be exercised.
     """
-    omega = hitchin_image(phi)
+    q = hitchin_image(phi).coefficients
     worst = 0
     for v in range(phi.graph.vertex_count):
-        for point in range(3):
-            lhs = omega.components[v].biresidue(point)
+        q0, q1, q2 = q[3 * v:3 * v + 3]
+        for point, lhs in enumerate((q0, q0 + q1 + q2, q2)):
             rhs = phi.residue_matrix(v, point).det()
             worst = max(worst, abs(lhs - rhs))
     return worst
@@ -93,9 +91,8 @@ def hitchin_edge_coords(phi: HiggsField):
 
 def polarization(phi: HiggsField, psi: HiggsField) -> GlobalQuadratic:
     """Symmetric bilinear form with det(phi + t psi) = det phi + t B + t^2 det psi."""
-    return GlobalQuadratic(phi.graph, [
-        ComponentQuadratic(*t)
-        for t in _polarization_triples(phi.coefficients, psi.coefficients)])
+    return GlobalQuadratic(phi.graph, _polarization_coefficients(
+        phi.coefficients, psi.coefficients))
 
 
 @dataclass
@@ -121,7 +118,7 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
     g = phi.graph
     ncols = len(g.edges)
     if not all(type(x) is Fraction for f in [phi, *basis] for x in f.coefficients):
-        rows = [_matched_biresidues(g, _polarization_triples(
+        rows = [_matched_biresidues(g, _polarization_coefficients(
             phi.coefficients, psi.coefficients)) for psi in basis]
         domain = domain_of(rows[0][0]) if rows else EXACT
         return JacobianReport(matrix=rows, rank=matrix_rank(rows, ncols, domain),
@@ -133,10 +130,10 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
     for psi in basis:
         y, den_psi = _clear_denominators(psi.coefficients)
         try:
-            coords = _matched_biresidues(g, _polarization_triples(x, y))
+            coords = _matched_biresidues(g, _polarization_coefficients(x, y))
         except MatchingViolated:
             # raise again with the rational bi-residues in the message
-            _matched_biresidues(g, _polarization_triples(
+            _matched_biresidues(g, _polarization_coefficients(
                 phi.coefficients, psi.coefficients))
             raise
         int_rows.append(coords)
@@ -159,9 +156,9 @@ def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None):
     rows = []
     for psi in basis:
         y = psi.coefficients
-        plus = _matched_biresidues(g, _det_triples(
+        plus = _matched_biresidues(g, _det_coefficients(
             [a + up * b for a, b in zip(x, y)]))
-        minus = _matched_biresidues(g, _det_triples(
+        minus = _matched_biresidues(g, _det_coefficients(
             [a + down * b for a, b in zip(x, y)]))
         rows.append([(p - m) / (2 * FD_STEP) for p, m in zip(plus, minus)])
     return rows
@@ -194,20 +191,19 @@ class RegularityReport:
 
 def is_regular(omega: GlobalQuadratic) -> RegularityReport:
     """Check that every component has two distinct zeros away from the nodes."""
-    exact = omega.domain() == EXACT
-    if exact:
+    c = omega.coefficients
+    if domain_of(c[0]) == EXACT:
         threshold = 0
     else:
-        scale = max([1.0] + [abs(x) for c in omega.components
-                             for x in c.coefficients()])
-        threshold = REGULAR_RTOL * scale
+        threshold = REGULAR_RTOL * max([1.0] + [abs(x) for x in c])
     failures = []
-    for v, c in enumerate(omega.components):
+    for v in range(len(c) // 3):
+        q0, q1, q2 = c[3 * v:3 * v + 3]
         checks = (
-            ("zero_at_node_0", c.q0),
-            ("zero_at_node_1", c.value_at_one()),
-            ("zero_at_infinity", c.q2),
-            ("double_zero", c.discriminant()),
+            ("zero_at_node_0", q0),
+            ("zero_at_node_1", q0 + q1 + q2),
+            ("zero_at_infinity", q2),
+            ("double_zero", q1 * q1 - 4 * q0 * q2),
         )
         for name, value in checks:
             if abs(value) <= threshold:

@@ -10,7 +10,7 @@ import cmath
 from fractions import Fraction
 
 from .errors import ValidationError
-from .scalars import DET_TOL, EXACT, check_domain
+from .scalars import DET_TOL, EXACT, check_domain, random_nonzero_int
 
 
 class Mat2:
@@ -23,10 +23,6 @@ class Mat2:
         self.b = b
         self.c = c
         self.d = d
-
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
 
     def __repr__(self):
         return f"Mat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -87,7 +83,7 @@ class Mat2:
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
 
-IDENTITY = Mat2.identity()
+IDENTITY = Mat2(1, 0, 0, 1)
 
 # Basis of traceless matrices behind the (x11, x12, x21) coordinates.
 SL2_BASIS = (Mat2(1, 0, 0, -1), Mat2(0, 1, 0, 0), Mat2(0, 0, 1, 0))
@@ -159,8 +155,6 @@ def random_unimodular(rng, domain: str) -> Mat2:
     """
     check_domain(domain)
     if domain == EXACT:
-        from .scalars import random_nonzero_int
-
         m = _shear_upper(Fraction(random_nonzero_int(rng)))
         m = m * _shear_lower(Fraction(random_nonzero_int(rng)))
         m = m * _shear_upper(Fraction(random_nonzero_int(rng)))

@@ -47,19 +47,6 @@ def domain_of(x) -> str:
     raise ScalarDomainMismatch(f"unsupported scalar type {type(x).__name__}")
 
 
-def as_scalar(x, domain: str):
-    """Coerce x into the requested domain."""
-    check_domain(domain)
-    if domain == EXACT:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, (int, str)):
-            return Fraction(x)
-        raise ScalarDomainMismatch(
-            f"cannot use {type(x).__name__} value in the exact domain")
-    return complex(x)
-
-
 def random_nonzero_int(rng) -> int:
     """Uniform nonzero integer in [-3, 3]."""
     k = rng.randint(1, 3)

@@ -14,20 +14,21 @@ at the marked points is
 with bi-residues (leading double-pole coefficients) (q0, q0+q1+q2, q2);
 three dimensions per vertex.
 
-A global section is a tuple of per-vertex data whose residues cancel
-(for differentials) or whose bi-residues agree (for quadratic
-differentials) across every node.  Global sections of the dualizing
-sheaf form a g-dimensional space; its square gives a (3g-3)-dimensional
-space on which the per-edge bi-residues are global coordinates.
+Per-vertex data is one flat coefficient tuple, vertex by vertex:
+(r0, r1) per vertex for differentials (2V entries), (q0, q1, q2) per
+vertex for quadratic differentials (3V entries).  A global section is
+such a tuple whose residues cancel (for differentials) or whose
+bi-residues agree (for quadratic differentials) across every node.
+Global sections of the dualizing sheaf form a g-dimensional space; its
+square gives a (3g-3)-dimensional space on which the per-edge
+bi-residues are global coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import MatchingViolated, ScalarDomainMismatch
+from .errors import MatchingViolated, ValidationError
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, solve_kernel
-from .scalars import EXACT, MATCH_TOL, as_scalar, check_domain, domain_of
+from .scalars import EXACT, MATCH_TOL, check_domain, domain_of
 
 # Residue functionals on (r0, r1), indexed by marked point.
 RESIDUE_FUNCTIONAL = ((1, 0), (0, 1), (-1, -1))
@@ -35,75 +36,15 @@ RESIDUE_FUNCTIONAL = ((1, 0), (0, 1), (-1, -1))
 BIRESIDUE_FUNCTIONAL = ((1, 0, 0), (1, 1, 1), (0, 0, 1))
 
 
-@dataclass(frozen=True)
-class ComponentDifferential:
-    """Logarithmic differential (r0/z + r1/(z-1)) dz on one component."""
-
-    r0: object
-    r1: object
-
-    def residues(self):
-        """Residues at the marked points (0, 1, inf)."""
-        return (self.r0, self.r1, -(self.r0 + self.r1))
-
-    def residue(self, point: int):
-        return self.residues()[point]
-
-    def __add__(self, other):
-        return ComponentDifferential(self.r0 + other.r0, self.r1 + other.r1)
-
-    def __neg__(self):
-        return ComponentDifferential(-self.r0, -self.r1)
-
-    def scale(self, s):
-        return ComponentDifferential(s * self.r0, s * self.r1)
-
-
-@dataclass(frozen=True)
-class ComponentQuadratic:
-    """Quadratic differential (q0 + q1 z + q2 z^2)/(z^2 (z-1)^2) dz^2."""
-
-    q0: object
-    q1: object
-    q2: object
-
-    def biresidues(self):
-        """Leading double-pole coefficients at (0, 1, inf)."""
-        return (self.q0, self.q0 + self.q1 + self.q2, self.q2)
-
-    def biresidue(self, point: int):
-        return self.biresidues()[point]
-
-    def coefficients(self):
-        return (self.q0, self.q1, self.q2)
-
-    def value_at_one(self):
-        return self.q0 + self.q1 + self.q2
-
-    def discriminant(self):
-        return self.q1 * self.q1 - 4 * self.q0 * self.q2
-
-    def __add__(self, other):
-        return ComponentQuadratic(self.q0 + other.q0, self.q1 + other.q1,
-                                  self.q2 + other.q2)
-
-    def __neg__(self):
-        return ComponentQuadratic(-self.q0, -self.q1, -self.q2)
-
-    def scale(self, s):
-        return ComponentQuadratic(s * self.q0, s * self.q1, s * self.q2)
-
-
-def multiply_differentials(d1: ComponentDifferential,
-                           d2: ComponentDifferential) -> ComponentQuadratic:
-    """Product of two logarithmic differentials on one component.
+def multiply_differentials(d1, d2):
+    """(q0, q1, q2) of the product of the (r0, r1) and (s0, s1) differentials.
 
     The numerator over z^2 (z-1)^2 is
     r0 s0 (z-1)^2 + (r0 s1 + r1 s0) z (z-1) + r1 s1 z^2, and the
     bi-residue of the product at each marked point is the product of the
     residues there.
     """
-    return ComponentQuadratic(*_product_coefficients(d1.r0, d1.r1, d2.r0, d2.r1))
+    return _product_coefficients(*d1, *d2)
 
 
 def _product_coefficients(r0, r1, s0, s1):
@@ -116,61 +57,57 @@ def _product_coefficients(r0, r1, s0, s1):
     )
 
 
-class _GlobalSection:
-    """Per-vertex data attached to a fixed graph."""
+def _coefficient_tuple(graph: TrivalentGraph, coefficients, width: int) -> tuple:
+    """The coefficients as a tuple of width entries per vertex of graph.
 
-    component_cls = None
+    Raises ValidationError on any other length.
+    """
+    coefficients = tuple(coefficients)
+    if len(coefficients) != width * graph.vertex_count:
+        raise ValidationError(f"need {width * graph.vertex_count} coefficients, "
+                              f"got {len(coefficients)}")
+    return coefficients
 
-    def __init__(self, graph: TrivalentGraph, components):
-        components = tuple(components)
-        if len(components) != graph.vertex_count:
-            raise ScalarDomainMismatch(
-                f"expected {graph.vertex_count} components, got {len(components)}")
+
+class GlobalDifferential:
+    """Differentials on every component: coefficients (r0, r1) per vertex."""
+
+    __slots__ = ("graph", "coefficients")
+
+    def __init__(self, graph: TrivalentGraph, coefficients):
         self.graph = graph
-        self.components = components
-
-    def component(self, v: int):
-        return self.components[v]
+        self.coefficients = _coefficient_tuple(graph, coefficients, 2)
 
     def __eq__(self, other):
-        if not isinstance(other, type(self)):
+        if not isinstance(other, GlobalDifferential):
             return NotImplemented
-        return self.graph == other.graph and self.components == other.components
-
-    def __add__(self, other):
-        return type(self)(self.graph, tuple(a + b for a, b in
-                                            zip(self.components, other.components)))
-
-    def __neg__(self):
-        return type(self)(self.graph, tuple(-c for c in self.components))
-
-    def scale(self, s):
-        return type(self)(self.graph, tuple(c.scale(s) for c in self.components))
-
-    def domain(self):
-        return domain_of(getattr(self.components[0], self._probe_field))
-
-
-class GlobalDifferential(_GlobalSection):
-    """Tuple of component differentials with cancelling residues at nodes."""
-
-    _probe_field = "r0"
+        return self.graph == other.graph and self.coefficients == other.coefficients
 
     def residue_matching_residual(self):
         """Largest |res + res| over nodes; zero for a true global section."""
         g = self.graph
-        worst = 0
-        for a, b in g.edges:
-            s = (self.components[g.vertex_of(a)].residue(g.marked_point(a))
-                 + self.components[g.vertex_of(b)].residue(g.marked_point(b)))
-            worst = max(worst, abs(s))
-        return worst
+        c = self.coefficients
+
+        def residue(d):
+            b = 2 * g.vertex_of(d)
+            return (c[b], c[b + 1], -(c[b] + c[b + 1]))[g.marked_point(d)]
+
+        return max([0] + [abs(residue(a) + residue(b)) for a, b in g.edges])
 
 
-class GlobalQuadratic(_GlobalSection):
-    """Tuple of component quadratic differentials with matching bi-residues."""
+class GlobalQuadratic:
+    """Quadratic differentials on every component: (q0, q1, q2) per vertex."""
 
-    _probe_field = "q0"
+    __slots__ = ("graph", "coefficients")
+
+    def __init__(self, graph: TrivalentGraph, coefficients):
+        self.graph = graph
+        self.coefficients = _coefficient_tuple(graph, coefficients, 3)
+
+    def __eq__(self, other):
+        if not isinstance(other, GlobalQuadratic):
+            return NotImplemented
+        return self.graph == other.graph and self.coefficients == other.coefficients
 
 
 def canonical_matrix(graph: TrivalentGraph):
@@ -196,11 +133,7 @@ def canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> KernelReport:
     """Global sections of the dualizing sheaf; dimension g, rank 3g - 4."""
     check_domain(domain)
     report = solve_kernel(canonical_matrix(graph), 2 * graph.vertex_count, domain)
-    report.basis = [
-        GlobalDifferential(graph, [ComponentDifferential(vec[2 * v], vec[2 * v + 1])
-                                   for v in range(graph.vertex_count)])
-        for vec in report.basis
-    ]
+    report.basis = [GlobalDifferential(graph, vec) for vec in report.basis]
     return report
 
 
@@ -228,12 +161,7 @@ def double_canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> Kernel
     check_domain(domain)
     report = solve_kernel(double_canonical_matrix(graph), 3 * graph.vertex_count,
                           domain)
-    report.basis = [
-        GlobalQuadratic(graph, [ComponentQuadratic(vec[3 * v], vec[3 * v + 1],
-                                                   vec[3 * v + 2])
-                                for v in range(graph.vertex_count)])
-        for vec in report.basis
-    ]
+    report.basis = [GlobalQuadratic(graph, vec) for vec in report.basis]
     return report
 
 
@@ -244,17 +172,17 @@ def bires_coordinates(omega: GlobalQuadratic):
     within MATCH_TOL relative to the overall scale in the float domain.
     Returns one scalar per edge in canonical edge order.
     """
-    return _matched_biresidues(omega.graph,
-                               [c.coefficients() for c in omega.components])
+    return _matched_biresidues(omega.graph, omega.coefficients)
 
 
-def _matched_biresidues(g: TrivalentGraph, triples):
-    """bires_coordinates on per-vertex (q0, q1, q2) triples."""
-    exact = domain_of(triples[0][0]) == EXACT
+def _matched_biresidues(g: TrivalentGraph, coeffs):
+    """bires_coordinates on a flat (q0, q1, q2)-per-vertex sequence."""
+    exact = domain_of(coeffs[0]) == EXACT
     scale = 1
     if not exact:
-        scale = max([1.0] + [abs(x) for t in triples for x in t])
-    bires = [(q0, q0 + q1 + q2, q2) for q0, q1, q2 in triples]
+        scale = max([1.0] + [abs(x) for x in coeffs])
+    bires = [(q0, q0 + q1 + q2, q2)
+             for q0, q1, q2 in zip(coeffs[::3], coeffs[1::3], coeffs[2::3])]
     coords = []
     for e, (a, b) in enumerate(g.edges):
         lhs = bires[g.vertex_of(a)][g.marked_point(a)]
@@ -265,10 +193,3 @@ def _matched_biresidues(g: TrivalentGraph, triples):
                 f"bi-residues differ across edge {e}: {lhs} vs {rhs}")
         coords.append(lhs)
     return coords
-
-
-def constant_differential(graph: TrivalentGraph, r0, r1,
-                          domain: str = EXACT) -> GlobalDifferential:
-    """Same component differential on every vertex (handy in tests)."""
-    c = ComponentDifferential(as_scalar(r0, domain), as_scalar(r1, domain))
-    return GlobalDifferential(graph, [c] * graph.vertex_count)

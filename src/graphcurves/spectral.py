@@ -36,13 +36,8 @@ from .scalars import (DEGENERATE_RTOL, EIGEN_TOL, FLOAT, RECONSTRUCT_TOL,
 MAX_DRAWS = 32
 
 
-def _as_complex_field(phi: HiggsField) -> HiggsField:
-    return HiggsField.from_coefficient_vector(
-        phi.graph, [complex(x) for x in phi.coefficients])
-
-
 def _complex_residue_matrix(phi: HiggsField, v: int, point: int) -> Mat2:
-    """_as_complex_field(phi).residue_matrix(v, point), converting only vertex v."""
+    """Residue matrix of phi at (v, point), converting only vertex v to complex."""
     return _residue_matrix([complex(x) for x in phi.coefficients[6 * v:6 * v + 6]],
                            0, point)
 
@@ -72,13 +67,14 @@ def branch_points(phi: HiggsField) -> BranchData:
     Requires a regular determinant (two distinct zeros per component,
     away from the marked points); a function of the determinant alone.
     """
-    omega = hitchin_image(_as_complex_field(phi))
+    phi_c = HiggsField(phi.graph, [complex(x) for x in phi.coefficients])
+    omega = hitchin_image(phi_c)
     report = is_regular(omega)
     if not report.regular:
         raise IrregularDeterminant(f"determinant not regular: {report.failures}")
+    c = omega.coefficients
     points = []
-    for c in omega.components:
-        q0, q1, q2 = (complex(x) for x in c.coefficients())
+    for q0, q1, q2 in zip(c[::3], c[1::3], c[2::3]):
         disc = cmath.sqrt(q1 * q1 - 4 * q0 * q2)
         roots = ((-q1 + disc) / (2 * q2), (-q1 - disc) / (2 * q2))
         points.append(tuple(sorted(roots, key=lambda z: (z.real, z.imag))))
@@ -472,16 +468,15 @@ def reconstruct_higgs(node_data: dict, framing: Framing) -> HiggsField:
                 f"residue matrices at vertex {v} sum to {total.max_norm()}")
         m0, m1 = mats[0], mats[1]
         out.extend((m0.a, m1.a, m0.b, m1.b, m0.c, m1.c))
-    return HiggsField.from_coefficient_vector(g, out)
+    return HiggsField(g, out)
 
 
 def roundtrip_error(phi: HiggsField, framing: Framing) -> float:
     """Relative gap between phi and its eigen-data reconstruction."""
-    phi_c = _as_complex_field(phi)
     rebuilt = reconstruct_higgs(all_node_eigendata(phi, framing), framing)
     num = 0.0
     den = 1.0
-    for a, b in zip(phi_c.coefficients, rebuilt.coefficients):
+    for a, b in zip([complex(x) for x in phi.coefficients], rebuilt.coefficients):
         num = max(num, abs(a - b))
         den = max(den, abs(a))
     return num / den
@@ -504,7 +499,7 @@ def random_regular_higgs(framing: Framing, seed: int) -> HiggsField:
             y = psi.coefficients
             acc = ([c * x for x in y] if acc is None
                    else [a + c * x for a, x in zip(acc, y)])
-        phi = HiggsField.from_coefficient_vector(a_c.graph, acc)
+        phi = HiggsField(a_c.graph, acc)
         if not is_regular(hitchin_image(phi)).regular:
             continue
         try:

@@ -7,6 +7,7 @@ All are slow and meant for small fixtures only.
 """
 
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -197,16 +198,87 @@ def higher_dart_higgs_constraints(framing):
 
 # -- the per-component Hitchin layer, kept as a bitwise oracle -----------
 #
-# HiggsField stores one flat coefficient tuple and the Hitchin kernels work
-# on its scalars.  Below is the earlier code that went through
-# ComponentDifferential and ComponentQuadratic objects, verbatim except that
-# fields are passed as vertex_data tuples.  The tests compare bits, so a
-# changed order of scalar operations (or a signed zero) shows up.
+# The package keeps differentials, quadratic differentials and Higgs fields
+# as flat coefficient tuples, and the Hitchin kernels work on their scalars.
+# Below is the earlier code that went through per-component objects,
+# verbatim except that fields are passed as per-vertex (w11, w12, w21)
+# triples of differentials.  It carries its own copies of the two
+# component classes, so it shares no code with the package.  The tests
+# compare bits, so a changed order of scalar operations (or a signed zero)
+# shows up.
+
+
+@dataclass(frozen=True)
+class ComponentDifferential:
+    """Logarithmic differential (r0/z + r1/(z-1)) dz on one component."""
+
+    r0: object
+    r1: object
+
+    def residues(self):
+        """Residues at the marked points (0, 1, inf)."""
+        return (self.r0, self.r1, -(self.r0 + self.r1))
+
+    def residue(self, point):
+        return self.residues()[point]
+
+    def __add__(self, other):
+        return ComponentDifferential(self.r0 + other.r0, self.r1 + other.r1)
+
+    def __neg__(self):
+        return ComponentDifferential(-self.r0, -self.r1)
+
+    def scale(self, s):
+        return ComponentDifferential(s * self.r0, s * self.r1)
+
+
+@dataclass(frozen=True)
+class ComponentQuadratic:
+    """Quadratic differential (q0 + q1 z + q2 z^2)/(z^2 (z-1)^2) dz^2."""
+
+    q0: object
+    q1: object
+    q2: object
+
+    def biresidues(self):
+        """Leading double-pole coefficients at (0, 1, inf)."""
+        return (self.q0, self.q0 + self.q1 + self.q2, self.q2)
+
+    def biresidue(self, point):
+        return self.biresidues()[point]
+
+    def coefficients(self):
+        return (self.q0, self.q1, self.q2)
+
+    def __add__(self, other):
+        return ComponentQuadratic(self.q0 + other.q0, self.q1 + other.q1,
+                                  self.q2 + other.q2)
+
+    def __neg__(self):
+        return ComponentQuadratic(-self.q0, -self.q1, -self.q2)
+
+    def scale(self, s):
+        return ComponentQuadratic(s * self.q0, s * self.q1, s * self.q2)
+
+
+def vertex_data(phi):
+    """Per-vertex (w11, w12, w21) ComponentDifferential triples of a field."""
+    c = phi.coefficients
+    return [tuple(ComponentDifferential(c[i], c[i + 1]) for i in range(b, b + 6, 2))
+            for b in range(0, len(c), 6)]
+
+
+def field_coefficients(x):
+    """The flat 6V coefficient list of per-vertex differential triples."""
+    return [s for trip in x for w in trip for s in (w.r0, w.r1)]
+
+
+def quadratic_coefficients(comps):
+    """The flat 3V coefficient list of per-vertex component quadratics."""
+    return [s for q in comps for s in q.coefficients()]
 
 
 def old_multiply_differentials(d1, d2):
-    from graphcurves.sections import ComponentQuadratic
-
     r0, r1 = d1.r0, d1.r1
     s0, s1 = d2.r0, d2.r1
     cross = r0 * s1 + r1 * s0
@@ -237,43 +309,39 @@ def old_residue_matrix(x, v, point):
                            w21.residue(point))
 
 
-def old_hitchin_image(graph, x):
-    from graphcurves.sections import GlobalQuadratic
-
+def old_hitchin_image(x):
+    """Per-vertex ComponentQuadratic determinants of a field."""
     comps = []
     for w11, w12, w21 in x:
         comps.append(-(old_multiply_differentials(w11, w11)
                        + old_multiply_differentials(w12, w21)))
-    return GlobalQuadratic(graph, comps)
+    return comps
 
 
-def old_polarization(graph, x, y):
-    from graphcurves.sections import GlobalQuadratic
-
+def old_polarization(x, y):
     comps = []
     for (a11, a12, a21), (b11, b12, b21) in zip(x, y):
         comps.append(-(old_multiply_differentials(a11, b11).scale(2)
                        + old_multiply_differentials(a12, b21)
                        + old_multiply_differentials(a21, b12)))
-    return GlobalQuadratic(graph, comps)
+    return comps
 
 
-def old_bires_coordinates(omega, tol=None):
+def old_bires_coordinates(graph, comps, tol=None):
     from graphcurves.errors import MatchingViolated
-    from graphcurves.scalars import EXACT, MATCH_TOL
+    from graphcurves.scalars import EXACT, MATCH_TOL, domain_of
 
     if tol is None:
         tol = MATCH_TOL
-    g = omega.graph
-    exact = omega.domain() == EXACT
+    g = graph
+    exact = domain_of(comps[0].q0) == EXACT
     scale = 1
     if not exact:
-        scale = max([1.0] + [abs(x) for c in omega.components
-                             for x in c.coefficients()])
+        scale = max([1.0] + [abs(x) for c in comps for x in c.coefficients()])
     coords = []
     for e, (a, b) in enumerate(g.edges):
-        lhs = omega.components[g.vertex_of(a)].biresidue(g.marked_point(a))
-        rhs = omega.components[g.vertex_of(b)].biresidue(g.marked_point(b))
+        lhs = comps[g.vertex_of(a)].biresidue(g.marked_point(a))
+        rhs = comps[g.vertex_of(b)].biresidue(g.marked_point(b))
         diff = abs(lhs - rhs)
         if (diff != 0) if exact else (diff > tol * scale):
             raise MatchingViolated(
@@ -283,16 +351,16 @@ def old_bires_coordinates(omega, tol=None):
 
 
 def old_hitchin_jacobian_rows(graph, x, basis):
-    return [old_bires_coordinates(old_polarization(graph, x, y)) for y in basis]
+    return [old_bires_coordinates(graph, old_polarization(x, y)) for y in basis]
 
 
 def old_finite_difference_jacobian(graph, x, basis, step=1e-5):
     rows = []
     for y in basis:
         plus = old_bires_coordinates(
-            old_hitchin_image(graph, old_add(x, old_scale(y, complex(step)))))
+            graph, old_hitchin_image(old_add(x, old_scale(y, complex(step)))))
         minus = old_bires_coordinates(
-            old_hitchin_image(graph, old_add(x, old_scale(y, complex(-step)))))
+            graph, old_hitchin_image(old_add(x, old_scale(y, complex(-step)))))
         rows.append([(p - m) / (2 * step) for p, m in zip(plus, minus)])
     return rows
 
@@ -305,7 +373,6 @@ def old_random_higgs_field(framing, seed, domain, report):
     from random import Random
 
     from graphcurves.scalars import EXACT
-    from graphcurves.sections import ComponentDifferential
 
     rng = Random(seed)
     if domain == EXACT:
@@ -318,7 +385,7 @@ def old_random_higgs_field(framing, seed, domain, report):
     phi = [(ComponentDifferential(zero, zero),) * 3
            for _ in range(framing.graph.vertex_count)]
     for c, psi in zip(coeffs, report.basis):
-        phi = old_add(phi, old_scale(psi.vertex_data, c))
+        phi = old_add(phi, old_scale(vertex_data(psi), c))
     return phi
 
 
@@ -329,23 +396,26 @@ def old_random_regular_higgs(framing, seed, max_tries=32):
     from graphcurves.errors import IrregularDeterminant, NumericalError
     from graphcurves.higgs import HiggsField, higgs_space
     from graphcurves.hitchin import is_regular
+    from graphcurves.sections import GlobalQuadratic
     from graphcurves.spectral import _as_complex_framing, all_node_eigendata
 
     a_c = _as_complex_framing(framing)
+    g = a_c.graph
     report = higgs_space(a_c)
     rng = Random(seed)
     for _ in range(max_tries):
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
         phi = None
         for c, psi in zip(coeffs, report.basis):
-            term = old_scale(psi.vertex_data, c)
+            term = old_scale(vertex_data(psi), c)
             phi = term if phi is None else old_add(phi, term)
         if phi is None:
             break
-        if not is_regular(old_hitchin_image(a_c.graph, phi)).regular:
+        omega = GlobalQuadratic(g, quadratic_coefficients(old_hitchin_image(phi)))
+        if not is_regular(omega).regular:
             continue
         try:
-            all_node_eigendata(HiggsField(a_c.graph, phi), a_c)
+            all_node_eigendata(HiggsField(g, field_coefficients(phi)), a_c)
         except NumericalError:
             continue
         return phi
@@ -375,14 +445,7 @@ def scalar_bits(x):
 
 
 def bits(values):
-    """scalar_bits of a nested structure of scalars, tuples, lists and
-    component (quadratic) differentials."""
-    from graphcurves.sections import ComponentDifferential, ComponentQuadratic
-
-    if isinstance(values, ComponentDifferential):
-        values = (values.r0, values.r1)
-    elif isinstance(values, ComponentQuadratic):
-        values = values.coefficients()
+    """scalar_bits of a nested structure of scalars, tuples and lists."""
     if isinstance(values, (list, tuple)):
         return [bits(v) for v in values]
     return scalar_bits(values)

@@ -158,7 +158,7 @@ def test_criterion_05_biresidue_determinant_identity():
         for _ in range(250):
             vec = [Fraction(rng.randint(-20, 20), rng.choice([1, 1, 1, 3, 7]))
                    for _ in range(6 * g.vertex_count)]
-            phi = HiggsField.from_coefficient_vector(g, vec)
+            phi = HiggsField(g, vec)
             if bires_det_residual(phi) != 0:
                 _line(5, False, f"residual nonzero on {name}")
             count += 1

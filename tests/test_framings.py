@@ -8,7 +8,7 @@ from graphcurves.errors import NotOnVariety, ValidationError
 from graphcurves.graphs import (CATALOG_NAMES, catalog_graph, random_trivalent,
                                 spanning_tree)
 from graphcurves.matrices import IDENTITY, Mat2, mat_close
-from graphcurves.scalars import EXACT, FLOAT, IDENTITY_TOL
+from graphcurves.scalars import EXACT, FLAT_TOL, FLOAT, IDENTITY_TOL
 from graphcurves.framings import (
     Framing,
     GaugeTransform,
@@ -269,6 +269,24 @@ def test_flat_dimension_refuses_nonflat_point():
     b = commuting_diagonal_bundle(perturb=diag(Fraction(1001, 1000)))
     with pytest.raises(NotOnVariety):
         flat_local_dimension(b)
+
+
+def test_exact_flat_dimension_refuses_residual_below_float_tolerance():
+    # a residual of 1e-10 passes FLAT_TOL, but an exact bundle must satisfy
+    # the vertex relations exactly
+    g = catalog_graph("theta")
+    near = Mat2(1, Fraction(1, 10**10), 0, 1)
+    b = SurfaceFlatBundle.from_primary(Framing.identity(g), [near, IDENTITY, IDENTITY])
+    assert vertex_relation_residual(b) == Fraction(1, 10**10) < FLAT_TOL
+    with pytest.raises(NotOnVariety):
+        flat_local_dimension(b)
+    # the float domain keeps its tolerance: there the perturbation is
+    # below both FLAT_TOL and the rank threshold, so the point reads as
+    # the identity point
+    framing = Framing.identity(g, FLOAT)
+    b = SurfaceFlatBundle.from_primary(framing,
+                                       [Mat2(1.0, 1e-10, 0.0, 1.0), IDENTITY, IDENTITY])
+    assert flat_local_dimension(b) == flat_local_dimension(zero_section(framing))
 
 
 def test_subspace_flags():

@@ -77,7 +77,7 @@ def test_orientation_choice_does_not_change_kernel():
     high = higher_dart_higgs_constraints(a)
     assert high != low
     for phi in higgs_space(a).basis:
-        vec = phi.coefficient_vector()
+        vec = phi.coefficients
         for rows in (low, high):
             for row in rows:
                 assert sum(c * x for c, x in zip(row, vec)) == 0
@@ -86,11 +86,11 @@ def test_orientation_choice_does_not_change_kernel():
 def test_residue_matrix_diagonal_example():
     g = catalog_graph("theta")
     vec = [Fraction(1), Fraction(-1), 0, 0, 0, 0] + [Fraction(0)] * 6
-    phi = HiggsField.from_coefficient_vector(g, vec)
+    phi = HiggsField(g, vec)
     assert phi.residue_matrix(0, 0).entries() == (1, 0, 0, -1)
     # residues (1, -1) cancel, so nothing survives at the third point
     assert phi.residue_matrix(0, 2).entries() == (0, 0, 0, 0)
-    zero = HiggsField.from_coefficient_vector(g, [Fraction(0)] * 12)
+    zero = HiggsField(g, [Fraction(0)] * 12)
     for v in range(2):
         for k in range(3):
             assert zero.residue_matrix(v, k).entries() == (0, 0, 0, 0)
@@ -120,19 +120,20 @@ def test_random_field_deterministic_and_constrained():
     a = Framing.random(g, seed=11)
     p1 = random_higgs_field(a, seed=3)
     p2 = random_higgs_field(a, seed=3)
-    assert p1.coefficient_vector() == p2.coefficient_vector()
+    assert p1 == p2
     assert higgs_residual(p1, a) == 0
     p3 = random_higgs_field(a, seed=4)
-    assert p1.coefficient_vector() != p3.coefficient_vector()
+    assert p1 != p3
 
 
 def test_coefficient_vector_round_trip():
     g = catalog_graph("theta")
     phi = random_higgs_field(Framing.random(g, seed=1), seed=2)
-    vec = phi.coefficient_vector()
+    vec = phi.coefficients
     assert len(vec) == 6 * g.vertex_count
-    back = HiggsField.from_coefficient_vector(g, vec)
-    assert back.coefficient_vector() == vec
+    back = HiggsField(g, list(vec))
+    assert back.coefficients == vec
+    assert back == phi
 
 
 def test_scale_and_add():
@@ -173,7 +174,7 @@ def test_identity_gauge_fixes_fields():
     g = catalog_graph("dumbbell")
     phi = random_higgs_field(Framing.random(g, seed=1), seed=1)
     same = gauge_transform_higgs(GaugeTransform.identity(g), phi)
-    assert same.coefficient_vector() == phi.coefficient_vector()
+    assert same == phi
 
 
 def test_integer_residual_matches_fraction_oracle():
@@ -189,9 +190,9 @@ def test_integer_residual_matches_fraction_oracle():
             for phi in basis[:6]:
                 assert bits(higgs_residual(phi, a)) == bits(old_higgs_residual(phi, a)) \
                     == bits(0)
-            vec = basis[k % len(basis)].coefficient_vector()
+            vec = list(basis[k % len(basis)].coefficients)
             vec[k % len(vec)] += Fraction(1, 7)
-            bad = HiggsField.from_coefficient_vector(g, vec)
+            bad = HiggsField(g, vec)
             worst = higgs_residual(bad, a)
             assert bits(worst) == bits(old_higgs_residual(bad, a))
             assert type(worst) is Fraction and worst > 0

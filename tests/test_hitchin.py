@@ -6,7 +6,7 @@ import pytest
 from graphcurves.errors import MatchingViolated
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
 from graphcurves.scalars import EXACT, FLOAT
-from graphcurves.sections import ComponentQuadratic, GlobalQuadratic, bires_coordinates
+from graphcurves.sections import GlobalQuadratic
 from graphcurves.framings import Framing
 from graphcurves.higgs import HiggsField, higgs_space, random_higgs_field
 from graphcurves.linalg import KernelReport
@@ -24,6 +24,7 @@ from graphcurves.hitchin import (
 
 from helpers import (
     bits,
+    field_coefficients,
     fraction_rref,
     old_add,
     old_bires_coordinates,
@@ -35,6 +36,8 @@ from helpers import (
     old_random_higgs_field,
     old_residue_matrix,
     old_scale,
+    quadratic_coefficients,
+    vertex_data,
 )
 
 
@@ -43,15 +46,21 @@ def diagonal_field(graph):
     vec = []
     for _ in range(graph.vertex_count):
         vec.extend([Fraction(1), Fraction(0), 0, 0, 0, 0])
-    return HiggsField.from_coefficient_vector(graph, vec)
+    return HiggsField(graph, vec)
+
+
+def biresidue(omega, v, point):
+    """Bi-residue of a GlobalQuadratic at a marked point of vertex v."""
+    q0, q1, q2 = omega.coefficients[3 * v:3 * v + 3]
+    return (q0, q0 + q1 + q2, q2)[point]
 
 
 def test_hitchin_image_diagonal_frozen():
     g = catalog_graph("theta")
     omega = hitchin_image(diagonal_field(g))
+    assert omega.coefficients == (-1, 2, -1) * 2
     for v in range(2):
-        assert omega.components[v].coefficients() == (-1, 2, -1)
-        assert omega.components[v].biresidues() == (-1, 0, -1)
+        assert [biresidue(omega, v, k) for k in range(3)] == [-1, 0, -1]
 
 
 def test_biresidues_of_image_are_residue_determinants():
@@ -60,8 +69,7 @@ def test_biresidues_of_image_are_residue_determinants():
     omega = hitchin_image(phi)
     for v in range(g.vertex_count):
         for k in range(3):
-            assert omega.components[v].biresidue(k) == \
-                phi.residue_matrix(v, k).det()
+            assert biresidue(omega, v, k) == phi.residue_matrix(v, k).det()
 
 
 def test_bires_det_residual_vanishes_identically():
@@ -71,7 +79,7 @@ def test_bires_det_residual_vanishes_identically():
         g = catalog_graph(name)
         for _ in range(10):
             vec = [Fraction(rng.randint(-9, 9)) for _ in range(6 * g.vertex_count)]
-            phi = HiggsField.from_coefficient_vector(g, vec)
+            phi = HiggsField(g, vec)
             assert bires_det_residual(phi) == 0
 
 
@@ -87,7 +95,7 @@ def test_edge_coords_need_node_matching():
     # scale one vertex so the residue determinants disagree across nodes
     vec = ([Fraction(1), Fraction(0), 0, 0, 0, 0]
            + [Fraction(2), Fraction(0), 0, 0, 0, 0])
-    phi = HiggsField.from_coefficient_vector(g, vec)
+    phi = HiggsField(g, vec)
     with pytest.raises(MatchingViolated):
         hitchin_edge_coords(phi)
 
@@ -101,7 +109,7 @@ def test_edge_coords_of_solutions():
     omega = hitchin_image(phi)
     for e, (lo, hi) in enumerate(g.edges):
         v, k = g.vertex_of(lo), g.marked_point(lo)
-        assert coords[e] == omega.components[v].biresidue(k)
+        assert coords[e] == biresidue(omega, v, k)
 
 
 def test_polarization_is_symmetric():
@@ -109,10 +117,7 @@ def test_polarization_is_symmetric():
     a = Framing.random(g, seed=7)
     phi = random_higgs_field(a, seed=8)
     psi = random_higgs_field(a, seed=9)
-    b1 = polarization(phi, psi)
-    b2 = polarization(psi, phi)
-    for v in range(g.vertex_count):
-        assert b1.components[v].coefficients() == b2.components[v].coefficients()
+    assert polarization(phi, psi) == polarization(psi, phi)
 
 
 def test_polarization_diagonal_recovers_image():
@@ -121,9 +126,7 @@ def test_polarization_diagonal_recovers_image():
     phi = random_higgs_field(Framing.random(g, seed=10), seed=11)
     b = polarization(phi, phi)
     omega = hitchin_image(phi)
-    for v in range(g.vertex_count):
-        assert b.components[v].coefficients() == \
-            omega.components[v].scale(2).coefficients()
+    assert b.coefficients == tuple(2 * q for q in omega.coefficients)
 
 
 def test_polarization_expands_determinant():
@@ -134,9 +137,8 @@ def test_polarization_expands_determinant():
     psi = random_higgs_field(a, seed=14)
     lhs = hitchin_image(phi + psi)
     parts = (hitchin_image(phi), polarization(phi, psi), hitchin_image(psi))
-    for v in range(g.vertex_count):
-        total = parts[0].components[v] + parts[1].components[v] + parts[2].components[v]
-        assert lhs.components[v].coefficients() == total.coefficients()
+    total = tuple(a + b + c for a, b, c in zip(*(p.coefficients for p in parts)))
+    assert lhs.coefficients == total
 
 
 @pytest.mark.parametrize("name", ["theta", "k4"])
@@ -152,7 +154,7 @@ def test_jacobian_generic_rank(name):
 def test_jacobian_vanishes_at_zero_field():
     g = catalog_graph("theta")
     a = Framing.random(g, seed=17)
-    zero = HiggsField.from_coefficient_vector(g, [Fraction(0)] * 12)
+    zero = HiggsField(g, [Fraction(0)] * 12)
     rep = hitchin_jacobian(zero, a)
     assert rep.rank == 0
 
@@ -179,8 +181,7 @@ def test_finite_difference_rows_shape():
 
 
 def quadratic(graph, *coeff_triples):
-    comps = tuple(ComponentQuadratic(*map(Fraction, t)) for t in coeff_triples)
-    return GlobalQuadratic(graph, comps)
+    return GlobalQuadratic(graph, [Fraction(q) for t in coeff_triples for q in t])
 
 
 def test_regular_example():
@@ -252,36 +253,35 @@ def test_coefficient_kernels_match_component_oracle(domain):
             FLOAT)).basis
         phi = random_higgs_field(framing, k % 3)
         old = old_random_higgs_field(framing, k % 3, domain, report)
-        assert bits(phi.coefficient_vector()) == bits(
-            HiggsField(g, old).coefficient_vector())
-        psi = basis[0].vertex_data
-        assert bits((phi + basis[0].scale(c)).vertex_data) == bits(
-            old_add(old, old_scale(psi, c)))
-        assert bits((-phi).vertex_data) == bits(old_neg(old))
+        assert bits(phi.coefficients) == bits(field_coefficients(old))
+        psi = vertex_data(basis[0])
+        assert bits((phi + basis[0].scale(c)).coefficients) == bits(
+            field_coefficients(old_add(old, old_scale(psi, c))))
+        assert bits((-phi).coefficients) == bits(field_coefficients(old_neg(old)))
         for v in range(g.vertex_count):
             for point in range(3):
                 assert bits(phi.residue_matrix(v, point).entries()) == bits(
                     old_residue_matrix(old, v, point).entries())
-        assert bits(hitchin_image(phi).components) == bits(
-            old_hitchin_image(g, old).components)
+        assert bits(hitchin_image(phi).coefficients) == bits(
+            quadratic_coefficients(old_hitchin_image(old)))
         basis, fd_basis = basis[:4], fd_basis[:4]
         for b in basis:
-            assert bits(polarization(phi, b).components) == bits(
-                old_polarization(g, old, b.vertex_data).components)
-        old_basis = [b.vertex_data for b in basis]
-        old_fd_basis = [b.vertex_data for b in fd_basis]
+            assert bits(polarization(phi, b).coefficients) == bits(
+                quadratic_coefficients(old_polarization(old, vertex_data(b))))
+        old_basis = [vertex_data(b) for b in basis]
+        old_fd_basis = [vertex_data(b) for b in fd_basis]
         assert bits(hitchin_jacobian(phi, framing, basis).matrix) == bits(
             old_hitchin_jacobian_rows(g, old, old_basis))
         assert bits(finite_difference_jacobian(phi, framing, fd_basis)) == bits(
             old_finite_difference_jacobian(g, old, old_fd_basis))
         # A field that is not a Higgs field: MatchingViolated on both sides.
         rng = Random(k)
-        bad = HiggsField.from_coefficient_vector(
+        bad = HiggsField(
             g, [Fraction(rng.randint(-5, 5)) if domain == EXACT
                 else complex(rng.gauss(0, 1), 0) for _ in range(6 * g.vertex_count)])
-        old_bad = bad.vertex_data
+        old_bad = vertex_data(bad)
         assert _outcome(hitchin_edge_coords, bad) == _outcome(
-            lambda: old_bires_coordinates(old_hitchin_image(g, old_bad)))
+            lambda: old_bires_coordinates(g, old_hitchin_image(old_bad)))
         assert _outcome(lambda: hitchin_jacobian(bad, framing, basis).matrix) == \
             _outcome(old_hitchin_jacobian_rows, g, old_bad, old_basis)
         assert _outcome(finite_difference_jacobian, bad, framing, fd_basis) == \
@@ -298,14 +298,13 @@ def test_random_field_combination_keeps_signed_zeros(monkeypatch):
     zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
     vec = [zeros[i % 4] if i % 3 else complex(i, -1.5) for i in range(12)]
     report = KernelReport(domain=FLOAT, nrows=0, ncols=12, rank=0,
-                          basis=[HiggsField.from_coefficient_vector(g, vec)])
+                          basis=[HiggsField(g, vec)])
     monkeypatch.setattr(higgs_mod, "higgs_space", lambda framing: report)
     framing = Framing.identity(g, FLOAT)
     for seed in range(8):
         phi = random_higgs_field(framing, seed)
         old = old_random_higgs_field(framing, seed, FLOAT, report)
-        assert bits(phi.coefficient_vector()) == bits(
-            HiggsField(g, old).coefficient_vector())
+        assert bits(phi.coefficients) == bits(field_coefficients(old))
 
 
 # -- exact kernels on integer numerators against the Fraction code -------
@@ -329,9 +328,8 @@ def test_integer_kernels_match_fraction_oracle():
         report = higgs_space(framing)
         phi = random_higgs_field(framing, k)
         old = old_random_higgs_field(framing, k, EXACT, report)
-        assert bits(phi.coefficient_vector()) == bits(
-            HiggsField(g, old).coefficient_vector())
-        old_basis = [b.vertex_data for b in report.basis]
+        assert bits(phi.coefficients) == bits(field_coefficients(old))
+        old_basis = [vertex_data(b) for b in report.basis]
         jac = hitchin_jacobian(phi, framing, report.basis)
         old_rows = old_hitchin_jacobian_rows(g, old, old_basis)
         assert bits(jac.matrix) == bits(old_rows)
@@ -339,11 +337,12 @@ def test_integer_kernels_match_fraction_oracle():
         assert jac.rank == len(fraction_rref(old_rows, len(g.edges))[1])
         # Not a Higgs field, with denominators: the same exception and message.
         rng = Random(k)
-        bad = HiggsField.from_coefficient_vector(g, [
+        bad = HiggsField(g, [
             Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             for _ in range(6 * g.vertex_count)])
         assert _matching_violated(hitchin_jacobian, bad, framing, report.basis) == \
-            _matching_violated(old_hitchin_jacobian_rows, g, bad.vertex_data, old_basis)
+            _matching_violated(old_hitchin_jacobian_rows, g, vertex_data(bad),
+                               old_basis)
 
 
 def test_exact_and_float_agree_at_genus_41():

@@ -35,7 +35,6 @@ from graphcurves.matrices import (
 from graphcurves.scalars import (
     EXACT,
     FLOAT,
-    as_scalar,
     check_domain,
     domain_of,
     random_nonzero_int,
@@ -61,14 +60,6 @@ def test_domain_of():
     assert domain_of(1j) == FLOAT
     with pytest.raises(ScalarDomainMismatch):
         domain_of("x")
-
-
-def test_as_scalar():
-    assert as_scalar(3, EXACT) == Fraction(3)
-    assert as_scalar("2/7", EXACT) == Fraction(2, 7)
-    assert as_scalar(Fraction(1, 2), FLOAT) == 0.5 + 0j
-    with pytest.raises(ScalarDomainMismatch):
-        as_scalar(0.5, EXACT)
 
 
 def test_random_nonzero_int():

@@ -3,19 +3,18 @@ from random import Random
 
 import pytest
 
-from graphcurves.errors import MatchingViolated
+from graphcurves.errors import MatchingViolated, ValidationError
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
+from graphcurves.higgs import HiggsField
 from graphcurves.scalars import EXACT, FLOAT
 from graphcurves.sections import (
     BIRESIDUE_FUNCTIONAL,
     RESIDUE_FUNCTIONAL,
-    ComponentDifferential,
-    ComponentQuadratic,
+    GlobalDifferential,
     GlobalQuadratic,
     bires_coordinates,
     canonical_matrix,
     canonical_space,
-    constant_differential,
     double_canonical_matrix,
     double_canonical_space,
     multiply_differentials,
@@ -33,58 +32,62 @@ def test_biresidue_functional_table():
     assert BIRESIDUE_FUNCTIONAL == ((1, 0, 0), (1, 1, 1), (0, 0, 1))
 
 
+def residues(r):
+    """Residues of the (r0, r1) differential at the marked points (0, 1, inf)."""
+    return tuple(f[0] * r[0] + f[1] * r[1] for f in RESIDUE_FUNCTIONAL)
+
+
+def biresidues(q):
+    """Bi-residues of the (q0, q1, q2) quadratic differential at (0, 1, inf)."""
+    return tuple(sum(f[j] * q[j] for j in range(3)) for f in BIRESIDUE_FUNCTIONAL)
+
+
 def test_component_differential_residues():
-    w = ComponentDifferential(Fraction(2), Fraction(-5))
-    assert w.residues() == (2, -5, 3)
-    assert [w.residue(k) for k in range(3)] == [2, -5, 3]
-    assert sum(w.residues()) == 0
+    assert residues((Fraction(2), Fraction(-5))) == (2, -5, 3)
+    assert sum(residues((Fraction(2), Fraction(-5)))) == 0
 
 
 def test_component_quadratic_biresidues():
-    q = ComponentQuadratic(Fraction(1), Fraction(2), Fraction(3))
-    assert q.biresidues() == (1, 6, 3)
-    assert q.coefficients() == (1, 2, 3)
-    assert q.value_at_one() == 6
-    assert q.discriminant() == 4 - 12
+    assert biresidues((Fraction(1), Fraction(2), Fraction(3))) == (1, 6, 3)
 
 
-def test_component_arithmetic():
-    a = ComponentDifferential(1, 2)
-    b = ComponentDifferential(3, -1)
-    assert (a + b).residues() == (4, 1, -5)
-    assert (-a).residues() == (-1, -2, 3)
-    assert a.scale(3).residues() == (3, 6, -9)
+@pytest.mark.parametrize("cls, width", [
+    (GlobalDifferential, 2), (GlobalQuadratic, 3), (HiggsField, 6)])
+def test_constructors_check_length(cls, width):
+    g = catalog_graph("k4")
+    data = [Fraction(k) for k in range(width * g.vertex_count)]
+    assert cls(g, data).coefficients == tuple(data)
+    assert cls(g, iter(data)) == cls(g, data)
+    for bad in (data[:-1], data + [Fraction(0)], data[:width], []):
+        with pytest.raises(ValidationError):
+            cls(g, bad)
 
 
 def test_multiply_frozen_cases():
-    a = ComponentDifferential(Fraction(1), Fraction(0))
-    b = ComponentDifferential(Fraction(0), Fraction(1))
-    assert multiply_differentials(a, b).coefficients() == (0, -1, 1)
-    c = ComponentDifferential(Fraction(1), Fraction(-1))
-    assert multiply_differentials(c, c).coefficients() == (1, 0, 0)
+    assert multiply_differentials((Fraction(1), Fraction(0)),
+                                  (Fraction(0), Fraction(1))) == (0, -1, 1)
+    c = (Fraction(1), Fraction(-1))
+    assert multiply_differentials(c, c) == (1, 0, 0)
 
 
 def test_multiply_biresidues_are_residue_products():
     # the product pairing must turn residues into biresidues pointwise
     rng = Random(5)
     for _ in range(30):
-        a = ComponentDifferential(Fraction(rng.randint(-6, 6)),
-                                  Fraction(rng.randint(-6, 6)))
-        b = ComponentDifferential(Fraction(rng.randint(-6, 6)),
-                                  Fraction(rng.randint(-6, 6)))
+        a = (Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6)))
+        b = (Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6)))
         q = multiply_differentials(a, b)
-        for k in range(3):
-            assert q.biresidue(k) == a.residue(k) * b.residue(k)
+        assert biresidues(q) == tuple(x * y for x, y in zip(residues(a), residues(b)))
 
 
 def test_multiply_is_bilinear():
-    rng = Random(6)
-    a = ComponentDifferential(Fraction(2), Fraction(1))
-    b = ComponentDifferential(Fraction(-1), Fraction(3))
-    c = ComponentDifferential(Fraction(4), Fraction(-2))
-    left = multiply_differentials(a + b, c)
-    split = multiply_differentials(a, c) + multiply_differentials(b, c)
-    assert left.coefficients() == split.coefficients()
+    a = (Fraction(2), Fraction(1))
+    b = (Fraction(-1), Fraction(3))
+    c = (Fraction(4), Fraction(-2))
+    left = multiply_differentials((a[0] + b[0], a[1] + b[1]), c)
+    split = tuple(x + y for x, y in zip(multiply_differentials(a, c),
+                                        multiply_differentials(b, c)))
+    assert left == split
 
 
 def test_canonical_matrix_theta():
@@ -175,19 +178,18 @@ def test_bires_coordinates_are_injective():
 def test_bires_coordinates_require_matching():
     g = catalog_graph("theta")
     # quadratics whose values disagree across every edge
-    comps = (ComponentQuadratic(Fraction(1), Fraction(0), Fraction(0)),
-             ComponentQuadratic(Fraction(0), Fraction(0), Fraction(0)))
-    q = GlobalQuadratic(g, comps)
+    q = GlobalQuadratic(g, [Fraction(1), Fraction(0), Fraction(0)]
+                        + [Fraction(0), Fraction(0), Fraction(0)])
     with pytest.raises(MatchingViolated):
         bires_coordinates(q)
 
 
-def test_global_arithmetic_and_domain():
+def test_constant_differential_residue_matching():
+    # the same (r0, r1) on both theta vertices: residues at a node add up
+    # to twice the residue there, so only the zero differential matches
     g = catalog_graph("theta")
-    w = constant_differential(g, Fraction(1), Fraction(-2))
-    v = constant_differential(g, Fraction(0), Fraction(1))
-    s = w + v
-    assert s.component(0).residues() == (1, -1, 0)
-    assert s.domain() == EXACT
-    wf = constant_differential(g, 1.0, -2.0, domain=FLOAT)
-    assert wf.domain() == FLOAT
+    assert GlobalDifferential(g, (Fraction(0), Fraction(0)) * 2) \
+        .residue_matching_residual() == 0
+    w = GlobalDifferential(g, (Fraction(1), Fraction(-2)) * 2)
+    assert w.residue_matching_residual() == 4
+    assert GlobalDifferential(g, (1.0, -2.0) * 2).residue_matching_residual() == 4.0

@@ -19,7 +19,6 @@ from graphcurves.higgs import HiggsField, random_higgs_field
 from graphcurves.hitchin import is_regular, hitchin_image
 from graphcurves.spectral import (
     NodeLift,
-    _as_complex_field,
     all_node_eigendata,
     anti_invariant_cycles,
     branch_points,
@@ -33,14 +32,15 @@ from graphcurves.spectral import (
     twist,
 )
 
-from helpers import bits, naive_anti_invariant_cycles, old_random_regular_higgs
+from helpers import (bits, field_coefficients, naive_anti_invariant_cycles,
+                     old_random_regular_higgs)
 
 
 def field_from(graph, per_vertex):
     vec = []
     for entries in per_vertex:
         vec.extend(Fraction(x) for x in entries)
-    return HiggsField.from_coefficient_vector(graph, vec)
+    return HiggsField(graph, vec)
 
 
 # -- branch points ------------------------------------------------------
@@ -51,7 +51,7 @@ def test_branch_points_frozen():
     # are 1/2 +- i / (2 sqrt 3)
     g = catalog_graph("theta")
     phi = field_from(g, [(1, 0, 0, 1, 1, 1)] * 2)
-    assert hitchin_image(phi).components[0].coefficients() == (-1, 3, -3)
+    assert hitchin_image(phi).coefficients == (-1, 3, -3) * 2
     bp = branch_points(phi)
     assert len(bp.points) == 2
     for root_pair in bp.points:
@@ -322,7 +322,7 @@ def test_reconstruct_matches_coefficients():
     a = Framing.random(g, seed=17, domain=FLOAT)
     phi = random_regular_higgs(a, seed=18)
     back = reconstruct_higgs(all_node_eigendata(phi, a), a)
-    for x, y in zip(back.coefficient_vector(), phi.coefficient_vector()):
+    for x, y in zip(back.coefficients, phi.coefficients):
         assert x == pytest.approx(y, abs=1e-10)
 
 
@@ -376,7 +376,7 @@ def test_random_regular_higgs_is_regular_and_deterministic():
     a = Framing.random(g, seed=21, domain=FLOAT)
     p1 = random_regular_higgs(a, seed=9)
     p2 = random_regular_higgs(a, seed=9)
-    assert p1.coefficient_vector() == p2.coefficient_vector()
+    assert p1 == p2
     assert is_regular(hitchin_image(p1)).regular
 
 
@@ -403,7 +403,7 @@ def test_node_eigendata_of_exact_field_equals_complex_copy():
     for k, g in enumerate(graphs):
         a = Framing.random(g, seed=k, domain=EXACT)
         phi = random_higgs_field(a, seed=k + 1)
-        phi_c = _as_complex_field(phi)
+        phi_c = HiggsField(g, [complex(x) for x in phi.coefficients])
         for e in range(len(g.edges)):
             assert _lift_bits(node_eigendata(phi, a, e)) == \
                 _lift_bits(node_eigendata(phi_c, a, e))
@@ -420,8 +420,8 @@ def test_random_regular_higgs_matches_component_oracle():
             with pytest.raises(IrregularDeterminant):
                 old_random_regular_higgs(a, seed=k)
             continue
-        assert bits(phi.coefficient_vector()) == bits(
-            HiggsField(g, old_random_regular_higgs(a, seed=k)).coefficient_vector())
+        assert bits(phi.coefficients) == bits(
+            field_coefficients(old_random_regular_higgs(a, seed=k)))
 
 
 def test_regular_field_combination_keeps_signed_zeros(monkeypatch):
@@ -435,15 +435,15 @@ def test_regular_field_combination_keeps_signed_zeros(monkeypatch):
 
     g = catalog_graph("k4")
     a = Framing.random(g, seed=3)
-    basis = [psi.coefficient_vector() for psi in higgs_space(a).basis]
+    basis = [psi.coefficients for psi in higgs_space(a).basis]
     vec = [sum(k * b[i] for k, b in enumerate(basis, 1)) for i in range(6 * 4)]
     vec = [x - vec[0] / basis[0][0] * y for x, y in zip(vec, basis[0])]
     assert vec[0] == 0
-    phi = HiggsField.from_coefficient_vector(g, [complex(x) for x in vec])
+    phi = HiggsField(g, [complex(x) for x in vec])
     assert is_regular(hitchin_image(phi)).regular
     report = KernelReport(domain=FLOAT, nrows=0, ncols=24, rank=0, basis=[phi])
     for mod in (higgs_mod, spectral_mod):
         monkeypatch.setattr(mod, "higgs_space", lambda framing: report)
     for seed in range(8):
-        assert bits(random_regular_higgs(a, seed).coefficient_vector()) == bits(
-            HiggsField(g, old_random_regular_higgs(a, seed)).coefficient_vector())
+        assert bits(random_regular_higgs(a, seed).coefficients) == bits(
+            field_coefficients(old_random_regular_higgs(a, seed)))
