@@ -57,10 +57,11 @@ def _resolve_graph(spec: str):
         raise ValidationError(f"{spec!r} is neither a catalog name nor a file")
     try:
         obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"cannot parse {spec!r} as JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {spec!r}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an int past the digit limit, or nesting too deep
+        raise ValidationError(f"cannot parse {spec!r} as JSON: {exc}") from exc
     graph = graph_from_json(obj)
     return graph, graph_to_json(graph)
 
@@ -119,9 +120,8 @@ def cmd_graph(args) -> dict:
 
 def cmd_sections(args) -> dict:
     graph, inputs = _resolve_graph(args.graph)
-    domain = args.domain or EXACT
-    can = canonical_space(graph, domain)
-    double = double_canonical_space(graph, domain)
+    can = canonical_space(graph, args.domain)
+    double = double_canonical_space(graph, args.domain)
     coords = [bires_coordinates(omega) for omega in double.basis]
     ncols = len(graph.edges)
     results = {
@@ -130,17 +130,16 @@ def cmd_sections(args) -> dict:
         "rank_K": can.rank,
         "dim_2K": double.dim,
         "rank_2K": double.rank,
-        "bires_rank": matrix_rank(coords, ncols, domain),
+        "bires_rank": matrix_rank(coords, ncols, args.domain),
     }
-    return _report("sections", {"graph": inputs}, domain, args.seed, results)
+    return _report("sections", {"graph": inputs}, args.domain, args.seed, results)
 
 
 def cmd_flat(args) -> dict:
     graph, inputs = _resolve_graph(args.graph)
-    domain = args.domain or EXACT
 
     def one_trial(seed):
-        framing = Framing.random(graph, seed, domain)
+        framing = Framing.random(graph, seed, args.domain)
         bundle = zero_section(framing)
         tree = spanning_tree(graph)
         return {
@@ -151,16 +150,15 @@ def cmd_flat(args) -> dict:
             "flags": subspace_flags(bundle, tree),
         }
 
-    return _report("flat", {"graph": inputs}, domain, args.seed,
+    return _report("flat", {"graph": inputs}, args.domain, args.seed,
                    _with_trials(args, one_trial))
 
 
 def cmd_higgs(args) -> dict:
     graph, inputs = _resolve_graph(args.graph)
-    domain = args.domain or EXACT
 
     def one_trial(seed):
-        framing = Framing.random(graph, seed, domain)
+        framing = Framing.random(graph, seed, args.domain)
         space = higgs_space(framing)
         residual = max([0.0] + [float(abs(higgs_residual(phi, framing)))
                                 for phi in space.basis])
@@ -170,16 +168,15 @@ def cmd_higgs(args) -> dict:
             "residual": residual,
         }
 
-    return _report("higgs", {"graph": inputs}, domain, args.seed,
+    return _report("higgs", {"graph": inputs}, args.domain, args.seed,
                    _with_trials(args, one_trial))
 
 
 def cmd_hitchin(args) -> dict:
     graph, inputs = _resolve_graph(args.graph)
-    domain = args.domain or EXACT
 
     def one_trial(seed):
-        framing = Framing.random(graph, seed, domain)
+        framing = Framing.random(graph, seed, args.domain)
         phi = random_higgs_field(framing, seed)
         coords = hitchin_edge_coords(phi)
         jac = hitchin_jacobian(phi, framing)
@@ -192,7 +189,7 @@ def cmd_hitchin(args) -> dict:
             "fd_rel_err": jacobian_fd_error(float_phi, float_framing),
         }
 
-    return _report("hitchin", {"graph": inputs}, domain, args.seed,
+    return _report("hitchin", {"graph": inputs}, args.domain, args.seed,
                    _with_trials(args, one_trial))
 
 
@@ -253,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--random", type=int, default=None, metavar="N",
                            help="generate a random graph on N vertices instead")
             continue
-        p.add_argument("--domain", default=None,
-                       choices=[FLOAT] if name == "spectral" else [EXACT, FLOAT])
+        domains = [FLOAT] if name == "spectral" else [EXACT, FLOAT]
+        p.add_argument("--domain", default=domains[0], choices=domains)
         if name != "sections":
             p.add_argument("--trials", type=_positive_int, default=1)
     return parser

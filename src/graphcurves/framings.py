@@ -42,20 +42,31 @@ def _is_identity(m: Mat2, domain: str) -> bool:
     return (m - IDENTITY).max_norm() <= IDENTITY_TOL
 
 
+def _unimodular_tuple(mats, count: int, what: str, domain: str,
+                     det_scales=None) -> tuple:
+    """mats as a tuple of count determinant-one matrices in domain.
+
+    Checks the domain, then the count ("need {count} {what}, got ..."),
+    then each matrix; det_scales, when given, holds one check_unimodular
+    scale per matrix.
+    """
+    check_domain(domain)
+    mats = tuple(mats)
+    if len(mats) != count:
+        raise ValidationError(f"need {count} {what}, got {len(mats)}")
+    for k, m in enumerate(mats):
+        check_unimodular(m, domain, det_scales[k] if det_scales else 1)
+    return mats
+
+
 class GaugeTransform:
     """One determinant-one matrix per vertex."""
 
     def __init__(self, graph: TrivalentGraph, mats, domain: str = EXACT):
-        check_domain(domain)
-        mats = tuple(mats)
-        if len(mats) != graph.vertex_count:
-            raise ValidationError(
-                f"need {graph.vertex_count} gauge matrices, got {len(mats)}")
-        for m in mats:
-            check_unimodular(m, domain)
+        self._mats = _unimodular_tuple(mats, graph.vertex_count, "gauge matrices",
+                                       domain)
         self.graph = graph
         self.domain = domain
-        self._mats = mats
 
     @classmethod
     def identity(cls, graph: TrivalentGraph, domain: str = EXACT):
@@ -86,16 +97,10 @@ class Framing:
 
     def __init__(self, graph: TrivalentGraph, dart_matrices, domain: str = EXACT,
                  det_scales=None):
-        check_domain(domain)
-        mats = tuple(dart_matrices)
-        if len(mats) != graph.dart_count:
-            raise ValidationError(
-                f"need {graph.dart_count} dart matrices, got {len(mats)}")
-        for d, m in enumerate(mats):
-            check_unimodular(m, domain, det_scales[d] if det_scales else 1)
+        self._mats = _unimodular_tuple(dart_matrices, graph.dart_count,
+                                       "dart matrices", domain, det_scales)
         self.graph = graph
         self.domain = domain
-        self._mats = mats
 
     @classmethod
     def from_primary(cls, graph: TrivalentGraph, edge_matrices, domain: str = EXACT):
@@ -211,16 +216,11 @@ class SurfaceFlatBundle:
     """
 
     def __init__(self, framing: Framing, meridians, det_scales=None):
-        meridians = tuple(meridians)
-        if len(meridians) != framing.graph.dart_count:
-            raise ValidationError(
-                f"need {framing.graph.dart_count} meridians, got {len(meridians)}")
-        for d, m in enumerate(meridians):
-            check_unimodular(m, framing.domain, det_scales[d] if det_scales else 1)
+        self._meridians = _unimodular_tuple(meridians, framing.graph.dart_count,
+                                            "meridians", framing.domain, det_scales)
         self.framing = framing
         self.graph = framing.graph
         self.domain = framing.domain
-        self._meridians = meridians
 
     @classmethod
     def from_primary(cls, framing: Framing, edge_meridians):

@@ -29,20 +29,20 @@ from random import Random
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, _clear_denominators, solve_kernel
-from .matrices import Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
+from .matrices import Mat2, adjoint_matrix, from_sl2_coords
 from .scalars import EXACT
-from .sections import RESIDUE_FUNCTIONAL, _coefficient_tuple
+from .sections import RESIDUE_FUNCTIONAL, _coefficient_tuple, _residues
 
 
 def _residue_matrix(coeffs, base: int, point: int) -> Mat2:
-    """Residue matrix at a marked point from the six coefficients at base.
+    """Residue matrix at a marked point from the six coefficients at base."""
+    return from_sl2_coords(*(_residues(coeffs[i], coeffs[i + 1])[point]
+                             for i in (base, base + 2, base + 4)))
 
-    The residues of (r0, r1) at the marked points (0, 1, inf) are
-    (r0, r1, -(r0 + r1)).
-    """
-    return from_sl2_coords(*(
-        (coeffs[i], coeffs[i + 1], -(coeffs[i] + coeffs[i + 1]))[point]
-        for i in (base, base + 2, base + 4)))
+
+def _vertex_coefficients(m0: Mat2, m1: Mat2) -> tuple:
+    """The six coefficients of a vertex from its residue matrices at 0 and 1."""
+    return (m0.a, m1.a, m0.b, m1.b, m0.c, m1.c)
 
 
 class HiggsField:
@@ -254,8 +254,7 @@ def higgs_from_edge_residues(framing: Framing, vec) -> HiggsField:
     out = []
     for v in range(g.vertex_count):
         by_point = {g.marked_point(d): per_dart[d] for d in g.vertex_darts(v)}
-        for c0, c1 in zip(sl2_coords(by_point[0]), sl2_coords(by_point[1])):
-            out.extend((c0, c1))
+        out.extend(_vertex_coefficients(by_point[0], by_point[1]))
     return HiggsField(g, out)
 
 

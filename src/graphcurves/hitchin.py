@@ -29,8 +29,8 @@ from .framings import Framing
 from .higgs import HiggsField, higgs_space
 from .linalg import _clear_denominators, rank as matrix_rank
 from .scalars import EXACT, REGULAR_RTOL, domain_of
-from .sections import (GlobalQuadratic, _matched_biresidues, _product_coefficients,
-                       bires_coordinates)
+from .sections import (GlobalQuadratic, _biresidues, _matched_biresidues,
+                       _product_coefficients, bires_coordinates)
 
 FD_STEP = 1e-5  # central-difference step of the finite-difference Jacobian
 
@@ -72,8 +72,7 @@ def bires_det_residual(phi: HiggsField):
     q = hitchin_image(phi).coefficients
     worst = 0
     for v in range(phi.graph.vertex_count):
-        q0, q1, q2 = q[3 * v:3 * v + 3]
-        for point, lhs in enumerate((q0, q0 + q1 + q2, q2)):
+        for point, lhs in enumerate(_biresidues(*q[3 * v:3 * v + 3])):
             rhs = phi.residue_matrix(v, point).det()
             worst = max(worst, abs(lhs - rhs))
     return worst
@@ -200,9 +199,8 @@ def is_regular(omega: GlobalQuadratic) -> RegularityReport:
     for v in range(len(c) // 3):
         q0, q1, q2 = c[3 * v:3 * v + 3]
         checks = (
-            ("zero_at_node_0", q0),
-            ("zero_at_node_1", q0 + q1 + q2),
-            ("zero_at_infinity", q2),
+            *zip(("zero_at_node_0", "zero_at_node_1", "zero_at_infinity"),
+                 _biresidues(q0, q1, q2)),
             ("double_zero", q1 * q1 - 4 * q0 * q2),
         )
         for name, value in checks:

@@ -251,24 +251,13 @@ def integer_rank(rows) -> int:
 def independent_rows(rows):
     """Indices of the rows not in the span of the rows before them.
 
-    Each row is reduced against an integer echelon of the rows chosen so
-    far; a nonzero remainder joins the echelon at its leading column.
-    The chosen rows are the first greedy basis of the row space.
+    Row k is such a row exactly when column k of the transposed matrix
+    is not in the span of the columns before it, that is, when k is a
+    pivot column of the transpose's echelon form (_echelon).  The chosen
+    rows are the first greedy basis of the row space.
     """
-    echelon = []  # (pivot column, row, support), by pivot column
-    chosen = []
-    for k, row in enumerate(rows):
-        w = _integer_row(row)
-        for c, pr, support in echelon:
-            if w[c]:
-                w = _reduce(w, pr, c, support)
-        lead = next((j for j, x in enumerate(w) if x), None)
-        if lead is None:
-            continue
-        at = sum(1 for c, _, _ in echelon if c < lead)
-        echelon.insert(at, (lead, w, _support(w, lead)))
-        chosen.append(k)
-    return chosen
+    return _echelon([_integer_row(col) for col in zip(*rows)], len(rows),
+                    reduced=False)
 
 
 def residual(rows, vector):

@@ -5,14 +5,14 @@ logarithmic differential is
 
     omega = (r0 / z + r1 / (z - 1)) dz,
 
-with residues (r0, r1, -(r0 + r1)) at the marked points; the space is
-two dimensional per vertex.  A quadratic differential with double poles
-at the marked points is
+with residues r0 at 0, r1 at 1 and minus their sum at inf (_residues);
+the space is two dimensional per vertex.  A quadratic differential with
+double poles at the marked points is
 
     Omega = (q0 + q1 z + q2 z^2) / (z^2 (z - 1)^2) dz^2,
 
-with bi-residues (leading double-pole coefficients) (q0, q0+q1+q2, q2);
-three dimensions per vertex.
+with bi-residues (leading double-pole coefficients) q0 at 0, q2 at inf
+and the sum of all three at 1 (_biresidues); three dimensions per vertex.
 
 Per-vertex data is one flat coefficient tuple, vertex by vertex:
 (r0, r1) per vertex for differentials (2V entries), (q0, q1, q2) per
@@ -30,10 +30,22 @@ from .graphs import TrivalentGraph
 from .linalg import KernelReport, solve_kernel
 from .scalars import EXACT, MATCH_TOL, check_domain, domain_of
 
+
+def _residues(r0, r1):
+    """Residues of the (r0, r1) differential at the marked points (0, 1, inf)."""
+    return (r0, r1, -(r0 + r1))
+
+
+def _biresidues(q0, q1, q2):
+    """Bi-residues of the (q0, q1, q2) quadratic differential at (0, 1, inf)."""
+    return (q0, q0 + q1 + q2, q2)
+
+
 # Residue functionals on (r0, r1), indexed by marked point.
-RESIDUE_FUNCTIONAL = ((1, 0), (0, 1), (-1, -1))
+RESIDUE_FUNCTIONAL = tuple(zip(_residues(1, 0), _residues(0, 1)))
 # Bi-residue functionals on (q0, q1, q2), indexed by marked point.
-BIRESIDUE_FUNCTIONAL = ((1, 0, 0), (1, 1, 1), (0, 0, 1))
+BIRESIDUE_FUNCTIONAL = tuple(zip(_biresidues(1, 0, 0), _biresidues(0, 1, 0),
+                                 _biresidues(0, 0, 1)))
 
 
 def multiply_differentials(d1, d2):
@@ -90,7 +102,7 @@ class GlobalDifferential:
 
         def residue(d):
             b = 2 * g.vertex_of(d)
-            return (c[b], c[b + 1], -(c[b] + c[b + 1]))[g.marked_point(d)]
+            return _residues(c[b], c[b + 1])[g.marked_point(d)]
 
         return max([0] + [abs(residue(a) + residue(b)) for a, b in g.edges])
 
@@ -181,8 +193,7 @@ def _matched_biresidues(g: TrivalentGraph, coeffs):
     scale = 1
     if not exact:
         scale = max([1.0] + [abs(x) for x in coeffs])
-    bires = [(q0, q0 + q1 + q2, q2)
-             for q0, q1, q2 in zip(coeffs[::3], coeffs[1::3], coeffs[2::3])]
+    bires = list(map(_biresidues, coeffs[::3], coeffs[1::3], coeffs[2::3]))
     coords = []
     for e, (a, b) in enumerate(g.edges):
         lhs = bires[g.vertex_of(a)][g.marked_point(a)]

@@ -25,7 +25,7 @@ from .errors import (DegenerateNode, InconsistentSpectralData,
                      IrregularDeterminant, NumericalError, ValidationError)
 from .framings import Framing
 from .graphs import TrivalentGraph, spanning_tree
-from .higgs import HiggsField, _residue_matrix, higgs_space
+from .higgs import HiggsField, _residue_matrix, _vertex_coefficients, higgs_space
 from .hitchin import hitchin_image, is_regular
 from .linalg import independent_rows, integer_rank
 from .matrices import Mat2, to_complex_mat
@@ -466,8 +466,7 @@ def reconstruct_higgs(node_data: dict, framing: Framing) -> HiggsField:
         if total.max_norm() > RECONSTRUCT_TOL * scale:
             raise InconsistentSpectralData(
                 f"residue matrices at vertex {v} sum to {total.max_norm()}")
-        m0, m1 = mats[0], mats[1]
-        out.extend((m0.a, m1.a, m0.b, m1.b, m0.c, m1.c))
+        out.extend(_vertex_coefficients(mats[0], mats[1]))
     return HiggsField(g, out)
 
 

@@ -14,7 +14,6 @@ from graphcurves.graphs import (
     CATALOG_NAMES,
     catalog_graph,
     random_trivalent,
-    spanning_tree,
 )
 from graphcurves.scalars import EXACT, FLOAT
 from graphcurves.sections import (

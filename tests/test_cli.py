@@ -241,6 +241,19 @@ def test_graph_file_not_utf8_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200000 + "]" * 200000,  # nested beyond the decoder's recursion limit
+    '{"vertices": 2, "pairing": [[0, 3], [1, 4], [2, 5]], '
+    '"dart_vertex": [0, 0, 0, 1, 1, ' + "1" * 5000 + "]}",  # int digit limit
+], ids=["deep", "long_int"])
+def test_unparsable_graph_file_exits_2(tmp_path, text):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    proc = run_cli("graph", "--graph", str(path), expect=2)
+    assert proc.stderr.startswith(f"error: cannot parse {str(path)!r} as JSON")
+    assert "Traceback" not in proc.stderr
+
+
 def test_unwritable_out_exits_2_before_printing(tmp_path):
     dest = tmp_path / "missing" / "report.json"
     proc = run_cli("graph", "--graph", "theta", "--out", str(dest), expect=2)

@@ -1,10 +1,9 @@
 import cmath
 from fractions import Fraction
-from random import Random
 
 import pytest
 
-from graphcurves.errors import NotOnVariety, ValidationError
+from graphcurves.errors import NotOnVariety, ScalarDomainMismatch, ValidationError
 from graphcurves.graphs import (CATALOG_NAMES, catalog_graph, random_trivalent,
                                 spanning_tree)
 from graphcurves.matrices import IDENTITY, Mat2, mat_close
@@ -55,6 +54,33 @@ def test_framing_rejects_non_unimodular():
     with pytest.raises(ValidationError):  # float det off by 1e-6
         Framing.from_primary(g, {0: Mat2(1 + 1e-6, 0.0, 0.0, 1.0),
                                  1: IDENTITY, 2: IDENTITY}, FLOAT)
+
+
+def _bundle_with_meridians(g, mats, domain):
+    framing = Framing.identity(g)
+    framing.domain = domain  # a bundle checks its meridians in its framing's domain
+    return SurfaceFlatBundle(framing, mats)
+
+
+@pytest.mark.parametrize("make, size, what", [
+    (GaugeTransform, "vertex_count", "gauge matrices"),
+    (Framing, "dart_count", "dart matrices"),
+    (_bundle_with_meridians, "dart_count", "meridians"),
+], ids=["gauge", "framing", "bundle"])
+def test_matrix_tuple_constructors_validate(make, size, what):
+    g = catalog_graph("theta")
+    n = getattr(g, size)
+    ok = [IDENTITY] * (n - 1)
+    assert make(g, iter(ok + [IDENTITY]), EXACT) is not None
+    # the count is checked before any matrix
+    with pytest.raises(ValidationError, match=f"^need {n} {what}, got {n - 1}$"):
+        make(g, [Mat2(2, 0, 0, 1)] * (n - 1), EXACT)
+    with pytest.raises(ScalarDomainMismatch):
+        make(g, ok + [IDENTITY], "decimal")
+    with pytest.raises(ValidationError, match="determinant is 2, expected 1"):
+        make(g, ok + [Mat2(2, 0, 0, 1)], EXACT)
+    with pytest.raises(ValidationError, match="is not 1 within"):  # det off by 1e-6
+        make(g, ok + [Mat2(1 + 1e-6, 0.0, 0.0, 1.0)], FLOAT)
 
 
 def test_framing_random_deterministic():

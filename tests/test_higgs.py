@@ -1,10 +1,9 @@
 from fractions import Fraction
-from random import Random
 
 import pytest
 
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
-from graphcurves.matrices import Mat2, adjoint_matrix, conj, mat_close
+from graphcurves.matrices import Mat2, conj
 from graphcurves.scalars import EXACT, FLOAT
 from graphcurves.framings import Framing, GaugeTransform, apply_gauge, zero_section, flat_linearization
 from graphcurves.higgs import (

@@ -14,6 +14,7 @@ from graphcurves.linalg import (
     exact_rank,
     exact_rref,
     float_nullspace,
+    independent_rows,
     float_rank,
     integer_rank,
     rank,
@@ -345,6 +346,22 @@ def test_certified_rank_matches_oracles(system):
         assert r == minor_rank(rows)
     if rows and all(type(x) is int for row in rows for x in row):
         assert integer_rank(rows) == r
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_matrices())
+@example(([], 0))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[1, 2], [1, 2], [0, 0], [2, 4], [0, 1], [0, 1]], 2))
+@example(([[Fraction(1, 2), 1], [1, 2], [Fraction(1, 3), 0], [0, Fraction(5, 3)]], 2))
+def test_independent_rows_are_the_rows_that_raise_the_rank(system):
+    rows, ncols = system
+    ranks = [_oracle_rank(rows[:k], ncols) for k in range(len(rows) + 1)]
+    if ncols <= 4:
+        assert ranks == [minor_rank(rows[:k]) for k in range(len(rows) + 1)]
+    assert independent_rows(rows) == [k for k in range(len(rows))
+                                      if ranks[k + 1] > ranks[k]]
 
 
 @st.composite

@@ -2,7 +2,6 @@ import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
-from random import Random
 
 import pytest
 
