@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,8 +27,7 @@ from .errors import GraphCurveError, NumericalError, ValidationError
 from .framings import (Framing, flat_linearization, flat_local_dimension,
                        subspace_flags, vertex_relation_residual, zero_section)
 from .graphs import (CATALOG_NAMES, canonical_hash, catalog_graph,
-                     graph_from_json, graph_to_json, random_trivalent,
-                     spanning_tree)
+                     graph_from_json, graph_to_json, random_trivalent)
 from .higgs import (higgs_residual, higgs_space, random_higgs_field,
                     residue_parameterization_matrix)
 from .hitchin import (hitchin_edge_coords, hitchin_image, hitchin_jacobian,
@@ -141,13 +141,12 @@ def cmd_flat(args) -> dict:
     def one_trial(seed):
         framing = Framing.random(graph, seed, args.domain)
         bundle = zero_section(framing)
-        tree = spanning_tree(graph)
         return {
             "local_dim": flat_local_dimension(bundle),
             "vertex_residual": float(vertex_relation_residual(bundle)),
             "linearization_matches_higgs":
                 residue_parameterization_matrix(framing) == flat_linearization(bundle),
-            "flags": subspace_flags(bundle, tree),
+            "flags": subspace_flags(bundle),
         }
 
     return _report("flat", {"graph": inputs}, args.domain, args.seed,
@@ -200,7 +199,6 @@ def cmd_spectral(args) -> dict:
         framing = Framing.random(graph, seed, FLOAT)
         phi = spectral_mod.random_regular_higgs(framing, seed)
         curve = spectral_mod.build_spectral_curve(phi, framing)
-        prym = spectral_mod.prym_report(graph)
         matching = max(lift.matching_residual for lift in curve.nodes.values())
         return {
             "genus": curve.arithmetic_genus,
@@ -210,12 +208,7 @@ def cmd_spectral(args) -> dict:
                                 curve.fixed_points_per_component().values()),
             "quotient_matches_base": curve.quotient_dual_graph() == [
                 graph.edge_endpoints(e) for e in range(len(graph.edges))],
-            "prym": {
-                "b1_base": prym.b1_base,
-                "b1_spectral": prym.b1_spectral,
-                "pullback_rank": prym.pullback_rank,
-                "prym_dim": prym.prym_dim,
-            },
+            "prym": asdict(spectral_mod.prym_report(graph)),
             "matching_residual": matching,
             "roundtrip_err": spectral_mod.roundtrip_error(phi, framing),
         }

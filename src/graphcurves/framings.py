@@ -9,10 +9,10 @@ orientation "d first".  A gauge g (one matrix per vertex) acts by
 
 source = vertex of d, target = vertex of partner(d).
 
-Gauge-fixing a breadth-first spanning tree to the identity leaves one
-free holonomy per cotree edge; the graph's fundamental group is free of
-rank g, so framings modulo gauge are g-tuples in SL(2,C) modulo overall
-conjugation.
+Gauge-fixing the graph's spanning tree (graph.tree) to the identity
+leaves one free holonomy per cotree edge; the graph's fundamental group
+is free of rank g, so framings modulo gauge are g-tuples in SL(2,C)
+modulo overall conjugation.
 
 A flat surface bundle refines a framing by meridians mu(d): the local
 monodromy around the node at dart d, in the frame of d's vertex.  The
@@ -29,7 +29,7 @@ from __future__ import annotations
 from random import Random
 
 from .errors import NotOnVariety, ValidationError
-from .graphs import SpanningTreeData, TrivalentGraph
+from .graphs import TrivalentGraph
 from .linalg import rank
 from .matrices import (IDENTITY, Mat2, SL2_BASIS, check_unimodular, random_unimodular,
                        sl2_coords)
@@ -42,18 +42,21 @@ def _is_identity(m: Mat2, domain: str) -> bool:
     return (m - IDENTITY).max_norm() <= IDENTITY_TOL
 
 
+def _check_count(items, count: int, what: str):
+    if len(items) != count:
+        raise ValidationError(f"need {count} {what}, got {len(items)}")
+
+
 def _unimodular_tuple(mats, count: int, what: str, domain: str,
                      det_scales=None) -> tuple:
     """mats as a tuple of count determinant-one matrices in domain.
 
-    Checks the domain, then the count ("need {count} {what}, got ..."),
-    then each matrix; det_scales, when given, holds one check_unimodular
-    scale per matrix.
+    Checks the domain, then the count (_check_count), then each matrix;
+    det_scales, when given, holds one check_unimodular scale per matrix.
     """
     check_domain(domain)
     mats = tuple(mats)
-    if len(mats) != count:
-        raise ValidationError(f"need {count} {what}, got {len(mats)}")
+    _check_count(mats, count, what)
     for k, m in enumerate(mats):
         check_unimodular(m, domain, det_scales[k] if det_scales else 1)
     return mats
@@ -105,6 +108,7 @@ class Framing:
     @classmethod
     def from_primary(cls, graph: TrivalentGraph, edge_matrices, domain: str = EXACT):
         """Build from one matrix per edge, attached to the lower dart."""
+        _check_count(edge_matrices, len(graph.edges), "edge matrices")
         mats = [None] * graph.dart_count
         for e, (a, b) in enumerate(graph.edges):
             m = edge_matrices[e]
@@ -158,18 +162,18 @@ def apply_gauge(gauge: GaugeTransform, framing: Framing) -> Framing:
     return Framing(g, mats, framing.domain, det_scales=scales)
 
 
-def tree_gauge(framing: Framing, tree: SpanningTreeData) -> GaugeTransform:
-    """The gauge with identity at the root that trivializes all tree darts."""
+def tree_gauge(framing: Framing) -> GaugeTransform:
+    """The gauge with identity at the root that trivializes graph.tree's darts."""
     g = framing.graph
-    fix = [None] * g.vertex_count
-    fix[tree.root] = IDENTITY
+    tree = g.tree
+    fix = [IDENTITY] * g.vertex_count
     for v in tree.order[1:]:
         d = tree.entry_dart[v]
         fix[v] = fix[g.vertex_of(d)] * framing.matrix(d)
     return GaugeTransform(g, fix, framing.domain)
 
 
-def schottky_holonomies(framing: Framing, tree: SpanningTreeData):
+def schottky_holonomies(framing: Framing):
     """Cotree holonomies after gauge-fixing the tree darts to the identity.
 
     The gauge is unique once the root frame is pinned; gauge-equivalent
@@ -178,9 +182,9 @@ def schottky_holonomies(framing: Framing, tree: SpanningTreeData):
     each cotree edge's lower dart.
     """
     g = framing.graph
-    gauge = tree_gauge(framing, tree)
+    gauge = tree_gauge(framing)
     out = []
-    for e in tree.cotree_edges:
+    for e in g.tree.cotree_edges:
         a, b = g.edges[e]
         out.append(gauge.matrix(g.vertex_of(a)) * framing.matrix(a)
                    * gauge.matrix(g.vertex_of(b)).inv())
@@ -226,6 +230,7 @@ class SurfaceFlatBundle:
     def from_primary(cls, framing: Framing, edge_meridians):
         """Build from one meridian per edge on the lower dart."""
         g = framing.graph
+        _check_count(edge_meridians, len(g.edges), "edge meridians")
         mer = [None] * g.dart_count
         for e, (a, b) in enumerate(g.edges):
             m = edge_meridians[e]
@@ -326,7 +331,7 @@ def flat_local_dimension(bundle: SurfaceFlatBundle) -> int:
     return ncols - rank(flat_linearization(bundle), ncols, bundle.domain)
 
 
-def subspace_flags(bundle: SurfaceFlatBundle, tree: SpanningTreeData) -> dict:
+def subspace_flags(bundle: SurfaceFlatBundle) -> dict:
     """Membership probes for the two distinguished representation subspaces.
 
     all_meridians_trivial: every node monodromy is the identity, i.e. the
@@ -337,7 +342,7 @@ def subspace_flags(bundle: SurfaceFlatBundle, tree: SpanningTreeData) -> dict:
     domain = bundle.domain
     meridians_ok = all(_is_identity(bundle.meridian(d), domain)
                        for d in range(bundle.graph.dart_count))
-    holonomies = schottky_holonomies(bundle.framing, tree)
+    holonomies = schottky_holonomies(bundle.framing)
     cotree_ok = all(_is_identity(h, domain) for h in holonomies)
     return {"all_meridians_trivial": meridians_ok,
             "cotree_holonomies_trivial": cotree_ok}

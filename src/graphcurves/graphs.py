@@ -10,12 +10,15 @@ Each vertex is read as a projective line with three marked points.  The
 darts at a vertex, in increasing id order, sit at the points 0, 1 and
 infinity of that line; gluing the lines along paired darts produces a
 connected nodal curve of arithmetic genus g.
+
+Every graph search is _breadth_first from vertex 0.  A graph's one
+spanning tree, spanning_tree, is built by its constructor and kept as
+graph.tree.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass
 from random import Random
 
@@ -101,10 +104,8 @@ class TrivalentGraph:
             self._edge_of_dart[a] = i
             self._edge_of_dart[b] = i
 
-        self._check_connected()
-
-    def _check_connected(self):
-        reached = len(spanning_tree(self).order)
+        self.tree = spanning_tree(self)
+        reached = len(self.tree.order)
         if reached != self.vertex_count:
             raise Disconnected(
                 f"graph has {self.vertex_count} vertices but only {reached} reachable")
@@ -226,16 +227,35 @@ def random_trivalent(vertex_count: int, seed: int) -> TrivalentGraph:
         f"after {MAX_ATTEMPTS} attempts (seed {seed})")
 
 
+def _breadth_first(arcs):
+    """Breadth-first search from vertex 0.
+
+    arcs(x) lists the (label, y) steps from vertex x to its neighbours
+    in scan order.  Returns the reached vertices in discovery order and
+    a dict taking each of them to the step (label, x) that discovered
+    it, None at the root.
+    """
+    order = [0]
+    found = {0: None}
+    for x in order:  # order grows as the queue is read
+        for label, y in arcs(x):
+            if y not in found:
+                found[y] = (label, x)
+                order.append(y)
+    return order, found
+
+
 @dataclass(frozen=True)
 class SpanningTreeData:
     """Deterministic breadth-first spanning tree rooted at vertex 0.
 
-    entry_dart[v] is the dart at the parent of v pointing along the tree
-    edge into v (None at the root).  cotree_edges lists the g edges off
-    the tree in increasing edge-index order.
+    order lists the vertices in discovery order.  entry_dart[v] is the
+    dart at the parent of v pointing along the tree edge into v (None at
+    the root).  tree_edges lists the tree edges in discovery order,
+    cotree_edges the g edges off the tree in increasing edge-index
+    order.
     """
 
-    root: int
     order: tuple
     entry_dart: tuple
     tree_edges: tuple
@@ -243,45 +263,37 @@ class SpanningTreeData:
 
 
 def spanning_tree(graph: TrivalentGraph) -> SpanningTreeData:
-    """BFS spanning tree scanning darts in increasing id order.
+    """BFS spanning tree scanning each vertex's darts in increasing id order.
 
-    On a disconnected graph it spans the component of vertex 0, which
-    is how TrivalentGraph detects one.
+    TrivalentGraph builds it once and keeps it as graph.tree.  On a
+    disconnected graph it spans the component of vertex 0, which is how
+    the constructor detects one.
     """
+    order, found = _breadth_first(
+        lambda v: [(d, graph.vertex_of(graph.partner(d)))
+                   for d in graph.vertex_darts(v)])
     entry = [None] * graph.vertex_count
-    seen = {0}
-    order = [0]
-    tree_edges = []
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for d in graph.vertex_darts(v):
-            w = graph.vertex_of(graph.partner(d))
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                entry[w] = d
-                tree_edges.append(graph.edge_index(d))
-                queue.append(w)
+    for v in order[1:]:
+        entry[v] = found[v][0]
+    tree_edges = tuple(graph.edge_index(entry[v]) for v in order[1:])
     in_tree = set(tree_edges)
     cotree = tuple(e for e in range(len(graph.edges)) if e not in in_tree)
-    return SpanningTreeData(root=0, order=tuple(order), entry_dart=tuple(entry),
-                            tree_edges=tuple(tree_edges), cotree_edges=cotree)
+    return SpanningTreeData(order=tuple(order), entry_dart=tuple(entry),
+                            tree_edges=tree_edges, cotree_edges=cotree)
 
 
 def canonical_hash(graph: TrivalentGraph) -> str:
     """Fixture key: hash of the pairing after breadth-first relabeling.
 
-    Vertices are renamed in BFS discovery order from vertex 0 (darts
-    scanned in increasing id order) and each vertex's darts are renamed
-    3v, 3v+1, 3v+2 preserving their relative order, which keeps marked
-    points in place.  This is a stable content key, not a graph
-    isomorphism invariant.
+    Vertices are renamed in the discovery order of graph.tree and each
+    vertex's darts are renamed 3v, 3v+1, 3v+2 preserving their relative
+    order, which keeps marked points in place.  This is a stable content
+    key, not a graph isomorphism invariant.
     """
-    tree = spanning_tree(graph)
-    new_vertex = {v: i for i, v in enumerate(tree.order)}
+    order = graph.tree.order
+    new_vertex = {v: i for i, v in enumerate(order)}
     new_dart = {}
-    for v in tree.order:
+    for v in order:
         base = 3 * new_vertex[v]
         for i, d in enumerate(graph.vertex_darts(v)):
             new_dart[d] = base + i

@@ -28,7 +28,7 @@ from __future__ import annotations
 from .errors import MatchingViolated, ValidationError
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, solve_kernel
-from .scalars import EXACT, MATCH_TOL, check_domain, domain_of
+from .scalars import EXACT, MATCH_TOL, domain_of
 
 
 def _residues(r0, r1):
@@ -143,7 +143,6 @@ def canonical_matrix(graph: TrivalentGraph):
 
 def canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> KernelReport:
     """Global sections of the dualizing sheaf; dimension g, rank 3g - 4."""
-    check_domain(domain)
     report = solve_kernel(canonical_matrix(graph), 2 * graph.vertex_count, domain)
     report.basis = [GlobalDifferential(graph, vec) for vec in report.basis]
     return report
@@ -170,7 +169,6 @@ def double_canonical_matrix(graph: TrivalentGraph):
 
 def double_canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> KernelReport:
     """Global quadratic differentials; dimension 3g - 3, full rank system."""
-    check_domain(domain)
     report = solve_kernel(double_canonical_matrix(graph), 3 * graph.vertex_count,
                           domain)
     report.basis = [GlobalQuadratic(graph, vec) for vec in report.basis]

@@ -17,14 +17,13 @@ the Prym dimension count) is exact integer linear algebra.
 from __future__ import annotations
 
 import cmath
-from collections import deque
 from dataclasses import dataclass
 from random import Random
 
 from .errors import (DegenerateNode, InconsistentSpectralData,
                      IrregularDeterminant, NumericalError, ValidationError)
 from .framings import Framing
-from .graphs import TrivalentGraph, spanning_tree
+from .graphs import TrivalentGraph, _breadth_first
 from .higgs import HiggsField, _residue_matrix, _vertex_coefficients, higgs_space
 from .hitchin import hitchin_image, is_regular
 from .linalg import independent_rows, integer_rank
@@ -197,6 +196,8 @@ class SpectralCurve:
         return self.node_count - self.component_count + 1
 
     def node_labels(self):
+        """(e, +1), (e, -1) for each edge e: the order of _doubled_edges,
+        so a vector over the cover's dual-graph edges zips with it."""
         return [(e, s) for e in range(len(self.graph.edges)) for s in (1, -1)]
 
     def dual_graph(self):
@@ -205,8 +206,7 @@ class SpectralCurve:
         Each base edge appears twice with the same endpoints, labeled by
         the node (edge, sign), in _doubled_edges order.
         """
-        edges = [(uv, (i // 2, -1 if i % 2 else 1))
-                 for i, uv in enumerate(_doubled_edges(self.graph))]
+        edges = list(zip(_doubled_edges(self.graph), self.node_labels()))
         return self.graph.vertex_count, edges
 
     def involution_on_nodes(self):
@@ -257,27 +257,20 @@ def _fundamental_cycles(vertex_count: int, edges):
 
     Returns vectors over the edge list: the cotree edge gets +1 and the
     tree path closes the loop with signs following the stored
-    orientations.  The BFS scans each vertex's edges in ascending index
-    order.  On the cover's dual graph (_doubled_edges) that is a BFS of
-    the base in edge-index order lifted to the (+)-copies, not the
-    dart-order graphs.spanning_tree; this basis fixes
-    anti_invariant_cycles and so the meaning of the twist parameters.
+    orientations.  The search is graphs._breadth_first scanning each
+    vertex's edges in ascending index order.  On the cover's dual graph
+    (_doubled_edges) that is a BFS of the base in edge-index order lifted
+    to the (+)-copies, not graph.tree, whose scan is in dart order; this
+    basis fixes anti_invariant_cycles and so the meaning of the twist
+    parameters.
     """
-    adjacency = [[] for _ in range(vertex_count)]
+    adjacency = [[] for _ in range(vertex_count)]  # ascending edge index
     for i, (u, v) in enumerate(edges):
         adjacency[u].append((i, v))
         if u != v:
             adjacency[v].append((i, u))
-    parent = {0: None}  # vertex -> (edge index, direction into vertex)
-    queue = deque([0])
-    tree = set()
-    while queue:
-        x = queue.popleft()
-        for i, y in sorted(adjacency[x]):
-            if y not in parent and y != x:
-                parent[y] = (i, x)
-                tree.add(i)
-                queue.append(y)
+    _, parent = _breadth_first(adjacency.__getitem__)  # vertex -> (edge, parent)
+    tree = {step[0] for step in parent.values() if step is not None}
 
     def path_to_root(x):
         """Flow of walking x up to the root, as (edge index, sign) steps.
@@ -331,7 +324,7 @@ def prym_report(graph: TrivalentGraph) -> PrymReport:
     # cycle basis; the pairing matrix has full column rank g when the
     # pullback is injective.  Indicator cochains of the edges off any
     # spanning tree form a basis of the base's first cohomology.
-    cotree = spanning_tree(graph).cotree_edges
+    cotree = graph.tree.cotree_edges
     b1_base = len(cotree)
     pairing = [[z[2 * e] + z[2 * e + 1] for e in cotree] for z in cycles]
     pullback_rank = integer_rank(pairing)
@@ -346,19 +339,15 @@ def anti_invariant_cycles(graph: TrivalentGraph):
     The involution exchanges the two copies of each base edge; applying
     (1 - swap) to the fundamental cycles and keeping, in basis order,
     each image that is independent of those before it yields prym_dim
-    generators.
+    generators.  The image of z is w on the (+)-copies and -w on the
+    (-)-copies, w[e] = z[2e] - z[2e + 1]; that lift is injective, so the
+    choice is made on the w and only the chosen ones are lifted.
     """
     edges = _doubled_edges(graph)
     cycles = _fundamental_cycles(graph.vertex_count, edges)
-    candidates = []
-    for z in cycles:
-        w = [0] * len(edges)
-        for e in range(len(edges) // 2):
-            diff = z[2 * e] - z[2 * e + 1]
-            w[2 * e] = diff
-            w[2 * e + 1] = -diff
-        candidates.append(w)
-    return [candidates[k] for k in independent_rows(candidates)]
+    halves = [[a - b for a, b in zip(z[::2], z[1::2])] for z in cycles]
+    return [[y for x in halves[k] for y in (x, -x)]
+            for k in independent_rows(halves)]
 
 
 # -- line bundles on the cover ------------------------------------------
@@ -386,12 +375,12 @@ def twist(bundle: SpectralLineBundle, parameters) -> SpectralLineBundle:
     """Multiply gluings by characters indexed by anti-invariant cycles.
 
     parameters: one nonzero scalar per independent anti-invariant cycle
-    (prym_dim of them); parameter t on cycle w scales the gluing at node
-    n by t ** w[n].  Twists compose multiplicatively parameter by
-    parameter and never touch the multidegree.
+    (prym_dim of them); parameter t on cycle w scales the gluing at the
+    k-th node_labels entry by t ** w[k].  Twists compose multiplicatively
+    parameter by parameter and never touch the multidegree.
     """
-    graph = bundle.curve.graph
-    cycles = anti_invariant_cycles(graph)
+    cycles = anti_invariant_cycles(bundle.curve.graph)
+    labels = bundle.curve.node_labels()
     if len(parameters) != len(cycles):
         raise ValidationError(
             f"need {len(cycles)} twist parameters, got {len(parameters)}")
@@ -400,11 +389,9 @@ def twist(bundle: SpectralLineBundle, parameters) -> SpectralLineBundle:
         t = complex(t)
         if t == 0:
             raise ValidationError("twist parameters must be nonzero")
-        for e in range(len(graph.edges)):
-            for offset, sign in ((0, 1), (1, -1)):
-                exponent = w[2 * e + offset]
-                if exponent:
-                    gluings[(e, sign)] *= t ** exponent
+        for label, exponent in zip(labels, w):
+            if exponent:
+                gluings[label] *= t ** exponent
     return SpectralLineBundle(curve=bundle.curve,
                               multidegree=bundle.multidegree,
                               gluings=gluings)

@@ -163,6 +163,22 @@ def naive_anti_invariant_cycles(graph):
     return chosen
 
 
+def old_twist_gluings(bundle, parameters):
+    """Gluings of spectral.twist, reading each cycle's exponents at the
+    offsets 2e (node (e, +1)) and 2e + 1 (node (e, -1)), on the cycles
+    of naive_anti_invariant_cycles."""
+    graph = bundle.curve.graph
+    gluings = dict(bundle.gluings)
+    for t, w in zip(parameters, naive_anti_invariant_cycles(graph)):
+        t = complex(t)
+        for e in range(len(graph.edges)):
+            for offset, sign in ((0, 1), (1, -1)):
+                exponent = w[2 * e + offset]
+                if exponent:
+                    gluings[(e, sign)] *= t ** exponent
+    return gluings
+
+
 def higher_dart_higgs_constraints(framing):
     """assemble_higgs_constraints with each edge's equation anchored at its
     higher dart instead of its lower one.

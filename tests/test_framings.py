@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from graphcurves.errors import NotOnVariety, ScalarDomainMismatch, ValidationError
-from graphcurves.graphs import (CATALOG_NAMES, catalog_graph, random_trivalent,
-                                spanning_tree)
+from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
 from graphcurves.matrices import IDENTITY, Mat2, mat_close
 from graphcurves.scalars import EXACT, FLAT_TOL, FLOAT, IDENTITY_TOL
 from graphcurves.framings import (
@@ -54,6 +53,21 @@ def test_framing_rejects_non_unimodular():
     with pytest.raises(ValidationError):  # float det off by 1e-6
         Framing.from_primary(g, {0: Mat2(1 + 1e-6, 0.0, 0.0, 1.0),
                                  1: IDENTITY, 2: IDENTITY}, FLOAT)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+@pytest.mark.parametrize("make, what", [
+    (lambda g, mats: Framing.from_primary(g, mats), "edge matrices"),
+    (lambda g, mats: SurfaceFlatBundle.from_primary(Framing.identity(g), mats),
+     "edge meridians"),
+], ids=["framing", "bundle"])
+def test_from_primary_checks_edge_count(make, what, count):
+    # one matrix per edge: too few is not an IndexError, too many is not
+    # silently cut short
+    g = catalog_graph("theta")
+    with pytest.raises(ValidationError, match=f"^need 3 {what}, got {count}$"):
+        make(g, [IDENTITY] * count)
+    assert make(g, [IDENTITY] * 3) is not None
 
 
 def _bundle_with_meridians(g, mats, domain):
@@ -135,9 +149,9 @@ def test_gauge_preserves_inversion_property():
 
 def test_tree_gauge_trivializes_tree_edges():
     g = catalog_graph("prism")
-    t = spanning_tree(g)
+    t = g.tree
     a = Framing.random(g, seed=7)
-    b = apply_gauge(tree_gauge(a, t), a)
+    b = apply_gauge(tree_gauge(a), a)
     for e in t.tree_edges:
         lo, _ = g.edges[e]
         assert b.matrix(lo).entries() == (1, 0, 0, 1)
@@ -148,9 +162,9 @@ def test_tree_gauge_accepts_large_float_framings(vertices, seed):
     # Tree products have growing entries, so |det - 1| exceeds an absolute
     # 1e-12 by rounding alone; the unimodularity check must scale with them.
     g = random_trivalent(vertices, seed=seed)
-    t = spanning_tree(g)
+    t = g.tree
     a = Framing.random(g, seed=0, domain=FLOAT)
-    gauge = tree_gauge(a, t)
+    gauge = tree_gauge(a)
     for v in t.order[1:]:
         d = t.entry_dart[v]
         step = gauge.matrix(g.vertex_of(d)) * a.matrix(d)
@@ -164,8 +178,8 @@ def test_apply_gauge_accepts_tree_gauge_of_float_framing(vertices, seed):
     # factors: |det - 1| reached 1.02e-12 on (40, 2).
     g = random_trivalent(vertices, seed=seed)
     a = Framing.random(g, seed=0, domain=FLOAT)
-    t = spanning_tree(g)
-    gauge = tree_gauge(a, t)
+    t = g.tree
+    gauge = tree_gauge(a)
     b = apply_gauge(gauge, a)
     for v in t.order[1:]:
         assert mat_close(b.matrix(t.entry_dart[v]), IDENTITY, 1e-6)
@@ -180,7 +194,7 @@ def test_apply_gauge_accepts_tree_gauge_of_float_framing(vertices, seed):
 def test_schottky_holonomies_theta():
     m = diag(2)
     a = theta_framing(m2=m)
-    hol = schottky_holonomies(a, spanning_tree(a.graph))
+    hol = schottky_holonomies(a)
     assert len(hol) == 2  # one loop per cotree edge = genus
     assert hol[0].entries() == m.entries()
     assert hol[1].entries() == (1, 0, 0, 1)
@@ -188,31 +202,30 @@ def test_schottky_holonomies_theta():
 
 def test_trace_invariants_frozen():
     a = theta_framing(m2=diag(2))
-    hol = schottky_holonomies(a, spanning_tree(a.graph))
+    hol = schottky_holonomies(a)
     assert trace_invariants(hol) == [Fraction(5, 2), 2, Fraction(5, 2)]
 
 
 def test_trace_invariants_gauge_invariant():
     g = catalog_graph("k4")
-    t = spanning_tree(g)
     for seed in range(5):
         a = Framing.random(g, seed=seed)
         b = apply_gauge(GaugeTransform.random(g, seed=seed + 50), a)
-        assert trace_invariants(schottky_holonomies(a, t)) == \
-            trace_invariants(schottky_holonomies(b, t))
+        assert trace_invariants(schottky_holonomies(a)) == \
+            trace_invariants(schottky_holonomies(b))
 
 
 def test_holonomy_count_is_genus():
     for name in CATALOG_NAMES:
         g = catalog_graph(name)
-        hol = schottky_holonomies(Framing.random(g, seed=0), spanning_tree(g))
+        hol = schottky_holonomies(Framing.random(g, seed=0))
         assert len(hol) == g.genus
 
 
 def test_trace_invariant_count():
     # singles, ordered pairs, ordered triples of distinct generators
     g = catalog_graph("k33")
-    hol = schottky_holonomies(Framing.random(g, seed=0), spanning_tree(g))
+    hol = schottky_holonomies(Framing.random(g, seed=0))
     n = g.genus
     expected = n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6
     assert len(trace_invariants(hol)) == expected
@@ -317,24 +330,22 @@ def test_exact_flat_dimension_refuses_residual_below_float_tolerance():
 
 def test_subspace_flags():
     g = catalog_graph("theta")
-    t = spanning_tree(g)
     a = Framing.random(g, seed=2)
-    flags = subspace_flags(zero_section(a), t)
+    flags = subspace_flags(zero_section(a))
     assert flags == {"all_meridians_trivial": True,
                      "cotree_holonomies_trivial": False}
-    flags = subspace_flags(zero_section(Framing.identity(g)), t)
+    flags = subspace_flags(zero_section(Framing.identity(g)))
     assert flags == {"all_meridians_trivial": True,
                      "cotree_holonomies_trivial": True}
-    flags = subspace_flags(commuting_diagonal_bundle(), t)
+    flags = subspace_flags(commuting_diagonal_bundle())
     assert flags["all_meridians_trivial"] is False
 
 
 def test_subspace_flags_float_domain():
     g = catalog_graph("theta")
-    t = spanning_tree(g)
     both = {"all_meridians_trivial": True, "cotree_holonomies_trivial": True}
-    assert subspace_flags(zero_section(Framing.identity(g, FLOAT)), t) == both
-    flags = subspace_flags(zero_section(Framing.random(g, seed=2, domain=FLOAT)), t)
+    assert subspace_flags(zero_section(Framing.identity(g, FLOAT))) == both
+    flags = subspace_flags(zero_section(Framing.random(g, seed=2, domain=FLOAT)))
     assert flags == {"all_meridians_trivial": True,
                      "cotree_holonomies_trivial": False}
     # Edge 0 is the tree edge, so the holonomy of cotree edge 1 is its own
@@ -342,9 +353,9 @@ def test_subspace_flags_float_domain():
     for s, trivial in ((IDENTITY_TOL / 2, True), (2 * IDENTITY_TOL, False)):
         near = Mat2(cmath.exp(s), 0j, 0j, cmath.exp(-s))
         a = Framing.from_primary(g, {0: IDENTITY, 1: near, 2: IDENTITY}, FLOAT)
-        assert subspace_flags(zero_section(a), t) == {
+        assert subspace_flags(zero_section(a)) == {
             "all_meridians_trivial": True, "cotree_holonomies_trivial": trivial}
         b = SurfaceFlatBundle.from_primary(Framing.identity(g, FLOAT),
                                            {0: near, 1: IDENTITY, 2: IDENTITY})
-        assert subspace_flags(b, t) == {
+        assert subspace_flags(b) == {
             "all_meridians_trivial": trivial, "cotree_holonomies_trivial": True}

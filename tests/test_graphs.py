@@ -164,7 +164,7 @@ def test_random_trivalent_many_seeds():
 def test_spanning_tree_theta():
     g = catalog_graph("theta")
     t = spanning_tree(g)
-    assert t.root == 0
+    assert t.order[0] == 0
     assert t.tree_edges == (0,)
     assert t.cotree_edges == (1, 2)
     assert t.order == (0, 1)

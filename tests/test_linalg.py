@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import graphcurves.linalg as linalg_mod
 from graphcurves.errors import ScalarDomainMismatch, ValidationError
+from graphcurves.graphs import catalog_graph
 from graphcurves.linalg import (
     exact_nullspace,
     exact_rank,
@@ -17,6 +18,7 @@ from graphcurves.linalg import (
     independent_rows,
     float_rank,
     integer_rank,
+    nullspace,
     rank,
     residual,
     solve_kernel,
@@ -40,6 +42,7 @@ from graphcurves.scalars import (
     domain_of,
     random_nonzero_int,
 )
+from graphcurves.sections import canonical_space, double_canonical_space
 
 from helpers import fraction_nullspace, fraction_rref, minor_rank, svd_rank
 
@@ -52,6 +55,19 @@ def test_domain_tags():
     assert check_domain(FLOAT) == FLOAT
     with pytest.raises(ScalarDomainMismatch):
         check_domain("decimal")
+
+
+@pytest.mark.parametrize("solve", [
+    lambda d: rank([[1, 0]], 2, d),
+    lambda d: nullspace([[1, 0]], 2, d),
+    lambda d: solve_kernel([[1, 0]], 2, d),
+    lambda d: canonical_space(catalog_graph("theta"), d),
+    lambda d: double_canonical_space(catalog_graph("theta"), d),
+], ids=["rank", "nullspace", "solve_kernel", "canonical_space",
+        "double_canonical_space"])
+def test_solvers_check_domain(solve):
+    with pytest.raises(ScalarDomainMismatch):
+        solve("decimal")
 
 
 def test_domain_of():

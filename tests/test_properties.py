@@ -1,12 +1,13 @@
 """Acceptance criteria 1, 2 and 8 as hypothesis properties.
 
 The acceptance gate checks them on a fixed pool of genus 2 to 6; here
-they hold on random_trivalent(2k, s) up to 24 vertices (genus 13).
+they hold on random_trivalent(2k, s) up to 24 vertices (genus 13).  So
+does the graph's kept spanning tree.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcurves.graphs import random_trivalent
+from graphcurves.graphs import random_trivalent, spanning_tree
 from graphcurves.scalars import EXACT
 from graphcurves.sections import canonical_space, double_canonical_space
 from graphcurves.spectral import anti_invariant_cycles, prym_report
@@ -38,3 +39,9 @@ def test_prym_report_and_anti_invariant_cycles(graph):
     assert (report.b1_base, report.b1_spectral, report.pullback_rank,
             report.prym_dim) == (g, 4 * g - 3, g, 3 * g - 3)
     assert len(anti_invariant_cycles(graph)) == 3 * g - 3
+
+
+@PROPERTY
+@given(GRAPHS)
+def test_graph_keeps_its_spanning_tree(graph):
+    assert graph.tree == spanning_tree(graph)

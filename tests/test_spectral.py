@@ -2,6 +2,7 @@ import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -32,7 +33,7 @@ from graphcurves.spectral import (
 )
 
 from helpers import (bits, field_coefficients, naive_anti_invariant_cycles,
-                     old_random_regular_higgs)
+                     old_random_regular_higgs, old_twist_gluings)
 
 
 def field_from(graph, per_vertex):
@@ -302,6 +303,20 @@ def test_twists_compose_multiplicatively():
     two = twist(twist(lb, [2.0, 1.0, 1.0]), [1.0, 3.0, 0.5])
     for label in lb.gluings:
         assert one.gluings[label] == pytest.approx(two.gluings[label])
+
+
+@pytest.mark.parametrize("key", list(CATALOG_NAMES) + [(8, 0), (12, 1), (20, 2)])
+def test_twist_matches_offset_oracle_bitwise(key):
+    g = catalog_graph(key) if isinstance(key, str) else random_trivalent(*key)
+    a = Framing.random(g, seed=3, domain=FLOAT)
+    lb = spectral_line_bundle(build_spectral_curve(random_regular_higgs(a, seed=4), a))
+    rng = Random(5)  # moduli off the powers of two, so every product rounds
+    params = [complex(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
+              for _ in range(3 * g.genus - 3)]
+    got = twist(lb, params).gluings
+    want = old_twist_gluings(lb, params)
+    assert list(got) == list(want)
+    assert bits(list(got.values())) == bits(list(want.values()))
 
 
 # -- reconstruction -----------------------------------------------------
