@@ -26,6 +26,7 @@ fundamental group relation.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from random import Random
 
 from .errors import NotOnVariety, ValidationError
@@ -45,6 +46,19 @@ def _is_identity(m: Mat2, domain: str) -> bool:
 def _check_count(items, count: int, what: str):
     if len(items) != count:
         raise ValidationError(f"need {count} {what}, got {len(items)}")
+
+
+def _per_edge(items, graph: TrivalentGraph, what: str):
+    """items in edge order: a sequence with one item per edge, or a
+    mapping whose keys are exactly the edges 0..E-1."""
+    count = len(graph.edges)
+    _check_count(items, count, what)
+    if isinstance(items, Mapping):
+        missing = [e for e in range(count) if e not in items]
+        if missing:
+            raise ValidationError(f"{what} missing for edges {missing}")
+        return [items[e] for e in range(count)]
+    return items
 
 
 def _unimodular_tuple(mats, count: int, what: str, domain: str,
@@ -108,10 +122,9 @@ class Framing:
     @classmethod
     def from_primary(cls, graph: TrivalentGraph, edge_matrices, domain: str = EXACT):
         """Build from one matrix per edge, attached to the lower dart."""
-        _check_count(edge_matrices, len(graph.edges), "edge matrices")
+        edge_matrices = _per_edge(edge_matrices, graph, "edge matrices")
         mats = [None] * graph.dart_count
-        for e, (a, b) in enumerate(graph.edges):
-            m = edge_matrices[e]
+        for (a, b), m in zip(graph.edges, edge_matrices):
             mats[a] = m
             mats[b] = m.inv()
         return cls(graph, mats, domain)
@@ -230,10 +243,9 @@ class SurfaceFlatBundle:
     def from_primary(cls, framing: Framing, edge_meridians):
         """Build from one meridian per edge on the lower dart."""
         g = framing.graph
-        _check_count(edge_meridians, len(g.edges), "edge meridians")
+        edge_meridians = _per_edge(edge_meridians, g, "edge meridians")
         mer = [None] * g.dart_count
-        for e, (a, b) in enumerate(g.edges):
-            m = edge_meridians[e]
+        for (a, b), m in zip(g.edges, edge_meridians):
             mer[a] = m
             t = framing.matrix(b)
             mer[b] = t * m.inv() * t.inv()

@@ -25,15 +25,14 @@ mod P equal to min(nrows, ncols) is therefore the rational rank; any
 lower result may be a drop at P, and the rank is recomputed by the
 integer elimination above.
 
-Float path: numpy SVD with a relative singular value threshold.
+Float path: numpy SVD with a relative singular value threshold.  numpy
+is imported on the first float call, so an exact run never loads it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .scalars import EXACT, RANK_RTOL, check_domain
 
@@ -198,21 +197,16 @@ def exact_nullspace(rows, ncols):
     return basis
 
 
-def _as_array(rows, ncols) -> np.ndarray:
-    if not rows:
-        return np.zeros((0, ncols), dtype=complex)
-    return np.array([[complex(x) for x in row] for row in rows], dtype=complex)
-
-
 def _svd_rank(s) -> int:
     """Singular values above RANK_RTOL * s_max."""
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return int((s > RANK_RTOL * s[0]).sum())
 
 
 def float_rank(rows, ncols) -> int:
-    a = _as_array(rows, ncols)
+    import numpy as np
+    a = np.array(rows, dtype=complex)
     if a.size == 0:
         return 0
     return _svd_rank(np.linalg.svd(a, compute_uv=False))
@@ -220,10 +214,10 @@ def float_rank(rows, ncols) -> int:
 
 def float_nullspace(rows, ncols):
     """Orthonormal kernel basis from the trailing right singular vectors."""
-    a = _as_array(rows, ncols)
-    if a.shape[0] == 0:
+    if not rows:
         return [[complex(i == j) for j in range(ncols)] for i in range(ncols)]
-    _, s, vh = np.linalg.svd(a)
+    import numpy as np
+    _, s, vh = np.linalg.svd(np.array(rows, dtype=complex))
     return [list(vh[k].conj()) for k in range(_svd_rank(s), ncols)]
 
 

@@ -171,6 +171,32 @@ def test_wall_time_on_stderr_only():
     assert "wall_time" not in proc.stdout
 
 
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+from graphcurves import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+run("graph", "--graph", "k33")
+for command in ("sections", "flat", "higgs"):
+    run(command, "--graph", "k33", "--domain", "exact")
+assert "numpy" not in sys.modules, "an exact run imported numpy"
+run("higgs", "--graph", "k33", "--domain", "float")
+assert "numpy" in sys.modules
+"""
+
+
+def test_exact_subcommands_never_import_numpy():
+    # numpy is imported by the first float routine only, so the exact
+    # subcommands start without it; a float run in the same process
+    # still loads it and succeeds
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT],
+                          capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_unknown_graph_name_exits_2():
     proc = subprocess.run(PKG + ["graph", "--graph", "petersen"],
                           capture_output=True, text=True, env=cli_env())

@@ -55,19 +55,37 @@ def test_framing_rejects_non_unimodular():
                                  1: IDENTITY, 2: IDENTITY}, FLOAT)
 
 
-@pytest.mark.parametrize("count", [2, 4])
-@pytest.mark.parametrize("make, what", [
-    (lambda g, mats: Framing.from_primary(g, mats), "edge matrices"),
+FROM_PRIMARY = pytest.mark.parametrize("make, read, what", [
+    (lambda g, mats: Framing.from_primary(g, mats), Framing.matrix,
+     "edge matrices"),
     (lambda g, mats: SurfaceFlatBundle.from_primary(Framing.identity(g), mats),
-     "edge meridians"),
+     SurfaceFlatBundle.meridian, "edge meridians"),
 ], ids=["framing", "bundle"])
-def test_from_primary_checks_edge_count(make, what, count):
+
+
+@pytest.mark.parametrize("count", [2, 4])
+@FROM_PRIMARY
+def test_from_primary_checks_edge_count(make, read, what, count):
     # one matrix per edge: too few is not an IndexError, too many is not
     # silently cut short
     g = catalog_graph("theta")
     with pytest.raises(ValidationError, match=f"^need 3 {what}, got {count}$"):
         make(g, [IDENTITY] * count)
     assert make(g, [IDENTITY] * 3) is not None
+
+
+@FROM_PRIMARY
+def test_from_primary_checks_edge_keys(make, read, what):
+    # a mapping is keyed by exactly the edges: a missing edge is not a
+    # KeyError, and the keys, not their order, place the matrices
+    g = catalog_graph("theta")
+    with pytest.raises(ValidationError, match=rf"^{what} missing for edges \[2\]$"):
+        make(g, {0: IDENTITY, 1: IDENTITY, 5: IDENTITY})
+    mats = [diag(2), diag(3), diag(5)]
+    by_key = make(g, {2: mats[2], 0: mats[0], 1: mats[1]})
+    in_order = make(g, mats)
+    assert [read(by_key, d).entries() for d in range(g.dart_count)] == \
+        [read(in_order, d).entries() for d in range(g.dart_count)]
 
 
 def _bundle_with_meridians(g, mats, domain):
