@@ -27,6 +27,7 @@ fundamental group relation.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from fractions import Fraction
 from random import Random
 
 from .errors import NotOnVariety, ValidationError
@@ -34,7 +35,7 @@ from .graphs import TrivalentGraph
 from .linalg import rank
 from .matrices import (IDENTITY, Mat2, SL2_BASIS, check_unimodular, random_unimodular,
                        sl2_coords)
-from .scalars import EXACT, FLAT_TOL, IDENTITY_TOL, check_domain
+from .scalars import EXACT, FLAT_TOL, IDENTITY_TOL, check_domain, domain_of
 
 
 def _is_identity(m: Mat2, domain: str) -> bool:
@@ -48,29 +49,35 @@ def _check_count(items, count: int, what: str):
         raise ValidationError(f"need {count} {what}, got {len(items)}")
 
 
-def _per_edge(items, graph: TrivalentGraph, what: str):
-    """items in edge order: a sequence with one item per edge, or a
-    mapping whose keys are exactly the edges 0..E-1."""
+def _per_edge(items, graph: TrivalentGraph, what: str, domain: str) -> tuple:
+    """items as a _unimodular_tuple in edge order: a sequence with one
+    matrix per edge, or a mapping whose keys are exactly the edges 0..E-1."""
     count = len(graph.edges)
-    _check_count(items, count, what)
     if isinstance(items, Mapping):
+        _check_count(items, count, what)
         missing = [e for e in range(count) if e not in items]
         if missing:
             raise ValidationError(f"{what} missing for edges {missing}")
-        return [items[e] for e in range(count)]
-    return items
+        items = [items[e] for e in range(count)]
+    return _unimodular_tuple(items, count, what, domain)
 
 
 def _unimodular_tuple(mats, count: int, what: str, domain: str,
                      det_scales=None) -> tuple:
     """mats as a tuple of count determinant-one matrices in domain.
 
-    Checks the domain, then the count (_check_count), then each matrix;
-    det_scales, when given, holds one check_unimodular scale per matrix.
+    Checks the domain, then the count (_check_count), then that every
+    entry fits the domain, then each determinant; det_scales, when
+    given, holds one check_unimodular scale per matrix.
     """
     check_domain(domain)
     mats = tuple(mats)
     _check_count(mats, count, what)
+    if not all(isinstance(m, Mat2) for m in mats):
+        raise ValidationError(f"{what} must be Mat2 matrices")
+    # with a zero of domain: ints pass, and the other domain's scalars raise
+    domain_of(Fraction(0) if domain == EXACT else 0.0,
+              *(x for m in mats for x in m.entries()))
     for k, m in enumerate(mats):
         check_unimodular(m, domain, det_scales[k] if det_scales else 1)
     return mats
@@ -122,7 +129,7 @@ class Framing:
     @classmethod
     def from_primary(cls, graph: TrivalentGraph, edge_matrices, domain: str = EXACT):
         """Build from one matrix per edge, attached to the lower dart."""
-        edge_matrices = _per_edge(edge_matrices, graph, "edge matrices")
+        edge_matrices = _per_edge(edge_matrices, graph, "edge matrices", domain)
         mats = [None] * graph.dart_count
         for (a, b), m in zip(graph.edges, edge_matrices):
             mats[a] = m
@@ -243,7 +250,8 @@ class SurfaceFlatBundle:
     def from_primary(cls, framing: Framing, edge_meridians):
         """Build from one meridian per edge on the lower dart."""
         g = framing.graph
-        edge_meridians = _per_edge(edge_meridians, g, "edge meridians")
+        edge_meridians = _per_edge(edge_meridians, g, "edge meridians",
+                                   framing.domain)
         mer = [None] * g.dart_count
         for (a, b), m in zip(g.edges, edge_meridians):
             mer[a] = m

@@ -48,30 +48,20 @@ def _vertex_coefficients(m0: Mat2, m1: Mat2) -> tuple:
 class HiggsField:
     """Per-vertex traceless matrices of logarithmic differentials.
 
-    The only stored data is ``coefficients``, the flat tuple of 6V
+    The stored data is ``coefficients``, the flat tuple of 6V
     coefficients (w11.r0, w11.r1, w12.r0, w12.r1, w21.r0, w21.r1) per
-    vertex.
+    vertex, and their scalar domain ``domain``.
     """
 
-    __slots__ = ("graph", "coefficients")
+    __slots__ = ("graph", "coefficients", "domain")
 
     def __init__(self, graph: TrivalentGraph, coefficients):
         self.graph = graph
-        self.coefficients = _coefficient_tuple(graph, coefficients, 6)
+        self.coefficients, self.domain = _coefficient_tuple(graph, coefficients, 6)
 
     def residue_matrix(self, v: int, point: int) -> Mat2:
         """Traceless residue matrix of the field at a marked point of vertex v."""
         return _residue_matrix(self.coefficients, 6 * v, point)
-
-    def __add__(self, other):
-        return HiggsField(self.graph, (
-            a + b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __neg__(self):
-        return HiggsField(self.graph, (-a for a in self.coefficients))
-
-    def scale(self, s):
-        return HiggsField(self.graph, (s * a for a in self.coefficients))
 
     def __eq__(self, other):
         if not isinstance(other, HiggsField):
@@ -129,8 +119,7 @@ def higgs_residual(phi: HiggsField, framing: Framing):
     """
     g = framing.graph
     worst = 0
-    if framing.domain != EXACT or not all(
-            type(x) is Fraction for x in phi.coefficients):
+    if framing.domain != EXACT or phi.domain != EXACT:
         for a, b in g.edges:
             r_s = phi.residue_matrix(g.vertex_of(a), g.marked_point(a))
             r_t = phi.residue_matrix(g.vertex_of(b), g.marked_point(b))

@@ -28,7 +28,7 @@ from .errors import MatchingViolated
 from .framings import Framing
 from .higgs import HiggsField, higgs_space
 from .linalg import _clear_denominators, rank as matrix_rank
-from .scalars import EXACT, REGULAR_RTOL, domain_of
+from .scalars import EXACT, FLOAT, REGULAR_RTOL
 from .sections import (GlobalQuadratic, _biresidues, _matched_biresidues,
                        _product_coefficients, bires_coordinates)
 
@@ -109,18 +109,17 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
 
     Row k holds the per-edge bi-residues of the polarization of phi with
     the k-th basis field of the framing's Higgs space.  When phi and the
-    basis hold Fraction coefficients, the rows are computed on their
-    integer numerators and the rank is taken of those integer rows.
+    basis are exact fields, the rows are computed on their integer
+    numerators and the rank is taken of those integer rows.
     """
     if basis is None:
         basis = higgs_space(framing).basis
     g = phi.graph
     ncols = len(g.edges)
-    if not all(type(x) is Fraction for f in [phi, *basis] for x in f.coefficients):
+    if any(f.domain != EXACT for f in [phi, *basis]):
         rows = [_matched_biresidues(g, _polarization_coefficients(
-            phi.coefficients, psi.coefficients)) for psi in basis]
-        domain = domain_of(rows[0][0]) if rows else EXACT
-        return JacobianReport(matrix=rows, rank=matrix_rank(rows, ncols, domain),
+            phi.coefficients, psi.coefficients), FLOAT) for psi in basis]
+        return JacobianReport(matrix=rows, rank=matrix_rank(rows, ncols, FLOAT),
                               basis_size=len(basis))
     # Exact fields: the polarization is bilinear, so the integer row of
     # phi * den_phi against psi * den_psi is den_phi * den_psi times row k.
@@ -129,11 +128,11 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
     for psi in basis:
         y, den_psi = _clear_denominators(psi.coefficients)
         try:
-            coords = _matched_biresidues(g, _polarization_coefficients(x, y))
+            coords = _matched_biresidues(g, _polarization_coefficients(x, y), EXACT)
         except MatchingViolated:
             # raise again with the rational bi-residues in the message
             _matched_biresidues(g, _polarization_coefficients(
-                phi.coefficients, psi.coefficients))
+                phi.coefficients, psi.coefficients), EXACT)
             raise
         int_rows.append(coords)
         den = den_phi * den_psi
@@ -156,9 +155,9 @@ def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None):
     for psi in basis:
         y = psi.coefficients
         plus = _matched_biresidues(g, _det_coefficients(
-            [a + up * b for a, b in zip(x, y)]))
+            [a + up * b for a, b in zip(x, y)]), FLOAT)
         minus = _matched_biresidues(g, _det_coefficients(
-            [a + down * b for a, b in zip(x, y)]))
+            [a + down * b for a, b in zip(x, y)]), FLOAT)
         rows.append([(p - m) / (2 * FD_STEP) for p, m in zip(plus, minus)])
     return rows
 
@@ -191,10 +190,8 @@ class RegularityReport:
 def is_regular(omega: GlobalQuadratic) -> RegularityReport:
     """Check that every component has two distinct zeros away from the nodes."""
     c = omega.coefficients
-    if domain_of(c[0]) == EXACT:
-        threshold = 0
-    else:
-        threshold = REGULAR_RTOL * max([1.0] + [abs(x) for x in c])
+    threshold = (0 if omega.domain == EXACT
+                 else REGULAR_RTOL * max([1.0] + [abs(x) for x in c]))
     failures = []
     for v in range(len(c) // 3):
         q0, q1, q2 = c[3 * v:3 * v + 3]

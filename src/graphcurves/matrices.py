@@ -132,7 +132,7 @@ def check_unimodular(m: Mat2, domain: str, scale=1) -> Mat2:
             raise ValidationError(f"matrix determinant is {det}, expected 1")
     else:
         tol = DET_TOL * max(1, abs(m.a * m.d) + abs(m.b * m.c), scale)
-        if abs(det - 1) > tol:
+        if not cmath.isfinite(det) or abs(det - 1) > tol:  # nan or inf entries
             raise ValidationError(f"matrix determinant {det} is not 1 within {tol}")
     return m
 

@@ -7,6 +7,11 @@ All linear algebra runs in one of two interchangeable scalar domains:
   domain is a proof for the given input.
 * ``FLOAT``: double-precision complex numbers.  Ranks are counted from
   singular values with the relative threshold :data:`RANK_RTOL`.
+
+A value's domain is fixed where it is built (:func:`domain_of`): a
+``Fraction`` is exact, a ``float`` or ``complex`` is float, and an
+``int`` fits either domain.  Mixing the two, or a value that is not a
+number, raises ScalarDomainMismatch, a ValidationError (CLI exit 2).
 """
 from __future__ import annotations
 
@@ -38,13 +43,21 @@ def check_domain(domain: str) -> str:
     return domain
 
 
-def domain_of(x) -> str:
-    """Classify a scalar value as EXACT or FLOAT."""
-    if isinstance(x, (int, Fraction)):
-        return EXACT
-    if isinstance(x, (float, complex)):
-        return FLOAT
-    raise ScalarDomainMismatch(f"unsupported scalar type {type(x).__name__}")
+def domain_of(*values) -> str:
+    """FLOAT if any of values is a float or complex (by subclass, so
+    numpy.complex128 counts), EXACT otherwise; ScalarDomainMismatch on a
+    Fraction mixed with those, or on a value that is not a number."""
+    fraction = floating = False
+    for kind in set(map(type, values)):
+        if issubclass(kind, (float, complex)):
+            floating = True
+        elif issubclass(kind, Fraction):
+            fraction = True
+        elif not issubclass(kind, int):
+            raise ScalarDomainMismatch(f"unsupported scalar type {kind.__name__}")
+    if fraction and floating:
+        raise ScalarDomainMismatch("exact (Fraction) and float scalars mixed")
+    return FLOAT if floating else EXACT
 
 
 def random_nonzero_int(rng) -> int:

@@ -69,52 +69,41 @@ def _product_coefficients(r0, r1, s0, s1):
     )
 
 
-def _coefficient_tuple(graph: TrivalentGraph, coefficients, width: int) -> tuple:
-    """The coefficients as a tuple of width entries per vertex of graph.
+def _coefficient_tuple(graph: TrivalentGraph, coefficients, width: int):
+    """(coefficients as a tuple of width entries per vertex of graph, domain_of them).
 
-    Raises ValidationError on any other length.
+    Raises ValidationError on any other length or on mixed domains.
     """
     coefficients = tuple(coefficients)
     if len(coefficients) != width * graph.vertex_count:
         raise ValidationError(f"need {width * graph.vertex_count} coefficients, "
                               f"got {len(coefficients)}")
-    return coefficients
+    return coefficients, domain_of(*coefficients)
 
 
 class GlobalDifferential:
     """Differentials on every component: coefficients (r0, r1) per vertex."""
 
-    __slots__ = ("graph", "coefficients")
+    __slots__ = ("graph", "coefficients", "domain")
 
     def __init__(self, graph: TrivalentGraph, coefficients):
         self.graph = graph
-        self.coefficients = _coefficient_tuple(graph, coefficients, 2)
+        self.coefficients, self.domain = _coefficient_tuple(graph, coefficients, 2)
 
     def __eq__(self, other):
         if not isinstance(other, GlobalDifferential):
             return NotImplemented
         return self.graph == other.graph and self.coefficients == other.coefficients
 
-    def residue_matching_residual(self):
-        """Largest |res + res| over nodes; zero for a true global section."""
-        g = self.graph
-        c = self.coefficients
-
-        def residue(d):
-            b = 2 * g.vertex_of(d)
-            return _residues(c[b], c[b + 1])[g.marked_point(d)]
-
-        return max([0] + [abs(residue(a) + residue(b)) for a, b in g.edges])
-
 
 class GlobalQuadratic:
     """Quadratic differentials on every component: (q0, q1, q2) per vertex."""
 
-    __slots__ = ("graph", "coefficients")
+    __slots__ = ("graph", "coefficients", "domain")
 
     def __init__(self, graph: TrivalentGraph, coefficients):
         self.graph = graph
-        self.coefficients = _coefficient_tuple(graph, coefficients, 3)
+        self.coefficients, self.domain = _coefficient_tuple(graph, coefficients, 3)
 
     def __eq__(self, other):
         if not isinstance(other, GlobalQuadratic):
@@ -182,15 +171,13 @@ def bires_coordinates(omega: GlobalQuadratic):
     within MATCH_TOL relative to the overall scale in the float domain.
     Returns one scalar per edge in canonical edge order.
     """
-    return _matched_biresidues(omega.graph, omega.coefficients)
+    return _matched_biresidues(omega.graph, omega.coefficients, omega.domain)
 
 
-def _matched_biresidues(g: TrivalentGraph, coeffs):
-    """bires_coordinates on a flat (q0, q1, q2)-per-vertex sequence."""
-    exact = domain_of(coeffs[0]) == EXACT
-    scale = 1
-    if not exact:
-        scale = max([1.0] + [abs(x) for x in coeffs])
+def _matched_biresidues(g: TrivalentGraph, coeffs, domain: str):
+    """bires_coordinates on a flat (q0, q1, q2)-per-vertex sequence in domain."""
+    exact = domain == EXACT
+    scale = 1 if exact else max([1.0] + [abs(x) for x in coeffs])
     bires = list(map(_biresidues, coeffs[::3], coeffs[1::3], coeffs[2::3]))
     coords = []
     for e, (a, b) in enumerate(g.edges):

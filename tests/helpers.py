@@ -309,10 +309,6 @@ def old_add(x, y):
     return [tuple(a + b for a, b in zip(ta, tb)) for ta, tb in zip(x, y)]
 
 
-def old_neg(x):
-    return [tuple(-w for w in trip) for trip in x]
-
-
 def old_scale(x, s):
     return [tuple(w.scale(s) for w in trip) for trip in x]
 

@@ -77,9 +77,9 @@ def _combo_field(graph, basis, rng):
         coeffs[0] = 1
     vec = None
     for c, phi in zip(coeffs, basis):
-        term = phi.scale(Fraction(c))
-        vec = term if vec is None else vec + term
-    return vec
+        term = [Fraction(c) * x for x in phi.coefficients]
+        vec = term if vec is None else [a + b for a, b in zip(vec, term)]
+    return HiggsField(graph, vec)
 
 
 def test_criterion_01_canonical_dimension():

@@ -135,15 +135,6 @@ def test_coefficient_vector_round_trip():
     assert back == phi
 
 
-def test_scale_and_add():
-    g = catalog_graph("theta")
-    a = Framing.random(g, seed=1)
-    sp = higgs_space(a)
-    phi, psi = sp.basis[0], sp.basis[1]
-    combo = phi.scale(Fraction(2)) + psi.scale(Fraction(-3))
-    assert higgs_residual(combo, a) == 0
-
-
 # -- gauge action -------------------------------------------------------
 
 

@@ -8,8 +8,8 @@ from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
 from graphcurves.scalars import EXACT, FLOAT
 from graphcurves.sections import GlobalQuadratic
 from graphcurves.framings import Framing
-from graphcurves.higgs import HiggsField, higgs_space, random_higgs_field
-from graphcurves.linalg import KernelReport
+from graphcurves.higgs import HiggsField, higgs_residual, higgs_space, random_higgs_field
+from graphcurves.linalg import KernelReport, rank
 from graphcurves.matrices import to_complex_mat
 from graphcurves.hitchin import (
     bires_det_residual,
@@ -26,16 +26,14 @@ from helpers import (
     bits,
     field_coefficients,
     fraction_rref,
-    old_add,
     old_bires_coordinates,
     old_finite_difference_jacobian,
+    old_higgs_residual,
     old_hitchin_image,
     old_hitchin_jacobian_rows,
-    old_neg,
     old_polarization,
     old_random_higgs_field,
     old_residue_matrix,
-    old_scale,
     quadratic_coefficients,
     vertex_data,
 )
@@ -120,6 +118,37 @@ def test_polarization_is_symmetric():
     assert polarization(phi, psi) == polarization(psi, phi)
 
 
+@pytest.mark.parametrize("first", [0, 0j])
+def test_is_regular_float_rule_with_int_first_entry(first):
+    # the float rule's relative threshold also flags vertex 1, whatever
+    # the spelling of the first entry
+    g = catalog_graph("theta")
+    omega = GlobalQuadratic(g, [first, 1.0 + 0j, 2.0 + 0j, 1e-14 + 0j, 1.0 + 0j,
+                                3.0 + 0j])
+    assert is_regular(omega).failures == [(0, "zero_at_node_0"),
+                                          (1, "zero_at_node_0")]
+
+
+def test_exact_fields_with_int_entries_match_the_rational_oracle():
+    # an int is exact, so a field with some int entries takes the
+    # integer-numerator paths and gives the values of the rational ones
+    for name in ("theta", "k4", "prism"):
+        g = catalog_graph(name)
+        framing = Framing.random(g, seed=3)
+        basis = higgs_space(framing).basis
+        phi = random_higgs_field(framing, 4)
+        ints = HiggsField(g, [int(x) if x.denominator == 1 else x
+                              for x in phi.coefficients])
+        assert ints.domain == EXACT and int in set(map(type, ints.coefficients))
+        rows = old_hitchin_jacobian_rows(g, vertex_data(ints),
+                                         [vertex_data(b) for b in basis])
+        jac = hitchin_jacobian(ints, framing, basis)
+        assert jac.matrix == rows
+        assert jac.rank == rank(rows, len(g.edges), EXACT) == 3 * g.genus - 3
+        for field in (ints, diagonal_field(g)):
+            assert higgs_residual(field, framing) == old_higgs_residual(field, framing)
+
+
 def test_polarization_diagonal_recovers_image():
     # B(phi, phi) = 2 det(phi)
     g = catalog_graph("dumbbell")
@@ -135,7 +164,8 @@ def test_polarization_expands_determinant():
     a = Framing.random(g, seed=12)
     phi = random_higgs_field(a, seed=13)
     psi = random_higgs_field(a, seed=14)
-    lhs = hitchin_image(phi + psi)
+    lhs = hitchin_image(HiggsField(g, [x + y for x, y in
+                                       zip(phi.coefficients, psi.coefficients)]))
     parts = (hitchin_image(phi), polarization(phi, psi), hitchin_image(psi))
     total = tuple(a + b + c for a, b, c in zip(*(p.coefficients for p in parts)))
     assert lhs.coefficients == total
@@ -243,7 +273,6 @@ def _oracle_framings(domain):
 
 @pytest.mark.parametrize("domain", [EXACT, FLOAT])
 def test_coefficient_kernels_match_component_oracle(domain):
-    c = Fraction(3, 7) if domain == EXACT else complex(0.3, -1.7)
     for k, framing in enumerate(_oracle_framings(domain)):
         g = framing.graph
         report = higgs_space(framing)
@@ -254,10 +283,6 @@ def test_coefficient_kernels_match_component_oracle(domain):
         phi = random_higgs_field(framing, k % 3)
         old = old_random_higgs_field(framing, k % 3, domain, report)
         assert bits(phi.coefficients) == bits(field_coefficients(old))
-        psi = vertex_data(basis[0])
-        assert bits((phi + basis[0].scale(c)).coefficients) == bits(
-            field_coefficients(old_add(old, old_scale(psi, c))))
-        assert bits((-phi).coefficients) == bits(field_coefficients(old_neg(old)))
         for v in range(g.vertex_count):
             for point in range(3):
                 assert bits(phi.residue_matrix(v, point).entries()) == bits(

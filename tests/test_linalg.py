@@ -1,5 +1,6 @@
 """Exact and floating linear algebra against independent oracles."""
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -77,6 +78,15 @@ def test_domain_of():
     assert domain_of(1j) == FLOAT
     with pytest.raises(ScalarDomainMismatch):
         domain_of("x")
+    # ints fit either domain; one float or complex makes the values float
+    import numpy as np
+    assert domain_of(0, 1, -2) == EXACT
+    assert domain_of(0, Fraction(1, 2), 3) == EXACT
+    assert domain_of(0, 1.5, 2j) == FLOAT
+    assert domain_of(0, np.complex128(1j), np.float64(0.5)) == FLOAT
+    for mixed in [(Fraction(1), 1.0), (Fraction(1), 0, 2j), (0, None), (1j, "1")]:
+        with pytest.raises(ScalarDomainMismatch):
+            domain_of(*mixed)
 
 
 def test_random_nonzero_int():
@@ -175,6 +185,9 @@ def test_check_unimodular():
     assert check_unimodular(IDENTITY, EXACT) is IDENTITY
     with pytest.raises(ValidationError):
         check_unimodular(Mat2(2, 0, 0, 1), EXACT)
+    for x in (math.nan, math.inf):  # no finite determinant
+        with pytest.raises(ValidationError):
+            check_unimodular(Mat2(x, 0, 0, 1), FLOAT)
 
 
 # -- kernels and ranks --------------------------------------------------

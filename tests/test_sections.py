@@ -19,6 +19,7 @@ from graphcurves.sections import (
     double_canonical_space,
     multiply_differentials,
 )
+from graphcurves.linalg import residual
 
 from helpers import minor_rank, svd_rank
 
@@ -158,7 +159,7 @@ def test_canonical_basis_satisfies_matching():
     for name in CATALOG_NAMES:
         g = catalog_graph(name)
         for w in canonical_space(g, EXACT).basis:
-            assert w.residue_matching_residual() == 0
+            assert residual(canonical_matrix(g), w.coefficients) == 0
 
 
 def test_bires_coordinates_theta_basis():
@@ -184,12 +185,30 @@ def test_bires_coordinates_require_matching():
         bires_coordinates(q)
 
 
+@pytest.mark.parametrize("first", [0, 0j])
+def test_bires_coordinates_float_rule_with_int_first_entry(first):
+    # bi-residues that agree within MATCH_TOL match in the float domain,
+    # whatever the spelling of the first entry
+    g = catalog_graph("theta")
+    omega = GlobalQuadratic(g, [first, 1.0 + 0j, 0j, 1e-13 + 0j, 1.0 + 0j, 0j])
+    assert bires_coordinates(omega) == [0, 1, 0]
+
+
+def test_fields_store_their_domain():
+    g = catalog_graph("theta")
+    assert GlobalDifferential(g, [0, Fraction(1, 2)] * 2).domain == EXACT
+    assert GlobalDifferential(g, [0] * 4).domain == EXACT
+    assert GlobalQuadratic(g, [0] * 5 + [1.0]).domain == FLOAT
+    assert HiggsField(g, [0] * 11 + [1j]).domain == FLOAT
+
+
 def test_constant_differential_residue_matching():
     # the same (r0, r1) on both theta vertices: residues at a node add up
     # to twice the residue there, so only the zero differential matches
     g = catalog_graph("theta")
-    assert GlobalDifferential(g, (Fraction(0), Fraction(0)) * 2) \
-        .residue_matching_residual() == 0
+    rows = canonical_matrix(g)
+    assert residual(rows, GlobalDifferential(
+        g, (Fraction(0), Fraction(0)) * 2).coefficients) == 0
     w = GlobalDifferential(g, (Fraction(1), Fraction(-2)) * 2)
-    assert w.residue_matching_residual() == 4
-    assert GlobalDifferential(g, (1.0, -2.0) * 2).residue_matching_residual() == 4.0
+    assert residual(rows, w.coefficients) == 4
+    assert residual(rows, GlobalDifferential(g, (1.0, -2.0) * 2).coefficients) == 4.0
