@@ -18,7 +18,7 @@ from .framings import (Framing, GaugeTransform, SurfaceFlatBundle, apply_gauge,
                        flat_local_dimension, schottky_holonomies, subspace_flags,
                        trace_invariants, tree_gauge, vertex_relation_residual,
                        zero_section)
-from .graphs import (CATALOG_NAMES, SpanningTreeData, TrivalentGraph, build_graph,
+from .graphs import (CATALOG_NAMES, SpanningTreeData, TrivalentGraph,
                      canonical_hash, catalog_graph, graph_from_json,
                      graph_to_json, random_trivalent, spanning_tree)
 from .higgs import (HiggsField, assemble_higgs_constraints, gauge_transform_higgs,

@@ -1,9 +1,10 @@
 """Framed SL(2,C) bundles on a graph curve and their flat refinements.
 
-A framing assigns a determinant-one matrix a(d) to every dart with
-a(partner(d)) = a(d)^-1: the transport across the node from the frame at
-the partner's vertex into the frame at d's vertex, read along the
-orientation "d first".  A gauge g (one matrix per vertex) acts by
+A framing is one determinant-one matrix per edge, a(d) on the edge's
+lower dart d: the transport across the node from the frame at the
+partner's vertex into the frame at d's vertex, read along the
+orientation "d first".  The partner dart carries a(d)^-1, by
+construction.  A gauge g (one matrix per vertex) acts by
 
     a(d)  ->  g(source) a(d) g(target)^-1,
 
@@ -49,7 +50,8 @@ def _check_count(items, count: int, what: str):
         raise ValidationError(f"need {count} {what}, got {len(items)}")
 
 
-def _per_edge(items, graph: TrivalentGraph, what: str, domain: str) -> tuple:
+def _per_edge(items, graph: TrivalentGraph, what: str, domain: str,
+              det_scales=None) -> tuple:
     """items as a _unimodular_tuple in edge order: a sequence with one
     matrix per edge, or a mapping whose keys are exactly the edges 0..E-1."""
     count = len(graph.edges)
@@ -59,19 +61,24 @@ def _per_edge(items, graph: TrivalentGraph, what: str, domain: str) -> tuple:
         if missing:
             raise ValidationError(f"{what} missing for edges {missing}")
         items = [items[e] for e in range(count)]
-    return _unimodular_tuple(items, count, what, domain)
+    return _unimodular_tuple(items, count, what, domain, det_scales)
 
 
 def _unimodular_tuple(mats, count: int, what: str, domain: str,
                      det_scales=None) -> tuple:
     """mats as a tuple of count determinant-one matrices in domain.
 
-    Checks the domain, then the count (_check_count), then that every
-    entry fits the domain, then each determinant; det_scales, when
-    given, holds one check_unimodular scale per matrix.
+    Checks the domain, then that mats is iterable and has count items
+    (_check_count), then that every entry fits the domain, then each
+    determinant; det_scales, when given, holds one check_unimodular
+    scale per matrix.
     """
     check_domain(domain)
-    mats = tuple(mats)
+    try:
+        mats = tuple(mats)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, "
+                              f"got {type(mats).__name__}") from None
     _check_count(mats, count, what)
     if not all(isinstance(m, Mat2) for m in mats):
         raise ValidationError(f"{what} must be Mat2 matrices")
@@ -113,48 +120,39 @@ class GaugeTransform:
 
 
 class Framing:
-    """Determinant-one transport across every node, inverse on partner darts.
+    """Determinant-one transport across every node.
 
-    det_scales, when given, holds one check_unimodular scale per dart
-    for matrices computed as products (see _gauged).
+    edge_matrices holds one matrix per edge, a sequence in edge order or
+    a mapping keyed by exactly the edges; each is stored on its edge's
+    lower dart and its inverse on the partner.  det_scales, when given,
+    holds one check_unimodular scale per edge for matrices computed as
+    products (see _gauged).
     """
 
-    def __init__(self, graph: TrivalentGraph, dart_matrices, domain: str = EXACT,
+    def __init__(self, graph: TrivalentGraph, edge_matrices, domain: str = EXACT,
                  det_scales=None):
-        self._mats = _unimodular_tuple(dart_matrices, graph.dart_count,
-                                       "dart matrices", domain, det_scales)
-        self.graph = graph
-        self.domain = domain
-
-    @classmethod
-    def from_primary(cls, graph: TrivalentGraph, edge_matrices, domain: str = EXACT):
-        """Build from one matrix per edge, attached to the lower dart."""
-        edge_matrices = _per_edge(edge_matrices, graph, "edge matrices", domain)
+        edge_matrices = _per_edge(edge_matrices, graph, "edge matrices", domain,
+                                  det_scales)
         mats = [None] * graph.dart_count
         for (a, b), m in zip(graph.edges, edge_matrices):
             mats[a] = m
             mats[b] = m.inv()
-        return cls(graph, mats, domain)
+        self._mats = tuple(mats)
+        self.graph = graph
+        self.domain = domain
 
     @classmethod
     def identity(cls, graph: TrivalentGraph, domain: str = EXACT):
-        return cls(graph, [IDENTITY] * graph.dart_count, domain)
+        return cls(graph, [IDENTITY] * len(graph.edges), domain)
 
     @classmethod
     def random(cls, graph: TrivalentGraph, seed: int, domain: str = EXACT):
         rng = Random(seed)
-        return cls.from_primary(graph,
-                                [random_unimodular(rng, domain)
-                                 for _ in range(len(graph.edges))], domain)
+        return cls(graph, [random_unimodular(rng, domain)
+                           for _ in range(len(graph.edges))], domain)
 
     def matrix(self, d: int) -> Mat2:
         return self._mats[d]
-
-    def inversion_residual(self):
-        """Largest deviation of a(partner(d)) a(d) from the identity."""
-        g = self.graph
-        return max((self._mats[g.partner(d)] * self._mats[d] - IDENTITY).max_norm()
-                   for d in range(g.dart_count))
 
     def __eq__(self, other):
         if not isinstance(other, Framing):
@@ -173,12 +171,11 @@ def _gauged(left: Mat2, m: Mat2, right: Mat2):
 
 
 def apply_gauge(gauge: GaugeTransform, framing: Framing) -> Framing:
-    """g(source) a(d) g(target)^-1 on every dart; a group action."""
+    """g(source) a(d) g(target)^-1 on every lower dart; a group action."""
     g = framing.graph
-    inv = [gauge.matrix(v).inv() for v in range(g.vertex_count)]
-    mats, scales = zip(*(_gauged(gauge.matrix(g.vertex_of(d)), framing.matrix(d),
-                                 inv[g.vertex_of(g.partner(d))])
-                         for d in range(g.dart_count)))
+    mats, scales = zip(*(_gauged(gauge.matrix(g.vertex_of(a)), framing.matrix(a),
+                                 gauge.matrix(g.vertex_of(b)).inv())
+                         for a, b in g.edges))
     return Framing(g, mats, framing.domain, det_scales=scales)
 
 
@@ -230,13 +227,18 @@ def trace_invariants(holonomies):
 
 
 class SurfaceFlatBundle:
-    """A framing plus node meridians satisfying the edge compatibility.
+    """A framing plus node meridians, one per dart.
 
-    Meridians are stored on every dart; constructors derive the partner
-    side, so edge compatibility holds by construction.  The vertex
-    relations (product of the three meridians in marked-point order is
-    the identity) are a residual to be checked, not an invariant of the
-    type.  det_scales is as for Framing.
+    from_primary takes one meridian per edge and derives the partner
+    side, so edge compatibility holds by construction there.  The
+    constructor takes all 2E meridians as given: zero_section and
+    apply_gauge_bundle build the partner side directly, because deriving
+    it as t mu^-1 t^-1 rounds in floats (t t^-1 is not exactly the
+    identity), and a trivial meridian then no longer gives a zero
+    vertex residual.  The vertex relations (product of the three
+    meridians in marked-point order is the identity) are a residual to
+    be checked, not an invariant of the type.  det_scales, when given,
+    holds one check_unimodular scale per dart (see _gauged).
     """
 
     def __init__(self, framing: Framing, meridians, det_scales=None):

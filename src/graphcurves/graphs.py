@@ -155,20 +155,6 @@ class TrivalentGraph:
                 f"edges={len(self.edges)}, genus={self.genus})")
 
 
-def build_graph(pairing, dart_vertex=None, vertex_count=None) -> TrivalentGraph:
-    """Build and validate a graph from a dart pairing.
-
-    vertex_count defaults to the number implied by dart_vertex, or to
-    len(pairing) * 2 / 3 with the block assignment dart -> dart // 3.
-    """
-    if vertex_count is None:
-        if dart_vertex is not None:
-            vertex_count = max(dart_vertex) + 1 if dart_vertex else 0
-        else:
-            vertex_count = (2 * len(pairing)) // 3
-    return TrivalentGraph(vertex_count, pairing, dart_vertex)
-
-
 # -- fixture catalog ----------------------------------------------------
 #
 # Block dart labels throughout: vertex v owns darts 3v, 3v+1, 3v+2 sitting
@@ -251,14 +237,12 @@ class SpanningTreeData:
 
     order lists the vertices in discovery order.  entry_dart[v] is the
     dart at the parent of v pointing along the tree edge into v (None at
-    the root).  tree_edges lists the tree edges in discovery order,
-    cotree_edges the g edges off the tree in increasing edge-index
-    order.
+    the root).  cotree_edges lists the g edges off the tree in
+    increasing edge-index order.
     """
 
     order: tuple
     entry_dart: tuple
-    tree_edges: tuple
     cotree_edges: tuple
 
 
@@ -275,11 +259,10 @@ def spanning_tree(graph: TrivalentGraph) -> SpanningTreeData:
     entry = [None] * graph.vertex_count
     for v in order[1:]:
         entry[v] = found[v][0]
-    tree_edges = tuple(graph.edge_index(entry[v]) for v in order[1:])
-    in_tree = set(tree_edges)
+    in_tree = {graph.edge_index(entry[v]) for v in order[1:]}
     cotree = tuple(e for e in range(len(graph.edges)) if e not in in_tree)
     return SpanningTreeData(order=tuple(order), entry_dart=tuple(entry),
-                            tree_edges=tree_edges, cotree_edges=cotree)
+                            cotree_edges=cotree)
 
 
 def canonical_hash(graph: TrivalentGraph) -> str:

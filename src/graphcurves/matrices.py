@@ -7,7 +7,6 @@ behind those coordinates is :data:`SL2_BASIS`.
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 
 from .errors import ValidationError
 from .scalars import DET_TOL, EXACT, check_domain, random_nonzero_int
@@ -149,16 +148,16 @@ def random_unimodular(rng, domain: str) -> Mat2:
     """Seeded random determinant-one matrix.
 
     Exact domain: a product of four elementary shears with nonzero integer
-    parameters, so the determinant is exactly one and entries stay small.
-    Float domain: a complex Gaussian matrix divided by a square root of
-    its determinant.
+    parameters, so the matrix has int entries, the determinant is exactly
+    one and entries stay small.  Float domain: a complex Gaussian matrix
+    divided by a square root of its determinant.
     """
     check_domain(domain)
     if domain == EXACT:
-        m = _shear_upper(Fraction(random_nonzero_int(rng)))
-        m = m * _shear_lower(Fraction(random_nonzero_int(rng)))
-        m = m * _shear_upper(Fraction(random_nonzero_int(rng)))
-        m = m * _shear_lower(Fraction(random_nonzero_int(rng)))
+        m = _shear_upper(random_nonzero_int(rng))
+        m = m * _shear_lower(random_nonzero_int(rng))
+        m = m * _shear_upper(random_nonzero_int(rng))
+        m = m * _shear_lower(random_nonzero_int(rng))
         return m
     while True:
         entries = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]

@@ -25,10 +25,12 @@ bi-residues are global coordinates.
 """
 from __future__ import annotations
 
+import cmath
+
 from .errors import MatchingViolated, ValidationError
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, solve_kernel
-from .scalars import EXACT, MATCH_TOL, domain_of
+from .scalars import EXACT, FLOAT, MATCH_TOL, domain_of
 
 
 def _residues(r0, r1):
@@ -72,13 +74,23 @@ def _product_coefficients(r0, r1, s0, s1):
 def _coefficient_tuple(graph: TrivalentGraph, coefficients, width: int):
     """(coefficients as a tuple of width entries per vertex of graph, domain_of them).
 
-    Raises ValidationError on any other length or on mixed domains.
+    Raises ValidationError when coefficients is not iterable, on any
+    other length, on mixed domains, and on a float coefficient that is
+    nan or infinite (every comparison with nan is false, so the rules
+    downstream would accept it).
     """
-    coefficients = tuple(coefficients)
+    try:
+        coefficients = tuple(coefficients)
+    except TypeError:
+        raise ValidationError(f"coefficients must be a sequence, "
+                              f"got {type(coefficients).__name__}") from None
     if len(coefficients) != width * graph.vertex_count:
         raise ValidationError(f"need {width * graph.vertex_count} coefficients, "
                               f"got {len(coefficients)}")
-    return coefficients, domain_of(*coefficients)
+    domain = domain_of(*coefficients)
+    if domain == FLOAT and not all(map(cmath.isfinite, coefficients)):
+        raise ValidationError("float coefficients must be finite")
+    return coefficients, domain
 
 
 class GlobalDifferential:

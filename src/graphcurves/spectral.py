@@ -45,8 +45,8 @@ def _as_complex_framing(framing: Framing) -> Framing:
     if framing.domain == FLOAT:
         return framing
     return Framing(framing.graph,
-                   [to_complex_mat(framing.matrix(d))
-                    for d in range(framing.graph.dart_count)], FLOAT)
+                   [to_complex_mat(framing.matrix(a)) for a, _ in framing.graph.edges],
+                   FLOAT)
 
 
 # -- branch points ------------------------------------------------------

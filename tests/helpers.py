@@ -52,6 +52,26 @@ def exact_det(rows):
     return sub(tuple(range(n)))
 
 
+def integer_det(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, for matrices too large for exact_det."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
 def minor_rank(rows):
     """Largest r with a nonzero r x r minor.  Exact entries only."""
     rows = [tuple(Fraction(x) for x in row) for row in rows]

@@ -15,7 +15,6 @@ from graphcurves.graphs import (
     POINT_ONE,
     POINT_ZERO,
     TrivalentGraph,
-    build_graph,
     canonical_hash,
     catalog_graph,
     graph_from_json,
@@ -81,22 +80,22 @@ def test_dumbbell_loops():
 
 def test_pairing_must_be_involution():
     with pytest.raises(MalformedPairing):
-        build_graph(((0, 1), (1, 2), (3, 4)))
+        TrivalentGraph(2, ((0, 1), (1, 2), (3, 4)))
 
 
 def test_pairing_rejects_fixed_dart():
-    with pytest.raises(MalformedPairing):
-        build_graph(((0, 0), (1, 2), (3, 4), (5, 5)))
+    with pytest.raises(MalformedPairing, match="paired with itself"):
+        TrivalentGraph(2, ((0, 0), (1, 2), (3, 4)))
 
 
 def test_pairing_rejects_out_of_range():
     with pytest.raises(MalformedPairing):
-        build_graph(((0, 6), (1, 2), (3, 4)))
+        TrivalentGraph(2, ((0, 6), (1, 2), (3, 4)))
 
 
 def test_dart_count_must_be_multiple_of_three():
     with pytest.raises((MalformedPairing, NotTrivalent)):
-        build_graph(((0, 1), (2, 3)))
+        TrivalentGraph(2, ((0, 1), (2, 3)))
 
 
 def test_pair_count_checked_before_allocating():
@@ -120,7 +119,7 @@ def test_disconnected_rejected():
     # two disjoint theta graphs
     pairing = ((0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11))
     with pytest.raises(Disconnected):
-        build_graph(pairing)
+        TrivalentGraph(4, pairing)
 
 
 def test_genus_from_euler_characteristic():
@@ -165,7 +164,7 @@ def test_spanning_tree_theta():
     g = catalog_graph("theta")
     t = spanning_tree(g)
     assert t.order[0] == 0
-    assert t.tree_edges == (0,)
+    assert t.entry_dart == (None, 0)
     assert t.cotree_edges == (1, 2)
     assert t.order == (0, 1)
 
@@ -173,7 +172,7 @@ def test_spanning_tree_theta():
 def test_spanning_tree_dumbbell_bridge():
     # only the bridge can be in the tree
     t = spanning_tree(catalog_graph("dumbbell"))
-    assert t.tree_edges == (1,)
+    assert t.entry_dart == (None, 2)
     assert t.cotree_edges == (0, 2)
 
 
@@ -181,9 +180,10 @@ def test_spanning_tree_dumbbell_bridge():
 def test_spanning_tree_sizes(name):
     g = catalog_graph(name)
     t = spanning_tree(g)
-    assert len(t.tree_edges) == g.vertex_count - 1
+    tree_edges = [g.edge_index(t.entry_dart[v]) for v in t.order[1:]]
+    assert len(tree_edges) == g.vertex_count - 1
     assert len(t.cotree_edges) == g.genus
-    assert sorted(t.tree_edges + t.cotree_edges) == list(range(len(g.edges)))
+    assert sorted(tree_edges + list(t.cotree_edges)) == list(range(len(g.edges)))
     assert sorted(t.order) == list(range(g.vertex_count))
 
 
@@ -203,7 +203,7 @@ def test_canonical_hash_relabel_invariant():
     g = catalog_graph("theta")
     # swap the two vertices: darts 0..2 <-> 3..5
     relabel = ((3, 0), (4, 1), (5, 2))
-    h = build_graph(tuple(sorted((min(a, b), max(a, b)) for a, b in relabel)))
+    h = TrivalentGraph(2, tuple(sorted((min(a, b), max(a, b)) for a, b in relabel)))
     assert canonical_hash(h) == canonical_hash(g)
 
 

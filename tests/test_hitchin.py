@@ -278,7 +278,7 @@ def test_coefficient_kernels_match_component_oracle(domain):
         report = higgs_space(framing)
         basis = report.basis
         fd_basis = basis if domain == FLOAT else higgs_space(Framing(
-            g, [to_complex_mat(framing.matrix(d)) for d in range(g.dart_count)],
+            g, [to_complex_mat(framing.matrix(a)) for a, _ in g.edges],
             FLOAT)).basis
         phi = random_higgs_field(framing, k % 3)
         old = old_random_higgs_field(framing, k % 3, domain, report)

@@ -2,13 +2,14 @@
 
 The acceptance gate checks them on a fixed pool of genus 2 to 6; here
 they hold on random_trivalent(2k, s) up to 24 vertices (genus 13).  So
-does the graph's kept spanning tree.
+do the graph's kept spanning tree and the lattice the anti-invariant
+cycles span.
 
-The constructor properties feed wrong lengths, scalar types, mixed
-domains and edge keys to every public constructor of fields, gauges,
-framings and flat bundles: each either builds a value, which the
-readers after it accept, or raises a GraphCurveError, never a bare
-Python error.
+The constructor properties feed wrong lengths, non-iterables, scalar
+types, mixed domains and edge keys to every public constructor of
+fields, gauges, framings and flat bundles: each either builds a value,
+which the readers after it accept, or raises a GraphCurveError, never a
+bare Python error.
 """
 import math
 from fractions import Fraction
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphcurves.errors import GraphCurveError, ScalarDomainMismatch
+from graphcurves.errors import GraphCurveError, ScalarDomainMismatch, ValidationError
 from graphcurves.framings import (Framing, GaugeTransform, SurfaceFlatBundle,
                                   apply_gauge, flat_local_dimension)
 from graphcurves.graphs import (CATALOG_NAMES, catalog_graph, random_trivalent,
@@ -30,6 +31,8 @@ from graphcurves.sections import (GlobalDifferential, GlobalQuadratic,
                                   bires_coordinates, canonical_space,
                                   double_canonical_space)
 from graphcurves.spectral import anti_invariant_cycles, prym_report
+
+from helpers import integer_det
 
 GRAPHS = st.builds(random_trivalent, st.integers(1, 12).map(lambda k: 2 * k),
                    st.integers(0, 10**6))
@@ -62,6 +65,19 @@ def test_prym_report_and_anti_invariant_cycles(graph):
 
 @PROPERTY
 @given(GRAPHS)
+def test_anti_invariant_cycles_span_the_image_of_one_minus_swap(graph):
+    # The halves w of the chosen cycles are a basis of im(1 - swap): the
+    # w in Z^E whose reduction mod 2 is a cycle of the base, of index
+    # 2^(E - g) = 2^(2g - 3) in the digon lattice Z^E = ker(1 + swap).
+    halves = [z[::2] for z in anti_invariant_cycles(graph)]
+    assert abs(integer_det(halves)) == 2 ** (2 * graph.genus - 3)
+    for w in halves:
+        assert all(sum(w[graph.edge_index(d)] for d in graph.vertex_darts(v)) % 2 == 0
+                   for v in range(graph.vertex_count))
+
+
+@PROPERTY
+@given(GRAPHS)
 def test_graph_keeps_its_spanning_tree(graph):
     assert graph.tree == spanning_tree(graph)
 
@@ -85,16 +101,20 @@ MATRICES = st.one_of(
                      Mat2(Fraction(1), 0.5, 0, 1)]),
     st.builds(Mat2, SCALARS, SCALARS, SCALARS, SCALARS),
     st.sampled_from([None, (1, 0, 0, 1), 1]))
-# The three probes of a value outside its domain: float matrices in an
-# exact framing, a field of strings, and a half-Fraction, half-complex field.
+# The probes of a value outside its domain: a field of strings, a
+# half-Fraction, half-complex field, and float matrices in an exact
+# framing and as the meridians of an exact bundle.
 PROBES = [(HiggsField, THETA, ["x"] * 12),
           (HiggsField, THETA, [Fraction(1)] * 6 + [1j] * 6),
-          (Framing, THETA, [FLOAT_SHEAR] * 6, EXACT),
-          (Framing.from_primary, THETA, [FLOAT_SHEAR] * 3, EXACT)]
+          (Framing, THETA, [FLOAT_SHEAR] * 3, EXACT),
+          (SurfaceFlatBundle.from_primary, Framing.identity(THETA), [FLOAT_SHEAR] * 3)]
 
 
 def _items(draw, count, items):
-    """count items, give or take one, or any other list length."""
+    """count items, give or take one, or any other list length, or a
+    value that is not iterable."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([3, None]))
     n = draw(st.one_of(st.integers(max(count - 1, 0), count + 1),
                        st.integers(0, count + 3)))
     return draw(st.lists(items, min_size=n, max_size=n))
@@ -115,16 +135,14 @@ def constructor_calls(draw):
     graph = draw(CATALOG)
     domain = draw(st.sampled_from([EXACT, FLOAT, "neither"]))
     kind = draw(st.sampled_from([GlobalDifferential, GlobalQuadratic, HiggsField,
-                                 GaugeTransform, Framing, Framing.from_primary,
-                                 SurfaceFlatBundle, SurfaceFlatBundle.from_primary]))
+                                 GaugeTransform, Framing, SurfaceFlatBundle,
+                                 SurfaceFlatBundle.from_primary]))
     width = {GlobalDifferential: 2, GlobalQuadratic: 3, HiggsField: 6}.get(kind)
     if width:
         return kind, graph, _items(draw, width * graph.vertex_count, SCALARS)
     if kind is GaugeTransform:
         return kind, graph, _items(draw, graph.vertex_count, MATRICES), domain
     if kind is Framing:
-        return kind, graph, _items(draw, graph.dart_count, MATRICES), domain
-    if kind == Framing.from_primary:
         return kind, graph, _per_edge(draw, graph), domain
     framing = Framing.random(graph, 0, draw(st.sampled_from([EXACT, FLOAT])))
     if kind is SurfaceFlatBundle:
@@ -154,7 +172,11 @@ def _read(value):
 @example(PROBES[1])
 @example(PROBES[2])
 @example(PROBES[3])
-@example((Framing, THETA, [Mat2(math.nan, 0, 0, 1)] * 6, FLOAT))
+@example((Framing, THETA, [Mat2(math.nan, 0, 0, 1)] * 3, FLOAT))
+@example((HiggsField, THETA, 5))
+@example((Framing, THETA, None, EXACT))
+@example((Framing, THETA, 3, EXACT))
+@example((SurfaceFlatBundle.from_primary, Framing.identity(THETA), 3))
 def test_constructors_raise_package_errors_only(call):
     build, *args = call
     try:
@@ -168,4 +190,17 @@ def test_constructors_raise_package_errors_only(call):
 def test_values_outside_their_domain_are_rejected(call):
     build, *args = call
     with pytest.raises(ScalarDomainMismatch):
+        build(*args)
+
+
+@pytest.mark.parametrize("call", [
+    (HiggsField, THETA, [math.nan] * 12),
+    (GlobalQuadratic, THETA, [complex(math.inf)] + [0j] * 5),
+    (GlobalDifferential, THETA, [1.0, -math.inf, 0.0, 0.0]),
+], ids=["higgs-nan", "quadratic-inf", "differential-inf"])
+def test_float_fields_reject_non_finite_coefficients(call):
+    # every comparison with nan is false: before this check a nan field
+    # read as regular and an infinite bi-residue as matched
+    build, *args = call
+    with pytest.raises(ValidationError, match="^float coefficients must be finite$"):
         build(*args)
