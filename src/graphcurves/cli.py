@@ -179,8 +179,13 @@ def cmd_hitchin(args) -> dict:
         phi = random_higgs_field(framing, seed)
         coords = hitchin_edge_coords(phi)
         jac = hitchin_jacobian(phi, framing)
-        float_framing = Framing.random(graph, seed, FLOAT)
-        float_phi = random_higgs_field(float_framing, seed)
+        # The finite-difference check runs in floats: on this trial's
+        # framing and field when they are float, else on a float framing
+        # and field drawn from the same seed.
+        float_framing, float_phi = framing, phi
+        if args.domain != FLOAT:
+            float_framing = Framing.random(graph, seed, FLOAT)
+            float_phi = random_higgs_field(float_framing, seed)
         return {
             "edge_coords": coords,
             "regular": is_regular(hitchin_image(phi)).regular,

@@ -140,6 +140,8 @@ class Framing:
         self._mats = tuple(mats)
         self.graph = graph
         self.domain = domain
+        # higgs.higgs_space's report, solved on its first call
+        self._higgs_space = None
 
     @classmethod
     def identity(cls, graph: TrivalentGraph, domain: str = EXACT):

@@ -18,6 +18,9 @@ differential basis and are therefore never imposed as equations.
 For a fixed framing the solution space is a vector space, of dimension
 3g - 3 for generic framings; the identity framing jumps to 3g (the
 trivial bundle carries sl2 tensor the g-dimensional section space).
+It depends only on the framing, so higgs_space solves it once per
+framing and keeps the result on the framing: random_higgs_field and the
+Jacobians of hitchin, called without a basis, reuse that solve.
 """
 from __future__ import annotations
 
@@ -102,11 +105,19 @@ def assemble_higgs_constraints(framing: Framing):
 
 
 def higgs_space(framing: Framing) -> KernelReport:
-    """Solve the node-cancellation system in the framing's domain, as HiggsFields."""
-    rows = assemble_higgs_constraints(framing)
-    report = solve_kernel(rows, 6 * framing.graph.vertex_count, framing.domain)
-    report.basis = [HiggsField(framing.graph, vec) for vec in report.basis]
-    return report
+    """Solve the node-cancellation system in the framing's domain, as HiggsFields.
+
+    A framing's matrices never change, so the system is solved once per
+    framing, on the first call, and the report is stored on the framing
+    and shared by every later call.  Its basis is a tuple, so no caller
+    can change the basis another caller sees.
+    """
+    if framing._higgs_space is None:
+        rows = assemble_higgs_constraints(framing)
+        report = solve_kernel(rows, 6 * framing.graph.vertex_count, framing.domain)
+        report.basis = tuple(HiggsField(framing.graph, vec) for vec in report.basis)
+        framing._higgs_space = report
+    return framing._higgs_space
 
 
 def higgs_residual(phi: HiggsField, framing: Framing):

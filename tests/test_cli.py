@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcurves import cli
+from graphcurves import higgs as higgs_mod
 from graphcurves.framings import Framing
 from graphcurves.graphs import catalog_graph, graph_to_json, random_trivalent
 from graphcurves.higgs import random_higgs_field
-from graphcurves.hitchin import hitchin_edge_coords
+from graphcurves.hitchin import (hitchin_edge_coords, hitchin_jacobian,
+                                 jacobian_fd_error)
+from graphcurves.scalars import EXACT, FLOAT
 
-from helpers import cli_env
+from helpers import bits, cli_env
 
 PKG = [sys.executable, "-m", "graphcurves"]
 
@@ -137,6 +140,63 @@ def test_spectral_command():
     assert res["prym"] == {"b1_base": 2, "b1_spectral": 5,
                            "prym_dim": 3, "pullback_rank": 2}
     assert res["roundtrip_err"] < 1e-8
+
+
+def _higgs_solves(monkeypatch, *argv):
+    """Domains of the Higgs kernel solves one in-process CLI call makes."""
+    domains = []
+    solve = higgs_mod.solve_kernel
+
+    def counted(rows, ncols, domain):
+        domains.append(domain)
+        return solve(rows, ncols, domain)
+
+    monkeypatch.setattr(higgs_mod, "solve_kernel", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+    return domains
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+@pytest.mark.parametrize("argv, per_trial", [
+    (("hitchin", "--domain", "float"), [FLOAT]),
+    (("hitchin", "--domain", "exact"), [EXACT, FLOAT]),
+    (("higgs", "--domain", "exact"), [EXACT]),
+    (("higgs", "--domain", "float"), [FLOAT]),
+    (("spectral",), [FLOAT]),
+], ids=["hitchin-float", "hitchin-exact", "higgs-exact", "higgs-float", "spectral"])
+def test_one_higgs_solve_per_framing(monkeypatch, argv, per_trial, trials):
+    # each framing's Higgs space is solved once: a float hitchin trial
+    # checks its Jacobian on its own framing, an exact one on one float
+    # framing of the same seed
+    domains = _higgs_solves(monkeypatch, *argv, "--graph", "k4", "--seed", "1",
+                            "--trials", str(trials))
+    assert domains == per_trial * trials
+
+
+def _independent_float_hitchin(graph, seed):
+    """A float hitchin trial as two independently built framings and fields."""
+    framing = Framing.random(graph, seed, FLOAT)
+    phi = random_higgs_field(framing, seed)
+    check_framing = Framing.random(graph, seed, FLOAT)
+    check_phi = random_higgs_field(check_framing, seed)
+    return {"edge_coords": hitchin_edge_coords(phi),
+            "jacobian_rank": hitchin_jacobian(phi, framing).rank,
+            "fd_rel_err": jacobian_fd_error(check_phi, check_framing)}
+
+
+def test_float_hitchin_on_one_framing_matches_two(tmp_path):
+    path = tmp_path / "v20.json"
+    path.write_text(json.dumps(graph_to_json(random_trivalent(20, 1))))
+    for spec in ("theta", "k4", str(path)):
+        graph, _ = cli._resolve_graph(spec)
+        for seed in range(3):
+            args = cli.build_parser().parse_args(
+                ["hitchin", "--graph", spec, "--seed", str(seed), "--domain", "float"])
+            res = cli.cmd_hitchin(args)["results"]
+            want = _independent_float_hitchin(graph, seed)
+            for key, value in want.items():
+                assert bits(res[key]) == bits(value), (spec, seed, key)
 
 
 def test_trials_loop():

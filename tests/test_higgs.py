@@ -34,6 +34,23 @@ def test_higgs_dimension_generic(name):
         assert sp.rank == 9 * g.genus - 9
 
 
+@pytest.mark.parametrize("domain", [EXACT, FLOAT])
+def test_higgs_space_is_stored_on_the_framing(domain):
+    for k, g in enumerate([catalog_graph("theta"), catalog_graph("k4"),
+                           random_trivalent(20, 1)]):
+        framing = Framing.random(g, seed=k, domain=domain)
+        space = higgs_space(framing)
+        assert higgs_space(framing) is space
+        assert isinstance(space.basis, tuple)
+        # an equal framing solves its own system, to the same bits
+        twin = higgs_space(Framing.random(g, seed=k, domain=domain))
+        assert twin is not space
+        assert (twin.domain, twin.nrows, twin.ncols, twin.rank) == (
+            space.domain, space.nrows, space.ncols, space.rank)
+        assert bits([psi.coefficients for psi in twin.basis]) == bits(
+            [psi.coefficients for psi in space.basis])
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_higgs_dimension_identity_framing(name):
     # at the fully trivial framing the three matrix entries decouple,
