@@ -159,12 +159,10 @@ def cmd_higgs(args) -> dict:
     def one_trial(seed):
         framing = Framing.random(graph, seed, args.domain)
         space = higgs_space(framing)
-        residual = max([0.0] + [float(abs(higgs_residual(phi, framing)))
-                                for phi in space.basis])
         return {
             "dim": space.dim,
             "rank": space.rank,
-            "residual": residual,
+            "residual": float(higgs_residual(space.basis, framing)),
         }
 
     return _report("higgs", {"graph": inputs}, args.domain, args.seed,
@@ -180,17 +178,19 @@ def cmd_hitchin(args) -> dict:
         coords = hitchin_edge_coords(phi)
         jac = hitchin_jacobian(phi, framing)
         # The finite-difference check runs in floats: on this trial's
-        # framing and field when they are float, else on a float framing
-        # and field drawn from the same seed.
-        float_framing, float_phi = framing, phi
-        if args.domain != FLOAT:
+        # framing, field and Jacobian when they are float, else on a float
+        # framing and field drawn from the same seed.
+        if args.domain == FLOAT:
+            fd_rel_err = jacobian_fd_error(phi, framing, jacobian=jac.matrix)
+        else:
             float_framing = Framing.random(graph, seed, FLOAT)
-            float_phi = random_higgs_field(float_framing, seed)
+            fd_rel_err = jacobian_fd_error(random_higgs_field(float_framing, seed),
+                                           float_framing)
         return {
             "edge_coords": coords,
             "regular": is_regular(hitchin_image(phi)).regular,
             "jacobian_rank": jac.rank,
-            "fd_rel_err": jacobian_fd_error(float_phi, float_framing),
+            "fd_rel_err": fd_rel_err,
         }
 
     return _report("hitchin", {"graph": inputs}, args.domain, args.seed,

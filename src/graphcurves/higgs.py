@@ -21,6 +21,14 @@ trivial bundle carries sl2 tensor the g-dimensional section space).
 It depends only on the framing, so higgs_space solves it once per
 framing and keeps the result on the framing: random_higgs_field and the
 Jacobians of hitchin, called without a basis, reuse that solve.
+
+higgs_residual checks a whole sequence of fields, such as that basis, in
+one pass: the per-edge work is done once for all the fields, exact
+fields run on integer numerators, and float fields on float64 arrays
+with the rounding of the Mat2 product.  It reads the residue matrices
+and the framing matrices themselves, not the rows that
+assemble_higgs_constraints builds from them, so a fault in the assembly
+shows as a nonzero residual instead of cancelling out.
 """
 from __future__ import annotations
 
@@ -32,15 +40,25 @@ from random import Random
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, _clear_denominators, solve_kernel
-from .matrices import Mat2, adjoint_matrix, from_sl2_coords
-from .scalars import EXACT
+from .matrices import SL2_BASIS, Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
+from .scalars import EXACT, domain_of
 from .sections import RESIDUE_FUNCTIONAL, _coefficient_tuple, _residues
+
+
+def _residue_coords(c, base: int, point: int):
+    """(x11, x12, x21) of the residue matrix at a marked point from the six
+    coefficients at base."""
+    if point == 0:
+        return c[base], c[base + 2], c[base + 4]
+    if point == 1:
+        return c[base + 1], c[base + 3], c[base + 5]
+    return (-(c[base] + c[base + 1]), -(c[base + 2] + c[base + 3]),
+            -(c[base + 4] + c[base + 5]))
 
 
 def _residue_matrix(coeffs, base: int, point: int) -> Mat2:
     """Residue matrix at a marked point from the six coefficients at base."""
-    return from_sl2_coords(*(_residues(coeffs[i], coeffs[i + 1])[point]
-                             for i in (base, base + 2, base + 4)))
+    return from_sl2_coords(*_residue_coords(coeffs, base, point))
 
 
 def _vertex_coefficients(m0: Mat2, m1: Mat2) -> tuple:
@@ -120,32 +138,145 @@ def higgs_space(framing: Framing) -> KernelReport:
     return framing._higgs_space
 
 
-def higgs_residual(phi: HiggsField, framing: Framing):
-    """Largest entry of R_source + a R_target a^-1 over all edges.
+def higgs_residual(fields, framing: Framing):
+    """Largest entry of R_source + a R_target a^-1 over the fields and edges.
 
-    Exact fields on exact framings are checked on integers: with phi
-    scaled by its lcm denominator L and a = T/d for an integer matrix T,
+    fields is a sequence of HiggsFields on the framing's graph; an empty
+    one gives 0.  The check reads the residues and the framing matrices
+    themselves, never the rows of assemble_higgs_constraints, so it
+    checks that assembly independently.  The work of an edge (its
+    transport and its inverse) is done once for all the fields.
+
+    An exact field is checked on integers where the edge's matrix is
+    exact (every entry an int or Fraction): with phi scaled by its lcm
+    denominator L and a = T/d for an integer matrix T,
     d^2 L (R_s + a R_t a^-1) = d^2 L R_s + T (L R_t) adj(T), since a^-1
-    is the adjugate of a (det a = 1).
+    is the adjugate of a (det a = 1).  An edge whose two vertices carry
+    only zero coefficients has residual 0 there and is skipped.  Every
+    other field and edge is checked in floats, all at once
+    (_float_residual), to the bits of the Mat2 product.  The result is
+    0, a Fraction or a float.
     """
     g = framing.graph
-    worst = 0
-    if framing.domain != EXACT or phi.domain != EXACT:
-        for a, b in g.edges:
-            r_s = phi.residue_matrix(g.vertex_of(a), g.marked_point(a))
-            r_t = phi.residue_matrix(g.vertex_of(b), g.marked_point(b))
-            t = framing.matrix(a)
-            worst = max(worst, (r_s + t * r_t * t.inv()).max_norm())
-        return worst
-    coeffs, den = _clear_denominators(phi.coefficients)
+    exact_edges, float_edges = [], []
     for a, b in g.edges:
-        r_s = _residue_matrix(coeffs, 6 * g.vertex_of(a), g.marked_point(a))
-        r_t = _residue_matrix(coeffs, 6 * g.vertex_of(b), g.marked_point(b))
-        (p, q, r, s), d = _clear_denominators(framing.matrix(a).entries())
-        m = (r_s.scale(d * d) + Mat2(p, q, r, s) * r_t * Mat2(s, -q, -r, p)).max_norm()
-        if m:
-            worst = max(worst, Fraction(m, den * d * d))
+        exact = domain_of(*framing.matrix(a).entries()) == EXACT
+        (exact_edges if exact else float_edges).append((a, b))
+    exact_fields = [phi for phi in fields if phi.domain == EXACT]
+    float_fields = [phi for phi in fields if phi.domain != EXACT]
+    return max(_exact_residual(exact_fields, framing, exact_edges),
+               _float_residual(exact_fields, framing, float_edges),
+               _float_residual(float_fields, framing, g.edges))
+
+
+def _conjugation_coefficients(p, q, r, s):
+    """The nine ints of X -> T X adj(T), T = [[p, q], [r, s]], on
+    (x11, x12, x21) coordinates, row by row (a row per image coordinate)."""
+    t, adj = Mat2(p, q, r, s), Mat2(s, -q, -r, p)
+    cols = [sl2_coords(t * e * adj) for e in SL2_BASIS]
+    return tuple(cols[k][row] for row in range(3) for k in range(3))
+
+
+def _exact_residual(fields, framing: Framing, edges):
+    """higgs_residual of exact fields over edges with exact matrices."""
+    if not (fields and edges):
+        return 0
+    g = framing.graph
+    hoisted = []
+    for a, b in edges:
+        entries, d = _clear_denominators(framing.matrix(a).entries())
+        hoisted.append((g.vertex_of(a), g.marked_point(a), g.vertex_of(b),
+                        g.marked_point(b), d * d, _conjugation_coefficients(*entries)))
+    worst = 0
+    for phi in fields:
+        c, den = _clear_denominators(phi.coefficients)
+        live = [any(c[i:i + 6]) for i in range(0, len(c), 6)]
+        for u, pu, w, pw, dd, (a0, a1, a2, b0, b1, b2, c0, c1, c2) in hoisted:
+            if not (live[u] or live[w]):
+                continue
+            x0, x1, x2 = _residue_coords(c, 6 * u, pu)
+            y0, y1, y2 = _residue_coords(c, 6 * w, pw)
+            m = max(abs(dd * x0 + a0 * y0 + a1 * y1 + a2 * y2),
+                    abs(dd * x1 + b0 * y0 + b1 * y1 + b2 * y2),
+                    abs(dd * x2 + c0 * y0 + c1 * y1 + c2 * y2))
+            if m:
+                worst = max(worst, Fraction(m, den * dd))
     return worst
+
+
+def _float_residual(fields, framing: Framing, edges):
+    """higgs_residual in floats, vectorised over the fields and edges.
+
+    A complex value is a pair of float64 arrays, real and imaginary
+    parts, and a complex product is CPython's, re = ar br - ai bi and
+    im = ar bi + ai br, taken in Mat2's order; so every entry rounds as
+    in the Mat2 product.  (numpy's complex multiply may fuse operations,
+    so no complex arithmetic runs in numpy.)  A field's residues are
+    taken in its own scalars, in numpy for a field of floats and complex
+    numbers and in Python otherwise, and then read as complex numbers,
+    as a product with a complex number reads them.  The inverse
+    transport is Mat2.inv(), and magnitudes are np.hypot, the hypot of
+    abs(complex).
+    """
+    if not (fields and edges):
+        return 0
+    import numpy as np
+
+    g = framing.graph
+    n, nv = len(fields), g.vertex_count
+    # [field, vertex, point, k]: coordinate k of the residue matrix at the
+    # vertex's marked point
+    re = np.empty((n, nv, 3, 3))
+    im = np.empty((n, nv, 3, 3))
+    floats, others = [], []
+    for f, phi in enumerate(fields):
+        kinds = set(map(type, phi.coefficients))
+        inexact = all(issubclass(k, (float, complex)) for k in kinds)
+        (floats if inexact else others).append(f)
+    if floats:
+        z = np.array([fields[f].coefficients for f in floats],
+                     dtype=complex).reshape(len(floats), nv, 3, 2)
+        for part, out in ((z.real, re), (z.imag, im)):
+            out[floats, :, 0] = part[..., 0]
+            out[floats, :, 1] = part[..., 1]
+            out[floats, :, 2] = -(part[..., 0] + part[..., 1])
+    for f in others:
+        c = fields[f].coefficients
+        z = np.array([complex(x) for i in range(0, len(c), 2)
+                      for x in _residues(c[i], c[i + 1])]).reshape(nv, 3, 3)
+        re[f] = z.real.transpose(0, 2, 1)
+        im[f] = z.imag.transpose(0, 2, 1)
+    re = re.reshape(n, 9 * nv)
+    im = im.reshape(n, 9 * nv)
+
+    def residues(darts):
+        at = np.array([9 * g.vertex_of(d) + 3 * g.marked_point(d) for d in darts])
+        x = [(re[:, at + k], im[:, at + k]) for k in range(3)]
+        return (*x, (-x[0][0], -x[0][1]))
+
+    def transport(mats):
+        parts = np.array([[complex(x) for x in m.entries()] for m in mats]).T
+        return tuple(zip(parts.real, parts.imag))
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def add(x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    def matmul(m, k):
+        return (add(mul(m[0], k[0]), mul(m[1], k[2])),
+                add(mul(m[0], k[1]), mul(m[1], k[3])),
+                add(mul(m[2], k[0]), mul(m[3], k[2])),
+                add(mul(m[2], k[1]), mul(m[3], k[3])))
+
+    sources, targets = zip(*edges)
+    mats = [framing.matrix(a) for a in sources]
+    conjugated = matmul(matmul(transport(mats), residues(targets)),
+                        transport([t.inv() for t in mats]))
+    worst = max(float(np.hypot(*add(x, y)).max())
+                for x, y in zip(residues(sources), conjugated))
+    return max(0, worst)
 
 
 def gauge_transform_higgs(gauge: GaugeTransform, phi: HiggsField) -> HiggsField:

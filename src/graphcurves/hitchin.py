@@ -162,11 +162,20 @@ def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None):
     return rows
 
 
-def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None) -> float:
-    """Relative max-norm gap between the Jacobian and central differences."""
+def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
+                      jacobian=None) -> float:
+    """Relative max-norm gap between the Jacobian and central differences.
+
+    jacobian is hitchin_jacobian(phi, framing, basis).matrix, when the
+    caller has built it already; else it is built here.  det is
+    quadratic, so the central difference (Q(x+hy) - Q(x-hy))/2h equals
+    the polarization exactly and the gap measures only rounding.
+    """
     if basis is None:
         basis = higgs_space(framing).basis
-    exact_rows = hitchin_jacobian(phi, framing, basis).matrix
+    exact_rows = jacobian
+    if exact_rows is None:
+        exact_rows = hitchin_jacobian(phi, framing, basis).matrix
     fd_rows = finite_difference_jacobian(phi, framing, basis)
     scale = max([1.0] + [abs(x) for row in exact_rows for x in row])
     gap = max((abs(x - y) for er, fr in zip(exact_rows, fd_rows)

@@ -26,10 +26,11 @@ bi-residues are global coordinates.
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 
 from .errors import MatchingViolated, ValidationError
 from .graphs import TrivalentGraph
-from .linalg import KernelReport, solve_kernel
+from .linalg import KernelReport, _clear_denominators, solve_kernel
 from .scalars import EXACT, FLOAT, MATCH_TOL, domain_of
 
 
@@ -188,16 +189,45 @@ def bires_coordinates(omega: GlobalQuadratic):
 
 def _matched_biresidues(g: TrivalentGraph, coeffs, domain: str):
     """bires_coordinates on a flat (q0, q1, q2)-per-vertex sequence in domain."""
-    exact = domain == EXACT
-    scale = 1 if exact else max([1.0] + [abs(x) for x in coeffs])
+    if domain == EXACT:
+        return _exact_biresidues(g, coeffs)
+    scale = max([1.0] + [abs(x) for x in coeffs])
     bires = list(map(_biresidues, coeffs[::3], coeffs[1::3], coeffs[2::3]))
     coords = []
     for e, (a, b) in enumerate(g.edges):
         lhs = bires[g.vertex_of(a)][g.marked_point(a)]
         rhs = bires[g.vertex_of(b)][g.marked_point(b)]
-        diff = abs(lhs - rhs)
-        if (diff != 0) if exact else (diff > MATCH_TOL * scale):
+        if abs(lhs - rhs) > MATCH_TOL * scale:
             raise MatchingViolated(
                 f"bi-residues differ across edge {e}: {lhs} vs {rhs}")
         coords.append(lhs)
+    return coords
+
+
+def _exact_biresidues(g: TrivalentGraph, coeffs):
+    """_matched_biresidues of exact coefficients, on their integer numerators.
+
+    The coefficients are cleared of denominators once, the bi-residues
+    compared as ints, and each edge's divided back once.  An entry has
+    the type rational arithmetic gives it: an int where every
+    coefficient it sums is an int, a Fraction otherwise.
+    """
+    ints, den = _clear_denominators(coeffs)
+    bires = list(map(_biresidues, ints[::3], ints[1::3], ints[2::3]))
+    # per bi-residue, the number of Fraction coefficients it sums
+    fractions = [not isinstance(x, int) for x in coeffs]
+    kinds = list(map(_biresidues, fractions[::3], fractions[1::3], fractions[2::3]))
+
+    def value(v, point):
+        n = bires[v][point]
+        return Fraction(n, den) if kinds[v][point] else n // den
+
+    coords = []
+    for e, (a, b) in enumerate(g.edges):
+        u, pu = g.vertex_of(a), g.marked_point(a)
+        w, pw = g.vertex_of(b), g.marked_point(b)
+        if bires[u][pu] != bires[w][pw]:
+            raise MatchingViolated(f"bi-residues differ across edge {e}: "
+                                   f"{value(u, pu)} vs {value(w, pw)}")
+        coords.append(value(u, pu))
     return coords

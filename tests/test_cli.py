@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from graphcurves import cli
 from graphcurves import higgs as higgs_mod
+from graphcurves import hitchin as hitchin_mod
+from graphcurves import linalg as linalg_mod
 from graphcurves.framings import Framing
 from graphcurves.graphs import catalog_graph, graph_to_json, random_trivalent
 from graphcurves.higgs import random_higgs_field
@@ -172,6 +174,37 @@ def test_one_higgs_solve_per_framing(monkeypatch, argv, per_trial, trials):
     domains = _higgs_solves(monkeypatch, *argv, "--graph", "k4", "--seed", "1",
                             "--trials", str(trials))
     assert domains == per_trial * trials
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+@pytest.mark.parametrize("domain, jacobians, ranks", [
+    (FLOAT, 1, 1),
+    (EXACT, 2, 1),
+])
+def test_one_jacobian_per_float_hitchin_trial(monkeypatch, domain, jacobians,
+                                              ranks, trials):
+    # a float trial checks fd_rel_err against the Jacobian it reports: one
+    # hitchin_jacobian and one SVD rank; an exact trial builds its exact
+    # Jacobian (an exact rank) and a float one on its float framing
+    calls = {"hitchin_jacobian": 0, "float_rank": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(hitchin_mod, "hitchin_jacobian")
+    counted(linalg_mod, "float_rank")
+    monkeypatch.setattr(cli, "hitchin_jacobian", hitchin_mod.hitchin_jacobian)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["hitchin", "--graph", "k4", "--seed", "1", "--domain",
+                         domain, "--trials", str(trials)]) == 0
+    assert calls == {"hitchin_jacobian": jacobians * trials,
+                     "float_rank": ranks * trials}
 
 
 def _independent_float_hitchin(graph, seed):

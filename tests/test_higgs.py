@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
 from graphcurves.matrices import Mat2, conj
@@ -73,8 +75,7 @@ def test_basis_fields_satisfy_constraints_exactly():
     for name in CATALOG_NAMES:
         g = catalog_graph(name)
         a = Framing.random(g, seed=5)
-        for phi in higgs_space(a).basis:
-            assert higgs_residual(phi, a) == 0
+        assert higgs_residual(higgs_space(a).basis, a) == 0
 
 
 def test_float_domain_dimension():
@@ -82,8 +83,7 @@ def test_float_domain_dimension():
     a = Framing.random(g, seed=5, domain=FLOAT)
     sp = higgs_space(a)
     assert sp.dim == 6
-    for phi in sp.basis:
-        assert higgs_residual(phi, a) < 1e-9
+    assert higgs_residual(sp.basis, a) < 1e-9
 
 
 def test_orientation_choice_does_not_change_kernel():
@@ -137,7 +137,7 @@ def test_random_field_deterministic_and_constrained():
     p1 = random_higgs_field(a, seed=3)
     p2 = random_higgs_field(a, seed=3)
     assert p1 == p2
-    assert higgs_residual(p1, a) == 0
+    assert higgs_residual([p1], a) == 0
     p3 = random_higgs_field(a, seed=4)
     assert p1 != p3
 
@@ -160,9 +160,8 @@ def test_gauge_moves_solutions_to_solutions():
     a = Framing.random(g, seed=21)
     u = GaugeTransform.random(g, seed=22)
     ag = apply_gauge(u, a)
-    for phi in higgs_space(a).basis:
-        phig = gauge_transform_higgs(u, phi)
-        assert higgs_residual(phig, ag) == 0
+    gauged = [gauge_transform_higgs(u, phi) for phi in higgs_space(a).basis]
+    assert higgs_residual(gauged, ag) == 0
 
 
 def test_gauge_acts_by_conjugation_on_residues():
@@ -195,14 +194,74 @@ def test_integer_residual_matches_fraction_oracle():
         for a in (framing, apply_gauge(gauge, framing)):
             basis = higgs_space(a).basis
             for phi in basis[:6]:
-                assert bits(higgs_residual(phi, a)) == bits(old_higgs_residual(phi, a)) \
+                assert bits(higgs_residual([phi], a)) == bits(old_higgs_residual(phi, a)) \
                     == bits(0)
             vec = list(basis[k % len(basis)].coefficients)
             vec[k % len(vec)] += Fraction(1, 7)
             bad = HiggsField(g, vec)
-            worst = higgs_residual(bad, a)
+            worst = higgs_residual([bad], a)
             assert bits(worst) == bits(old_higgs_residual(bad, a))
             assert type(worst) is Fraction and worst > 0
+
+
+def _as_python(x):
+    """The oracle's numpy float as a float of the same bits."""
+    return float(x) if isinstance(x, float) else x
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 15), st.integers(0, 10**6), st.sampled_from([EXACT, FLOAT]),
+       st.booleans(), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(-9, 9).filter(bool),
+                          st.integers(1, 9)), max_size=4))
+def test_batched_residual_matches_the_mat2_oracle(half, seed, domain, gauged,
+                                                  exact_fields, perturbations):
+    # the batched check equals, to the bits, the largest per-field Mat2
+    # residual: on kernel fields, on perturbed fields (residual > 0), on
+    # framings gauged by a matrix with denominators, and on exact fields
+    # checked on a float framing
+    g = random_trivalent(2 * half, seed)
+    framing = Framing.random(g, seed, domain)
+    if gauged:
+        rational = Mat2(Fraction(2), Fraction(1, 3), Fraction(0), Fraction(1, 2))
+        framing = apply_gauge(GaugeTransform(g, [rational] * g.vertex_count), framing)
+    source = framing
+    if exact_fields and domain == FLOAT:
+        source = Framing.random(g, seed, EXACT)
+    basis = list(higgs_space(source).basis)
+    fields = basis[:4]
+    for k, (at, p, q) in enumerate(perturbations):
+        vec = list(basis[k % len(basis)].coefficients)
+        vec[at % len(vec)] += (Fraction(p, q) if source.domain == EXACT
+                               else complex(p / q, q / p))
+        fields.append(HiggsField(g, vec))
+    oracle = max([0] + [old_higgs_residual(phi, framing) for phi in fields])
+    worst = higgs_residual(fields, framing)
+    assert bits(worst) == bits(_as_python(oracle))
+    assert worst > 0 if perturbations else (worst == 0 or domain == FLOAT)
+    assert higgs_residual([], framing) == 0
+
+
+@pytest.mark.parametrize("domain", [EXACT, FLOAT])
+def test_field_on_one_vertex_reports_its_three_edges(domain):
+    # an exact field supported on one vertex is nonzero on only that
+    # vertex's three edges, which the integer check must not skip; on the
+    # identity framing each edge's residual is the residue at its dart,
+    # and each of the three patterns puts the largest at another point
+    one = Fraction(1) if domain == EXACT else 1 + 0j
+    for g in (catalog_graph("k4"), catalog_graph("k33"), random_trivalent(12, 3)):
+        framings = (Framing.identity(g), Framing.random(g, 5, domain))
+        for v in range(g.vertex_count):
+            for r0, r1 in ((3, -1), (1, -3), (1, 2)):
+                vec = [0 * one] * (6 * g.vertex_count)
+                vec[6 * v:6 * v + 2] = [r0 * one, r1 * one]
+                phi = HiggsField(g, vec)
+                for framing in framings:
+                    worst = higgs_residual([phi], framing)
+                    want = old_higgs_residual(phi, framing)
+                    assert bits(worst) == bits(_as_python(want))
+                if not any(g.is_loop(g.edge_index(d)) for d in g.vertex_darts(v)):
+                    assert higgs_residual([phi], framings[0]) == 3
 
 
 # -- residue parameterization ------------------------------------------
@@ -216,8 +275,7 @@ def test_parameterization_matches_flat_linearization(name):
         rep = residue_parameterization(a)
         assert rep.matches_flat_linearization
         assert rep.kernel.dim == 3 * g.genus - 3
-        for phi in rep.basis_fields:
-            assert higgs_residual(phi, a) == 0
+        assert higgs_residual(rep.basis_fields, a) == 0
 
 
 def test_parameterization_matrix_equals_linearization_rows():
@@ -235,4 +293,4 @@ def test_edge_residue_lift():
     rep = residue_parameterization(a)
     for vec in rep.kernel.basis:
         phi = higgs_from_edge_residues(a, vec)
-        assert higgs_residual(phi, a) == 0
+        assert higgs_residual([phi], a) == 0

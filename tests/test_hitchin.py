@@ -146,7 +146,7 @@ def test_exact_fields_with_int_entries_match_the_rational_oracle():
         assert jac.matrix == rows
         assert jac.rank == rank(rows, len(g.edges), EXACT) == 3 * g.genus - 3
         for field in (ints, diagonal_field(g)):
-            assert higgs_residual(field, framing) == old_higgs_residual(field, framing)
+            assert higgs_residual([field], framing) == old_higgs_residual(field, framing)
 
 
 def test_polarization_diagonal_recovers_image():

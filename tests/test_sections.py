@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -21,7 +22,7 @@ from graphcurves.sections import (
 )
 from graphcurves.linalg import residual
 
-from helpers import minor_rank, svd_rank
+from helpers import bits, minor_rank, svd_rank
 
 
 def test_residue_functional_table():
@@ -183,6 +184,51 @@ def test_bires_coordinates_require_matching():
                         + [Fraction(0), Fraction(0), Fraction(0)])
     with pytest.raises(MatchingViolated):
         bires_coordinates(q)
+
+
+def _rational_bires_coordinates(g, coeffs):
+    """bires_coordinates by rational arithmetic on the entries as given."""
+    coords = []
+    for e, (a, b) in enumerate(g.edges):
+        sides = []
+        for d in (a, b):
+            v = g.vertex_of(d)
+            q0, q1, q2 = coeffs[3 * v:3 * v + 3]
+            sides.append((q0, q0 + q1 + q2, q2)[g.marked_point(d)])
+        if sides[0] != sides[1]:
+            return f"bi-residues differ across edge {e}: {sides[0]} vs {sides[1]}"
+        coords.append(sides[0])
+    return coords
+
+
+def test_bires_coordinates_keep_the_entry_types():
+    # integer numerators inside, the rational computation's types outside:
+    # an int input gives ints (the JSON of the edge coordinates prints
+    # them as numbers), a Fraction input Fractions, and a mixed input an
+    # int exactly where every summed coefficient is an int
+    for g in (catalog_graph("k4"), catalog_graph("k33"), random_trivalent(20, 2)):
+        for k, q in enumerate(double_canonical_space(g).basis):
+            c = q.coefficients
+            den = math.lcm(*(x.denominator for x in c))
+            ints = [int(x * den) for x in c]
+            halves = [Fraction(x, 2) for x in ints]
+            mixed = [int(x) if x.denominator == 1 and j % 3 != k % 3 else x
+                     for j, x in enumerate(halves)]
+            bad = list(halves)
+            bad[k % len(bad)] += Fraction(1, 7)
+            cases = ((ints, int), (halves, Fraction), (mixed, None), (bad, None))
+            for vec, kind in cases:
+                want = _rational_bires_coordinates(g, vec)
+                if isinstance(want, str):
+                    with pytest.raises(MatchingViolated) as err:
+                        bires_coordinates(GlobalQuadratic(g, vec))
+                    assert str(err.value) == want
+                    continue
+                got = bires_coordinates(GlobalQuadratic(g, vec))
+                assert bits(got) == bits(want)
+                if kind is not None:
+                    assert {type(x) for x in got} == {kind}
+            assert {int, Fraction} <= {type(x) for x in mixed}
 
 
 @pytest.mark.parametrize("first", [0, 0j])
