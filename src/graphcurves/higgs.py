@@ -41,7 +41,7 @@ from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, _clear_denominators, solve_kernel
 from .matrices import SL2_BASIS, Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
-from .scalars import EXACT, domain_of
+from .scalars import EXACT, _cadd, _cmatmul, domain_of
 from .sections import RESIDUE_FUNCTIONAL, _coefficient_tuple, _residues
 
 
@@ -208,10 +208,8 @@ def _float_residual(fields, framing: Framing, edges):
     """higgs_residual in floats, vectorised over the fields and edges.
 
     A complex value is a pair of float64 arrays, real and imaginary
-    parts, and a complex product is CPython's, re = ar br - ai bi and
-    im = ar bi + ai br, taken in Mat2's order; so every entry rounds as
-    in the Mat2 product.  (numpy's complex multiply may fuse operations,
-    so no complex arithmetic runs in numpy.)  A field's residues are
+    parts, multiplied by scalars._cmul and _cmatmul in Mat2's order; so
+    every entry rounds as in the Mat2 product.  A field's residues are
     taken in its own scalars, in numpy for a field of floats and complex
     numbers and in Python otherwise, and then read as complex numbers,
     as a product with a complex number reads them.  The inverse
@@ -258,23 +256,11 @@ def _float_residual(fields, framing: Framing, edges):
         parts = np.array([[complex(x) for x in m.entries()] for m in mats]).T
         return tuple(zip(parts.real, parts.imag))
 
-    def mul(x, y):
-        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-    def add(x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def matmul(m, k):
-        return (add(mul(m[0], k[0]), mul(m[1], k[2])),
-                add(mul(m[0], k[1]), mul(m[1], k[3])),
-                add(mul(m[2], k[0]), mul(m[3], k[2])),
-                add(mul(m[2], k[1]), mul(m[3], k[3])))
-
     sources, targets = zip(*edges)
     mats = [framing.matrix(a) for a in sources]
-    conjugated = matmul(matmul(transport(mats), residues(targets)),
-                        transport([t.inv() for t in mats]))
-    worst = max(float(np.hypot(*add(x, y)).max())
+    conjugated = _cmatmul(_cmatmul(transport(mats), residues(targets)),
+                          transport([t.inv() for t in mats]))
+    worst = max(float(np.hypot(*_cadd(x, y)).max())
                 for x, y in zip(residues(sources), conjugated))
     return max(0, worst)
 

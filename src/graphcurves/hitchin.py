@@ -14,10 +14,14 @@ quadratic map whose Jacobian comes from the symmetric bilinear
 polarization of det.
 
 The kernels map a field's flat 6V coefficient tuple to the flat 3V
-(q0, q1, q2)-per-vertex tuple of a GlobalQuadratic, with the same
-scalar operations in the same order in both domains.  hitchin_jacobian
-runs on the integer numerators of exact fields and divides once per
-entry, which gives the same Fractions as the rational computation.
+(q0, q1, q2)-per-vertex tuple of a GlobalQuadratic.  The Jacobians run
+them in one of two ways.  Exact rows of hitchin_jacobian run on the
+integer numerators of the fields and divide once per entry, which gives
+the same Fractions as the rational computation.  Float rows, of
+hitchin_jacobian, finite_difference_jacobian and jacobian_fd_error, run
+over the whole basis at once on float64 (re, im) pairs with CPython's
+complex rounding, so every entry has the bits the scalar kernels give
+on the numpy.complex128 coefficients of a float Higgs basis.
 """
 from __future__ import annotations
 
@@ -28,9 +32,10 @@ from .errors import MatchingViolated
 from .framings import Framing
 from .higgs import HiggsField, higgs_space
 from .linalg import _clear_denominators, rank as matrix_rank
-from .scalars import EXACT, FLOAT, REGULAR_RTOL
-from .sections import (GlobalQuadratic, _biresidues, _matched_biresidues,
-                       _product_coefficients, bires_coordinates)
+from .scalars import EXACT, FLOAT, REGULAR_RTOL, _cadd, _cmul, _cneg, _csub
+from .sections import (GlobalQuadratic, _biresidues, _float_biresidue_rows,
+                       _matched_biresidues, _product_coefficients,
+                       bires_coordinates)
 
 FD_STEP = 1e-5  # central-difference step of the finite-difference Jacobian
 
@@ -110,19 +115,32 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
     Row k holds the per-edge bi-residues of the polarization of phi with
     the k-th basis field of the framing's Higgs space.  When phi and the
     basis are exact fields, the rows are computed on their integer
-    numerators and the rank is taken of those integer rows.
+    numerators and the rank is taken of those integer rows; otherwise
+    they are computed in floats for the whole basis at once.
     """
     if basis is None:
         basis = higgs_space(framing).basis
-    g = phi.graph
-    ncols = len(g.edges)
-    if any(f.domain != EXACT for f in [phi, *basis]):
-        rows = [_matched_biresidues(g, _polarization_coefficients(
-            phi.coefficients, psi.coefficients), FLOAT) for psi in basis]
-        return JacobianReport(matrix=rows, rank=matrix_rank(rows, ncols, FLOAT),
+    ncols = len(phi.graph.edges)
+    if _all_exact(phi, basis):
+        int_rows, rows = _exact_jacobian_rows(phi, basis)
+        return JacobianReport(matrix=rows, rank=matrix_rank(int_rows, ncols, EXACT),
                               basis_size=len(basis))
-    # Exact fields: the polarization is bilinear, so the integer row of
-    # phi * den_phi against psi * den_psi is den_phi * den_psi times row k.
+    rows = _complex128_rows(_float_jacobian_rows(phi, basis))
+    return JacobianReport(matrix=[list(row) for row in rows],
+                          rank=matrix_rank(rows, ncols, FLOAT), basis_size=len(basis))
+
+
+def _all_exact(phi: HiggsField, basis) -> bool:
+    return all(f.domain == EXACT for f in [phi, *basis])
+
+
+def _exact_jacobian_rows(phi: HiggsField, basis):
+    """hitchin_jacobian's rows of exact fields, and their integer rows.
+
+    The polarization is bilinear, so the integer row of phi * den_phi
+    against psi * den_psi is den_phi * den_psi times row k.
+    """
+    g = phi.graph
     x, den_phi = _clear_denominators(phi.coefficients)
     int_rows, rows = [], []
     for psi in basis:
@@ -137,8 +155,7 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
         int_rows.append(coords)
         den = den_phi * den_psi
         rows.append([Fraction(c, den) for c in coords])
-    return JacobianReport(matrix=rows, rank=matrix_rank(int_rows, ncols, EXACT),
-                          basis_size=len(basis))
+    return int_rows, rows
 
 
 def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None):
@@ -148,18 +165,10 @@ def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None):
     """
     if basis is None:
         basis = higgs_space(framing).basis
-    g = phi.graph
-    x = phi.coefficients
-    up, down = complex(FD_STEP), complex(-FD_STEP)
-    rows = []
-    for psi in basis:
-        y = psi.coefficients
-        plus = _matched_biresidues(g, _det_coefficients(
-            [a + up * b for a, b in zip(x, y)]), FLOAT)
-        minus = _matched_biresidues(g, _det_coefficients(
-            [a + down * b for a, b in zip(x, y)]), FLOAT)
-        rows.append([(p - m) / (2 * FD_STEP) for p, m in zip(plus, minus)])
-    return rows
+    rows = _complex128_rows(_float_fd_rows(phi, basis))
+    if _all_exact(phi, basis):
+        return rows.tolist()  # Python complex, as on exact fields
+    return [list(row) for row in rows]
 
 
 def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
@@ -167,20 +176,121 @@ def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
     """Relative max-norm gap between the Jacobian and central differences.
 
     jacobian is hitchin_jacobian(phi, framing, basis).matrix, when the
-    caller has built it already; else it is built here.  det is
-    quadratic, so the central difference (Q(x+hy) - Q(x-hy))/2h equals
-    the polarization exactly and the gap measures only rounding.
+    caller has built it already; else its rows are built here, with no
+    rank: in floats, or exactly when phi and the basis are exact.  The
+    result is a numpy.float64, or a float when phi and the basis are
+    exact.  det is quadratic, so the central difference
+    (Q(x+hy) - Q(x-hy))/2h equals the polarization exactly and the gap
+    measures only rounding.
     """
+    import numpy as np
+
     if basis is None:
         basis = higgs_space(framing).basis
-    exact_rows = jacobian
-    if exact_rows is None:
-        exact_rows = hitchin_jacobian(phi, framing, basis).matrix
-    fd_rows = finite_difference_jacobian(phi, framing, basis)
-    scale = max([1.0] + [abs(x) for row in exact_rows for x in row])
-    gap = max((abs(x - y) for er, fr in zip(exact_rows, fd_rows)
-               for x, y in zip(er, fr)), default=0.0)
-    return gap / scale
+    exact = _all_exact(phi, basis)
+    if jacobian is None and exact:
+        jacobian = _exact_jacobian_rows(phi, basis)[1]
+    if jacobian is None:
+        rows = _float_jacobian_rows(phi, basis)
+    else:
+        rows = _complex_pairs(jacobian, len(phi.graph.edges))
+    gap = np.hypot(*_csub(rows, _float_fd_rows(phi, basis))).max(initial=0.0)
+    error = gap / np.hypot(*rows).max(initial=1.0)
+    return float(error) if exact else error
+
+
+# -- the float rows of both Jacobians, over the whole basis at once -----
+#
+# A complex value is an (re, im) pair of float64 arrays (scalars._cmul),
+# one row per basis field.  Every operation is the one _det_coefficients
+# and _polarization_coefficients make on the numpy.complex128
+# coefficients of a float Higgs basis, in the same order: an int k times
+# a complex x is complex(k) x, a real or exact coefficient is read as
+# (x, 0.0), and -2 phi is taken in phi's own scalars.  The rows come out
+# as numpy.complex128 entries, except that the finite differences of
+# exact fields, whose arithmetic is on Python complex numbers, come out
+# as Python complex numbers.
+
+
+def _complex_pairs(rows, width):
+    """(re, im) float64 arrays of shape (len(rows), width) of rows of
+    width scalars, each read as a complex number."""
+    import numpy as np
+
+    z = np.array(rows, dtype=complex).reshape(len(rows), width)
+    return z.real, z.imag
+
+
+def _complex128_rows(pair):
+    """The complex array of an (re, im) pair; its rows iterate as
+    numpy.complex128 scalars."""
+    z = pair[0].astype(complex)
+    z.imag = pair[1]
+    return z
+
+
+def _product_pairs(r0, r1, s0, s1, minus_two_r0):
+    """_product_coefficients on pairs, with -2 r0 given."""
+    r0s0 = _cmul(r0, s0)
+    cross = _cadd(_cmul(r0, s1), _cmul(r1, s0))
+    return (r0s0, _csub(_cmul(minus_two_r0, s0), cross),
+            _cadd(_cadd(r0s0, cross), _cmul(r1, s1)))
+
+
+def _column(pair, k):
+    """Coefficient k of every vertex's six, as a pair of (..., V) arrays."""
+    return (pair[0][..., k::6], pair[1][..., k::6])
+
+
+def _float_jacobian_rows(phi: HiggsField, basis):
+    """hitchin_jacobian's rows in floats, as an (re, im) pair of
+    (len(basis), E) arrays: the polarization of phi with each basis
+    field (_polarization_coefficients), matched per edge."""
+    c = phi.coefficients
+    # phi and -2 phi, each as a pair of 6V-vectors
+    x, m2 = zip(*_complex_pairs([c, [-2 * a for a in c]], len(c)))
+    y = _complex_pairs([psi.coefficients for psi in basis], len(c))
+    p = _product_pairs(_column(x, 0), _column(x, 1), _column(y, 0), _column(y, 1),
+                       _column(m2, 0))
+    q = _product_pairs(_column(x, 2), _column(x, 3), _column(y, 4), _column(y, 5),
+                       _column(m2, 2))
+    r = _product_pairs(_column(x, 4), _column(x, 5), _column(y, 2), _column(y, 3),
+                       _column(m2, 4))
+    return _float_biresidue_rows(phi.graph, [
+        _cneg(_cadd(_cadd(_cmul((2.0, 0.0), a), b), c)) for a, b, c in zip(p, q, r)])
+
+
+def _float_fd_rows(phi: HiggsField, basis):
+    """finite_difference_jacobian's rows as an (re, im) pair of
+    (len(basis), E) arrays.
+
+    Row k is (Q(phi + h psi_k) - Q(phi - h psi_k)) / 2h, with Q(z) the
+    per-edge bi-residues of _det_coefficients(z); each row is matched at
+    +h, then at -h.  The division is numpy's complex one, a product with
+    the reciprocal of 2h, or CPython's, a quotient, when phi and the
+    basis are exact and so all arithmetic is on Python complex numbers.
+    """
+    import numpy as np
+
+    c = phi.coefficients
+    x = _complex_pairs([c], len(c))
+    y = _complex_pairs([psi.coefficients for psi in basis], len(c))
+    # rows phi + h psi_0, phi - h psi_0, phi + h psi_1, ...
+    step = (np.array([FD_STEP, -FD_STEP])[:, None], 0.0)
+    z = _cadd(x, _cmul(step, tuple(part[:, None] for part in y)))
+    z = tuple(part.reshape(-1, len(c)) for part in z)
+    minus_two = (-2.0, 0.0)
+    p = _product_pairs(_column(z, 0), _column(z, 1), _column(z, 0), _column(z, 1),
+                       _cmul(minus_two, _column(z, 0)))
+    q = _product_pairs(_column(z, 2), _column(z, 3), _column(z, 4), _column(z, 5),
+                       _cmul(minus_two, _column(z, 2)))
+    re, im = _float_biresidue_rows(phi.graph,
+                                   [_cneg(_cadd(a, b)) for a, b in zip(p, q)])
+    dr, di = _csub((re[0::2], im[0::2]), (re[1::2], im[1::2]))
+    dr, di = dr + di * 0.0, di - dr * 0.0
+    if _all_exact(phi, basis):
+        return dr / (2 * FD_STEP), di / (2 * FD_STEP)
+    return dr * (1.0 / (2 * FD_STEP)), di * (1.0 / (2 * FD_STEP))
 
 
 @dataclass

@@ -60,6 +60,43 @@ def domain_of(*values) -> str:
     return FLOAT if floating else EXACT
 
 
+# -- complex arithmetic on (re, im) pairs ---------------------------------
+#
+# The float kernels that run over many fields at once hold a complex value
+# as a pair of float64 arrays, real and imaginary parts, and use the
+# formulas of CPython's complex arithmetic (numpy's complex scalars use the
+# same ones), so every entry rounds as the scalar code rounds it.  numpy's
+# complex array multiply may fuse operations, so none runs on complex
+# arrays.  A pair may also hold plain floats, such as (2.0, 0.0) for the
+# int 2 in complex arithmetic.  None of these imports numpy.
+
+
+def _cmul(x, y):
+    """x y: (xr yr - xi yi, xr yi + xi yr)."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _csub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _cneg(x):
+    return (-x[0], -x[1])
+
+
+def _cmatmul(m, k):
+    """Product of 2x2 matrices given as (a, b, c, d) tuples of pairs, in
+    Mat2's order."""
+    return (_cadd(_cmul(m[0], k[0]), _cmul(m[1], k[2])),
+            _cadd(_cmul(m[0], k[1]), _cmul(m[1], k[3])),
+            _cadd(_cmul(m[2], k[0]), _cmul(m[3], k[2])),
+            _cadd(_cmul(m[2], k[1]), _cmul(m[3], k[3])))
+
+
 def random_nonzero_int(rng) -> int:
     """Uniform nonzero integer in [-3, 3]."""
     k = rng.randint(1, 3)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import MatchingViolated, ValidationError
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, _clear_denominators, solve_kernel
-from .scalars import EXACT, FLOAT, MATCH_TOL, domain_of
+from .scalars import EXACT, FLOAT, MATCH_TOL, _cadd, _csub, domain_of
 
 
 def _residues(r0, r1):
@@ -202,6 +202,39 @@ def _matched_biresidues(g: TrivalentGraph, coeffs, domain: str):
                 f"bi-residues differ across edge {e}: {lhs} vs {rhs}")
         coords.append(lhs)
     return coords
+
+
+def _float_biresidue_rows(g: TrivalentGraph, q):
+    """The float _matched_biresidues of many quadratic differentials at once.
+
+    q is the triple (q0, q1, q2) of coefficients, each an (re, im) pair
+    of float64 arrays (as in scalars) of shape (rows, V), one row per
+    quadratic differential; the result is the pair of (rows, E) arrays
+    of per-edge bi-residues.  Each row is checked as _matched_biresidues
+    checks it, against MATCH_TOL times max(1, max |coefficient|) of that
+    row, with magnitudes by np.hypot (the hypot of abs(complex));
+    MatchingViolated names the first edge that fails in the first row
+    with one, in the same words.
+    """
+    import numpy as np
+
+    q0, q1, q2 = q
+    # [row, vertex, point]: the bi-residues (q0, q0 + q1 + q2, q2) at (0, 1, inf)
+    bires = [np.stack(part, axis=-1)
+             for part in zip(q0, _cadd(_cadd(q0, q1), q2), q2)]
+    sides = [([g.vertex_of(d) for d in darts], [g.marked_point(d) for d in darts])
+             for darts in zip(*g.edges)]
+    lhs, rhs = (tuple(b[:, v, p] for b in bires) for v, p in sides)
+    scale = np.maximum(1.0, np.max([np.hypot(*x) for x in q], axis=(0, 2),
+                                   initial=0.0))
+    bad = np.argwhere(np.hypot(*_csub(lhs, rhs)) > MATCH_TOL * scale[:, None])
+    if len(bad):
+        k, e = bad[0]
+        raise MatchingViolated(
+            f"bi-residues differ across edge {e}: "
+            f"{complex(lhs[0][k, e], lhs[1][k, e])} vs "
+            f"{complex(rhs[0][k, e], rhs[1][k, e])}")
+    return lhs
 
 
 def _exact_biresidues(g: TrivalentGraph, coeffs):

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcurves.errors import MatchingViolated
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
@@ -368,6 +370,68 @@ def test_integer_kernels_match_fraction_oracle():
         assert _matching_violated(hitchin_jacobian, bad, framing, report.basis) == \
             _matching_violated(old_hitchin_jacobian_rows, g, vertex_data(bad),
                                old_basis)
+
+
+# -- the batched float rows against the per-component oracle ------------
+
+
+def _raised_or_bits(fn, *args):
+    """bits of fn(*args), or the message of the MatchingViolated it raised."""
+    try:
+        return bits(fn(*args))
+    except MatchingViolated as exc:
+        return ("MatchingViolated", str(exc))
+
+
+def _old_fd_error(g, old, old_basis):
+    """jacobian_fd_error on the oracle's Jacobian and central-difference rows."""
+    rows = old_hitchin_jacobian_rows(g, old, old_basis)
+    fd_rows = old_finite_difference_jacobian(g, old, old_basis)
+    scale = max([1.0] + [abs(x) for row in rows for x in row])
+    gap = max((abs(x - y) for er, fr in zip(rows, fd_rows) for x, y in zip(er, fr)),
+              default=0.0)
+    return gap / scale
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 15).map(lambda k: 2 * k), st.integers(0, 10**6),
+       st.integers(0, 3), st.sampled_from(["float", "fraction", "int", "exact basis"]),
+       st.sampled_from([None, 1e-13, 1e-7, 1.0]), st.integers(0, 10**6))
+def test_batched_float_rows_match_component_oracle(vertices, graph_seed, seed, kind,
+                                                   bump, where):
+    # A float Higgs field, or an exact one (Fractions, or ints where they are
+    # whole) against the float basis of the same framing, or an exact field
+    # against the exact basis (the finite differences then run on Python
+    # complex numbers), optionally with one coefficient bumped off the Higgs
+    # space; the bumps of 1e-7 and 1 break the float matching, so both
+    # kernels then raise, with the same message.
+    g = random_trivalent(vertices, graph_seed)
+    exact = Framing.random(g, seed, EXACT)
+    framing = Framing(g, [to_complex_mat(exact.matrix(a)) for a, _ in g.edges], FLOAT)
+    if kind == "exact basis":
+        framing = exact
+    basis = higgs_space(framing).basis
+    if kind == "float":
+        coeffs = list(random_higgs_field(framing, seed).coefficients)
+    else:
+        coeffs = list(random_higgs_field(exact, seed).coefficients)
+        if kind == "int":
+            coeffs = [int(x) if x.denominator == 1 else x for x in coeffs]
+    if bump is not None:
+        i = where % len(coeffs)
+        coeffs[i] += bump if kind == "float" else Fraction(bump)
+    phi = HiggsField(g, coeffs)
+    old, old_basis = vertex_data(phi), [vertex_data(b) for b in basis]
+    rows = _raised_or_bits(lambda: hitchin_jacobian(phi, framing, basis).matrix)
+    assert rows == _raised_or_bits(old_hitchin_jacobian_rows, g, old, old_basis)
+    assert _raised_or_bits(finite_difference_jacobian, phi, framing, basis) == \
+        _raised_or_bits(old_finite_difference_jacobian, g, old, old_basis)
+    fd_error = _raised_or_bits(_old_fd_error, g, old, old_basis)
+    assert _raised_or_bits(jacobian_fd_error, phi, framing, basis) == fd_error
+    if rows[0] != "MatchingViolated":
+        jacobian = hitchin_jacobian(phi, framing, basis).matrix
+        assert _raised_or_bits(lambda: jacobian_fd_error(
+            phi, framing, basis, jacobian)) == fd_error
 
 
 def test_exact_and_float_agree_at_genus_41():

@@ -3,7 +3,7 @@
     python3 tools/stage_times.py [CHECKOUT] [--vertices 40 80] [--repeats 3] [--seed 1]
 
 CHECKOUT (default: this checkout) is the root of a graphcurves source
-tree; its ``src`` is imported.  For each V the graph is
+tree that has ``hitchin._float_fd_rows``; its ``src`` is imported.  For each V the graph is
 ``random_trivalent(V, seed)`` and the framing ``Framing.random(graph,
 seed, domain)``.  Each stage is timed with ``time.perf_counter`` and the
 minimum of the repeats is printed, as one Markdown table row per stage
@@ -13,10 +13,17 @@ and V with an exact and a float column:
   solve, so each repeat builds a new one, untimed);
 * ``higgs_residual`` over the Higgs basis;
 * ``hitchin_jacobian`` at ``random_higgs_field(framing, seed)``;
-* ``jacobian_fd_error`` as ``cli.cmd_hitchin`` calls it: a float trial
-  passes the Jacobian it built, an exact trial checks a float field on
-  a float framing of the same seed, which builds its own Jacobian;
-* ``bires_coordinates`` over the double-canonical basis.
+* FD rows: the central-difference rows that ``jacobian_fd_error``
+  builds (``hitchin._float_fd_rows``) on the field and framing of
+  ``cli.cmd_hitchin``'s check: a float trial checks its own, an exact
+  trial the float field on the float framing of the same seed;
+* FD compare: the rest of ``jacobian_fd_error`` as ``cmd_hitchin`` calls
+  it, timed with those rows built beforehand.  A float trial passes the
+  Jacobian it built; an exact trial's check builds float Jacobian rows,
+  with no rank, and that is part of this stage;
+* ``bires_coordinates`` over the double-canonical basis;
+* hitchin trial: one trial of ``cmd_hitchin`` in the domain, from
+  ``Framing.random`` through ``is_regular``.
 
 The numbers are wall times of one process on a possibly shared machine;
 compare stages within one run and claim speed-ups only from the
@@ -30,7 +37,8 @@ import time
 from pathlib import Path
 
 STAGES = ("Higgs solve", "higgs_residual over the basis", "hitchin_jacobian",
-          "jacobian_fd_error", "bires_coordinates over the 2K basis")
+          "FD rows", "FD compare", "bires_coordinates over the 2K basis",
+          "hitchin trial")
 
 
 def _best(repeats, run, setup=lambda: None):
@@ -44,7 +52,30 @@ def _best(repeats, run, setup=lambda: None):
     return best
 
 
+def _hitchin_trial(graph, seed: int, domain: str) -> dict:
+    """One trial of cli.cmd_hitchin, step for step."""
+    from graphcurves.framings import Framing
+    from graphcurves.higgs import random_higgs_field
+    from graphcurves.hitchin import (hitchin_edge_coords, hitchin_image,
+                                     hitchin_jacobian, is_regular,
+                                     jacobian_fd_error)
+
+    framing = Framing.random(graph, seed, domain)
+    phi = random_higgs_field(framing, seed)
+    coords = hitchin_edge_coords(phi)
+    jac = hitchin_jacobian(phi, framing)
+    if domain == "float":
+        fd_rel_err = jacobian_fd_error(phi, framing, jacobian=jac.matrix)
+    else:
+        float_framing = Framing.random(graph, seed, "float")
+        fd_rel_err = jacobian_fd_error(random_higgs_field(float_framing, seed),
+                                       float_framing)
+    return {"edge_coords": coords, "regular": is_regular(hitchin_image(phi)).regular,
+            "jacobian_rank": jac.rank, "fd_rel_err": fd_rel_err}
+
+
 def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
+    from graphcurves import hitchin
     from graphcurves.framings import Framing
     from graphcurves.graphs import random_trivalent
     from graphcurves.higgs import higgs_residual, higgs_space, random_higgs_field
@@ -55,23 +86,32 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
     framing = Framing.random(graph, seed, domain)
     basis = higgs_space(framing).basis
     phi = random_higgs_field(framing, seed)
-    jacobian = hitchin_jacobian(phi, framing).matrix
     if domain == "float":
-        def fd_check(_):
-            jacobian_fd_error(phi, framing, jacobian=jacobian)
+        check_framing, check_phi = framing, phi
+        jacobian = hitchin_jacobian(phi, framing).matrix
     else:
-        float_framing = Framing.random(graph, seed, "float")
-        float_phi = random_higgs_field(float_framing, seed)
-
-        def fd_check(_):
-            jacobian_fd_error(float_phi, float_framing)
+        check_framing = Framing.random(graph, seed, "float")
+        check_phi = random_higgs_field(check_framing, seed)
+        jacobian = None
     quadratics = double_canonical_space(graph, domain).basis
+    build_fd_rows = hitchin._float_fd_rows
+    check_basis = higgs_space(check_framing).basis
+    fd_rows = _best(repeats, lambda _: build_fd_rows(check_phi, check_basis))
+    built = build_fd_rows(check_phi, check_basis)
+    hitchin._float_fd_rows = lambda phi, basis: built
+    try:
+        fd_compare = _best(repeats, lambda _: jacobian_fd_error(
+            check_phi, check_framing, jacobian=jacobian))
+    finally:
+        hitchin._float_fd_rows = build_fd_rows
     times = (
         _best(repeats, higgs_space, lambda: Framing.random(graph, seed, domain)),
         _best(repeats, lambda _: higgs_residual(basis, framing)),
         _best(repeats, lambda _: hitchin_jacobian(phi, framing)),
-        _best(repeats, fd_check),
+        fd_rows,
+        fd_compare,
         _best(repeats, lambda _: [bires_coordinates(q) for q in quadratics]),
+        _best(repeats, lambda _: _hitchin_trial(graph, seed, domain)),
     )
     return dict(zip(STAGES, times))
 
