@@ -22,6 +22,19 @@ It depends only on the framing, so higgs_space solves it once per
 framing and keeps the result on the framing: random_higgs_field and the
 Jacobians of hitchin, called without a basis, reuse that solve.
 
+The two domains solve different systems for the same space.  An exact
+framing solves the node-cancellation system above (3E rows, 6V
+columns): its reduced echelon form gives the canonical basis, one field
+per free coefficient, that the exact outputs are built on.  A float
+framing solves the per-vertex sums in per-edge residue coordinates
+(residue_parameterization_matrix, 3V rows, 3E columns, the system flat
+ranks): one traceless residue per edge fixes the field, its partner
+being the transport.  That SVD is a third smaller; its kernel is lifted
+to the 6V coefficients and made orthonormal there, so a float basis is
+orthonormal either way.  The lift transports each partner residue
+through Ad(a), so the float basis meets the node cancellation to
+rounding of order eps |Ad|^2 rather than eps |Ad|.
+
 higgs_residual checks a whole sequence of fields, such as that basis, in
 one pass: the per-edge work is done once for all the fields, exact
 fields run on integer numerators, and float fields on float64 arrays
@@ -41,7 +54,7 @@ from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, _clear_denominators, solve_kernel
 from .matrices import SL2_BASIS, Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
-from .scalars import EXACT, _cadd, _cmatmul, domain_of
+from .scalars import EXACT, FLOAT, _cadd, _cmatmul, _cmul, domain_of
 from .sections import RESIDUE_FUNCTIONAL, _coefficient_tuple, _residues
 
 
@@ -123,19 +136,63 @@ def assemble_higgs_constraints(framing: Framing):
 
 
 def higgs_space(framing: Framing) -> KernelReport:
-    """Solve the node-cancellation system in the framing's domain, as HiggsFields.
+    """The framing's Higgs space, solved in its domain, as HiggsFields.
 
-    A framing's matrices never change, so the system is solved once per
+    An exact framing solves the node-cancellation system
+    (assemble_higgs_constraints); the basis is read off its reduced
+    echelon form, one field per free coefficient, and defines the exact
+    output.  A float framing solves the smaller per-vertex-sum system in
+    residue coordinates (residue_parameterization_matrix) by SVD and
+    lifts that kernel to the 6V coefficients (_float_higgs_space).
+    Either way the report describes the node-cancellation system: ncols
+    is 6V, nrows its 3E rows and rank 6V - dim.
+
+    A framing's matrices never change, so the space is solved once per
     framing, on the first call, and the report is stored on the framing
     and shared by every later call.  Its basis is a tuple, so no caller
     can change the basis another caller sees.
     """
     if framing._higgs_space is None:
-        rows = assemble_higgs_constraints(framing)
-        report = solve_kernel(rows, 6 * framing.graph.vertex_count, framing.domain)
-        report.basis = tuple(HiggsField(framing.graph, vec) for vec in report.basis)
+        if framing.domain == EXACT:
+            rows = assemble_higgs_constraints(framing)
+            report = solve_kernel(rows, 6 * framing.graph.vertex_count, EXACT)
+            report.basis = tuple(HiggsField(framing.graph, vec) for vec in report.basis)
+        else:
+            report = _float_higgs_space(framing)
         framing._higgs_space = report
     return framing._higgs_space
+
+
+def _float_higgs_space(framing: Framing) -> KernelReport:
+    """higgs_space of a float framing, through per-edge residue coordinates.
+
+    The kernel of residue_parameterization_matrix (3V x 3E) is mapped to
+    the 6V coefficients by one product with the lift L, a 3E x 6V matrix
+    whose block for edge e is the identity at the lower dart and
+    -Ad(a(partner)) at the partner: the coefficients of a vertex are its
+    residues at marked points 0 and 1, and a dart at marked point 2 adds
+    nothing, its residue being -(r0 + r1).  The lifted basis is made
+    orthonormal in coefficient coordinates by one QR; its entries are
+    numpy.complex128 scalars, as float_nullspace's are.
+    """
+    import numpy as np
+
+    g = framing.graph
+    nedges, ncols = len(g.edges), 6 * g.vertex_count
+    kernel = solve_kernel(residue_parameterization_matrix(framing), 3 * nedges,
+                          FLOAT).basis
+    lift = np.zeros((3 * nedges, ncols), dtype=complex)
+    for e, (a, b) in enumerate(g.edges):
+        for dart, block in ((a, np.eye(3)),
+                            (b, -np.array(adjoint_matrix(framing.matrix(b))))):
+            point = g.marked_point(dart)
+            if point != 2:
+                base = 6 * g.vertex_of(dart) + point
+                lift[3 * e:3 * e + 3, base:base + 6:2] = block.T
+    q, _ = np.linalg.qr((np.array(kernel) @ lift).T)
+    basis = tuple(HiggsField(g, vec) for vec in q.T)
+    return KernelReport(domain=FLOAT, nrows=3 * nedges, ncols=ncols,
+                        rank=ncols - len(basis), basis=basis)
 
 
 def higgs_residual(fields, framing: Framing):
@@ -301,10 +358,46 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
                 acc = [a + s * x for a, x in zip(acc, ints)]
         return HiggsField(framing.graph, [Fraction(a, den) for a in acc])
     coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-    acc = [0j] * (6 * framing.graph.vertex_count)
-    for c, psi in zip(coeffs, report.basis):
-        acc = [a + c * x for a, x in zip(acc, psi.coefficients)]
-    return HiggsField(framing.graph, acc)
+    return HiggsField(framing.graph, _float_combination(
+        coeffs, _float_parts(report.basis, 6 * framing.graph.vertex_count), 0j))
+
+
+def _float_parts(basis, width: int):
+    """A float basis for _float_combination: the (re, im) float64 arrays
+    of its coefficients, one row per field, and whether any coefficient
+    is a numpy scalar."""
+    import numpy as np
+
+    z = np.array([psi.coefficients for psi in basis], dtype=complex)
+    z = z.reshape(len(basis), width)
+    numpy_scalars = any(type(x) not in (complex, float, int)
+                        for psi in basis for x in psi.coefficients)
+    return z.real, z.imag, numpy_scalars
+
+
+def _float_combination(coeffs, parts, start=None):
+    """sum_k c_k psi_k over a float basis given as _float_parts, computed on
+    float64 arrays with the additions and rounding of the scalar loop
+
+        acc = start; for c, psi: acc = [a + c * x for a, x in zip(acc, psi)]
+
+    (each product by CPython's complex formula, scalars._cmul).  With
+    start None the loop starts at the first term c_0 psi_0, not at 0j +
+    c_0 psi_0, which differ in signed zeros.  The entries are
+    numpy.complex128 scalars, as the loop gives, when the basis holds
+    numpy scalars, and Python complex numbers otherwise.
+    """
+    import numpy as np
+
+    re, im, numpy_scalars = parts
+    acc = None if start is None else (np.full(re.shape[1], start.real),
+                                      np.full(re.shape[1], start.imag))
+    for c, x in zip(coeffs, zip(re, im)):
+        term = _cmul((c.real, c.imag), x)
+        acc = term if acc is None else _cadd(acc, term)
+    z = acc[0].astype(complex)
+    z.imag = acc[1]
+    return list(z) if numpy_scalars else z.tolist()
 
 
 # -- per-edge residue parameterization ---------------------------------

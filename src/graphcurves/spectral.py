@@ -24,7 +24,8 @@ from .errors import (DegenerateNode, InconsistentSpectralData,
                      IrregularDeterminant, NumericalError, ValidationError)
 from .framings import Framing
 from .graphs import TrivalentGraph, _breadth_first
-from .higgs import HiggsField, _residue_matrix, _vertex_coefficients, higgs_space
+from .higgs import (HiggsField, _float_combination, _float_parts, _residue_matrix,
+                    _vertex_coefficients, higgs_space)
 from .hitchin import hitchin_image, is_regular
 from .linalg import independent_rows, integer_rank
 from .matrices import Mat2, to_complex_mat
@@ -477,15 +478,11 @@ def random_regular_higgs(framing: Framing, seed: int) -> HiggsField:
     """
     a_c = _as_complex_framing(framing)
     report = higgs_space(a_c)
+    parts = _float_parts(report.basis, 6 * a_c.graph.vertex_count)
     rng = Random(seed)
     for _ in range(MAX_DRAWS):
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-        acc = None
-        for c, psi in zip(coeffs, report.basis):
-            y = psi.coefficients
-            acc = ([c * x for x in y] if acc is None
-                   else [a + c * x for a, x in zip(acc, y)])
-        phi = HiggsField(a_c.graph, acc)
+        phi = HiggsField(a_c.graph, _float_combination(coeffs, parts))
         if not is_regular(hitchin_image(phi)).regular:
             continue
         try:

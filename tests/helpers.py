@@ -98,6 +98,15 @@ def svd_rank(rows, rtol=1e-9):
     return int(np.sum(s > rtol * s[0]))
 
 
+def svd_kernel(rows, ncols, rtol=1e-9):
+    """Orthonormal kernel basis, as the columns of an ncols x dim array,
+    from numpy's SVD with svd_rank's threshold."""
+    arr = np.array([[complex(x) for x in row] for row in rows]).reshape(-1, ncols)
+    _, s, vh = np.linalg.svd(arr)
+    rank = int(np.sum(s > rtol * s[0])) if len(s) and s[0] else 0
+    return vh[rank:].conj().T
+
+
 def as_float_rows(rows):
     return [[complex(x) for x in row] for row in rows]
 
@@ -421,6 +430,17 @@ def old_random_higgs_field(framing, seed, domain, report):
     return phi
 
 
+def old_first_term_combination(coeffs, basis):
+    """random_regular_higgs's combination loop: sum c_k psi_k started at
+    the first term, as per-vertex triples; None for an empty basis, which
+    old_random_regular_higgs reads as no draw."""
+    phi = None
+    for c, psi in zip(coeffs, basis):
+        term = old_scale(vertex_data(psi), c)
+        phi = term if phi is None else old_add(phi, term)
+    return phi
+
+
 def old_random_regular_higgs(framing, seed, max_tries=32):
     """random_regular_higgs with its first-term-started combination loop."""
     from random import Random
@@ -437,10 +457,7 @@ def old_random_regular_higgs(framing, seed, max_tries=32):
     rng = Random(seed)
     for _ in range(max_tries):
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-        phi = None
-        for c, psi in zip(coeffs, report.basis):
-            term = old_scale(vertex_data(psi), c)
-            phi = term if phi is None else old_add(phi, term)
+        phi = old_first_term_combination(coeffs, report.basis)
         if phi is None:
             break
         omega = GlobalQuadratic(g, quadratic_coefficients(old_hitchin_image(phi)))

@@ -1,15 +1,21 @@
 from fractions import Fraction
+from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
-from graphcurves.matrices import Mat2, conj
+from graphcurves.matrices import Mat2, adjoint_matrix, conj
+from graphcurves.linalg import KernelReport
 from graphcurves.scalars import EXACT, FLOAT
-from graphcurves.framings import Framing, GaugeTransform, apply_gauge, zero_section, flat_linearization
+from graphcurves.framings import (Framing, GaugeTransform, apply_gauge, flat_linearization,
+                                  flat_local_dimension, zero_section)
 from graphcurves.higgs import (
     HiggsField,
+    _float_combination,
+    _float_parts,
     assemble_higgs_constraints,
     gauge_transform_higgs,
     higgs_from_edge_residues,
@@ -20,8 +26,9 @@ from graphcurves.higgs import (
     residue_parameterization_matrix,
 )
 
-from helpers import (bits, higher_dart_higgs_constraints, minor_rank,
-                     old_higgs_residual)
+from helpers import (bits, field_coefficients, higher_dart_higgs_constraints,
+                     minor_rank, old_first_term_combination, old_higgs_residual,
+                     old_random_higgs_field, svd_kernel, svd_rank)
 
 
 GENERIC_DIM = {name: 3 * catalog_graph(name).genus - 3 for name in CATALOG_NAMES}
@@ -294,3 +301,66 @@ def test_edge_residue_lift():
     for vec in rep.kernel.basis:
         phi = higgs_from_edge_residues(a, vec)
         assert higgs_residual([phi], a) == 0
+
+
+# -- the float solve in residue coordinates ------------------------------
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 20).map(lambda k: 2 * k), st.integers(0, 10**6),
+       st.integers(0, 10**6), st.booleans())
+def test_float_higgs_space_spans_the_node_cancellation_kernel(vertices, graph_seed,
+                                                             seed, identity):
+    # the basis solved in residue coordinates is orthonormal and spans the
+    # kernel of the node-cancellation system, as an independent SVD finds it
+    g = random_trivalent(vertices, graph_seed)
+    framing = (Framing.identity(g, FLOAT) if identity
+               else Framing.random(g, seed, FLOAT))
+    report = higgs_space(framing)
+    ncols = 6 * g.vertex_count
+    basis = np.array([psi.coefficients for psi in report.basis]).T
+    assert np.abs(basis.conj().T @ basis - np.eye(report.dim)).max() <= 1e-12
+    rows = assemble_higgs_constraints(framing)
+    oracle = svd_kernel(rows, ncols)
+    assert oracle.shape == basis.shape
+    cosines = np.linalg.svd(oracle.conj().T @ basis, compute_uv=False)
+    assert cosines.min() >= 1 - 1e-10
+    assert report.rank == ncols - report.dim == svd_rank(rows)
+    assert report.nrows == len(rows) and report.ncols == ncols
+    # The lift writes each partner residue through Ad(a) and the residual
+    # transports it back through Ad(a^-1), so rounding grows as eps kappa^2,
+    # kappa the largest entry of an edge's Ad (the node-cancellation SVD
+    # gave eps kappa).  Below kappa ~ 500 that is under 1e-12.
+    kappa = max(abs(x) for a, _ in g.edges
+                for row in adjoint_matrix(framing.matrix(a)) for x in row)
+    eps = np.finfo(float).eps
+    assert higgs_residual(report.basis, framing) <= max(1e-12, 16 * eps * kappa**2)
+    assert report.dim == flat_local_dimension(zero_section(framing))
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.5]) | st.floats(-1e3, 1e3)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(["theta", "k4"]), st.integers(1, 4), st.booleans(),
+       st.integers(0, 10**6), st.data())
+def test_float_combinations_match_the_scalar_loops(name, size, numpy_scalars,
+                                                   seed, data):
+    # a planted float basis, with signed zeros, of numpy.complex128 scalars
+    # (as the solver gives) or Python complex numbers: both starts of
+    # _float_combination give the bits, and the scalar types, of the loops
+    # of random_higgs_field and random_regular_higgs
+    g = catalog_graph(name)
+    width = 6 * g.vertex_count
+    kind = np.complex128 if numpy_scalars else complex
+    basis = [HiggsField(g, [kind(complex(*data.draw(st.tuples(_ENTRIES, _ENTRIES))))
+                            for _ in range(width)]) for _ in range(size)]
+    report = KernelReport(domain=FLOAT, nrows=0, ncols=width, rank=0, basis=basis)
+    framing = Framing.identity(g, FLOAT)
+    rng = Random(seed)
+    coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in basis]
+    parts = _float_parts(basis, width)
+    assert bits(_float_combination(coeffs, parts, 0j)) == bits(
+        field_coefficients(old_random_higgs_field(framing, seed, FLOAT, report)))
+    assert bits(_float_combination(coeffs, parts)) == bits(
+        field_coefficients(old_first_term_combination(coeffs, basis)))

@@ -28,6 +28,15 @@ and V with an exact and a float column:
 The numbers are wall times of one process on a possibly shared machine;
 compare stages within one run and claim speed-ups only from the
 benchmark.
+
+A second table gives the rank margins of the float Higgs solve on the
+float framing of each V: for the per-vertex-sum system in residue
+coordinates (``residue_parameterization_matrix``, which ``higgs_space``
+solves) and the node-cancellation system (``assemble_higgs_constraints``)
+of the same framing, the rank r the SVD threshold keeps, the smallest
+kept singular value s_{r-1}/s_0 and the largest dropped one s_r/s_0 (``-``
+when r is the number of rows: the whole kernel then comes from the
+shape).  The threshold is ``RANK_RTOL`` = 1e-9.
 """
 from __future__ import annotations
 
@@ -116,6 +125,27 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
     return dict(zip(STAGES, times))
 
 
+def rank_margins(vertices: int, seed: int) -> dict:
+    """(shape, r, s_{r-1}/s_0, s_r/s_0 or None) per float Higgs system."""
+    import numpy as np
+
+    from graphcurves.framings import Framing
+    from graphcurves.graphs import random_trivalent
+    from graphcurves.higgs import (assemble_higgs_constraints,
+                                   residue_parameterization_matrix)
+    from graphcurves.linalg import _svd_rank
+
+    framing = Framing.random(random_trivalent(vertices, seed), seed, "float")
+    out = {}
+    for name, build in (("residue sums", residue_parameterization_matrix),
+                        ("node cancellation", assemble_higgs_constraints)):
+        a = np.array(build(framing), dtype=complex)
+        s = np.linalg.svd(a, compute_uv=False)
+        r = _svd_rank(s)
+        out[name] = (a.shape, r, s[r - 1] / s[0], s[r] / s[0] if r < len(s) else None)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", nargs="?",
@@ -132,6 +162,13 @@ def main(argv=None) -> int:
         floats = stage_times(v, args.seed, "float", args.repeats)
         for stage in STAGES:
             print(f"| {stage} | {v} | {exact[stage]:.4f} | {floats[stage]:.4f} |")
+    print()
+    print("| system | V | shape | rank | s_{r-1}/s_0 | s_r/s_0 |")
+    print("|---|---|---|---|---|---|")
+    for v in args.vertices:
+        for name, (shape, r, kept, dropped) in rank_margins(v, args.seed).items():
+            dropped = "-" if dropped is None else f"{dropped:.2e}"
+            print(f"| {name} | {v} | {shape[0]}x{shape[1]} | {r} | {kept:.2e} | {dropped} |")
     return 0
 
 
