@@ -163,33 +163,75 @@ def higgs_space(framing: Framing) -> KernelReport:
     return framing._higgs_space
 
 
+def _float_residue_system(framing: Framing):
+    """The per-vertex sums of a float framing in orthonormal edge coordinates.
+
+    Edge e = (a, b) gets three coordinates u_e.  Its residue at the
+    partner dart b is upper[e] u_e and its residue at the lower dart a is
+    lower[e] u_e = -Ad(a) upper[e] u_e, the transport that higgs_residual
+    applies to the partner side.  upper[e] = (C^H)^-1, C C^H the Cholesky
+    factorisation of I + Ad(a)^H Ad(a), so the 6 x 3 block (upper;
+    lower) has orthonormal columns: the pair of residues of an edge has
+    the norm of its coordinates, however large Ad(a) is.
+
+    Returns (rows, upper, lower): rows is the 3V x 3E system, the three
+    residues of a vertex summing to zero, as a complex array.  It is
+    residue_parameterization_matrix with each edge's three columns
+    multiplied by the invertible block lower[e]: the same kernel, in
+    other coordinates.
+    """
+    import numpy as np
+
+    g = framing.graph
+    nedges = len(g.edges)
+    ad = np.array([adjoint_matrix(framing.matrix(a)) for a, _ in g.edges],
+                  dtype=complex).reshape(nedges, 3, 3)
+    chol = np.linalg.cholesky(np.eye(3) + ad.conj().swapaxes(1, 2) @ ad)
+    upper = np.linalg.inv(chol.conj().swapaxes(1, 2))
+    lower = -ad @ upper
+    rows = np.zeros((g.vertex_count, 3, nedges, 3), dtype=complex)
+    e = np.arange(nedges)
+    for side, block in ((1, upper), (0, lower)):
+        v = np.array([g.vertex_of(edge[side]) for edge in g.edges], dtype=int)
+        rows[v, :, e, :] += block
+    return rows.reshape(3 * g.vertex_count, 3 * nedges), upper, lower
+
+
 def _float_higgs_space(framing: Framing) -> KernelReport:
     """higgs_space of a float framing, through per-edge residue coordinates.
 
-    The kernel of residue_parameterization_matrix (3V x 3E) is mapped to
-    the 6V coefficients by one product with the lift L, a 3E x 6V matrix
-    whose block for edge e is the identity at the lower dart and
-    -Ad(a(partner)) at the partner: the coefficients of a vertex are its
-    residues at marked points 0 and 1, and a dart at marked point 2 adds
-    nothing, its residue being -(r0 + r1).  The lifted basis is made
-    orthonormal in coefficient coordinates by one QR; its entries are
-    numpy.complex128 scalars, as float_nullspace's are.
+    The SVD kernel of _float_residue_system (3V x 3E) gives each edge's
+    two residues; a vertex's coefficients are its residues at marked
+    points 0 and 1, and a dart at marked point 2 adds nothing, its
+    residue being -(r0 + r1).  The lifted basis is made orthonormal in
+    coefficient coordinates by one QR; its entries are numpy.complex128
+    scalars, as float_nullspace's are.
+
+    The orthonormal edge coordinates keep the rounding of the basis, as
+    higgs_residual measures it, of order eps |Ad|, as for an SVD of the
+    node-cancellation system.  A residue at marked point 2 is read off
+    the vertex sum, so it carries that sum's rounding, and the residual
+    transports it through Ad of its edge.  In these coordinates the
+    system has entries of order 1 and the sums round to order eps; with
+    a plain residue per edge as the coordinates its entries reach |Ad|,
+    and the residual grew as eps |Ad|^2.
     """
     import numpy as np
 
     g = framing.graph
     nedges, ncols = len(g.edges), 6 * g.vertex_count
-    kernel = solve_kernel(residue_parameterization_matrix(framing), 3 * nedges,
-                          FLOAT).basis
-    lift = np.zeros((3 * nedges, ncols), dtype=complex)
-    for e, (a, b) in enumerate(g.edges):
-        for dart, block in ((a, np.eye(3)),
-                            (b, -np.array(adjoint_matrix(framing.matrix(b))))):
-            point = g.marked_point(dart)
+    rows, upper, lower = _float_residue_system(framing)
+    kernel = solve_kernel(list(rows), 3 * nedges, FLOAT).basis
+    u = np.array(kernel, dtype=complex).reshape(len(kernel), nedges, 3)
+    # [field, vertex, coordinate, marked point]: coefficient 6v + 2k + p
+    coeffs = np.zeros((len(kernel), g.vertex_count, 3, 2), dtype=complex)
+    for side, block in ((1, upper), (0, lower)):
+        residues = np.einsum("erk,fek->fer", block, u)
+        for e, edge in enumerate(g.edges):
+            point = g.marked_point(edge[side])
             if point != 2:
-                base = 6 * g.vertex_of(dart) + point
-                lift[3 * e:3 * e + 3, base:base + 6:2] = block.T
-    q, _ = np.linalg.qr((np.array(kernel) @ lift).T)
+                coeffs[:, g.vertex_of(edge[side]), :, point] = residues[:, e]
+    q, _ = np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)
     basis = tuple(HiggsField(g, vec) for vec in q.T)
     return KernelReport(domain=FLOAT, nrows=3 * nedges, ncols=ncols,
                         rank=ncols - len(basis), basis=basis)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
-from graphcurves.matrices import Mat2, adjoint_matrix, conj
+from graphcurves.matrices import Mat2, conj
 from graphcurves.linalg import KernelReport
 from graphcurves.scalars import EXACT, FLOAT
 from graphcurves.framings import (Framing, GaugeTransform, apply_gauge, flat_linearization,
@@ -327,14 +327,7 @@ def test_float_higgs_space_spans_the_node_cancellation_kernel(vertices, graph_se
     assert cosines.min() >= 1 - 1e-10
     assert report.rank == ncols - report.dim == svd_rank(rows)
     assert report.nrows == len(rows) and report.ncols == ncols
-    # The lift writes each partner residue through Ad(a) and the residual
-    # transports it back through Ad(a^-1), so rounding grows as eps kappa^2,
-    # kappa the largest entry of an edge's Ad (the node-cancellation SVD
-    # gave eps kappa).  Below kappa ~ 500 that is under 1e-12.
-    kappa = max(abs(x) for a, _ in g.edges
-                for row in adjoint_matrix(framing.matrix(a)) for x in row)
-    eps = np.finfo(float).eps
-    assert higgs_residual(report.basis, framing) <= max(1e-12, 16 * eps * kappa**2)
+    assert higgs_residual(report.basis, framing) <= 1e-12
     assert report.dim == flat_local_dimension(zero_section(framing))
 
 

@@ -30,10 +30,10 @@ compare stages within one run and claim speed-ups only from the
 benchmark.
 
 A second table gives the rank margins of the float Higgs solve on the
-float framing of each V: for the per-vertex-sum system in residue
-coordinates (``residue_parameterization_matrix``, which ``higgs_space``
-solves) and the node-cancellation system (``assemble_higgs_constraints``)
-of the same framing, the rank r the SVD threshold keeps, the smallest
+float framing of each V: for the per-vertex-sum system in orthonormal
+per-edge coordinates (``higgs._float_residue_system``, which
+``higgs_space`` solves) and the node-cancellation system
+(``assemble_higgs_constraints``) of the same framing, the rank r the SVD threshold keeps, the smallest
 kept singular value s_{r-1}/s_0 and the largest dropped one s_r/s_0 (``-``
 when r is the number of rows: the whole kernel then comes from the
 shape).  The threshold is ``RANK_RTOL`` = 1e-9.
@@ -131,13 +131,12 @@ def rank_margins(vertices: int, seed: int) -> dict:
 
     from graphcurves.framings import Framing
     from graphcurves.graphs import random_trivalent
-    from graphcurves.higgs import (assemble_higgs_constraints,
-                                   residue_parameterization_matrix)
+    from graphcurves.higgs import _float_residue_system, assemble_higgs_constraints
     from graphcurves.linalg import _svd_rank
 
     framing = Framing.random(random_trivalent(vertices, seed), seed, "float")
     out = {}
-    for name, build in (("residue sums", residue_parameterization_matrix),
+    for name, build in (("residue sums", lambda f: _float_residue_system(f)[0]),
                         ("node cancellation", assemble_higgs_constraints)):
         a = np.array(build(framing), dtype=complex)
         s = np.linalg.svd(a, compute_uv=False)
