@@ -26,14 +26,15 @@ The two domains solve different systems for the same space.  An exact
 framing solves the node-cancellation system above (3E rows, 6V
 columns): its reduced echelon form gives the canonical basis, one field
 per free coefficient, that the exact outputs are built on.  A float
-framing solves the per-vertex sums in per-edge residue coordinates
-(residue_parameterization_matrix, 3V rows, 3E columns, the system flat
-ranks): one traceless residue per edge fixes the field, its partner
-being the transport.  That SVD is a third smaller; its kernel is lifted
-to the 6V coefficients and made orthonormal there, so a float basis is
-orthonormal either way.  The lift transports each partner residue
-through Ad(a), so the float basis meets the node cancellation to
-rounding of order eps |Ad|^2 rather than eps |Ad|.
+framing solves the per-vertex sums in per-edge residue coordinates (3V
+rows, 3E columns, the system flat ranks, residue_parameterization_matrix):
+one traceless residue per edge fixes the field, its partner being the
+transport.  That SVD is a third smaller; its kernel is lifted to the 6V
+coefficients and made orthonormal there, so a float basis is
+orthonormal either way.  Each edge's coordinates are chosen so that the
+pair of residues they give has their norm (_float_residue_system); the
+float basis then meets the node cancellation to rounding of order
+eps |Ad|, as an SVD of the node-cancellation system does.
 
 higgs_residual checks a whole sequence of fields, such as that basis, in
 one pass: the per-edge work is done once for all the fields, exact
@@ -142,7 +143,7 @@ def higgs_space(framing: Framing) -> KernelReport:
     (assemble_higgs_constraints); the basis is read off its reduced
     echelon form, one field per free coefficient, and defines the exact
     output.  A float framing solves the smaller per-vertex-sum system in
-    residue coordinates (residue_parameterization_matrix) by SVD and
+    per-edge residue coordinates (_float_residue_system) by SVD and
     lifts that kernel to the 6V coefficients (_float_higgs_space).
     Either way the report describes the node-cancellation system: ncols
     is 6V, nrows its 3E rows and rank 6V - dim.
@@ -169,10 +170,12 @@ def _float_residue_system(framing: Framing):
     Edge e = (a, b) gets three coordinates u_e.  Its residue at the
     partner dart b is upper[e] u_e and its residue at the lower dart a is
     lower[e] u_e = -Ad(a) upper[e] u_e, the transport that higgs_residual
-    applies to the partner side.  upper[e] = (C^H)^-1, C C^H the Cholesky
-    factorisation of I + Ad(a)^H Ad(a), so the 6 x 3 block (upper;
-    lower) has orthonormal columns: the pair of residues of an edge has
-    the norm of its coordinates, however large Ad(a) is.
+    applies to the partner side.  upper[e] is the top half of the Q factor
+    of the 6 x 3 block (I; -Ad(a)), so (upper; lower) has orthonormal
+    columns: the pair of residues of an edge has the norm of its
+    coordinates, however large Ad(a) is.  lower is computed as the
+    product, not taken from Q, so the two residues match as higgs_residual
+    checks them, to the rounding of one transport.
 
     Returns (rows, upper, lower): rows is the 3V x 3E system, the three
     residues of a vertex summing to zero, as a complex array.  It is
@@ -186,8 +189,8 @@ def _float_residue_system(framing: Framing):
     nedges = len(g.edges)
     ad = np.array([adjoint_matrix(framing.matrix(a)) for a, _ in g.edges],
                   dtype=complex).reshape(nedges, 3, 3)
-    chol = np.linalg.cholesky(np.eye(3) + ad.conj().swapaxes(1, 2) @ ad)
-    upper = np.linalg.inv(chol.conj().swapaxes(1, 2))
+    stacked = np.concatenate((np.broadcast_to(np.eye(3), ad.shape), -ad), axis=1)
+    upper = np.linalg.qr(stacked).Q[:, :3]
     lower = -ad @ upper
     rows = np.zeros((g.vertex_count, 3, nedges, 3), dtype=complex)
     e = np.arange(nedges)

@@ -3,7 +3,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
@@ -309,6 +309,12 @@ def test_edge_residue_lift():
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(1, 20).map(lambda k: 2 * k), st.integers(0, 10**6),
        st.integers(0, 10**6), st.booleans())
+# Framing seed 0 draws an edge of max-norm 26.4 (|Ad| about 890): with a
+# plain residue per edge as the coordinates, the first basis met the node
+# cancellation only to 6e-11; the others are larger graphs
+@example(8, 2, 0, False)
+@example(80, 0, 0, False)
+@example(160, 1, 0, False)
 def test_float_higgs_space_spans_the_node_cancellation_kernel(vertices, graph_seed,
                                                              seed, identity):
     # the basis solved in residue coordinates is orthonormal and spans the
