@@ -229,11 +229,12 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
     # [field, vertex, coordinate, marked point]: coefficient 6v + 2k + p
     coeffs = np.zeros((len(kernel), g.vertex_count, 3, 2), dtype=complex)
     for side, block in ((1, upper), (0, lower)):
-        residues = np.einsum("erk,fek->fer", block, u)
+        # [edge, field, coordinate]: each field's residue at the edge's dart
+        residues = u.swapaxes(0, 1) @ block.swapaxes(1, 2)
         for e, edge in enumerate(g.edges):
             point = g.marked_point(edge[side])
             if point != 2:
-                coeffs[:, g.vertex_of(edge[side]), :, point] = residues[:, e]
+                coeffs[:, g.vertex_of(edge[side]), :, point] = residues[e]
     q, _ = np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)
     basis = tuple(HiggsField(g, vec) for vec in q.T)
     return KernelReport(domain=FLOAT, nrows=3 * nedges, ncols=ncols,
