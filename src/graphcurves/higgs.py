@@ -52,11 +52,11 @@ from fractions import Fraction
 from random import Random
 
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
-from .graphs import TrivalentGraph
 from .linalg import KernelReport, _clear_denominators, solve_kernel
 from .matrices import SL2_BASIS, Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
-from .scalars import EXACT, FLOAT, _cadd, _cmatmul, _cmul, domain_of
-from .sections import RESIDUE_FUNCTIONAL, _coefficient_tuple, _residues
+from .scalars import (EXACT, FLOAT, _cadd, _cmatmul, _cmul, _from_pairs, _to_pairs,
+                      domain_of)
+from .sections import RESIDUE_FUNCTIONAL, _residues, _VertexCoefficients
 
 
 def _residue_coords(c, base: int, point: int):
@@ -80,7 +80,7 @@ def _vertex_coefficients(m0: Mat2, m1: Mat2) -> tuple:
     return (m0.a, m1.a, m0.b, m1.b, m0.c, m1.c)
 
 
-class HiggsField:
+class HiggsField(_VertexCoefficients):
     """Per-vertex traceless matrices of logarithmic differentials.
 
     The stored data is ``coefficients``, the flat tuple of 6V
@@ -88,20 +88,12 @@ class HiggsField:
     vertex, and their scalar domain ``domain``.
     """
 
-    __slots__ = ("graph", "coefficients", "domain")
-
-    def __init__(self, graph: TrivalentGraph, coefficients):
-        self.graph = graph
-        self.coefficients, self.domain = _coefficient_tuple(graph, coefficients, 6)
+    __slots__ = ()
+    WIDTH = 6
 
     def residue_matrix(self, v: int, point: int) -> Mat2:
         """Traceless residue matrix of the field at a marked point of vertex v."""
         return _residue_matrix(self.coefficients, 6 * v, point)
-
-    def __eq__(self, other):
-        if not isinstance(other, HiggsField):
-            return NotImplemented
-        return self.graph == other.graph and self.coefficients == other.coefficients
 
 
 def assemble_higgs_constraints(framing: Framing):
@@ -207,8 +199,8 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
     two residues; a vertex's coefficients are its residues at marked
     points 0 and 1, and a dart at marked point 2 adds nothing, its
     residue being -(r0 + r1).  The lifted basis is made orthonormal in
-    coefficient coordinates by one QR; its entries are numpy.complex128
-    scalars, as float_nullspace's are.
+    coefficient coordinates by one QR, and its entries leave the array as
+    Python complex numbers, as float_nullspace's do.
 
     The orthonormal edge coordinates keep the rounding of the basis, as
     higgs_residual measures it, of order eps |Ad|, as for an SVD of the
@@ -224,7 +216,7 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
     g = framing.graph
     nedges, ncols = len(g.edges), 6 * g.vertex_count
     rows, upper, lower = _float_residue_system(framing)
-    kernel = solve_kernel(list(rows), 3 * nedges, FLOAT).basis
+    kernel = solve_kernel(rows, 3 * nedges, FLOAT).basis
     u = np.array(kernel, dtype=complex).reshape(len(kernel), nedges, 3)
     # [field, vertex, coordinate, marked point]: coefficient 6v + 2k + p
     coeffs = np.zeros((len(kernel), g.vertex_count, 3, 2), dtype=complex)
@@ -236,7 +228,7 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
             if point != 2:
                 coeffs[:, g.vertex_of(edge[side]), :, point] = residues[e]
     q, _ = np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)
-    basis = tuple(HiggsField(g, vec) for vec in q.T)
+    basis = tuple(HiggsField(g, vec) for vec in q.T.tolist())
     return KernelReport(domain=FLOAT, nrows=3 * nedges, ncols=ncols,
                         rank=ncols - len(basis), basis=basis)
 
@@ -311,13 +303,13 @@ def _float_residual(fields, framing: Framing, edges):
     """higgs_residual in floats, vectorised over the fields and edges.
 
     A complex value is a pair of float64 arrays, real and imaginary
-    parts, multiplied by scalars._cmul and _cmatmul in Mat2's order; so
-    every entry rounds as in the Mat2 product.  A field's residues are
-    taken in its own scalars, in numpy for a field of floats and complex
-    numbers and in Python otherwise, and then read as complex numbers,
-    as a product with a complex number reads them.  The inverse
-    transport is Mat2.inv(), and magnitudes are np.hypot, the hypot of
-    abs(complex).
+    parts (scalars._to_pairs), multiplied by scalars._cmul and _cmatmul
+    in Mat2's order; so every entry rounds as in the Mat2 product.  A
+    field's residues are taken in its own scalars, on the pairs for a
+    field of floats and complex numbers and in Python otherwise, and then
+    read as complex numbers, as a product with a complex number reads
+    them.  The inverse transport is Mat2.inv(), and magnitudes are
+    np.hypot, the hypot of abs(complex).
     """
     if not (fields and edges):
         return 0
@@ -335,18 +327,18 @@ def _float_residual(fields, framing: Framing, edges):
         inexact = all(issubclass(k, (float, complex)) for k in kinds)
         (floats if inexact else others).append(f)
     if floats:
-        z = np.array([fields[f].coefficients for f in floats],
-                     dtype=complex).reshape(len(floats), nv, 3, 2)
-        for part, out in ((z.real, re), (z.imag, im)):
+        z = _to_pairs([fields[f].coefficients for f in floats], 6 * nv)
+        for part, out in zip(z, (re, im)):
+            part = part.reshape(len(floats), nv, 3, 2)
             out[floats, :, 0] = part[..., 0]
             out[floats, :, 1] = part[..., 1]
             out[floats, :, 2] = -(part[..., 0] + part[..., 1])
     for f in others:
         c = fields[f].coefficients
-        z = np.array([complex(x) for i in range(0, len(c), 2)
-                      for x in _residues(c[i], c[i + 1])]).reshape(nv, 3, 3)
-        re[f] = z.real.transpose(0, 2, 1)
-        im[f] = z.imag.transpose(0, 2, 1)
+        z = _to_pairs([[x for i in range(0, len(c), 2)
+                        for x in _residues(c[i], c[i + 1])]], 9 * nv)
+        for part, out in zip(z, (re, im)):
+            out[f] = part.reshape(nv, 3, 3).transpose(0, 2, 1)
     re = re.reshape(n, 9 * nv)
     im = im.reshape(n, 9 * nv)
 
@@ -356,8 +348,8 @@ def _float_residual(fields, framing: Framing, edges):
         return (*x, (-x[0][0], -x[0][1]))
 
     def transport(mats):
-        parts = np.array([[complex(x) for x in m.entries()] for m in mats]).T
-        return tuple(zip(parts.real, parts.imag))
+        parts = _to_pairs([m.entries() for m in mats], 4)
+        return tuple(zip(parts[0].T, parts[1].T))
 
     sources, targets = zip(*edges)
     mats = [framing.matrix(a) for a in sources]
@@ -410,15 +402,8 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
 
 def _float_parts(basis, width: int):
     """A float basis for _float_combination: the (re, im) float64 arrays
-    of its coefficients, one row per field, and whether any coefficient
-    is a numpy scalar."""
-    import numpy as np
-
-    z = np.array([psi.coefficients for psi in basis], dtype=complex)
-    z = z.reshape(len(basis), width)
-    numpy_scalars = any(type(x) not in (complex, float, int)
-                        for psi in basis for x in psi.coefficients)
-    return z.real, z.imag, numpy_scalars
+    of its coefficients, one row per field (scalars._to_pairs)."""
+    return _to_pairs([psi.coefficients for psi in basis], width)
 
 
 def _float_combination(coeffs, parts, start=None):
@@ -429,21 +414,19 @@ def _float_combination(coeffs, parts, start=None):
 
     (each product by CPython's complex formula, scalars._cmul).  With
     start None the loop starts at the first term c_0 psi_0, not at 0j +
-    c_0 psi_0, which differ in signed zeros.  The entries are
-    numpy.complex128 scalars, as the loop gives, when the basis holds
-    numpy scalars, and Python complex numbers otherwise.
+    c_0 psi_0, which differ in signed zeros.  The entries are Python
+    complex numbers (scalars._from_pairs), as the loop gives on a basis
+    of Python complex numbers.
     """
     import numpy as np
 
-    re, im, numpy_scalars = parts
+    re, im = parts
     acc = None if start is None else (np.full(re.shape[1], start.real),
                                       np.full(re.shape[1], start.imag))
     for c, x in zip(coeffs, zip(re, im)):
         term = _cmul((c.real, c.imag), x)
         acc = term if acc is None else _cadd(acc, term)
-    z = acc[0].astype(complex)
-    z.imag = acc[1]
-    return list(z) if numpy_scalars else z.tolist()
+    return _from_pairs(acc)
 
 
 # -- per-edge residue parameterization ---------------------------------

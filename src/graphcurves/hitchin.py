@@ -21,7 +21,9 @@ the same Fractions as the rational computation.  Float rows, of
 hitchin_jacobian, finite_difference_jacobian and jacobian_fd_error, run
 over the whole basis at once on float64 (re, im) pairs with CPython's
 complex rounding, so every entry has the bits the scalar kernels give
-on the numpy.complex128 coefficients of a float Higgs basis.
+on the coefficients of the fields.  The fields go in through
+scalars._to_pairs and the rows come out through scalars._from_pairs, as
+Python complex numbers, the type of every float value outside an array.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from .errors import MatchingViolated
 from .framings import Framing
 from .higgs import HiggsField, higgs_space
 from .linalg import _clear_denominators, rank as matrix_rank
-from .scalars import EXACT, FLOAT, REGULAR_RTOL, _cadd, _cmul, _cneg, _csub
+from .scalars import (EXACT, FLOAT, REGULAR_RTOL, _cadd, _cmul, _cneg, _csub,
+                      _from_pairs, _to_pairs)
 from .sections import (GlobalQuadratic, _biresidues, _float_biresidue_rows,
                        _matched_biresidues, _product_coefficients,
                        bires_coordinates)
@@ -125,9 +128,9 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
         int_rows, rows = _exact_jacobian_rows(phi, basis)
         return JacobianReport(matrix=rows, rank=matrix_rank(int_rows, ncols, EXACT),
                               basis_size=len(basis))
-    rows = _complex128_rows(_float_jacobian_rows(phi, basis))
-    return JacobianReport(matrix=[list(row) for row in rows],
-                          rank=matrix_rank(rows, ncols, FLOAT), basis_size=len(basis))
+    rows = _from_pairs(_float_jacobian_rows(phi, basis))
+    return JacobianReport(matrix=rows, rank=matrix_rank(rows, ncols, FLOAT),
+                          basis_size=len(basis))
 
 
 def _all_exact(phi: HiggsField, basis) -> bool:
@@ -165,10 +168,7 @@ def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None):
     """
     if basis is None:
         basis = higgs_space(framing).basis
-    rows = _complex128_rows(_float_fd_rows(phi, basis))
-    if _all_exact(phi, basis):
-        return rows.tolist()  # Python complex, as on exact fields
-    return [list(row) for row in rows]
+    return _from_pairs(_float_fd_rows(phi, basis))
 
 
 def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
@@ -178,8 +178,7 @@ def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
     jacobian is hitchin_jacobian(phi, framing, basis).matrix, when the
     caller has built it already; else its rows are built here, with no
     rank: in floats, or exactly when phi and the basis are exact.  The
-    result is a numpy.float64, or a float when phi and the basis are
-    exact.  det is quadratic, so the central difference
+    result is a float.  det is quadratic, so the central difference
     (Q(x+hy) - Q(x-hy))/2h equals the polarization exactly and the gap
     measures only rounding.
     """
@@ -187,46 +186,26 @@ def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
 
     if basis is None:
         basis = higgs_space(framing).basis
-    exact = _all_exact(phi, basis)
-    if jacobian is None and exact:
+    if jacobian is None and _all_exact(phi, basis):
         jacobian = _exact_jacobian_rows(phi, basis)[1]
     if jacobian is None:
         rows = _float_jacobian_rows(phi, basis)
     else:
-        rows = _complex_pairs(jacobian, len(phi.graph.edges))
+        rows = _to_pairs(jacobian, len(phi.graph.edges))
     gap = np.hypot(*_csub(rows, _float_fd_rows(phi, basis))).max(initial=0.0)
-    error = gap / np.hypot(*rows).max(initial=1.0)
-    return float(error) if exact else error
+    return float(gap / np.hypot(*rows).max(initial=1.0))
 
 
 # -- the float rows of both Jacobians, over the whole basis at once -----
 #
 # A complex value is an (re, im) pair of float64 arrays (scalars._cmul),
-# one row per basis field.  Every operation is the one _det_coefficients
-# and _polarization_coefficients make on the numpy.complex128
-# coefficients of a float Higgs basis, in the same order: an int k times
-# a complex x is complex(k) x, a real or exact coefficient is read as
-# (x, 0.0), and -2 phi is taken in phi's own scalars.  The rows come out
-# as numpy.complex128 entries, except that the finite differences of
-# exact fields, whose arithmetic is on Python complex numbers, come out
-# as Python complex numbers.
-
-
-def _complex_pairs(rows, width):
-    """(re, im) float64 arrays of shape (len(rows), width) of rows of
-    width scalars, each read as a complex number."""
-    import numpy as np
-
-    z = np.array(rows, dtype=complex).reshape(len(rows), width)
-    return z.real, z.imag
-
-
-def _complex128_rows(pair):
-    """The complex array of an (re, im) pair; its rows iterate as
-    numpy.complex128 scalars."""
-    z = pair[0].astype(complex)
-    z.imag = pair[1]
-    return z
+# one row per basis field; the coefficients are read in by
+# scalars._to_pairs.  Every operation is the one _det_coefficients and
+# _polarization_coefficients make on the Python complex coefficients of
+# a float Higgs basis, in the same order: an int k times a complex x is
+# complex(k) x, a real or exact coefficient is read as (x, 0.0), and
+# -2 phi is taken in phi's own scalars.  The callers turn the rows back
+# into Python complex numbers with scalars._from_pairs.
 
 
 def _product_pairs(r0, r1, s0, s1, minus_two_r0):
@@ -248,8 +227,8 @@ def _float_jacobian_rows(phi: HiggsField, basis):
     field (_polarization_coefficients), matched per edge."""
     c = phi.coefficients
     # phi and -2 phi, each as a pair of 6V-vectors
-    x, m2 = zip(*_complex_pairs([c, [-2 * a for a in c]], len(c)))
-    y = _complex_pairs([psi.coefficients for psi in basis], len(c))
+    x, m2 = zip(*_to_pairs([c, [-2 * a for a in c]], len(c)))
+    y = _to_pairs([psi.coefficients for psi in basis], len(c))
     p = _product_pairs(_column(x, 0), _column(x, 1), _column(y, 0), _column(y, 1),
                        _column(m2, 0))
     q = _product_pairs(_column(x, 2), _column(x, 3), _column(y, 4), _column(y, 5),
@@ -266,15 +245,14 @@ def _float_fd_rows(phi: HiggsField, basis):
 
     Row k is (Q(phi + h psi_k) - Q(phi - h psi_k)) / 2h, with Q(z) the
     per-edge bi-residues of _det_coefficients(z); each row is matched at
-    +h, then at -h.  The division is numpy's complex one, a product with
-    the reciprocal of 2h, or CPython's, a quotient, when phi and the
-    basis are exact and so all arithmetic is on Python complex numbers.
+    +h, then at -h.  The division is CPython's complex quotient by the
+    real 2h, whose numerators are dr + di 0.0 and di - dr 0.0.
     """
     import numpy as np
 
     c = phi.coefficients
-    x = _complex_pairs([c], len(c))
-    y = _complex_pairs([psi.coefficients for psi in basis], len(c))
+    x = _to_pairs([c], len(c))
+    y = _to_pairs([psi.coefficients for psi in basis], len(c))
     # rows phi + h psi_0, phi - h psi_0, phi + h psi_1, ...
     step = (np.array([FD_STEP, -FD_STEP])[:, None], 0.0)
     z = _cadd(x, _cmul(step, tuple(part[:, None] for part in y)))
@@ -288,9 +266,7 @@ def _float_fd_rows(phi: HiggsField, basis):
                                    [_cneg(_cadd(a, b)) for a, b in zip(p, q)])
     dr, di = _csub((re[0::2], im[0::2]), (re[1::2], im[1::2]))
     dr, di = dr + di * 0.0, di - dr * 0.0
-    if _all_exact(phi, basis):
-        return dr / (2 * FD_STEP), di / (2 * FD_STEP)
-    return dr * (1.0 / (2 * FD_STEP)), di * (1.0 / (2 * FD_STEP))
+    return dr / (2 * FD_STEP), di / (2 * FD_STEP)
 
 
 @dataclass

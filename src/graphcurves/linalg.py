@@ -27,6 +27,8 @@ integer elimination above.
 
 Float path: numpy SVD with a relative singular value threshold.  numpy
 is imported on the first float call, so an exact run never loads it.
+The rows may be lists of scalars or a complex array; a kernel basis
+comes back as lists of Python complex numbers, not numpy scalars.
 """
 from __future__ import annotations
 
@@ -214,11 +216,11 @@ def float_rank(rows, ncols) -> int:
 
 def float_nullspace(rows, ncols):
     """Orthonormal kernel basis from the trailing right singular vectors."""
-    if not rows:
+    if len(rows) == 0:
         return [[complex(i == j) for j in range(ncols)] for i in range(ncols)]
     import numpy as np
     _, s, vh = np.linalg.svd(np.array(rows, dtype=complex))
-    return [list(vh[k].conj()) for k in range(_svd_rank(s), ncols)]
+    return vh[_svd_rank(s):].conj().tolist()
 
 
 def rank(rows, ncols, domain: str) -> int:

@@ -68,7 +68,28 @@ def domain_of(*values) -> str:
 # same ones), so every entry rounds as the scalar code rounds it.  numpy's
 # complex array multiply may fuse operations, so none runs on complex
 # arrays.  A pair may also hold plain floats, such as (2.0, 0.0) for the
-# int 2 in complex arithmetic.  None of these imports numpy.
+# int 2 in complex arithmetic.  None of the arithmetic imports numpy.
+#
+# A float value outside an array is a Python complex (or float), never a
+# numpy scalar.  _to_pairs and _from_pairs are the two conversions
+# between the rows of scalars the package passes around and the pairs.
+
+
+def _to_pairs(rows, width: int):
+    """(re, im) float64 arrays of shape (len(rows), width) of rows of
+    width scalars, each read as a complex number."""
+    import numpy as np
+
+    z = np.array(rows, dtype=complex).reshape(len(rows), width)
+    return z.real, z.imag
+
+
+def _from_pairs(pair):
+    """The entries of an (re, im) pair of float64 arrays as Python
+    complex numbers, in nested lists of the arrays' shape."""
+    z = pair[0].astype(complex)
+    z.imag = pair[1]
+    return z.tolist()
 
 
 def _cmul(x, y):

@@ -72,56 +72,51 @@ def _product_coefficients(r0, r1, s0, s1):
     )
 
 
-def _coefficient_tuple(graph: TrivalentGraph, coefficients, width: int):
-    """(coefficients as a tuple of width entries per vertex of graph, domain_of them).
+class _VertexCoefficients:
+    """A flat tuple of WIDTH coefficients per vertex of graph, and their
+    domain_of; the base of the per-vertex coefficient classes.
 
     Raises ValidationError when coefficients is not iterable, on any
     other length, on mixed domains, and on a float coefficient that is
     nan or infinite (every comparison with nan is false, so the rules
     downstream would accept it).
     """
-    try:
-        coefficients = tuple(coefficients)
-    except TypeError:
-        raise ValidationError(f"coefficients must be a sequence, "
-                              f"got {type(coefficients).__name__}") from None
-    if len(coefficients) != width * graph.vertex_count:
-        raise ValidationError(f"need {width * graph.vertex_count} coefficients, "
-                              f"got {len(coefficients)}")
-    domain = domain_of(*coefficients)
-    if domain == FLOAT and not all(map(cmath.isfinite, coefficients)):
-        raise ValidationError("float coefficients must be finite")
-    return coefficients, domain
+
+    __slots__ = ("graph", "coefficients", "domain")
+    WIDTH = 0
+
+    def __init__(self, graph: TrivalentGraph, coefficients):
+        try:
+            coefficients = tuple(coefficients)
+        except TypeError:
+            raise ValidationError(f"coefficients must be a sequence, "
+                                  f"got {type(coefficients).__name__}") from None
+        if len(coefficients) != self.WIDTH * graph.vertex_count:
+            raise ValidationError(f"need {self.WIDTH * graph.vertex_count} "
+                                  f"coefficients, got {len(coefficients)}")
+        domain = domain_of(*coefficients)
+        if domain == FLOAT and not all(map(cmath.isfinite, coefficients)):
+            raise ValidationError("float coefficients must be finite")
+        self.graph, self.coefficients, self.domain = graph, coefficients, domain
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.graph == other.graph and self.coefficients == other.coefficients
 
 
-class GlobalDifferential:
+class GlobalDifferential(_VertexCoefficients):
     """Differentials on every component: coefficients (r0, r1) per vertex."""
 
-    __slots__ = ("graph", "coefficients", "domain")
-
-    def __init__(self, graph: TrivalentGraph, coefficients):
-        self.graph = graph
-        self.coefficients, self.domain = _coefficient_tuple(graph, coefficients, 2)
-
-    def __eq__(self, other):
-        if not isinstance(other, GlobalDifferential):
-            return NotImplemented
-        return self.graph == other.graph and self.coefficients == other.coefficients
+    __slots__ = ()
+    WIDTH = 2
 
 
-class GlobalQuadratic:
+class GlobalQuadratic(_VertexCoefficients):
     """Quadratic differentials on every component: (q0, q1, q2) per vertex."""
 
-    __slots__ = ("graph", "coefficients", "domain")
-
-    def __init__(self, graph: TrivalentGraph, coefficients):
-        self.graph = graph
-        self.coefficients, self.domain = _coefficient_tuple(graph, coefficients, 3)
-
-    def __eq__(self, other):
-        if not isinstance(other, GlobalQuadratic):
-            return NotImplemented
-        return self.graph == other.graph and self.coefficients == other.coefficients
+    __slots__ = ()
+    WIDTH = 3
 
 
 def canonical_matrix(graph: TrivalentGraph):

@@ -345,16 +345,20 @@ _ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.5]) | st.floats(-1e3, 1e3)
        st.integers(0, 10**6), st.data())
 def test_float_combinations_match_the_scalar_loops(name, size, numpy_scalars,
                                                    seed, data):
-    # a planted float basis, with signed zeros, of numpy.complex128 scalars
-    # (as the solver gives) or Python complex numbers: both starts of
-    # _float_combination give the bits, and the scalar types, of the loops
-    # of random_higgs_field and random_regular_higgs
+    # a planted float basis, with signed zeros, of Python complex numbers or
+    # of numpy.complex128 scalars of the same values: both starts of
+    # _float_combination give Python complex numbers with the bits of the
+    # loops of random_higgs_field and random_regular_higgs, run on the
+    # Python complex basis
     g = catalog_graph(name)
     width = 6 * g.vertex_count
+    values = [[complex(*data.draw(st.tuples(_ENTRIES, _ENTRIES)))
+               for _ in range(width)] for _ in range(size)]
     kind = np.complex128 if numpy_scalars else complex
-    basis = [HiggsField(g, [kind(complex(*data.draw(st.tuples(_ENTRIES, _ENTRIES))))
-                            for _ in range(width)]) for _ in range(size)]
-    report = KernelReport(domain=FLOAT, nrows=0, ncols=width, rank=0, basis=basis)
+    basis = [HiggsField(g, [kind(z) for z in row]) for row in values]
+    oracle_basis = [HiggsField(g, row) for row in values]
+    report = KernelReport(domain=FLOAT, nrows=0, ncols=width, rank=0,
+                          basis=oracle_basis)
     framing = Framing.identity(g, FLOAT)
     rng = Random(seed)
     coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in basis]
@@ -362,4 +366,4 @@ def test_float_combinations_match_the_scalar_loops(name, size, numpy_scalars,
     assert bits(_float_combination(coeffs, parts, 0j)) == bits(
         field_coefficients(old_random_higgs_field(framing, seed, FLOAT, report)))
     assert bits(_float_combination(coeffs, parts)) == bits(
-        field_coefficients(old_first_term_combination(coeffs, basis)))
+        field_coefficients(old_first_term_combination(coeffs, oracle_basis)))

@@ -1,0 +1,26 @@
+"""The tools in tools/ run against this checkout.
+
+tools/stage_times.py reaches into private kernels of higgs, hitchin and
+linalg, so a change that moves them shows here.
+"""
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_stage_times_prints_both_tables():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "stage_times.py"),
+         "--vertices", "8", "--repeats", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "| stage | V | exact s | float s |"
+    assert lines.index("| system | V | shape | rank | s_{r-1}/s_0 | s_r/s_0 |") > 0
+    # seven stage rows, then the two float Higgs systems
+    rows = [line.split(" | ")[0] for line in lines if " | 8 | " in line]
+    assert len(rows) == 9
+    assert rows[0] == "| Higgs solve"
+    assert rows[7:] == ["| residue sums", "| node cancellation"]
