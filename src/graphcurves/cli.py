@@ -122,7 +122,7 @@ def cmd_sections(args) -> dict:
     graph, inputs = _resolve_graph(args.graph)
     can = canonical_space(graph, args.domain)
     double = double_canonical_space(graph, args.domain)
-    coords = [bires_coordinates(omega) for omega in double.basis]
+    coords = bires_coordinates(double.basis)
     ncols = len(graph.edges)
     results = {
         "genus": graph.genus,

@@ -38,11 +38,11 @@ eps |Ad|, as an SVD of the node-cancellation system does.
 
 higgs_residual checks a whole sequence of fields, such as that basis, in
 one pass: the per-edge work is done once for all the fields, exact
-fields run on integer numerators, and float fields on float64 arrays
-with the rounding of the Mat2 product.  It reads the residue matrices
-and the framing matrices themselves, not the rows that
-assemble_higgs_constraints builds from them, so a fault in the assembly
-shows as a nonzero residual instead of cancelling out.
+fields on exact edges run on integer numerators, and every other field
+and edge on float64 arrays with the rounding of the Mat2 product.  It
+reads the residue matrices and the framing matrices themselves, not the
+rows that assemble_higgs_constraints builds from them, so a fault in the
+assembly shows as a nonzero residual instead of cancelling out.
 """
 from __future__ import annotations
 
@@ -249,8 +249,8 @@ def higgs_residual(fields, framing: Framing):
     is the adjugate of a (det a = 1).  An edge whose two vertices carry
     only zero coefficients has residual 0 there and is skipped.  Every
     other field and edge is checked in floats, all at once
-    (_float_residual), to the bits of the Mat2 product.  The result is
-    0, a Fraction or a float.
+    (_float_residual), to the bits of the Mat2 product on the fields'
+    complex copies.  The result is 0, a Fraction or a float.
     """
     g = framing.graph
     exact_edges, float_edges = [], []
@@ -303,13 +303,14 @@ def _float_residual(fields, framing: Framing, edges):
     """higgs_residual in floats, vectorised over the fields and edges.
 
     A complex value is a pair of float64 arrays, real and imaginary
-    parts (scalars._to_pairs), multiplied by scalars._cmul and _cmatmul
-    in Mat2's order; so every entry rounds as in the Mat2 product.  A
-    field's residues are taken in its own scalars, on the pairs for a
-    field of floats and complex numbers and in Python otherwise, and then
-    read as complex numbers, as a product with a complex number reads
-    them.  The inverse transport is Mat2.inv(), and magnitudes are
-    np.hypot, the hypot of abs(complex).
+    parts, multiplied by scalars._cmul and _cmatmul in Mat2's order; so
+    every entry rounds as in the Mat2 product.  Every field's
+    coefficients are read once as complex numbers (scalars._to_pairs),
+    as a product with a complex number reads them, and the residues are
+    taken on those pairs (sections._residues), so the residue at marked
+    point 2 is summed from the rounded r0 and r1.  The inverse transport
+    is Mat2.inv(), and magnitudes are np.hypot, the hypot of
+    abs(complex).
     """
     if not (fields and edges):
         return 0
@@ -317,30 +318,13 @@ def _float_residual(fields, framing: Framing, edges):
 
     g = framing.graph
     n, nv = len(fields), g.vertex_count
-    # [field, vertex, point, k]: coordinate k of the residue matrix at the
+    # [field, vertex, k, p]: coefficient 6v + 2k + p
+    coeffs = (x.reshape(n, nv, 3, 2)
+              for x in _to_pairs([phi.coefficients for phi in fields], 6 * nv))
+    # [field, 9v + 3 point + k]: coordinate k of the residue matrix at the
     # vertex's marked point
-    re = np.empty((n, nv, 3, 3))
-    im = np.empty((n, nv, 3, 3))
-    floats, others = [], []
-    for f, phi in enumerate(fields):
-        kinds = set(map(type, phi.coefficients))
-        inexact = all(issubclass(k, (float, complex)) for k in kinds)
-        (floats if inexact else others).append(f)
-    if floats:
-        z = _to_pairs([fields[f].coefficients for f in floats], 6 * nv)
-        for part, out in zip(z, (re, im)):
-            part = part.reshape(len(floats), nv, 3, 2)
-            out[floats, :, 0] = part[..., 0]
-            out[floats, :, 1] = part[..., 1]
-            out[floats, :, 2] = -(part[..., 0] + part[..., 1])
-    for f in others:
-        c = fields[f].coefficients
-        z = _to_pairs([[x for i in range(0, len(c), 2)
-                        for x in _residues(c[i], c[i + 1])]], 9 * nv)
-        for part, out in zip(z, (re, im)):
-            out[f] = part.reshape(nv, 3, 3).transpose(0, 2, 1)
-    re = re.reshape(n, 9 * nv)
-    im = im.reshape(n, 9 * nv)
+    re, im = (np.stack(_residues(c[..., 0], c[..., 1]), axis=2).reshape(n, 9 * nv)
+              for c in coeffs)
 
     def residues(darts):
         at = np.array([9 * g.vertex_of(d) + 3 * g.marked_point(d) for d in darts])
@@ -396,19 +380,16 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
                 acc = [a + s * x for a, x in zip(acc, ints)]
         return HiggsField(framing.graph, [Fraction(a, den) for a in acc])
     coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-    return HiggsField(framing.graph, _float_combination(
-        coeffs, _float_parts(report.basis, 6 * framing.graph.vertex_count), 0j))
-
-
-def _float_parts(basis, width: int):
-    """A float basis for _float_combination: the (re, im) float64 arrays
-    of its coefficients, one row per field (scalars._to_pairs)."""
-    return _to_pairs([psi.coefficients for psi in basis], width)
+    parts = _to_pairs([psi.coefficients for psi in report.basis],
+                      6 * framing.graph.vertex_count)
+    return HiggsField(framing.graph, _float_combination(coeffs, parts, 0j))
 
 
 def _float_combination(coeffs, parts, start=None):
-    """sum_k c_k psi_k over a float basis given as _float_parts, computed on
-    float64 arrays with the additions and rounding of the scalar loop
+    """sum_k c_k psi_k over a float basis given as the (re, im) float64
+    arrays of its coefficients, one row per field (scalars._to_pairs),
+    computed on those arrays with the additions and rounding of the
+    scalar loop
 
         acc = start; for c, psi: acc = [a + c * x for a, x in zip(acc, psi)]
 
@@ -426,7 +407,7 @@ def _float_combination(coeffs, parts, start=None):
     for c, x in zip(coeffs, zip(re, im)):
         term = _cmul((c.real, c.imag), x)
         acc = term if acc is None else _cadd(acc, term)
-    return _from_pairs(acc)
+    return _from_pairs(acc).tolist()
 
 
 # -- per-edge residue parameterization ---------------------------------

@@ -23,7 +23,8 @@ over the whole basis at once on float64 (re, im) pairs with CPython's
 complex rounding, so every entry has the bits the scalar kernels give
 on the coefficients of the fields.  The fields go in through
 scalars._to_pairs and the rows come out through scalars._from_pairs, as
-Python complex numbers, the type of every float value outside an array.
+a complex array whose tolist() gives Python complex numbers, the type of
+every float value outside an array.
 """
 from __future__ import annotations
 
@@ -36,8 +37,8 @@ from .higgs import HiggsField, higgs_space
 from .linalg import _clear_denominators, rank as matrix_rank
 from .scalars import (EXACT, FLOAT, REGULAR_RTOL, _cadd, _cmul, _cneg, _csub,
                       _from_pairs, _to_pairs)
-from .sections import (GlobalQuadratic, _biresidues, _float_biresidue_rows,
-                       _matched_biresidues, _product_coefficients,
+from .sections import (GlobalQuadratic, _biresidues, _exact_biresidues,
+                       _float_biresidue_rows, _product_coefficients,
                        bires_coordinates)
 
 FD_STEP = 1e-5  # central-difference step of the finite-difference Jacobian
@@ -93,7 +94,7 @@ def hitchin_edge_coords(phi: HiggsField):
     node, which is the signature of a field that does not satisfy the
     node cancellation for any framing.
     """
-    return bires_coordinates(hitchin_image(phi))
+    return bires_coordinates([hitchin_image(phi)])[0]
 
 
 def polarization(phi: HiggsField, psi: HiggsField) -> GlobalQuadratic:
@@ -119,7 +120,8 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
     the k-th basis field of the framing's Higgs space.  When phi and the
     basis are exact fields, the rows are computed on their integer
     numerators and the rank is taken of those integer rows; otherwise
-    they are computed in floats for the whole basis at once.
+    they are computed in floats for the whole basis at once and the rank
+    is taken of their complex array.
     """
     if basis is None:
         basis = higgs_space(framing).basis
@@ -129,7 +131,7 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
         return JacobianReport(matrix=rows, rank=matrix_rank(int_rows, ncols, EXACT),
                               basis_size=len(basis))
     rows = _from_pairs(_float_jacobian_rows(phi, basis))
-    return JacobianReport(matrix=rows, rank=matrix_rank(rows, ncols, FLOAT),
+    return JacobianReport(matrix=rows.tolist(), rank=matrix_rank(rows, ncols, FLOAT),
                           basis_size=len(basis))
 
 
@@ -149,11 +151,11 @@ def _exact_jacobian_rows(phi: HiggsField, basis):
     for psi in basis:
         y, den_psi = _clear_denominators(psi.coefficients)
         try:
-            coords = _matched_biresidues(g, _polarization_coefficients(x, y), EXACT)
+            coords = _exact_biresidues(g, _polarization_coefficients(x, y))
         except MatchingViolated:
             # raise again with the rational bi-residues in the message
-            _matched_biresidues(g, _polarization_coefficients(
-                phi.coefficients, psi.coefficients), EXACT)
+            _exact_biresidues(g, _polarization_coefficients(
+                phi.coefficients, psi.coefficients))
             raise
         int_rows.append(coords)
         den = den_phi * den_psi
@@ -168,7 +170,7 @@ def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None):
     """
     if basis is None:
         basis = higgs_space(framing).basis
-    return _from_pairs(_float_fd_rows(phi, basis))
+    return _from_pairs(_float_fd_rows(phi, basis)).tolist()
 
 
 def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
@@ -205,7 +207,7 @@ def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
 # a float Higgs basis, in the same order: an int k times a complex x is
 # complex(k) x, a real or exact coefficient is read as (x, 0.0), and
 # -2 phi is taken in phi's own scalars.  The callers turn the rows back
-# into Python complex numbers with scalars._from_pairs.
+# into Python complex numbers with scalars._from_pairs and tolist().
 
 
 def _product_pairs(r0, r1, s0, s1, minus_two_r0):

@@ -72,7 +72,8 @@ def domain_of(*values) -> str:
 #
 # A float value outside an array is a Python complex (or float), never a
 # numpy scalar.  _to_pairs and _from_pairs are the two conversions
-# between the rows of scalars the package passes around and the pairs.
+# between the rows of scalars the package passes around and the pairs;
+# the complex array _from_pairs gives leaves it through tolist().
 
 
 def _to_pairs(rows, width: int):
@@ -85,11 +86,11 @@ def _to_pairs(rows, width: int):
 
 
 def _from_pairs(pair):
-    """The entries of an (re, im) pair of float64 arrays as Python
-    complex numbers, in nested lists of the arrays' shape."""
+    """The complex array of an (re, im) pair of float64 arrays; its
+    tolist() gives the entries as Python complex numbers."""
     z = pair[0].astype(complex)
     z.imag = pair[1]
-    return z.tolist()
+    return z
 
 
 def _cmul(x, y):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import MatchingViolated, ValidationError
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, _clear_denominators, solve_kernel
-from .scalars import EXACT, FLOAT, MATCH_TOL, _cadd, _csub, domain_of
+from .scalars import EXACT, FLOAT, MATCH_TOL, _csub, _from_pairs, _to_pairs, domain_of
 
 
 def _residues(r0, r1):
@@ -172,51 +172,51 @@ def double_canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> Kernel
     return report
 
 
-def bires_coordinates(omega: GlobalQuadratic):
-    """Per-edge bi-residues of a global quadratic differential.
+def bires_coordinates(quadratics):
+    """Per-edge bi-residues of global quadratic differentials on one graph.
 
-    The two sides of each node must agree: exactly in the exact domain,
-    within MATCH_TOL relative to the overall scale in the float domain.
-    Returns one scalar per edge in canonical edge order.
+    quadratics is a sequence of GlobalQuadratics on one graph; the result
+    has one row per quadratic, one scalar per edge in canonical edge
+    order, and an empty sequence gives [].  The two sides of each node
+    must agree.  When every quadratic is exact, each is matched exactly on
+    its integer numerators (_exact_biresidues).  Otherwise the whole
+    sequence is FLOAT, as domain_of decides for a value, and is matched
+    at once (_float_biresidue_rows), within MATCH_TOL relative to each
+    quadratic's scale; its values are Python complex numbers.
+    MatchingViolated names the first edge that fails in the first
+    quadratic with one; a quadratic on another graph raises
+    ValidationError.
     """
-    return _matched_biresidues(omega.graph, omega.coefficients, omega.domain)
-
-
-def _matched_biresidues(g: TrivalentGraph, coeffs, domain: str):
-    """bires_coordinates on a flat (q0, q1, q2)-per-vertex sequence in domain."""
-    if domain == EXACT:
-        return _exact_biresidues(g, coeffs)
-    scale = max([1.0] + [abs(x) for x in coeffs])
-    bires = list(map(_biresidues, coeffs[::3], coeffs[1::3], coeffs[2::3]))
-    coords = []
-    for e, (a, b) in enumerate(g.edges):
-        lhs = bires[g.vertex_of(a)][g.marked_point(a)]
-        rhs = bires[g.vertex_of(b)][g.marked_point(b)]
-        if abs(lhs - rhs) > MATCH_TOL * scale:
-            raise MatchingViolated(
-                f"bi-residues differ across edge {e}: {lhs} vs {rhs}")
-        coords.append(lhs)
-    return coords
+    if not quadratics:
+        return []
+    g = quadratics[0].graph
+    if any(omega.graph != g for omega in quadratics):
+        raise ValidationError("quadratic differentials on different graphs")
+    if all(omega.domain == EXACT for omega in quadratics):
+        return [_exact_biresidues(g, omega.coefficients) for omega in quadratics]
+    re, im = _to_pairs([omega.coefficients for omega in quadratics],
+                       3 * g.vertex_count)
+    q = [(re[:, k::3], im[:, k::3]) for k in range(3)]
+    return _from_pairs(_float_biresidue_rows(g, q)).tolist()
 
 
 def _float_biresidue_rows(g: TrivalentGraph, q):
-    """The float _matched_biresidues of many quadratic differentials at once.
+    """The float bi-residue matcher, over many quadratic differentials at once.
 
     q is the triple (q0, q1, q2) of coefficients, each an (re, im) pair
     of float64 arrays (as in scalars) of shape (rows, V), one row per
     quadratic differential; the result is the pair of (rows, E) arrays
-    of per-edge bi-residues.  Each row is checked as _matched_biresidues
-    checks it, against MATCH_TOL times max(1, max |coefficient|) of that
-    row, with magnitudes by np.hypot (the hypot of abs(complex));
-    MatchingViolated names the first edge that fails in the first row
-    with one, in the same words.
+    of per-edge bi-residues, _biresidues taken on the real and the
+    imaginary parts.  Each row is checked against MATCH_TOL times
+    max(1, max |coefficient|) of that row, with magnitudes by np.hypot
+    (the hypot of abs(complex)); MatchingViolated names the first edge
+    that fails in the first row with one, with the two bi-residues as
+    Python complex numbers.
     """
     import numpy as np
 
-    q0, q1, q2 = q
-    # [row, vertex, point]: the bi-residues (q0, q0 + q1 + q2, q2) at (0, 1, inf)
-    bires = [np.stack(part, axis=-1)
-             for part in zip(q0, _cadd(_cadd(q0, q1), q2), q2)]
+    # [row, vertex, point]: the bi-residues at (0, 1, inf)
+    bires = [np.stack(_biresidues(*part), axis=-1) for part in zip(*q)]
     sides = [([g.vertex_of(d) for d in darts], [g.marked_point(d) for d in darts])
              for darts in zip(*g.edges)]
     lhs, rhs = (tuple(b[:, v, p] for b in bires) for v, p in sides)
@@ -233,7 +233,8 @@ def _float_biresidue_rows(g: TrivalentGraph, q):
 
 
 def _exact_biresidues(g: TrivalentGraph, coeffs):
-    """_matched_biresidues of exact coefficients, on their integer numerators.
+    """The per-edge bi-residues of one exact quadratic differential's flat
+    coefficients, matched on their integer numerators.
 
     The coefficients are cleared of denominators once, the bi-residues
     compared as ints, and each edge's divided back once.  An entry has

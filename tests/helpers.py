@@ -107,10 +107,6 @@ def svd_kernel(rows, ncols, rtol=1e-9):
     return vh[rank:].conj().T
 
 
-def as_float_rows(rows):
-    return [[complex(x) for x in row] for row in rows]
-
-
 def fraction_rref(rows, ncols):
     """Reduced row echelon form by Gauss-Jordan on Fraction objects.
 

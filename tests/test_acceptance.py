@@ -101,7 +101,7 @@ def test_criterion_02_double_canonical_dimension():
         if sp.dim != 3 * g.genus - 3 or sp.rank != 3 * g.genus - 3:
             bad += 1
             continue
-        coords = [bires_coordinates(q) for q in sp.basis]
+        coords = bires_coordinates(sp.basis)
         if exact_rank(coords, len(g.edges)) != 3 * g.genus - 3:
             bad += 1
     _line(2, bad == 0,

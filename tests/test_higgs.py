@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
 from graphcurves.matrices import Mat2, conj
 from graphcurves.linalg import KernelReport
-from graphcurves.scalars import EXACT, FLOAT
+from graphcurves.scalars import EXACT, FLOAT, _to_pairs
 from graphcurves.framings import (Framing, GaugeTransform, apply_gauge, flat_linearization,
                                   flat_local_dimension, zero_section)
 from graphcurves.higgs import (
     HiggsField,
     _float_combination,
-    _float_parts,
     assemble_higgs_constraints,
     gauge_transform_higgs,
     higgs_from_edge_residues,
@@ -249,6 +248,28 @@ def test_batched_residual_matches_the_mat2_oracle(half, seed, domain, gauged,
     assert higgs_residual([], framing) == 0
 
 
+def test_exact_fields_on_float_framings():
+    # an exact field is read in floats on a complex edge, as its complex
+    # copy is read there, and stays exact on an integer edge of a float
+    # framing
+    for case in range(200):
+        rng = Random(case)
+        g = random_trivalent(8, case)
+        fields = [HiggsField(g, [Fraction(rng.randint(-10**6, 10**6),
+                                          rng.randint(1, 10**6))
+                                 for _ in range(6 * g.vertex_count)])
+                  for _ in range(4)]
+        copies = [HiggsField(g, [complex(x) for x in phi.coefficients])
+                  for phi in fields]
+        framing = Framing.random(g, case, FLOAT)
+        want = max(old_higgs_residual(phi, framing) for phi in copies)
+        assert bits(higgs_residual(fields, framing)) == bits(want)
+        identity = Framing.identity(g, FLOAT)
+        want = max(old_higgs_residual(phi, identity) for phi in fields)
+        assert type(want) is Fraction
+        assert bits(higgs_residual(fields, identity)) == bits(want)
+
+
 @pytest.mark.parametrize("domain", [EXACT, FLOAT])
 def test_field_on_one_vertex_reports_its_three_edges(domain):
     # an exact field supported on one vertex is nonzero on only that
@@ -362,7 +383,7 @@ def test_float_combinations_match_the_scalar_loops(name, size, numpy_scalars,
     framing = Framing.identity(g, FLOAT)
     rng = Random(seed)
     coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in basis]
-    parts = _float_parts(basis, width)
+    parts = _to_pairs([psi.coefficients for psi in basis], width)
     assert bits(_float_combination(coeffs, parts, 0j)) == bits(
         field_coefficients(old_random_higgs_field(framing, seed, FLOAT, report)))
     assert bits(_float_combination(coeffs, parts)) == bits(

@@ -154,7 +154,7 @@ def _read(value):
     """The readers after a constructor, on the value it built."""
     if isinstance(value, GlobalQuadratic):
         is_regular(value)
-        bires_coordinates(value)
+        bires_coordinates([value])
     elif isinstance(value, HiggsField):
         is_regular(hitchin_image(value))
         hitchin_edge_coords(value)

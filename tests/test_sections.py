@@ -22,7 +22,8 @@ from graphcurves.sections import (
 )
 from graphcurves.linalg import residual
 
-from helpers import bits, minor_rank, svd_rank
+from helpers import (ComponentQuadratic, bits, minor_rank, old_bires_coordinates,
+                     svd_rank)
 
 
 def test_residue_functional_table():
@@ -165,15 +166,14 @@ def test_canonical_basis_satisfies_matching():
 
 def test_bires_coordinates_theta_basis():
     g = catalog_graph("theta")
-    coords = [bires_coordinates(q) for q in double_canonical_space(g).basis]
+    coords = bires_coordinates(double_canonical_space(g).basis)
     assert coords == [[1, 1, 0], [0, 1, 0], [0, 0, 1]] or minor_rank(coords) == 3
 
 
 def test_bires_coordinates_are_injective():
     for name in ("theta", "k4"):
         g = catalog_graph(name)
-        coords = [bires_coordinates(q)
-                  for q in double_canonical_space(g).basis]
+        coords = bires_coordinates(double_canonical_space(g).basis)
         assert minor_rank(coords) == 3 * g.genus - 3
 
 
@@ -183,7 +183,7 @@ def test_bires_coordinates_require_matching():
     q = GlobalQuadratic(g, [Fraction(1), Fraction(0), Fraction(0)]
                         + [Fraction(0), Fraction(0), Fraction(0)])
     with pytest.raises(MatchingViolated):
-        bires_coordinates(q)
+        bires_coordinates([q])
 
 
 def _rational_bires_coordinates(g, coeffs):
@@ -221,14 +221,52 @@ def test_bires_coordinates_keep_the_entry_types():
                 want = _rational_bires_coordinates(g, vec)
                 if isinstance(want, str):
                     with pytest.raises(MatchingViolated) as err:
-                        bires_coordinates(GlobalQuadratic(g, vec))
+                        bires_coordinates([GlobalQuadratic(g, vec)])
                     assert str(err.value) == want
                     continue
-                got = bires_coordinates(GlobalQuadratic(g, vec))
+                got = bires_coordinates([GlobalQuadratic(g, vec)])[0]
                 assert bits(got) == bits(want)
                 if kind is not None:
                     assert {type(x) for x in got} == {kind}
             assert {int, Fraction} <= {type(x) for x in mixed}
+
+
+def test_bires_coordinates_over_a_sequence():
+    # one call matches a sequence of quadratics: a float sequence at once,
+    # with the bits of the per-quadratic scalar oracle and, for the first
+    # quadratic that fails, its message; an exact one quadratic by quadratic
+    graphs = ([catalog_graph(name) for name in CATALOG_NAMES]
+              + [random_trivalent(v, seed) for v in (20, 40) for seed in (0, 1)])
+    for g in graphs:
+
+        def oracle(c):
+            comps = [ComponentQuadratic(*c[i:i + 3]) for i in range(0, len(c), 3)]
+            return old_bires_coordinates(g, comps)
+
+        basis = double_canonical_space(g, FLOAT).basis
+        assert bits(bires_coordinates(basis)) == bits(
+            [oracle(q.coefficients) for q in basis])
+        # a q1 changes the bi-residue at marked point 1 only, so no loop
+        # can carry the bump to both sides of its edge
+        k = len(basis) // 2
+        bumped = list(basis)
+        for j in (k, len(basis) - 1):
+            vec = list(basis[j].coefficients)
+            vec[3 * (j % g.vertex_count) + 1] += 1e-3
+            bumped[j] = GlobalQuadratic(g, vec)
+        with pytest.raises(MatchingViolated) as err:
+            bires_coordinates(bumped)
+        with pytest.raises(MatchingViolated) as want:
+            oracle(bumped[k].coefficients)
+        assert str(err.value) == str(want.value)
+        exact = double_canonical_space(g, EXACT).basis
+        assert bits(bires_coordinates(exact)) == bits(
+            [_rational_bires_coordinates(g, q.coefficients) for q in exact])
+    theta, k4 = catalog_graph("theta"), catalog_graph("k4")
+    with pytest.raises(ValidationError):
+        bires_coordinates([GlobalQuadratic(theta, [0] * 6),
+                           GlobalQuadratic(k4, [0] * 12)])
+    assert bires_coordinates([]) == []
 
 
 @pytest.mark.parametrize("first", [0, 0j])
@@ -237,7 +275,7 @@ def test_bires_coordinates_float_rule_with_int_first_entry(first):
     # whatever the spelling of the first entry
     g = catalog_graph("theta")
     omega = GlobalQuadratic(g, [first, 1.0 + 0j, 0j, 1e-13 + 0j, 1.0 + 0j, 0j])
-    assert bires_coordinates(omega) == [0, 1, 0]
+    assert bires_coordinates([omega]) == [[0, 1, 0]]
 
 
 def test_fields_store_their_domain():

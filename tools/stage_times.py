@@ -21,7 +21,7 @@ and V with an exact and a float column:
   it, timed with those rows built beforehand.  A float trial passes the
   Jacobian it built; an exact trial's check builds float Jacobian rows,
   with no rank, and that is part of this stage;
-* ``bires_coordinates`` over the double-canonical basis;
+* ``bires_coordinates`` over the double-canonical basis, in one call;
 * hitchin trial: one trial of ``cmd_hitchin`` in the domain, from
   ``Framing.random`` through ``is_regular``.
 
@@ -119,7 +119,7 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
         _best(repeats, lambda _: hitchin_jacobian(phi, framing)),
         fd_rows,
         fd_compare,
-        _best(repeats, lambda _: [bires_coordinates(q) for q in quadratics]),
+        _best(repeats, lambda _: bires_coordinates(quadratics)),
         _best(repeats, lambda _: _hitchin_trial(graph, seed, domain)),
     )
     return dict(zip(STAGES, times))
