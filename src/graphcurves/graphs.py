@@ -13,7 +13,10 @@ connected nodal curve of arithmetic genus g.
 
 Every graph search is _breadth_first from vertex 0.  A graph's one
 spanning tree, spanning_tree, is built by its constructor and kept as
-graph.tree.
+graph.tree.  So is its edge-ends table, graph._edge_ends: for each side
+of the edges, lower darts first, then partners, the tuple of vertices
+and the tuple of marked points of the darts, in canonical edge order.
+The kernels that match or transport across every node read it.
 """
 from __future__ import annotations
 
@@ -103,6 +106,10 @@ class TrivalentGraph:
         for i, (a, b) in enumerate(self.edges):
             self._edge_of_dart[a] = i
             self._edge_of_dart[b] = i
+        self._edge_ends = tuple(
+            (tuple(self._dart_vertex[d] for d in darts),
+             tuple(self._local_index[d] for d in darts))
+            for darts in zip(*self.edges))
 
         self.tree = spanning_tree(self)
         reached = len(self.tree.order)

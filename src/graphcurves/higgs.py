@@ -43,6 +43,10 @@ and edge on float64 arrays with the rounding of the Mat2 product.  It
 reads the residue matrices and the framing matrices themselves, not the
 rows that assemble_higgs_constraints builds from them, so a fault in the
 assembly shows as a nonzero residual instead of cancelling out.
+
+Every kernel reads a sequence of fields in one working form per domain
+(_working_form).  higgs_space makes its basis's form with the solve and
+the basis keeps it, so no kernel converts that basis again.
 """
 from __future__ import annotations
 
@@ -51,6 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
+from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .linalg import KernelReport, _clear_denominators, solve_kernel
 from .matrices import SL2_BASIS, Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
@@ -143,17 +148,56 @@ def higgs_space(framing: Framing) -> KernelReport:
     A framing's matrices never change, so the space is solved once per
     framing, on the first call, and the report is stored on the framing
     and shared by every later call.  Its basis is a tuple, so no caller
-    can change the basis another caller sees.
+    can change the basis another caller sees, and it keeps its working
+    form (_working_form), made here, for every kernel that reads it.
     """
     if framing._higgs_space is None:
+        g = framing.graph
         if framing.domain == EXACT:
-            rows = assemble_higgs_constraints(framing)
-            report = solve_kernel(rows, 6 * framing.graph.vertex_count, EXACT)
-            report.basis = tuple(HiggsField(framing.graph, vec) for vec in report.basis)
+            report = solve_kernel(assemble_higgs_constraints(framing),
+                                  6 * g.vertex_count, EXACT)
+            report.basis = _Basis((HiggsField(g, vec) for vec in report.basis), {})
+            _working_form(report.basis, g, EXACT)
         else:
             report = _float_higgs_space(framing)
         framing._higgs_space = report
     return framing._higgs_space
+
+
+class _Basis(tuple):
+    """A Higgs basis as higgs_space returns it: a tuple of HiggsFields that
+    keeps its working form in each domain once made, forms[domain]."""
+
+    def __new__(cls, fields, forms):
+        basis = super().__new__(cls, fields)
+        basis.forms = forms
+        return basis
+
+
+def _working_form(fields, graph, domain: str):
+    """The form in which the kernels read a sequence of HiggsFields on graph.
+
+    EXACT: per field, its integer numerators, their lcm denominator
+    (linalg._clear_denominators) and its live vertices, one bool per
+    vertex that has a nonzero coefficient.  FLOAT: the (re, im) float64
+    arrays of the coefficients, one row per field (scalars._to_pairs).
+    A basis from higgs_space keeps each form once made, the float one
+    taken from the solve's own array with the same bits; any other
+    sequence is converted on each call.  Raises ValidationError when a
+    field lies on another graph.
+    """
+    if any(phi.graph != graph for phi in fields):
+        raise ValidationError("Higgs fields on another graph")
+    forms = getattr(fields, "forms", {})
+    if domain not in forms:
+        if domain == EXACT:
+            cleared = (_clear_denominators(phi.coefficients) for phi in fields)
+            forms[EXACT] = [(c, den, [any(c[i:i + 6]) for i in range(0, len(c), 6)])
+                            for c, den in cleared]
+        else:
+            forms[FLOAT] = _to_pairs([phi.coefficients for phi in fields],
+                                     6 * graph.vertex_count)
+    return forms[domain]
 
 
 def _float_residue_system(framing: Framing):
@@ -187,8 +231,7 @@ def _float_residue_system(framing: Framing):
     rows = np.zeros((g.vertex_count, 3, nedges, 3), dtype=complex)
     e = np.arange(nedges)
     for side, block in ((1, upper), (0, lower)):
-        v = np.array([g.vertex_of(edge[side]) for edge in g.edges], dtype=int)
-        rows[v, :, e, :] += block
+        rows[g._edge_ends[side][0], :, e, :] += block
     return rows.reshape(3 * g.vertex_count, 3 * nedges), upper, lower
 
 
@@ -223,12 +266,11 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
     for side, block in ((1, upper), (0, lower)):
         # [edge, field, coordinate]: each field's residue at the edge's dart
         residues = u.swapaxes(0, 1) @ block.swapaxes(1, 2)
-        for e, edge in enumerate(g.edges):
-            point = g.marked_point(edge[side])
+        for e, (v, point) in enumerate(zip(*g._edge_ends[side])):
             if point != 2:
-                coeffs[:, g.vertex_of(edge[side]), :, point] = residues[e]
-    q, _ = np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)
-    basis = tuple(HiggsField(g, vec) for vec in q.T.tolist())
+                coeffs[:, v, :, point] = residues[e]
+    z = np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)[0].T
+    basis = _Basis((HiggsField(g, vec) for vec in z.tolist()), {FLOAT: (z.real, z.imag)})
     return KernelReport(domain=FLOAT, nrows=3 * nedges, ncols=ncols,
                         rank=ncols - len(basis), basis=basis)
 
@@ -236,8 +278,9 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
 def higgs_residual(fields, framing: Framing):
     """Largest entry of R_source + a R_target a^-1 over the fields and edges.
 
-    fields is a sequence of HiggsFields on the framing's graph; an empty
-    one gives 0.  The check reads the residues and the framing matrices
+    fields is a sequence of HiggsFields on the framing's graph, read in
+    their working form (_working_form), so a field on another graph
+    raises ValidationError; an empty one gives 0.  The check reads the residues and the framing matrices
     themselves, never the rows of assemble_higgs_constraints, so it
     checks that assembly independently.  The work of an edge (its
     transport and its inverse) is done once for all the fields.
@@ -254,14 +297,18 @@ def higgs_residual(fields, framing: Framing):
     """
     g = framing.graph
     exact_edges, float_edges = [], []
-    for a, b in g.edges:
+    for e, (a, _) in enumerate(g.edges):
         exact = domain_of(*framing.matrix(a).entries()) == EXACT
-        (exact_edges if exact else float_edges).append((a, b))
+        (exact_edges if exact else float_edges).append(e)
     exact_fields = [phi for phi in fields if phi.domain == EXACT]
     float_fields = [phi for phi in fields if phi.domain != EXACT]
+    if not (exact_fields and float_fields):
+        # fields of one domain, such as a basis, are read whole, in the
+        # working form a basis keeps
+        exact_fields, float_fields = (fields, []) if exact_fields else ([], fields)
     return max(_exact_residual(exact_fields, framing, exact_edges),
                _float_residual(exact_fields, framing, float_edges),
-               _float_residual(float_fields, framing, g.edges))
+               _float_residual(float_fields, framing, range(len(g.edges))))
 
 
 def _conjugation_coefficients(p, q, r, s):
@@ -273,19 +320,19 @@ def _conjugation_coefficients(p, q, r, s):
 
 
 def _exact_residual(fields, framing: Framing, edges):
-    """higgs_residual of exact fields over edges with exact matrices."""
+    """higgs_residual of exact fields over the edges (indices) with exact
+    matrices."""
     if not (fields and edges):
         return 0
     g = framing.graph
+    (vs, ps), (vt, pt) = g._edge_ends
     hoisted = []
-    for a, b in edges:
-        entries, d = _clear_denominators(framing.matrix(a).entries())
-        hoisted.append((g.vertex_of(a), g.marked_point(a), g.vertex_of(b),
-                        g.marked_point(b), d * d, _conjugation_coefficients(*entries)))
+    for e in edges:
+        entries, d = _clear_denominators(framing.matrix(g.edges[e][0]).entries())
+        hoisted.append((vs[e], ps[e], vt[e], pt[e], d * d,
+                        _conjugation_coefficients(*entries)))
     worst = 0
-    for phi in fields:
-        c, den = _clear_denominators(phi.coefficients)
-        live = [any(c[i:i + 6]) for i in range(0, len(c), 6)]
+    for c, den, live in _working_form(fields, g, EXACT):
         for u, pu, w, pw, dd, (a0, a1, a2, b0, b1, b2, c0, c1, c2) in hoisted:
             if not (live[u] or live[w]):
                 continue
@@ -300,17 +347,18 @@ def _exact_residual(fields, framing: Framing, edges):
 
 
 def _float_residual(fields, framing: Framing, edges):
-    """higgs_residual in floats, vectorised over the fields and edges.
+    """higgs_residual in floats, vectorised over the fields and the edges
+    (indices).
 
     A complex value is a pair of float64 arrays, real and imaginary
     parts, multiplied by scalars._cmul and _cmatmul in Mat2's order; so
     every entry rounds as in the Mat2 product.  Every field's
-    coefficients are read once as complex numbers (scalars._to_pairs),
-    as a product with a complex number reads them, and the residues are
-    taken on those pairs (sections._residues), so the residue at marked
-    point 2 is summed from the rounded r0 and r1.  The inverse transport
-    is Mat2.inv(), and magnitudes are np.hypot, the hypot of
-    abs(complex).
+    coefficients are read as complex numbers, in their float working
+    form, as a product with a complex number reads them, and the
+    residues are taken on those pairs (sections._residues), so the
+    residue at marked point 2 is summed from the rounded r0 and r1.  The
+    inverse transport is Mat2.inv(), and magnitudes are np.hypot, the
+    hypot of abs(complex).
     """
     if not (fields and edges):
         return 0
@@ -319,15 +367,15 @@ def _float_residual(fields, framing: Framing, edges):
     g = framing.graph
     n, nv = len(fields), g.vertex_count
     # [field, vertex, k, p]: coefficient 6v + 2k + p
-    coeffs = (x.reshape(n, nv, 3, 2)
-              for x in _to_pairs([phi.coefficients for phi in fields], 6 * nv))
+    coeffs = (x.reshape(n, nv, 3, 2) for x in _working_form(fields, g, FLOAT))
     # [field, 9v + 3 point + k]: coordinate k of the residue matrix at the
     # vertex's marked point
     re, im = (np.stack(_residues(c[..., 0], c[..., 1]), axis=2).reshape(n, 9 * nv)
               for c in coeffs)
 
-    def residues(darts):
-        at = np.array([9 * g.vertex_of(d) + 3 * g.marked_point(d) for d in darts])
+    def residues(side):
+        v, p = g._edge_ends[side]
+        at = 9 * np.take(v, edges) + 3 * np.take(p, edges)
         x = [(re[:, at + k], im[:, at + k]) for k in range(3)]
         return (*x, (-x[0][0], -x[0][1]))
 
@@ -335,12 +383,11 @@ def _float_residual(fields, framing: Framing, edges):
         parts = _to_pairs([m.entries() for m in mats], 4)
         return tuple(zip(parts[0].T, parts[1].T))
 
-    sources, targets = zip(*edges)
-    mats = [framing.matrix(a) for a in sources]
-    conjugated = _cmatmul(_cmatmul(transport(mats), residues(targets)),
+    mats = [framing.matrix(g.edges[e][0]) for e in edges]
+    conjugated = _cmatmul(_cmatmul(transport(mats), residues(1)),
                           transport([t.inv() for t in mats]))
     worst = max(float(np.hypot(*_cadd(x, y)).max())
-                for x, y in zip(residues(sources), conjugated))
+                for x, y in zip(residues(0), conjugated))
     return max(0, worst)
 
 
@@ -364,30 +411,29 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
     The kernel has dimension at least 3g - 3 (9g - 9 equations in 12g - 12
     unknowns), so the basis is never empty.
     """
-    report = higgs_space(framing)
+    report, g = higgs_space(framing), framing.graph
     rng = Random(seed)
     if framing.domain == EXACT:
         coeffs = [rng.randint(-9, 9) for _ in report.basis]
         if not any(coeffs):
             coeffs[0] = 1
         # sum c_k psi_k over the numerators at one common denominator
-        cleared = [_clear_denominators(psi.coefficients) for psi in report.basis]
-        den = math.lcm(*(d for _, d in cleared))
-        acc = [0] * (6 * framing.graph.vertex_count)
-        for c, (ints, d) in zip(coeffs, cleared):
+        form = _working_form(report.basis, g, EXACT)
+        den = math.lcm(*(d for _, d, _ in form))
+        acc = [0] * (6 * g.vertex_count)
+        for c, (ints, d, _) in zip(coeffs, form):
             if c:
                 s = c * (den // d)
                 acc = [a + s * x for a, x in zip(acc, ints)]
-        return HiggsField(framing.graph, [Fraction(a, den) for a in acc])
+        return HiggsField(g, [Fraction(a, den) for a in acc])
     coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-    parts = _to_pairs([psi.coefficients for psi in report.basis],
-                      6 * framing.graph.vertex_count)
-    return HiggsField(framing.graph, _float_combination(coeffs, parts, 0j))
+    return HiggsField(g, _float_combination(
+        coeffs, _working_form(report.basis, g, FLOAT), 0j))
 
 
 def _float_combination(coeffs, parts, start=None):
-    """sum_k c_k psi_k over a float basis given as the (re, im) float64
-    arrays of its coefficients, one row per field (scalars._to_pairs),
+    """sum_k c_k psi_k over a float basis given as its float working form
+    (_working_form), the (re, im) float64 arrays of its coefficients,
     computed on those arrays with the additions and rounding of the
     scalar loop
 

@@ -21,8 +21,9 @@ the same Fractions as the rational computation.  Float rows, of
 hitchin_jacobian, finite_difference_jacobian and jacobian_fd_error, run
 over the whole basis at once on float64 (re, im) pairs with CPython's
 complex rounding, so every entry has the bits the scalar kernels give
-on the coefficients of the fields.  The fields go in through
-scalars._to_pairs and the rows come out through scalars._from_pairs, as
+on the coefficients of the fields.  A basis goes in as its working form
+(higgs._working_form), which a basis from higgs_space keeps, phi through
+scalars._to_pairs, and the rows come out through scalars._from_pairs, as
 a complex array whose tolist() gives Python complex numbers, the type of
 every float value outside an array.
 """
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 from .errors import MatchingViolated
 from .framings import Framing
-from .higgs import HiggsField, higgs_space
+from .higgs import HiggsField, _working_form, higgs_space
 from .linalg import _clear_denominators, rank as matrix_rank
 from .scalars import (EXACT, FLOAT, REGULAR_RTOL, _cadd, _cmul, _cneg, _csub,
                       _from_pairs, _to_pairs)
@@ -117,11 +118,13 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
     """Differential of the edge-coordinate determinant map at phi.
 
     Row k holds the per-edge bi-residues of the polarization of phi with
-    the k-th basis field of the framing's Higgs space.  When phi and the
-    basis are exact fields, the rows are computed on their integer
-    numerators and the rank is taken of those integer rows; otherwise
-    they are computed in floats for the whole basis at once and the rank
-    is taken of their complex array.
+    the k-th basis field, by default of higgs_space(framing), whose
+    working form that solve made; a basis on another graph than phi's
+    raises ValidationError.  When phi and the basis are exact fields,
+    the rows are computed on their integer numerators and the rank is
+    taken of those integer rows; otherwise they are computed in floats
+    for the whole basis at once and the rank is taken of their complex
+    array.
     """
     if basis is None:
         basis = higgs_space(framing).basis
@@ -148,8 +151,7 @@ def _exact_jacobian_rows(phi: HiggsField, basis):
     g = phi.graph
     x, den_phi = _clear_denominators(phi.coefficients)
     int_rows, rows = [], []
-    for psi in basis:
-        y, den_psi = _clear_denominators(psi.coefficients)
+    for psi, (y, den_psi, _) in zip(basis, _working_form(basis, g, EXACT)):
         try:
             coords = _exact_biresidues(g, _polarization_coefficients(x, y))
         except MatchingViolated:
@@ -201,8 +203,8 @@ def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
 # -- the float rows of both Jacobians, over the whole basis at once -----
 #
 # A complex value is an (re, im) pair of float64 arrays (scalars._cmul),
-# one row per basis field; the coefficients are read in by
-# scalars._to_pairs.  Every operation is the one _det_coefficients and
+# one row per basis field; the basis is read in its float working form
+# (higgs._working_form), phi through scalars._to_pairs.  Every operation is the one _det_coefficients and
 # _polarization_coefficients make on the Python complex coefficients of
 # a float Higgs basis, in the same order: an int k times a complex x is
 # complex(k) x, a real or exact coefficient is read as (x, 0.0), and
@@ -228,9 +230,13 @@ def _float_jacobian_rows(phi: HiggsField, basis):
     (len(basis), E) arrays: the polarization of phi with each basis
     field (_polarization_coefficients), matched per edge."""
     c = phi.coefficients
-    # phi and -2 phi, each as a pair of 6V-vectors
+    # phi and -2 phi, each as a pair of 6V-vectors.  -2 phi is taken in
+    # phi's own scalars, as the scalar kernel takes it, and not as
+    # (-2.0, 0.0) times the pair of phi: for an exact phi on a float
+    # basis, the Fraction -2a reads as an imaginary part +0.0 where that
+    # product gives -0.0, and the rows would differ in signed zeros.
     x, m2 = zip(*_to_pairs([c, [-2 * a for a in c]], len(c)))
-    y = _to_pairs([psi.coefficients for psi in basis], len(c))
+    y = _working_form(basis, phi.graph, FLOAT)
     p = _product_pairs(_column(x, 0), _column(x, 1), _column(y, 0), _column(y, 1),
                        _column(m2, 0))
     q = _product_pairs(_column(x, 2), _column(x, 3), _column(y, 4), _column(y, 5),
@@ -254,7 +260,7 @@ def _float_fd_rows(phi: HiggsField, basis):
 
     c = phi.coefficients
     x = _to_pairs([c], len(c))
-    y = _to_pairs([psi.coefficients for psi in basis], len(c))
+    y = _working_form(basis, phi.graph, FLOAT)
     # rows phi + h psi_0, phi - h psi_0, phi + h psi_1, ...
     step = (np.array([FD_STEP, -FD_STEP])[:, None], 0.0)
     z = _cadd(x, _cmul(step, tuple(part[:, None] for part in y)))

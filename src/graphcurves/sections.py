@@ -217,9 +217,7 @@ def _float_biresidue_rows(g: TrivalentGraph, q):
 
     # [row, vertex, point]: the bi-residues at (0, 1, inf)
     bires = [np.stack(_biresidues(*part), axis=-1) for part in zip(*q)]
-    sides = [([g.vertex_of(d) for d in darts], [g.marked_point(d) for d in darts])
-             for darts in zip(*g.edges)]
-    lhs, rhs = (tuple(b[:, v, p] for b in bires) for v, p in sides)
+    lhs, rhs = (tuple(b[:, v, p] for b in bires) for v, p in g._edge_ends)
     scale = np.maximum(1.0, np.max([np.hypot(*x) for x in q], axis=(0, 2),
                                    initial=0.0))
     bad = np.argwhere(np.hypot(*_csub(lhs, rhs)) > MATCH_TOL * scale[:, None])
@@ -252,9 +250,7 @@ def _exact_biresidues(g: TrivalentGraph, coeffs):
         return Fraction(n, den) if kinds[v][point] else n // den
 
     coords = []
-    for e, (a, b) in enumerate(g.edges):
-        u, pu = g.vertex_of(a), g.marked_point(a)
-        w, pw = g.vertex_of(b), g.marked_point(b)
+    for e, (u, pu, w, pw) in enumerate(zip(*g._edge_ends[0], *g._edge_ends[1])):
         if bires[u][pu] != bires[w][pw]:
             raise MatchingViolated(f"bi-residues differ across edge {e}: "
                                    f"{value(u, pu)} vs {value(w, pw)}")

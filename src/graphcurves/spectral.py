@@ -25,12 +25,12 @@ from .errors import (DegenerateNode, InconsistentSpectralData,
 from .framings import Framing
 from .graphs import TrivalentGraph, _breadth_first
 from .higgs import (HiggsField, _float_combination, _residue_matrix,
-                    _vertex_coefficients, higgs_space)
+                    _vertex_coefficients, _working_form, higgs_space)
 from .hitchin import hitchin_image, is_regular
 from .linalg import independent_rows, integer_rank
 from .matrices import Mat2, to_complex_mat
 from .scalars import (DEGENERATE_RTOL, EIGEN_TOL, FLOAT, RECONSTRUCT_TOL,
-                      TRANSVERSE_RTOL, _to_pairs)
+                      TRANSVERSE_RTOL)
 
 # Kernel combinations random_regular_higgs draws before it gives up.
 MAX_DRAWS = 32
@@ -478,8 +478,7 @@ def random_regular_higgs(framing: Framing, seed: int) -> HiggsField:
     """
     a_c = _as_complex_framing(framing)
     report = higgs_space(a_c)
-    parts = _to_pairs([psi.coefficients for psi in report.basis],
-                      6 * a_c.graph.vertex_count)
+    parts = _working_form(report.basis, a_c.graph, FLOAT)
     rng = Random(seed)
     for _ in range(MAX_DRAWS):
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from graphcurves import cli
 from graphcurves import higgs as higgs_mod
 from graphcurves import hitchin as hitchin_mod
 from graphcurves import linalg as linalg_mod
+from graphcurves import spectral as spectral_mod
 from graphcurves.framings import Framing
 from graphcurves.graphs import catalog_graph, graph_to_json, random_trivalent
 from graphcurves.higgs import random_higgs_field
@@ -145,35 +147,67 @@ def test_spectral_command():
 
 
 def _higgs_solves(monkeypatch, *argv):
-    """Domains of the Higgs kernel solves one in-process CLI call makes."""
-    domains = []
-    solve = higgs_mod.solve_kernel
+    """Domains of the Higgs kernel solves one in-process CLI call makes, and
+    for each solved framing, in the order the framings were made, how many
+    times its Higgs basis was converted: the number of basis fields whose
+    coefficients went through _to_pairs or _clear_denominators, over the
+    basis size."""
+    domains, framings, converted = [], [], []
+    solve, init = higgs_mod.solve_kernel, Framing.__init__
 
     def counted(rows, ncols, domain):
         domains.append(domain)
         return solve(rows, ncols, domain)
 
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        framings.append(self)
+
+    def record(module, name, rows_of):
+        convert = getattr(module, name)
+
+        def wrapper(*args):
+            # kept alive, so no two recorded rows share an id
+            converted.extend(rows_of(args[0]))
+            return convert(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (higgs_mod, hitchin_mod, spectral_mod):
+        if hasattr(module, "_to_pairs"):
+            record(module, "_to_pairs", list)
+        if hasattr(module, "_clear_denominators"):
+            record(module, "_clear_denominators", lambda vec: [vec])
     monkeypatch.setattr(higgs_mod, "solve_kernel", counted)
+    monkeypatch.setattr(Framing, "__init__", recorded)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0, argv
-    return domains
+    times = Counter(map(id, converted))
+    conversions = [sum(times[id(psi.coefficients)] for psi in basis) / len(basis)
+                   for basis in (f._higgs_space.basis for f in framings
+                                 if f._higgs_space is not None)]
+    return domains, conversions
 
 
 @pytest.mark.parametrize("trials", [1, 2])
-@pytest.mark.parametrize("argv, per_trial", [
-    (("hitchin", "--domain", "float"), [FLOAT]),
-    (("hitchin", "--domain", "exact"), [EXACT, FLOAT]),
-    (("higgs", "--domain", "exact"), [EXACT]),
-    (("higgs", "--domain", "float"), [FLOAT]),
-    (("spectral",), [FLOAT]),
+@pytest.mark.parametrize("argv, per_trial, conversions", [
+    (("hitchin", "--domain", "float"), [FLOAT], [0]),
+    (("hitchin", "--domain", "exact"), [EXACT, FLOAT], [1, 0]),
+    (("higgs", "--domain", "exact"), [EXACT], [1]),
+    (("higgs", "--domain", "float"), [FLOAT], [0]),
+    (("spectral",), [FLOAT], [0]),
 ], ids=["hitchin-float", "hitchin-exact", "higgs-exact", "higgs-float", "spectral"])
-def test_one_higgs_solve_per_framing(monkeypatch, argv, per_trial, trials):
+def test_one_higgs_solve_per_framing(monkeypatch, argv, per_trial, conversions,
+                                     trials):
     # each framing's Higgs space is solved once: a float hitchin trial
     # checks its Jacobian on its own framing, an exact one on one float
-    # framing of the same seed
-    domains = _higgs_solves(monkeypatch, *argv, "--graph", "k4", "--seed", "1",
-                            "--trials", str(trials))
+    # framing of the same seed.  Each basis is converted at most once: an
+    # exact one when higgs_space clears its denominators, a float one
+    # never, its pairs being the solve's own array
+    domains, converted = _higgs_solves(monkeypatch, *argv, "--graph", "k4",
+                                       "--seed", "1", "--trials", str(trials))
     assert domains == per_trial * trials
+    assert converted == conversions * trials
 
 
 @pytest.mark.parametrize("trials", [1, 2])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcurves.errors import MatchingViolated
+from graphcurves.errors import MatchingViolated, ValidationError
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
 from graphcurves.scalars import EXACT, FLOAT
 from graphcurves.sections import GlobalQuadratic
@@ -448,3 +448,21 @@ def test_exact_and_float_agree_at_genus_41():
             jac = hitchin_jacobian(phi, framing, space.basis)
             ranks.append((space.dim, space.rank, jac.rank))
         assert ranks[0] == ranks[1] == (generic, 6 * g.vertex_count - generic, generic)
+
+
+@pytest.mark.parametrize("domain", [EXACT, FLOAT])
+@pytest.mark.parametrize("basis_graph, graph", [("prism", "k33"), ("theta", "k4")])
+def test_a_basis_on_another_graph_raises_validation_error(domain, basis_graph, graph):
+    # a Higgs basis read on another graph with as many vertices (prism,
+    # k33) or fewer (theta, k4), whole or as a list of its fields, is a
+    # ValidationError, not a residual or a MatchingViolated
+    basis = higgs_space(Framing.random(catalog_graph(basis_graph), 1, domain)).basis
+    framing = Framing.random(catalog_graph(graph), 1, domain)
+    phi = random_higgs_field(framing, 1)
+    for fields in (basis, list(basis)):
+        for call in (lambda: higgs_residual(fields, framing),
+                     lambda: hitchin_jacobian(phi, framing, fields),
+                     lambda: finite_difference_jacobian(phi, framing, fields),
+                     lambda: jacobian_fd_error(phi, framing, fields)):
+            with pytest.raises(ValidationError, match="another graph"):
+                call()

@@ -2,8 +2,8 @@
 
 The acceptance gate checks them on a fixed pool of genus 2 to 6; here
 they hold on random_trivalent(2k, s) up to 24 vertices (genus 13).  So
-do the graph's kept spanning tree and the lattice the anti-invariant
-cycles span.
+do the graph's kept spanning tree and edge-ends table, the working form
+a Higgs basis keeps, and the lattice the anti-invariant cycles span.
 
 The constructor properties feed wrong lengths, non-iterables, scalar
 types, mixed domains and edge keys to every public constructor of
@@ -25,8 +25,9 @@ from graphcurves.graphs import (CATALOG_NAMES, catalog_graph, random_trivalent,
                                 spanning_tree)
 from graphcurves.higgs import HiggsField, higgs_space
 from graphcurves.hitchin import hitchin_edge_coords, hitchin_image, is_regular
+from graphcurves.linalg import _clear_denominators
 from graphcurves.matrices import IDENTITY, Mat2
-from graphcurves.scalars import EXACT, FLOAT
+from graphcurves.scalars import EXACT, FLOAT, _to_pairs
 from graphcurves.sections import (GlobalDifferential, GlobalQuadratic,
                                   bires_coordinates, canonical_space,
                                   double_canonical_space)
@@ -80,6 +81,38 @@ def test_anti_invariant_cycles_span_the_image_of_one_minus_swap(graph):
 @given(GRAPHS)
 def test_graph_keeps_its_spanning_tree(graph):
     assert graph.tree == spanning_tree(graph)
+
+
+@PROPERTY
+@given(GRAPHS)
+@example(catalog_graph("dumbbell"))
+@example(catalog_graph("theta"))
+def test_edge_ends_table_matches_the_dart_accessors(graph):
+    # loops (dumbbell) and parallel edges (theta) included
+    for side, (vertices, points) in enumerate(graph._edge_ends):
+        darts = [edge[side] for edge in graph.edges]
+        assert vertices == tuple(map(graph.vertex_of, darts))
+        assert points == tuple(map(graph.marked_point, darts))
+
+
+@PROPERTY
+@given(GRAPHS, st.integers(0, 10**6), st.sampled_from([EXACT, FLOAT]))
+@example(catalog_graph("dumbbell"), 0, EXACT)
+@example(catalog_graph("dumbbell"), 0, FLOAT)
+@example(catalog_graph("theta"), 1, FLOAT)
+def test_a_higgs_basis_keeps_its_working_form(graph, seed, domain):
+    # the form higgs_space keeps is, bit for bit, a fresh conversion of
+    # the basis
+    basis = higgs_space(Framing.random(graph, seed, domain)).basis
+    kept = basis.forms[domain]
+    coefficients = [psi.coefficients for psi in basis]
+    if domain == EXACT:
+        assert kept == [(c, den, [any(c[i:i + 6]) for i in range(0, len(c), 6)])
+                        for c, den in map(_clear_denominators, coefficients)]
+    else:
+        fresh = _to_pairs(coefficients, 6 * graph.vertex_count)
+        assert [(x.shape, x.tobytes()) for x in kept] == [
+            (x.shape, x.tobytes()) for x in fresh]
 
 
 # -- constructors on bad input -----------------------------------------
