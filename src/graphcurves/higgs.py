@@ -147,17 +147,16 @@ def higgs_space(framing: Framing) -> KernelReport:
 
     A framing's matrices never change, so the space is solved once per
     framing, on the first call, and the report is stored on the framing
-    and shared by every later call.  Its basis is a tuple, so no caller
-    can change the basis another caller sees, and it keeps its working
-    form (_working_form), made here, for every kernel that reads it.
+    and shared by every later call.  Its basis is a tuple, and it keeps
+    its working form per domain (_working_form) read-only, so no caller
+    can change the basis another caller sees.
     """
     if framing._higgs_space is None:
         g = framing.graph
         if framing.domain == EXACT:
             report = solve_kernel(assemble_higgs_constraints(framing),
                                   6 * g.vertex_count, EXACT)
-            report.basis = _Basis((HiggsField(g, vec) for vec in report.basis), {})
-            _working_form(report.basis, g, EXACT)
+            report.basis = _Basis(HiggsField(g, vec) for vec in report.basis)
         else:
             report = _float_higgs_space(framing)
         framing._higgs_space = report
@@ -168,9 +167,9 @@ class _Basis(tuple):
     """A Higgs basis as higgs_space returns it: a tuple of HiggsFields that
     keeps its working form in each domain once made, forms[domain]."""
 
-    def __new__(cls, fields, forms):
+    def __new__(cls, fields, forms=()):
         basis = super().__new__(cls, fields)
-        basis.forms = forms
+        basis.forms = dict(forms)
         return basis
 
 
@@ -183,7 +182,8 @@ def _working_form(fields, graph, domain: str):
     arrays of the coefficients, one row per field (scalars._to_pairs).
     A basis from higgs_space keeps each form once made, the float one
     taken from the solve's own array with the same bits; any other
-    sequence is converted on each call.  Raises ValidationError when a
+    sequence is converted on each call.  The form is read-only: tuples,
+    and arrays that cannot be written.  Raises ValidationError when a
     field lies on another graph.
     """
     if any(phi.graph != graph for phi in fields):
@@ -192,12 +192,20 @@ def _working_form(fields, graph, domain: str):
     if domain not in forms:
         if domain == EXACT:
             cleared = (_clear_denominators(phi.coefficients) for phi in fields)
-            forms[EXACT] = [(c, den, [any(c[i:i + 6]) for i in range(0, len(c), 6)])
-                            for c, den in cleared]
+            forms[EXACT] = tuple(
+                (tuple(c), den, tuple(any(c[i:i + 6]) for i in range(0, len(c), 6)))
+                for c, den in cleared)
         else:
-            forms[FLOAT] = _to_pairs([phi.coefficients for phi in fields],
-                                     6 * graph.vertex_count)
+            forms[FLOAT] = _read_only(_to_pairs([phi.coefficients for phi in fields],
+                                                6 * graph.vertex_count))
     return forms[domain]
+
+
+def _read_only(arrays):
+    """The arrays, each made so that it cannot be written."""
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
 
 
 def _float_residue_system(framing: Framing):
@@ -270,7 +278,7 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
             if point != 2:
                 coeffs[:, v, :, point] = residues[e]
     z = np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)[0].T
-    basis = _Basis((HiggsField(g, vec) for vec in z.tolist()), {FLOAT: (z.real, z.imag)})
+    basis = _Basis((HiggsField(g, vec) for vec in z.tolist()), {FLOAT: _read_only((z.real, z.imag))})
     return KernelReport(domain=FLOAT, nrows=3 * nedges, ncols=ncols,
                         rank=ncols - len(basis), basis=basis)
 

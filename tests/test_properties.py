@@ -23,7 +23,7 @@ from graphcurves.framings import (Framing, GaugeTransform, SurfaceFlatBundle,
                                   apply_gauge, flat_local_dimension)
 from graphcurves.graphs import (CATALOG_NAMES, catalog_graph, random_trivalent,
                                 spanning_tree)
-from graphcurves.higgs import HiggsField, higgs_space
+from graphcurves.higgs import HiggsField, _working_form, higgs_space
 from graphcurves.hitchin import hitchin_edge_coords, hitchin_image, is_regular
 from graphcurves.linalg import _clear_denominators
 from graphcurves.matrices import IDENTITY, Mat2
@@ -101,18 +101,21 @@ def test_edge_ends_table_matches_the_dart_accessors(graph):
 @example(catalog_graph("dumbbell"), 0, FLOAT)
 @example(catalog_graph("theta"), 1, FLOAT)
 def test_a_higgs_basis_keeps_its_working_form(graph, seed, domain):
-    # the form higgs_space keeps is, bit for bit, a fresh conversion of
-    # the basis
+    # the form a basis keeps is, bit for bit, a fresh conversion of the
+    # basis, and read-only
     basis = higgs_space(Framing.random(graph, seed, domain)).basis
-    kept = basis.forms[domain]
+    kept = _working_form(basis, graph, domain)
+    assert basis.forms[domain] is kept
     coefficients = [psi.coefficients for psi in basis]
     if domain == EXACT:
-        assert kept == [(c, den, [any(c[i:i + 6]) for i in range(0, len(c), 6)])
-                        for c, den in map(_clear_denominators, coefficients)]
+        assert kept == tuple(
+            (tuple(c), den, tuple(any(c[i:i + 6]) for i in range(0, len(c), 6)))
+            for c, den in map(_clear_denominators, coefficients))
     else:
         fresh = _to_pairs(coefficients, 6 * graph.vertex_count)
         assert [(x.shape, x.tobytes()) for x in kept] == [
             (x.shape, x.tobytes()) for x in fresh]
+        assert not any(x.flags.writeable for x in kept)
 
 
 # -- constructors on bad input -----------------------------------------
