@@ -45,8 +45,9 @@ rows that assemble_higgs_constraints builds from them, so a fault in the
 assembly shows as a nonzero residual instead of cancelling out.
 
 Every kernel reads a sequence of fields in one working form per domain
-(_working_form).  higgs_space makes its basis's form with the solve and
-the basis keeps it, so no kernel converts that basis again.
+(_working_form).  A basis from higgs_space keeps each form, read-only,
+once the first kernel has made it (the float solve makes its own), so
+no kernel converts that basis again.
 """
 from __future__ import annotations
 
@@ -278,7 +279,8 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
             if point != 2:
                 coeffs[:, v, :, point] = residues[e]
     z = np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)[0].T
-    basis = _Basis((HiggsField(g, vec) for vec in z.tolist()), {FLOAT: _read_only((z.real, z.imag))})
+    basis = _Basis((HiggsField(g, vec) for vec in z.tolist()),
+                   {FLOAT: _read_only((z.real, z.imag))})
     return KernelReport(domain=FLOAT, nrows=3 * nedges, ncols=ncols,
                         rank=ncols - len(basis), basis=basis)
 
@@ -288,9 +290,10 @@ def higgs_residual(fields, framing: Framing):
 
     fields is a sequence of HiggsFields on the framing's graph, read in
     their working form (_working_form), so a field on another graph
-    raises ValidationError; an empty one gives 0.  The check reads the residues and the framing matrices
-    themselves, never the rows of assemble_higgs_constraints, so it
-    checks that assembly independently.  The work of an edge (its
+    raises ValidationError; an empty one gives 0.  The check reads the
+    residues and the framing matrices themselves, never the rows of
+    assemble_higgs_constraints, so it checks that assembly
+    independently.  The work of an edge (its
     transport and its inverse) is done once for all the fields.
 
     An exact field is checked on integers where the edge's matrix is

@@ -118,8 +118,8 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
     """Differential of the edge-coordinate determinant map at phi.
 
     Row k holds the per-edge bi-residues of the polarization of phi with
-    the k-th basis field, by default of higgs_space(framing), whose
-    working form that solve made; a basis on another graph than phi's
+    the k-th basis field, by default of higgs_space(framing), read in
+    the working form that basis keeps; a basis on another graph than phi's
     raises ValidationError.  When phi and the basis are exact fields,
     the rows are computed on their integer numerators and the rank is
     taken of those integer rows; otherwise they are computed in floats
@@ -204,12 +204,13 @@ def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
 #
 # A complex value is an (re, im) pair of float64 arrays (scalars._cmul),
 # one row per basis field; the basis is read in its float working form
-# (higgs._working_form), phi through scalars._to_pairs.  Every operation is the one _det_coefficients and
-# _polarization_coefficients make on the Python complex coefficients of
-# a float Higgs basis, in the same order: an int k times a complex x is
-# complex(k) x, a real or exact coefficient is read as (x, 0.0), and
-# -2 phi is taken in phi's own scalars.  The callers turn the rows back
-# into Python complex numbers with scalars._from_pairs and tolist().
+# (higgs._working_form), phi through scalars._to_pairs.  Every operation
+# is the one _det_coefficients and _polarization_coefficients make on
+# the Python complex coefficients of a float Higgs basis, in the same
+# order: an int k times a complex x is complex(k) x, a real or exact
+# coefficient is read as (x, 0.0), and -2 phi is taken in phi's own
+# scalars.  The callers turn the rows back into Python complex numbers
+# with scalars._from_pairs and tolist().
 
 
 def _product_pairs(r0, r1, s0, s1, minus_two_r0):
