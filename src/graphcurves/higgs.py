@@ -60,8 +60,7 @@ from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .linalg import KernelReport, _clear_denominators, solve_kernel
 from .matrices import SL2_BASIS, Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
-from .scalars import (EXACT, FLOAT, _cadd, _cmatmul, _cmul, _from_pairs, _to_pairs,
-                      domain_of)
+from .scalars import EXACT, FLOAT, _ComplexBatch, _from_pairs, _to_pairs, domain_of
 from .sections import RESIDUE_FUNCTIONAL, _residues, _VertexCoefficients
 
 
@@ -179,8 +178,8 @@ def _working_form(fields, graph, domain: str):
 
     EXACT: per field, its integer numerators, their lcm denominator
     (linalg._clear_denominators) and its live vertices, one bool per
-    vertex that has a nonzero coefficient.  FLOAT: the (re, im) float64
-    arrays of the coefficients, one row per field (scalars._to_pairs).
+    vertex that has a nonzero coefficient.  FLOAT: the complex batch of
+    the coefficients, one row per field (scalars._to_pairs).
     A basis from higgs_space keeps each form once made, the float one
     taken from the solve's own array with the same bits; any other
     sequence is converted on each call.  The form is read-only: tuples,
@@ -280,7 +279,7 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
                 coeffs[:, v, :, point] = residues[e]
     z = np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)[0].T
     basis = _Basis((HiggsField(g, vec) for vec in z.tolist()),
-                   {FLOAT: _read_only((z.real, z.imag))})
+                   {FLOAT: _read_only(_to_pairs(z, ncols))})
     return KernelReport(domain=FLOAT, nrows=3 * nedges, ncols=ncols,
                         rank=ncols - len(basis), basis=basis)
 
@@ -361,45 +360,37 @@ def _float_residual(fields, framing: Framing, edges):
     """higgs_residual in floats, vectorised over the fields and the edges
     (indices).
 
-    A complex value is a pair of float64 arrays, real and imaginary
-    parts, multiplied by scalars._cmul and _cmatmul in Mat2's order; so
-    every entry rounds as in the Mat2 product.  Every field's
-    coefficients are read as complex numbers, in their float working
-    form, as a product with a complex number reads them, and the
-    residues are taken on those pairs (sections._residues), so the
-    residue at marked point 2 is summed from the rounded r0 and r1.  The
-    inverse transport is Mat2.inv(), and magnitudes are np.hypot, the
-    hypot of abs(complex).
+    R_source + a R_target a^-1 is taken on Mat2s of complex batches
+    (scalars._ComplexBatch), one row per field and a column per edge, so
+    every entry rounds as in the Mat2 product of complex numbers.  The
+    residues are taken on the fields' float working form
+    (sections._residues), so the residue at marked point 2 is summed
+    from the rounded r0 and r1.  The inverse transport is Mat2.inv(),
+    and magnitudes are np.hypot, the hypot of abs(complex).
     """
     if not (fields and edges):
         return 0
     import numpy as np
 
     g = framing.graph
-    n, nv = len(fields), g.vertex_count
-    # [field, vertex, k, p]: coefficient 6v + 2k + p
-    coeffs = (x.reshape(n, nv, 3, 2) for x in _working_form(fields, g, FLOAT))
-    # [field, 9v + 3 point + k]: coordinate k of the residue matrix at the
+    # [field, 3v + k, point]: coordinate k of the residue matrix at the
     # vertex's marked point
-    re, im = (np.stack(_residues(c[..., 0], c[..., 1]), axis=2).reshape(n, 9 * nv)
-              for c in coeffs)
+    residues = _ComplexBatch.stack(
+        _residues(*_working_form(fields, g, FLOAT).columns(2)), axis=-1)
 
-    def residues(side):
-        v, p = g._edge_ends[side]
-        at = 9 * np.take(v, edges) + 3 * np.take(p, edges)
-        x = [(re[:, at + k], im[:, at + k]) for k in range(3)]
-        return (*x, (-x[0][0], -x[0][1]))
+    def residue_matrices(side):
+        v, p = (np.take(ends, edges) for ends in g._edge_ends[side])
+        return from_sl2_coords(*(residues.map(lambda a: a[:, 3 * v + k, p])
+                                 for k in range(3)))
 
     def transport(mats):
-        parts = _to_pairs([m.entries() for m in mats], 4)
-        return tuple(zip(parts[0].T, parts[1].T))
+        entries = [x for m in mats for x in m.entries()]
+        return Mat2(*_to_pairs([entries], len(entries)).columns(4))
 
     mats = [framing.matrix(g.edges[e][0]) for e in edges]
-    conjugated = _cmatmul(_cmatmul(transport(mats), residues(1)),
-                          transport([t.inv() for t in mats]))
-    worst = max(float(np.hypot(*_cadd(x, y)).max())
-                for x, y in zip(residues(0), conjugated))
-    return max(0, worst)
+    gap = residue_matrices(0) + (transport(mats) * residue_matrices(1)
+                                 * transport([t.inv() for t in mats]))
+    return max(0, max(float(np.hypot(*x).max()) for x in gap.entries()))
 
 
 def gauge_transform_higgs(gauge: GaugeTransform, phi: HiggsField) -> HiggsField:
@@ -444,26 +435,19 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
 
 def _float_combination(coeffs, parts, start=None):
     """sum_k c_k psi_k over a float basis given as its float working form
-    (_working_form), the (re, im) float64 arrays of its coefficients,
-    computed on those arrays with the additions and rounding of the
-    scalar loop
+    (_working_form), a complex batch, with the rounding of the scalar loop
 
         acc = start; for c, psi: acc = [a + c * x for a, x in zip(acc, psi)]
 
-    (each product by CPython's complex formula, scalars._cmul).  With
-    start None the loop starts at the first term c_0 psi_0, not at 0j +
-    c_0 psi_0, which differ in signed zeros.  The entries are Python
-    complex numbers (scalars._from_pairs), as the loop gives on a basis
-    of Python complex numbers.
+    whose products are taken at once and summed in its order.  With start
+    None the loop starts at the first term c_0 psi_0, not at 0j + c_0
+    psi_0, which differ in signed zeros.
+    The entries are Python complex numbers (scalars._from_pairs), as the
+    loop gives on a basis of Python complex numbers.
     """
-    import numpy as np
-
-    re, im = parts
-    acc = None if start is None else (np.full(re.shape[1], start.real),
-                                      np.full(re.shape[1], start.imag))
-    for c, x in zip(coeffs, zip(re, im)):
-        term = _cmul((c.real, c.imag), x)
-        acc = term if acc is None else _cadd(acc, term)
+    acc = start
+    for term in (_to_pairs([[c] for c in coeffs], 1) * parts).rows():
+        acc = term if acc is None else acc + term
     return _from_pairs(acc).tolist()
 
 

@@ -19,8 +19,8 @@ them in one of two ways.  Exact rows of hitchin_jacobian run on the
 integer numerators of the fields and divide once per entry, which gives
 the same Fractions as the rational computation.  Float rows, of
 hitchin_jacobian, finite_difference_jacobian and jacobian_fd_error, run
-over the whole basis at once on float64 (re, im) pairs with CPython's
-complex rounding, so every entry has the bits the scalar kernels give
+the same kernels over the whole basis at once on complex batches
+(scalars._ComplexBatch), so every entry has the bits the kernels give
 on the coefficients of the fields.  A basis goes in as its working form
 (higgs._working_form), which a basis from higgs_space keeps, phi through
 scalars._to_pairs, and the rows come out through scalars._from_pairs, as
@@ -36,8 +36,7 @@ from .errors import MatchingViolated
 from .framings import Framing
 from .higgs import HiggsField, _working_form, higgs_space
 from .linalg import _clear_denominators, rank as matrix_rank
-from .scalars import (EXACT, FLOAT, REGULAR_RTOL, _cadd, _cmul, _cneg, _csub,
-                      _from_pairs, _to_pairs)
+from .scalars import EXACT, FLOAT, REGULAR_RTOL, _ComplexBatch, _from_pairs, _to_pairs
 from .sections import (GlobalQuadratic, _biresidues, _exact_biresidues,
                        _float_biresidue_rows, _product_coefficients,
                        bires_coordinates)
@@ -55,13 +54,15 @@ def _det_coefficients(c):
     return out
 
 
-def _polarization_coefficients(c, d):
-    """(q0, q1, q2) per vertex, flat, of -(2 a11 b11 + a12 b21 + a21 b12)."""
+def _polarization_coefficients(c, d, minus_two_c=None):
+    """(q0, q1, q2) per vertex, flat, of -(2 a11 b11 + a12 b21 + a21 b12),
+    with -2 c taken in c's own scalars unless given as minus_two_c."""
+    m = [None] * len(c) if minus_two_c is None else minus_two_c
     out = []
     for b in range(0, len(c), 6):
-        p = _product_coefficients(c[b], c[b + 1], d[b], d[b + 1])
-        q = _product_coefficients(c[b + 2], c[b + 3], d[b + 4], d[b + 5])
-        r = _product_coefficients(c[b + 4], c[b + 5], d[b + 2], d[b + 3])
+        p = _product_coefficients(c[b], c[b + 1], d[b], d[b + 1], m[b])
+        q = _product_coefficients(c[b + 2], c[b + 3], d[b + 4], d[b + 5], m[b + 2])
+        r = _product_coefficients(c[b + 4], c[b + 5], d[b + 2], d[b + 3], m[b + 4])
         out.extend((-(2 * p[0] + q[0] + r[0]), -(2 * p[1] + q[1] + r[1]),
                     -(2 * p[2] + q[2] + r[2])))
     return out
@@ -196,86 +197,46 @@ def jacobian_fd_error(phi: HiggsField, framing: Framing, basis=None,
         rows = _float_jacobian_rows(phi, basis)
     else:
         rows = _to_pairs(jacobian, len(phi.graph.edges))
-    gap = np.hypot(*_csub(rows, _float_fd_rows(phi, basis))).max(initial=0.0)
+    gap = np.hypot(*(rows - _float_fd_rows(phi, basis))).max(initial=0.0)
     return float(gap / np.hypot(*rows).max(initial=1.0))
 
 
 # -- the float rows of both Jacobians, over the whole basis at once -----
 #
-# A complex value is an (re, im) pair of float64 arrays (scalars._cmul),
-# one row per basis field; the basis is read in its float working form
-# (higgs._working_form), phi through scalars._to_pairs.  Every operation
-# is the one _det_coefficients and _polarization_coefficients make on
-# the Python complex coefficients of a float Higgs basis, in the same
-# order: an int k times a complex x is complex(k) x, a real or exact
-# coefficient is read as (x, 0.0), and -2 phi is taken in phi's own
-# scalars.  The callers turn the rows back into Python complex numbers
-# with scalars._from_pairs and tolist().
+# The kernels run on the six coefficient columns of phi and of the basis,
+# each a complex batch (scalars._ComplexBatch) with one row per basis
+# field, and so round as on Python complex coefficients.  -2 phi is
+# passed in, taken in phi's own scalars: for an exact phi, the Fraction
+# -2a reads as an imaginary part +0.0 where -2 times the batch of phi
+# gives -0.0, and the rows would differ in signed zeros.
 
 
-def _product_pairs(r0, r1, s0, s1, minus_two_r0):
-    """_product_coefficients on pairs, with -2 r0 given."""
-    r0s0 = _cmul(r0, s0)
-    cross = _cadd(_cmul(r0, s1), _cmul(r1, s0))
-    return (r0s0, _csub(_cmul(minus_two_r0, s0), cross),
-            _cadd(_cadd(r0s0, cross), _cmul(r1, s1)))
-
-
-def _column(pair, k):
-    """Coefficient k of every vertex's six, as a pair of (..., V) arrays."""
-    return (pair[0][..., k::6], pair[1][..., k::6])
-
-
-def _float_jacobian_rows(phi: HiggsField, basis):
-    """hitchin_jacobian's rows in floats, as an (re, im) pair of
-    (len(basis), E) arrays: the polarization of phi with each basis
-    field (_polarization_coefficients), matched per edge."""
+def _float_jacobian_rows(phi: HiggsField, basis) -> _ComplexBatch:
+    """hitchin_jacobian's rows in floats, a (len(basis), E) batch: the
+    polarization of phi with each basis field, matched per edge."""
     c = phi.coefficients
-    # phi and -2 phi, each as a pair of 6V-vectors.  -2 phi is taken in
-    # phi's own scalars, as the scalar kernel takes it, and not as
-    # (-2.0, 0.0) times the pair of phi: for an exact phi on a float
-    # basis, the Fraction -2a reads as an imaginary part +0.0 where that
-    # product gives -0.0, and the rows would differ in signed zeros.
-    x, m2 = zip(*_to_pairs([c, [-2 * a for a in c]], len(c)))
-    y = _working_form(basis, phi.graph, FLOAT)
-    p = _product_pairs(_column(x, 0), _column(x, 1), _column(y, 0), _column(y, 1),
-                       _column(m2, 0))
-    q = _product_pairs(_column(x, 2), _column(x, 3), _column(y, 4), _column(y, 5),
-                       _column(m2, 2))
-    r = _product_pairs(_column(x, 4), _column(x, 5), _column(y, 2), _column(y, 3),
-                       _column(m2, 4))
-    return _float_biresidue_rows(phi.graph, [
-        _cneg(_cadd(_cadd(_cmul((2.0, 0.0), a), b), c)) for a, b, c in zip(p, q, r)])
+    x, minus_two_x = (_to_pairs([row], len(c)).columns(6)
+                      for row in (c, [-2 * a for a in c]))
+    y = _working_form(basis, phi.graph, FLOAT).columns(6)
+    return _float_biresidue_rows(phi.graph,
+                                 _polarization_coefficients(x, y, minus_two_x))
 
 
-def _float_fd_rows(phi: HiggsField, basis):
-    """finite_difference_jacobian's rows as an (re, im) pair of
-    (len(basis), E) arrays.
+def _float_fd_rows(phi: HiggsField, basis) -> _ComplexBatch:
+    """finite_difference_jacobian's rows, a (len(basis), E) batch.
 
     Row k is (Q(phi + h psi_k) - Q(phi - h psi_k)) / 2h, with Q(z) the
     per-edge bi-residues of _det_coefficients(z); each row is matched at
-    +h, then at -h.  The division is CPython's complex quotient by the
-    real 2h, whose numerators are dr + di 0.0 and di - dr 0.0.
+    +h, then at -h.
     """
-    import numpy as np
-
-    c = phi.coefficients
-    x = _to_pairs([c], len(c))
+    width = len(phi.coefficients)
+    x = _to_pairs([phi.coefficients], width)
     y = _working_form(basis, phi.graph, FLOAT)
     # rows phi + h psi_0, phi - h psi_0, phi + h psi_1, ...
-    step = (np.array([FD_STEP, -FD_STEP])[:, None], 0.0)
-    z = _cadd(x, _cmul(step, tuple(part[:, None] for part in y)))
-    z = tuple(part.reshape(-1, len(c)) for part in z)
-    minus_two = (-2.0, 0.0)
-    p = _product_pairs(_column(z, 0), _column(z, 1), _column(z, 0), _column(z, 1),
-                       _cmul(minus_two, _column(z, 0)))
-    q = _product_pairs(_column(z, 2), _column(z, 3), _column(z, 4), _column(z, 5),
-                       _cmul(minus_two, _column(z, 2)))
-    re, im = _float_biresidue_rows(phi.graph,
-                                   [_cneg(_cadd(a, b)) for a, b in zip(p, q)])
-    dr, di = _csub((re[0::2], im[0::2]), (re[1::2], im[1::2]))
-    dr, di = dr + di * 0.0, di - dr * 0.0
-    return dr / (2 * FD_STEP), di / (2 * FD_STEP)
+    z = _ComplexBatch.stack([x + FD_STEP * y, x + (-FD_STEP) * y], axis=1)
+    q = _float_biresidue_rows(phi.graph, _det_coefficients(
+        z.map(lambda a: a.reshape(-1, width)).columns(6)))
+    return (q.map(lambda a: a[0::2]) - q.map(lambda a: a[1::2])) / (2 * FD_STEP)
 
 
 @dataclass

@@ -60,63 +60,116 @@ def domain_of(*values) -> str:
     return FLOAT if floating else EXACT
 
 
-# -- complex arithmetic on (re, im) pairs ---------------------------------
+# -- batches of complex numbers ------------------------------------------
 #
-# The float kernels that run over many fields at once hold a complex value
-# as a pair of float64 arrays, real and imaginary parts, and use the
-# formulas of CPython's complex arithmetic (numpy's complex scalars use the
-# same ones), so every entry rounds as the scalar code rounds it.  numpy's
-# complex array multiply may fuse operations, so none runs on complex
-# arrays.  A pair may also hold plain floats, such as (2.0, 0.0) for the
-# int 2 in complex arithmetic.  None of the arithmetic imports numpy.
-#
-# A float value outside an array is a Python complex (or float), never a
-# numpy scalar.  _to_pairs and _from_pairs are the two conversions
-# between the rows of scalars the package passes around and the pairs;
-# the complex array _from_pairs gives leaves it through tolist().
+# The float kernels that run over many fields at once run on batches as
+# on scalars.  A float value outside an array is a Python complex (or
+# float), never a numpy scalar: _to_pairs and _from_pairs are the two
+# conversions between the rows of scalars and the batches, and the
+# complex array _from_pairs gives leaves it through tolist().
 
 
-def _to_pairs(rows, width: int):
-    """(re, im) float64 arrays of shape (len(rows), width) of rows of
-    width scalars, each read as a complex number."""
+class _ComplexBatch(tuple):
+    """Complex numbers held as their (re, im) float64 arrays.
+
+    +, -, * and unary - act entry by entry with CPython's complex
+    formulas (numpy's complex scalars use the same ones), so every entry
+    rounds as the scalar code rounds it; numpy's complex array multiply
+    may fuse operations, so none runs on complex arrays.  An int, float,
+    Fraction or complex operand on either side is read as complex(x), as
+    CPython reads it; / takes a real divisor only.  Any other operand,
+    such as a plain (re, im) tuple or an array, raises TypeError.  As a
+    tuple it unpacks to its two arrays.  None of the arithmetic imports
+    numpy.
+    """
+
+    __slots__ = ()
+    __array_ufunc__ = None  # numpy operands defer to the methods below
+
+    def __new__(cls, re, im):
+        return tuple.__new__(cls, (re, im))
+
+    def __add__(self, other):
+        y = _operand(other)
+        return _ComplexBatch(self[0] + y[0], self[1] + y[1])
+
+    def __sub__(self, other):
+        y = _operand(other)
+        return _ComplexBatch(self[0] - y[0], self[1] - y[1])
+
+    def __rsub__(self, other):
+        y = _operand(other)
+        return _ComplexBatch(y[0] - self[0], y[1] - self[1])
+
+    def __mul__(self, other):
+        """(xr yr - xi yi, xr yi + xi yr)."""
+        y = _operand(other)
+        return _ComplexBatch(self[0] * y[0] - self[1] * y[1],
+                             self[0] * y[1] + self[1] * y[0])
+
+    # float + and * commute to the bits, so y x rounds as x y
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return _ComplexBatch(-self[0], -self[1])
+
+    def __truediv__(self, other):
+        """self / x for a real x, by CPython's quotient by complex(x)."""
+        if not isinstance(other, (int, float, Fraction)):
+            raise TypeError(f"a complex batch divided by {type(other).__name__}")
+        b = float(other)
+        ratio = 0.0 / b  # complex(x).imag / complex(x).real, a signed zero
+        return _ComplexBatch((self[0] + self[1] * ratio) / b,
+                             (self[1] - self[0] * ratio) / b)
+
+    def map(self, f):
+        """f on each part, such as an index or a reshape."""
+        return _ComplexBatch(f(self[0]), f(self[1]))
+
+    def rows(self):
+        """The batches of its entries along the first axis."""
+        return [_ComplexBatch(re, im) for re, im in zip(*self)]
+
+    def columns(self, width: int):
+        """Entries k, k + width, ... of the last axis, for each k < width."""
+        return [self.map(lambda a: a[..., k::width]) for k in range(width)]
+
+    @staticmethod
+    def stack(batches, axis: int):
+        """numpy.stack of the batches, part by part."""
+        import numpy as np
+
+        re, im = zip(*batches)
+        return _ComplexBatch(np.stack(re, axis), np.stack(im, axis))
+
+
+def _operand(x):
+    """A batch, or a number as the (re, im) floats of complex(x)."""
+    if isinstance(x, _ComplexBatch):
+        return x
+    # Fraction comes last: its isinstance check goes through an ABC
+    if isinstance(x, (complex, float, int, Fraction)):
+        z = complex(x)
+        return z.real, z.imag
+    raise TypeError(f"unsupported operand for a complex batch: {type(x).__name__}")
+
+
+def _to_pairs(rows, width: int) -> _ComplexBatch:
+    """The (len(rows), width) batch of rows of width scalars, each read as
+    a complex number; a complex array is taken without a copy."""
     import numpy as np
 
-    z = np.array(rows, dtype=complex).reshape(len(rows), width)
-    return z.real, z.imag
+    z = np.asarray(rows, dtype=complex).reshape(len(rows), width)
+    return _ComplexBatch(z.real, z.imag)
 
 
-def _from_pairs(pair):
-    """The complex array of an (re, im) pair of float64 arrays; its
-    tolist() gives the entries as Python complex numbers."""
-    z = pair[0].astype(complex)
-    z.imag = pair[1]
+def _from_pairs(batch):
+    """The complex array of a batch; its tolist() gives the entries as
+    Python complex numbers."""
+    re, im = batch
+    z = re.astype(complex)
+    z.imag = im
     return z
-
-
-def _cmul(x, y):
-    """x y: (xr yr - xi yi, xr yi + xi yr)."""
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _cadd(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _csub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _cneg(x):
-    return (-x[0], -x[1])
-
-
-def _cmatmul(m, k):
-    """Product of 2x2 matrices given as (a, b, c, d) tuples of pairs, in
-    Mat2's order."""
-    return (_cadd(_cmul(m[0], k[0]), _cmul(m[1], k[2])),
-            _cadd(_cmul(m[0], k[1]), _cmul(m[1], k[3])),
-            _cadd(_cmul(m[2], k[0]), _cmul(m[3], k[2])),
-            _cadd(_cmul(m[2], k[1]), _cmul(m[3], k[3])))
 
 
 def random_nonzero_int(rng) -> int:

@@ -31,7 +31,8 @@ from fractions import Fraction
 from .errors import MatchingViolated, ValidationError
 from .graphs import TrivalentGraph
 from .linalg import KernelReport, _clear_denominators, solve_kernel
-from .scalars import EXACT, FLOAT, MATCH_TOL, _csub, _from_pairs, _to_pairs, domain_of
+from .scalars import (EXACT, FLOAT, MATCH_TOL, _ComplexBatch, _from_pairs, _to_pairs,
+                      domain_of)
 
 
 def _residues(r0, r1):
@@ -62,14 +63,14 @@ def multiply_differentials(d1, d2):
     return _product_coefficients(*d1, *d2)
 
 
-def _product_coefficients(r0, r1, s0, s1):
-    """(q0, q1, q2) of the product of (r0, r1) and (s0, s1) differentials."""
+def _product_coefficients(r0, r1, s0, s1, minus_two_r0=None):
+    """(q0, q1, q2) of the product of (r0, r1) and (s0, s1) differentials,
+    with -2 r0 taken in r0's own scalars unless given as minus_two_r0."""
+    r0s0 = r0 * s0
     cross = r0 * s1 + r1 * s0
-    return (
-        r0 * s0,
-        -2 * r0 * s0 - cross,
-        r0 * s0 + cross + r1 * s1,
-    )
+    if minus_two_r0 is None:
+        minus_two_r0 = -2 * r0
+    return (r0s0, minus_two_r0 * s0 - cross, r0s0 + cross + r1 * s1)
 
 
 class _VertexCoefficients:
@@ -194,39 +195,35 @@ def bires_coordinates(quadratics):
         raise ValidationError("quadratic differentials on different graphs")
     if all(omega.domain == EXACT for omega in quadratics):
         return [_exact_biresidues(g, omega.coefficients) for omega in quadratics]
-    re, im = _to_pairs([omega.coefficients for omega in quadratics],
-                       3 * g.vertex_count)
-    q = [(re[:, k::3], im[:, k::3]) for k in range(3)]
-    return _from_pairs(_float_biresidue_rows(g, q)).tolist()
+    q = _to_pairs([omega.coefficients for omega in quadratics], 3 * g.vertex_count)
+    return _from_pairs(_float_biresidue_rows(g, q.columns(3))).tolist()
 
 
 def _float_biresidue_rows(g: TrivalentGraph, q):
     """The float bi-residue matcher, over many quadratic differentials at once.
 
-    q is the triple (q0, q1, q2) of coefficients, each an (re, im) pair
-    of float64 arrays (as in scalars) of shape (rows, V), one row per
-    quadratic differential; the result is the pair of (rows, E) arrays
-    of per-edge bi-residues, _biresidues taken on the real and the
-    imaginary parts.  Each row is checked against MATCH_TOL times
-    max(1, max |coefficient|) of that row, with magnitudes by np.hypot
-    (the hypot of abs(complex)); MatchingViolated names the first edge
-    that fails in the first row with one, with the two bi-residues as
-    Python complex numbers.
+    q is the triple (q0, q1, q2) of coefficients, each a complex batch
+    (scalars._ComplexBatch) of shape (rows, V), one row per quadratic
+    differential; the result is the (rows, E) batch of their per-edge
+    bi-residues.  Each row is checked against MATCH_TOL times max(1, max
+    |coefficient|) of that row, with magnitudes by np.hypot (the hypot of
+    abs(complex)); MatchingViolated names the first edge that fails in
+    the first row with one, with the two bi-residues as Python complex
+    numbers.
     """
     import numpy as np
 
     # [row, vertex, point]: the bi-residues at (0, 1, inf)
-    bires = [np.stack(_biresidues(*part), axis=-1) for part in zip(*q)]
-    lhs, rhs = (tuple(b[:, v, p] for b in bires) for v, p in g._edge_ends)
+    bires = _ComplexBatch.stack(_biresidues(*q), axis=-1)
+    lhs, rhs = (bires.map(lambda b: b[:, v, p]) for v, p in g._edge_ends)
     scale = np.maximum(1.0, np.max([np.hypot(*x) for x in q], axis=(0, 2),
                                    initial=0.0))
-    bad = np.argwhere(np.hypot(*_csub(lhs, rhs)) > MATCH_TOL * scale[:, None])
+    bad = np.argwhere(np.hypot(*(lhs - rhs)) > MATCH_TOL * scale[:, None])
     if len(bad):
         k, e = bad[0]
         raise MatchingViolated(
             f"bi-residues differ across edge {e}: "
-            f"{complex(lhs[0][k, e], lhs[1][k, e])} vs "
-            f"{complex(rhs[0][k, e], rhs[1][k, e])}")
+            f"{_from_pairs(lhs)[k, e].item()} vs {_from_pairs(rhs)[k, e].item()}")
     return lhs
 
 

@@ -3,7 +3,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
@@ -361,7 +361,10 @@ def test_float_higgs_space_spans_the_node_cancellation_kernel(vertices, graph_se
 _ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.5]) | st.floats(-1e3, 1e3)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+# No shrinking, which over the drawn bases takes about a minute: the
+# examples are derandomized, so the first failing one is reported as drawn.
+@settings(derandomize=True, max_examples=60, deadline=None,
+          phases=set(Phase) - {Phase.shrink})
 @given(st.sampled_from(["theta", "k4"]), st.integers(1, 4), st.booleans(),
        st.integers(0, 10**6), st.data())
 def test_float_combinations_match_the_scalar_loops(name, size, numpy_scalars,

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from graphcurves.errors import MatchingViolated, ValidationError
@@ -393,7 +393,10 @@ def _old_fd_error(g, old, old_basis):
     return gap / scale
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+# No shrinking, which over graphs of up to 30 vertices takes minutes: the
+# examples are derandomized, so the first failing one is reported as drawn.
+@settings(derandomize=True, max_examples=40, deadline=None,
+          phases=set(Phase) - {Phase.shrink})
 @given(st.integers(1, 15).map(lambda k: 2 * k), st.integers(0, 10**6),
        st.integers(0, 3), st.sampled_from(["float", "fraction", "int", "exact basis"]),
        st.sampled_from([None, 1e-13, 1e-7, 1.0]), st.integers(0, 10**6))

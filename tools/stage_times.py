@@ -22,8 +22,9 @@ and V with an exact and a float column:
   Jacobian it built; an exact trial's check builds float Jacobian rows,
   with no rank, and that is part of this stage;
 * ``bires_coordinates`` over the double-canonical basis, in one call;
-* hitchin trial: one trial of ``cmd_hitchin`` in the domain, from
-  ``Framing.random`` through ``is_regular``.
+* hitchin trial: one ``cli.main(["hitchin", ...])`` call in the domain
+  on a temporary JSON file of the graph, from reading the file through
+  printing the report, with stdout and stderr captured.
 
 The numbers are wall times of one process on a possibly shared machine;
 compare stages within one run and claim speed-ups only from the
@@ -41,7 +42,11 @@ shape).  The threshold is ``RANK_RTOL`` = 1e-9.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -61,32 +66,21 @@ def _best(repeats, run, setup=lambda: None):
     return best
 
 
-def _hitchin_trial(graph, seed: int, domain: str) -> dict:
-    """One trial of cli.cmd_hitchin, step for step."""
-    from graphcurves.framings import Framing
-    from graphcurves.higgs import random_higgs_field
-    from graphcurves.hitchin import (hitchin_edge_coords, hitchin_image,
-                                     hitchin_jacobian, is_regular,
-                                     jacobian_fd_error)
+def _hitchin_trial(path: str, seed: int, domain: str) -> None:
+    """One hitchin CLI call on the graph file at path, its output captured."""
+    from graphcurves import cli
 
-    framing = Framing.random(graph, seed, domain)
-    phi = random_higgs_field(framing, seed)
-    coords = hitchin_edge_coords(phi)
-    jac = hitchin_jacobian(phi, framing)
-    if domain == "float":
-        fd_rel_err = jacobian_fd_error(phi, framing, jacobian=jac.matrix)
-    else:
-        float_framing = Framing.random(graph, seed, "float")
-        fd_rel_err = jacobian_fd_error(random_higgs_field(float_framing, seed),
-                                       float_framing)
-    return {"edge_coords": coords, "regular": is_regular(hitchin_image(phi)).regular,
-            "jacobian_rank": jac.rank, "fd_rel_err": fd_rel_err}
+    argv = ["hitchin", "--graph", path, "--seed", str(seed), "--domain", domain]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"{' '.join(argv)} failed: {err.getvalue()}")
 
 
 def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
     from graphcurves import hitchin
     from graphcurves.framings import Framing
-    from graphcurves.graphs import random_trivalent
+    from graphcurves.graphs import graph_to_json, random_trivalent
     from graphcurves.higgs import higgs_residual, higgs_space, random_higgs_field
     from graphcurves.hitchin import hitchin_jacobian, jacobian_fd_error
     from graphcurves.sections import bires_coordinates, double_canonical_space
@@ -113,6 +107,10 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
             check_phi, check_framing, jacobian=jacobian))
     finally:
         hitchin._float_fd_rows = build_fd_rows
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "graph.json")
+        Path(path).write_text(json.dumps(graph_to_json(graph)))
+        trial = _best(repeats, lambda _: _hitchin_trial(path, seed, domain))
     times = (
         _best(repeats, higgs_space, lambda: Framing.random(graph, seed, domain)),
         _best(repeats, lambda _: higgs_residual(basis, framing)),
@@ -120,7 +118,7 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
         fd_rows,
         fd_compare,
         _best(repeats, lambda _: bires_coordinates(quadratics)),
-        _best(repeats, lambda _: _hitchin_trial(graph, seed, domain)),
+        trial,
     )
     return dict(zip(STAGES, times))
 
