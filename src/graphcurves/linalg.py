@@ -2,19 +2,27 @@
 
 Exact path: fraction-free elimination on Python ints, in the spirit of
 Bareiss (1968), with row contents divided out where Bareiss divides by
-the previous pivot (that keeps the zero-skipping below).  Each row
-is first cleared of denominators (scaled by the lcm of its entries'
-denominators) and divided by its content, the gcd of its entries.  A row
-with entry f under a pivot p then becomes (p/γ)·row − (f/γ)·pivot_row
-with γ = gcd(p, f), and is again divided by its content, which keeps the
-integers small.  Rows with a zero under the pivot are skipped, and only
-the pivot row's nonzero columns are subtracted (the assembled systems
-are sparse).  Ranks need only this forward pass.  exact_rref also clears
-the entries above each pivot and divides each pivot row by its pivot
-once, at the end.  Every step scales a row by a nonzero rational or adds
-a multiple of another row to it, so the row space over the rationals
-never changes; the reduced row echelon form of a matrix is unique, so
-the result equals Gauss–Jordan over the rationals, Fraction for Fraction.
+the previous pivot.  A row is a sparse map {column: int} with the zeros
+left out (the assembled systems touch a few columns per row).  Each row
+is first cleared of denominators (scaled by the lcm of its nonzero
+entries' denominators) and divided by its content, the gcd of its
+entries.  A row with entry f under a pivot p then becomes
+(p/γ)·row − (f/γ)·pivot_row with γ = gcd(p, f), and is again divided by
+its content, which keeps the integers small.
+
+The forward pass takes the columns in order and picks as pivot of
+column c the shortest remaining row with an entry there, to limit
+fill-in (Davis, Direct Methods for Sparse Linear Systems, 2006); it
+clears column c from the other remaining rows.  Ranks need only this
+pass.  exact_rref and exact_nullspace then run a backward pass that
+clears the entries above each pivot, last pivot first, and divide each
+pivot row by its pivot once, at the end.  The choice of pivot rows
+cannot change a result: every step scales a row by a nonzero rational
+or adds a multiple of another row to it, so the row space over the
+rationals never changes; the pivot columns are then the leftmost
+independent columns, whichever rows carry them, and the reduced row
+echelon form of a matrix is unique, so the result equals Gauss–Jordan
+over the rationals, Fraction for Fraction.
 
 exact_rank (and integer_rank through it) first eliminates the primitive
 integer rows mod the prime P = 2^61 - 1.  Every minor of the integer
@@ -23,7 +31,9 @@ rank mod P is never larger than the rank over the rationals (Cohen, A
 Course in Computational Algebraic Number Theory, 1993, ch. 2).  A rank
 mod P equal to min(nrows, ncols) is therefore the rational rank; any
 lower result may be a drop at P, and the rank is recomputed by the
-integer elimination above.
+integer elimination above.  The mod-P rows are sparse maps too, with
+the same pivot choice; an entry that cancels to 0 mod P may stay in its
+row.
 
 Float path: numpy SVD with a relative singular value threshold.  numpy
 is imported on the first float call, so an exact run never loads it.
@@ -49,22 +59,24 @@ def _clear_denominators(vec):
 
 
 def _integer_row(row):
-    """The row as primitive ints: cleared of denominators, content divided out."""
-    out, _ = _clear_denominators(row)
-    content = math.gcd(*out)
+    """The row as a primitive sparse row {column: int}: its nonzero
+    entries cleared of denominators, the content divided out."""
+    items = [(j, x) for j, x in enumerate(row) if x]
+    den = math.lcm(*(x.denominator for _, x in items))
+    out = {j: x.numerator * (den // x.denominator) for j, x in items}
+    content = math.gcd(*out.values())
     if content > 1:
-        return [x // content for x in out]
+        return {j: x // content for j, x in out.items()}
     return out
 
 
-def _reduce(row, pivot_row, c, support):
+def _reduce(row, pivot_items, p, c):
     """Clear row[c] with the pivot row; returns the new primitive row.
 
     The row becomes (p/γ)·row − (f/γ)·pivot_row, p = pivot_row[c],
-    f = row[c], γ = gcd(p, f); support lists the pivot row's nonzero
-    columns.  The row may be updated in place.
+    f = row[c], γ = gcd(p, f); pivot_items are the pivot row's
+    (column, entry) pairs.  The row may be updated in place.
     """
-    p = pivot_row[c]
     f = row[c]
     gamma = math.gcd(p, f)
     a = p // gamma
@@ -72,43 +84,57 @@ def _reduce(row, pivot_row, c, support):
     if a < 0:  # the negated update: same row up to sign, and a = 1 when p | f
         a, b = -a, -b
     if a != 1:
-        row = [a * x for x in row]
-    for j in support:
-        row[j] -= b * pivot_row[j]
-    content = math.gcd(*row)
+        row = {j: a * x for j, x in row.items()}
+    for j, x in pivot_items:
+        y = row.get(j, 0) - b * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+    content = math.gcd(*row.values())
     if content > 1:
-        return [x // content for x in row]
+        return {j: x // content for j, x in row.items()}
     return row
 
 
-def _support(row, start):
-    return [j for j in range(start, len(row)) if row[j]]
-
-
 def _echelon(m, ncols, reduced):
-    """Integer row echelon form of m, in place; returns the pivot columns.
+    """Integer row echelon form of the sparse rows m, in place; returns
+    the pivot columns.
 
-    Rows are swapped so that pivot k sits in row k.  With reduced, the
-    entries above each pivot are cleared as well.
+    The pivot of column c is the shortest remaining row with an entry
+    there, and it becomes row k for the k-th pivot; the rows without a
+    pivot, all zero by then, follow.  With reduced, a backward pass then
+    clears the entries above each pivot, last pivot first.
     """
+    rest = list(m)
+    done = []
     pivots = []
-    r = 0
     for c in range(ncols):
-        if r == len(m):
+        if not rest:
             break
-        for i in range(r, len(m)):
-            if m[i][c]:
-                break
-        else:
+        hits = [i for i, row in enumerate(rest) if c in row]
+        if not hits:
             continue
-        m[r], m[i] = m[i], m[r]
-        pr = m[r]
-        support = _support(pr, c)
-        for i in range(0 if reduced else r + 1, len(m)):
-            if i != r and m[i][c]:
-                m[i] = _reduce(m[i], pr, c, support)
+        k = min(hits, key=lambda i: len(rest[i]))
+        pr = rest[k]
+        items = list(pr.items())
+        p = pr[c]
+        for i in hits:
+            if i != k:
+                rest[i] = _reduce(rest[i], items, p, c)
+        del rest[k]
+        done.append(pr)
         pivots.append(c)
-        r += 1
+    if reduced:
+        for r in range(len(done) - 1, 0, -1):
+            c = pivots[r]
+            pr = done[r]
+            items = list(pr.items())
+            p = pr[c]
+            for k in range(r):
+                if c in done[k]:
+                    done[k] = _reduce(done[k], items, p, c)
+    m[:] = done + rest
     return pivots
 
 
@@ -127,38 +153,39 @@ def exact_rref(rows, ncols):
     out = []
     for r, row in enumerate(m):
         p = row[pivots[r]] if r < len(pivots) else 1
-        out.append([Fraction(x, p) if x else zero for x in row])
+        dense = [zero] * ncols
+        for j, x in row.items():
+            dense[j] = Fraction(x, p)
+        out.append(dense)
     return out, pivots
 
 
 def _rank_mod_p(m, ncols) -> int:
-    """Rank of the integer matrix m reduced mod P, by Gaussian elimination.
+    """Rank of the sparse integer rows m reduced mod P, by Gaussian
+    elimination with the shortest-row pivot of _echelon.
 
-    Entries left of the pivot column are never read again, so they are
-    not updated.
+    The working rows may hold zero entries, so a row has an entry in
+    column c when row.get(c) is nonzero.
     """
-    m = [[x % P for x in row] for row in m]
-    n = len(m)
+    rest = [{j: x % P for j, x in row.items()} for row in m]
     r = 0
     for c in range(ncols):
-        if r == n:
+        if not rest:
             break
-        for i in range(r, n):
-            if m[i][c]:
-                break
-        else:
+        hits = [i for i, row in enumerate(rest) if row.get(c)]
+        if not hits:
             continue
-        m[r], m[i] = m[i], m[r]
-        pr = m[r]
+        k = min(hits, key=lambda i: len(rest[i]))
+        pr = rest[k]
         inv = pow(pr[c], -1, P)
-        support = _support(pr, c + 1)
-        for i in range(r + 1, n):
-            row = m[i]
-            f = row[c]
-            if f:
-                f = f * inv % P
-                for j in support:
-                    row[j] = (row[j] - f * pr[j]) % P
+        items = [(j, x) for j, x in pr.items() if x and j != c]
+        for i in hits:
+            if i != k:
+                row = rest[i]
+                f = row.pop(c) * inv % P
+                for j, x in items:
+                    row[j] = (row.get(j, 0) - f * x) % P
+        del rest[k]
         r += 1
     return r
 
@@ -185,18 +212,18 @@ def exact_nullspace(rows, ncols):
     m = [_integer_row(row) for row in rows]
     pivots = _echelon(m, ncols, reduced=True)
     pivot_set = set(pivots)
-    basis = []
+    basis = {}
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            x = m[r][free]
-            if x:
-                v[c] = Fraction(-x, m[r][c])
-        basis.append(v)
-    return basis
+        if free not in pivot_set:
+            v = [Fraction(0)] * ncols
+            v[free] = Fraction(1)
+            basis[free] = v
+    for c, row in zip(pivots, m):
+        p = row[c]
+        for free, x in row.items():
+            if free != c:
+                basis[free][c] = Fraction(-x, p)
+    return list(basis.values())
 
 
 def _svd_rank(s) -> int:
@@ -254,18 +281,6 @@ def independent_rows(rows):
     """
     return _echelon([_integer_row(col) for col in zip(*rows)], len(rows),
                     reduced=False)
-
-
-def residual(rows, vector):
-    """Largest magnitude of (matrix . vector), for kernel membership checks."""
-    worst = 0
-    for row in rows:
-        acc = 0
-        for x, v in zip(row, vector):
-            if x:
-                acc += x * v
-        worst = max(worst, abs(acc))
-    return worst
 
 
 @dataclass

@@ -6,6 +6,7 @@ numpy's SVD, and fraction_rref is Gauss-Jordan on Fraction objects.
 All are slow and meant for small fixtures only.
 """
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,6 +162,109 @@ def fraction_nullspace(rows, ncols):
                 v[c] = -m[r][free]
         basis.append(v)
     return basis
+
+
+def residual(rows, vector):
+    """Largest magnitude of (matrix . vector), for kernel membership checks."""
+    worst = 0
+    for row in rows:
+        acc = 0
+        for x, v in zip(row, vector):
+            if x:
+                acc += x * v
+        worst = max(worst, abs(acc))
+    return worst
+
+
+# The package's dense integer elimination before its rows became sparse:
+# one list of ncols ints per row, the first remaining row with an entry
+# as pivot, and (with reduced) the entries above each pivot cleared as
+# it goes (Gauss-Jordan).  Kept as the oracle for linalg's sparse rows.
+
+
+def dense_integer_row(row):
+    """The row as a dense list of primitive ints: cleared of denominators,
+    content divided out."""
+    den = math.lcm(*(x.denominator for x in row if x))
+    out = [x.numerator * (den // x.denominator) if x else 0 for x in row]
+    content = math.gcd(*out)
+    if content > 1:
+        return [x // content for x in out]
+    return out
+
+
+def _dense_reduce(row, pivot_row, c, support):
+    p = pivot_row[c]
+    f = row[c]
+    gamma = math.gcd(p, f)
+    a = p // gamma
+    b = f // gamma
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        row = [a * x for x in row]
+    for j in support:
+        row[j] -= b * pivot_row[j]
+    content = math.gcd(*row)
+    if content > 1:
+        return [x // content for x in row]
+    return row
+
+
+def _support(row, start):
+    return [j for j in range(start, len(row)) if row[j]]
+
+
+def dense_echelon(m, ncols, reduced):
+    """Integer row echelon form of the dense rows m, in place; returns
+    the pivot columns.  Pivot k sits in row k."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        for i in range(r, len(m)):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        pr = m[r]
+        support = _support(pr, c)
+        for i in range(0 if reduced else r + 1, len(m)):
+            if i != r and m[i][c]:
+                m[i] = _dense_reduce(m[i], pr, c, support)
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def dense_rank_mod_p(m, ncols, p):
+    """Rank of the dense integer rows m reduced mod the prime p."""
+    m = [[x % p for x in row] for row in m]
+    n = len(m)
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        for i in range(r, n):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        pr = m[r]
+        inv = pow(pr[c], -1, p)
+        support = _support(pr, c + 1)
+        for i in range(r + 1, n):
+            row = m[i]
+            f = row[c]
+            if f:
+                f = f * inv % p
+                for j in support:
+                    row[j] = (row[j] - f * pr[j]) % p
+        r += 1
+    return r
 
 
 def naive_anti_invariant_cycles(graph):

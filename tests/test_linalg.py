@@ -21,7 +21,6 @@ from graphcurves.linalg import (
     integer_rank,
     nullspace,
     rank,
-    residual,
     solve_kernel,
 )
 from graphcurves.matrices import (
@@ -45,7 +44,7 @@ from graphcurves.scalars import (
 )
 from graphcurves.sections import canonical_space, double_canonical_space
 
-from helpers import fraction_nullspace, fraction_rref, minor_rank, svd_rank
+from helpers import fraction_nullspace, fraction_rref, minor_rank, residual, svd_rank
 
 
 # -- scalars ------------------------------------------------------------

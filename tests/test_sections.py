@@ -20,10 +20,8 @@ from graphcurves.sections import (
     double_canonical_space,
     multiply_differentials,
 )
-from graphcurves.linalg import residual
-
 from helpers import (ComponentQuadratic, bits, minor_rank, old_bires_coordinates,
-                     svd_rank)
+                     residual, svd_rank)
 
 
 def test_residue_functional_table():

@@ -1,0 +1,159 @@
+"""The sparse integer rows of linalg's exact elimination.
+
+The elimination picks the shortest remaining row as pivot and clears
+above the pivots in a backward pass; its results are checked against
+Gauss-Jordan on Fractions and against the dense integer elimination it
+replaced (helpers.dense_echelon, helpers.dense_rank_mod_p), on random
+matrices that are mostly zeros.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import graphcurves.linalg as linalg_mod
+from graphcurves.framings import Framing
+from graphcurves.graphs import random_trivalent
+from graphcurves.higgs import assemble_higgs_constraints
+from graphcurves.linalg import (
+    exact_nullspace,
+    exact_rank,
+    exact_rref,
+    independent_rows,
+    integer_rank,
+)
+from graphcurves.scalars import EXACT
+
+from helpers import (
+    dense_echelon,
+    dense_integer_row,
+    dense_rank_mod_p,
+    fraction_nullspace,
+    fraction_rref,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """(rows, ncols): empty, tall, wide or square, of int or Fraction
+    entries that are mostly zeros, with some all-zero rows and columns
+    and some rows that are combinations of two others."""
+    shape = draw(st.sampled_from(["empty", "tall", "wide", "square"]))
+    if shape == "empty":
+        nrows, ncols = draw(st.sampled_from([(0, 0), (0, 4), (3, 0)]))
+        return [[] for _ in range(nrows)], ncols
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if shape == "tall":
+        nrows = ncols + draw(st.integers(1, 4))
+    elif shape == "wide":
+        ncols = nrows + draw(st.integers(1, 4))
+    elif shape == "square":
+        ncols = nrows
+    nonzero = draw(st.sampled_from([
+        st.integers(-6, 6).filter(bool),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)]))
+    density = draw(st.integers(1, 4))  # tenths of the entries
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    rows = []
+    for i in range(nrows):
+        row = []
+        for j in range(ncols):
+            live = i not in zero_rows and j not in zero_cols
+            row.append(draw(nonzero) if live and draw(st.integers(0, 9)) < density else 0)
+        rows.append(row)
+    for i in range(2, nrows):
+        if i not in zero_rows and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows[i] = [a * x + b * y for x, y in zip(rows[i - 1], rows[i - 2])]
+    return rows, ncols
+
+
+def _sparse_to_dense(row, ncols):
+    dense = [0] * ncols
+    for j, x in row.items():
+        dense[j] = x
+    return dense
+
+
+@PROPERTY
+@given(_sparse_matrices())
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[0, 2, 0, 0], [0, 0, 0, 3], [0, 4, 0, 6], [0, 0, 0, 0]], 4))
+@example(([[1, 1, 1], [1, 0, 0], [0, 1, 0]], 3))
+def test_sparse_kernels_match_fraction_gauss_jordan(system):
+    rows, ncols = system
+    m, pivots = exact_rref(rows, ncols)
+    assert (m, pivots) == fraction_rref(rows, ncols)
+    assert all(type(x) is Fraction for row in m for x in row)
+    basis = exact_nullspace(rows, ncols)
+    assert basis == fraction_nullspace(rows, ncols)
+    assert all(type(x) is Fraction for vec in basis for x in vec)
+    assert exact_rank(rows, ncols) == len(pivots)
+    if rows and all(type(x) is int for row in rows for x in row):
+        assert integer_rank(rows) == len(pivots)
+    transpose = [dense_integer_row(col) for col in zip(*rows)]
+    assert independent_rows(rows) == dense_echelon(transpose, len(rows), False)
+
+
+@PROPERTY
+@given(_sparse_matrices(), st.booleans())
+def test_sparse_echelon_matches_the_dense_oracle(system, reduced):
+    rows, ncols = system
+    sparse = [linalg_mod._integer_row(row) for row in rows]
+    dense = [dense_integer_row(row) for row in rows]
+    assert [_sparse_to_dense(row, ncols) for row in sparse] == dense
+    assert all(x for row in sparse for x in row.values())  # zeros left out
+    pivots = linalg_mod._echelon(sparse, ncols, reduced)
+    assert pivots == dense_echelon(dense, ncols, reduced)
+    assert len(sparse) == len(dense)
+    assert all(not row for row in sparse[len(pivots):])
+    for row, expected in zip(sparse, dense):
+        assert all(x for x in row.values())
+        # each is the one primitive integer row through its rational row, up to sign
+        if reduced:
+            got = _sparse_to_dense(row, ncols)
+            assert got in (expected, [-x for x in expected])
+
+
+@PROPERTY
+@given(_sparse_matrices(), st.sampled_from([linalg_mod.P, 3]))
+def test_sparse_rank_mod_p_matches_the_dense_oracle(system, p):
+    rows, ncols = system
+    sparse = [linalg_mod._integer_row(row) for row in rows]
+    dense = [dense_integer_row(row) for row in rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_mod, "P", p)
+        assert linalg_mod._rank_mod_p(sparse, ncols) == dense_rank_mod_p(dense, ncols, p)
+    assert [_sparse_to_dense(row, ncols) for row in sparse] == dense  # input untouched
+
+
+# -- the pivot choice cannot change an output -----------------------------
+
+
+@PROPERTY
+@given(_sparse_matrices(), st.randoms(use_true_random=False))
+def test_shuffled_rows_give_the_same_results(system, rng):
+    rows, ncols = system
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    shuffled = [rows[i] for i in order]
+    assert exact_rref(shuffled, ncols) == exact_rref(rows, ncols)
+    assert exact_nullspace(shuffled, ncols) == exact_nullspace(rows, ncols)
+    assert exact_rank(shuffled, ncols) == exact_rank(rows, ncols)
+    # independent_rows eliminates the transpose: shuffle its rows, the columns
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    assert independent_rows([[row[j] for j in cols] for row in rows]) \
+        == independent_rows(rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_higgs_system_kernel_equals_fraction_gauss_jordan(seed):
+    framing = Framing.random(random_trivalent(20, seed), seed, EXACT)
+    rows = assemble_higgs_constraints(framing)
+    ncols = 6 * framing.graph.vertex_count
+    assert exact_nullspace(rows, ncols) == fraction_nullspace(rows, ncols)

@@ -17,10 +17,14 @@ def test_stage_times_prints_both_tables():
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert lines[0] == "| stage | V | exact s | float s |"
+    assert lines[0] == "| stage | V | exact s, min / median | float s, min / median |"
     assert lines.index("| system | V | shape | rank | s_{r-1}/s_0 | s_r/s_0 |") > 0
     # seven stage rows, then the two float Higgs systems
     rows = [line.split(" | ")[0] for line in lines if " | 8 | " in line]
     assert len(rows) == 9
     assert rows[0] == "| Higgs solve"
     assert rows[7:] == ["| residue sums", "| node cancellation"]
+    for line in lines[2:9]:  # each time cell is "min / median"
+        for cell in line.split(" | ")[2:4]:
+            low, median = (float(x) for x in cell.strip(" |").split(" / "))
+            assert 0 <= low <= median

@@ -5,9 +5,10 @@
 CHECKOUT (default: this checkout) is the root of a graphcurves source
 tree that has ``hitchin._float_fd_rows``; its ``src`` is imported.  For each V the graph is
 ``random_trivalent(V, seed)`` and the framing ``Framing.random(graph,
-seed, domain)``.  Each stage is timed with ``time.perf_counter`` and the
-minimum of the repeats is printed, as one Markdown table row per stage
-and V with an exact and a float column:
+seed, domain)``.  Each stage is timed with ``time.perf_counter``, and
+each cell prints ``min / median`` of the repeats, so a stage whose
+repeats spread wider than a change can be seen as such.  There is one
+Markdown table row per stage and V, with an exact and a float column:
 
 * Higgs solve: ``higgs_space`` on a fresh framing (a framing keeps its
   solve, so each repeat builds a new one, untimed);
@@ -45,6 +46,7 @@ import argparse
 import contextlib
 import io
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -55,15 +57,15 @@ STAGES = ("Higgs solve", "higgs_residual over the basis", "hitchin_jacobian",
           "hitchin trial")
 
 
-def _best(repeats, run, setup=lambda: None):
-    """Minimum over repeats of the time of run(setup())."""
-    best = float("inf")
+def _times(repeats, run, setup=lambda: None):
+    """(min, median) over repeats of the time of run(setup())."""
+    times = []
     for _ in range(repeats):
         arg = setup()
         start = time.perf_counter()
         run(arg)
-        best = min(best, time.perf_counter() - start)
-    return best
+        times.append(time.perf_counter() - start)
+    return min(times), statistics.median(times)
 
 
 def _hitchin_trial(path: str, seed: int, domain: str) -> None:
@@ -99,25 +101,25 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
     quadratics = double_canonical_space(graph, domain).basis
     build_fd_rows = hitchin._float_fd_rows
     check_basis = higgs_space(check_framing).basis
-    fd_rows = _best(repeats, lambda _: build_fd_rows(check_phi, check_basis))
+    fd_rows = _times(repeats, lambda _: build_fd_rows(check_phi, check_basis))
     built = build_fd_rows(check_phi, check_basis)
     hitchin._float_fd_rows = lambda *args, **kwargs: built
     try:
-        fd_compare = _best(repeats, lambda _: jacobian_fd_error(
+        fd_compare = _times(repeats, lambda _: jacobian_fd_error(
             check_phi, check_framing, jacobian=jacobian))
     finally:
         hitchin._float_fd_rows = build_fd_rows
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "graph.json")
         Path(path).write_text(json.dumps(graph_to_json(graph)))
-        trial = _best(repeats, lambda _: _hitchin_trial(path, seed, domain))
+        trial = _times(repeats, lambda _: _hitchin_trial(path, seed, domain))
     times = (
-        _best(repeats, higgs_space, lambda: Framing.random(graph, seed, domain)),
-        _best(repeats, lambda _: higgs_residual(basis, framing)),
-        _best(repeats, lambda _: hitchin_jacobian(phi, framing)),
+        _times(repeats, higgs_space, lambda: Framing.random(graph, seed, domain)),
+        _times(repeats, lambda _: higgs_residual(basis, framing)),
+        _times(repeats, lambda _: hitchin_jacobian(phi, framing)),
         fd_rows,
         fd_compare,
-        _best(repeats, lambda _: bires_coordinates(quadratics)),
+        _times(repeats, lambda _: bires_coordinates(quadratics)),
         trial,
     )
     return dict(zip(STAGES, times))
@@ -152,13 +154,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.checkout).resolve() / "src"))
-    print("| stage | V | exact s | float s |")
+    print("| stage | V | exact s, min / median | float s, min / median |")
     print("|---|---|---|---|")
     for v in args.vertices:
         exact = stage_times(v, args.seed, "exact", args.repeats)
         floats = stage_times(v, args.seed, "float", args.repeats)
         for stage in STAGES:
-            print(f"| {stage} | {v} | {exact[stage]:.4f} | {floats[stage]:.4f} |")
+            cells = " | ".join("{:.4f} / {:.4f}".format(*times[stage])
+                               for times in (exact, floats))
+            print(f"| {stage} | {v} | {cells} |")
     print()
     print("| system | V | shape | rank | s_{r-1}/s_0 | s_r/s_0 |")
     print("|---|---|---|---|---|---|")
