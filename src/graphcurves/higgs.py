@@ -29,12 +29,15 @@ per free coefficient, that the exact outputs are built on.  A float
 framing solves the per-vertex sums in per-edge residue coordinates (3V
 rows, 3E columns, the system flat ranks, residue_parameterization_matrix):
 one traceless residue per edge fixes the field, its partner being the
-transport.  That SVD is a third smaller; its kernel is lifted to the 6V
-coefficients and made orthonormal there, so a float basis is
-orthonormal either way.  Each edge's coordinates are chosen so that the
-pair of residues they give has their norm (_float_residue_system); the
-float basis then meets the node cancellation to rounding of order
-eps |Ad|, as an SVD of the node-cancellation system does.
+transport.  That system is a third smaller and has full row rank at a
+generic framing, so linalg's Cholesky certificate holds and the kernel
+comes from one QR; an identity framing falls back to the SVD.  The
+kernel is lifted to the 6V coefficients and made orthonormal there, so
+a float basis is orthonormal either way.  Each edge's coordinates are
+chosen so that the pair of residues they give has their norm
+(_float_residue_system); the float basis then meets the node
+cancellation to rounding of order eps |Ad|, as an orthonormal kernel of
+the node-cancellation system does.
 
 higgs_residual checks a whole sequence of fields, such as that basis, in
 one pass: the per-edge work is done once for all the fields, exact
@@ -58,7 +61,7 @@ from random import Random
 
 from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
-from .linalg import KernelReport, _clear_denominators, solve_kernel
+from .linalg import KernelReport, _clear_denominators, _float_kernel, solve_kernel
 from .matrices import SL2_BASIS, Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
 from .scalars import EXACT, FLOAT, _ComplexBatch, _from_pairs, _to_pairs, domain_of
 from .sections import RESIDUE_FUNCTIONAL, _residues, _VertexCoefficients
@@ -140,8 +143,9 @@ def higgs_space(framing: Framing) -> KernelReport:
     (assemble_higgs_constraints); the basis is read off its reduced
     echelon form, one field per free coefficient, and defines the exact
     output.  A float framing solves the smaller per-vertex-sum system in
-    per-edge residue coordinates (_float_residue_system) by SVD and
-    lifts that kernel to the 6V coefficients (_float_higgs_space).
+    per-edge residue coordinates (_float_residue_system), by QR when
+    linalg's full-rank certificate holds and by SVD otherwise, and lifts
+    that kernel to the 6V coefficients (_float_higgs_space).
     Either way the report describes the node-cancellation system: ncols
     is 6V, nrows its 3E rows and rank 6V - dim.
 
@@ -246,16 +250,17 @@ def _float_residue_system(framing: Framing):
 def _float_higgs_space(framing: Framing) -> KernelReport:
     """higgs_space of a float framing, through per-edge residue coordinates.
 
-    The SVD kernel of _float_residue_system (3V x 3E) gives each edge's
-    two residues; a vertex's coefficients are its residues at marked
-    points 0 and 1, and a dart at marked point 2 adds nothing, its
-    residue being -(r0 + r1).  The lifted basis is made orthonormal in
+    The kernel of _float_residue_system (3V x 3E), kept as the array
+    linalg._float_kernel returns (a QR under the full-rank certificate,
+    else the SVD), gives each edge's two residues; a vertex's
+    coefficients are its residues at marked points 0 and 1, and a dart at
+    marked point 2 adds nothing, its residue being -(r0 + r1).  The lifted basis is made orthonormal in
     coefficient coordinates by one QR, and its entries leave the array as
     Python complex numbers, as float_nullspace's do.
 
     The orthonormal edge coordinates keep the rounding of the basis, as
-    higgs_residual measures it, of order eps |Ad|, as for an SVD of the
-    node-cancellation system.  A residue at marked point 2 is read off
+    higgs_residual measures it, of order eps |Ad|, as for an orthonormal
+    kernel of the node-cancellation system.  A residue at marked point 2 is read off
     the vertex sum, so it carries that sum's rounding, and the residual
     transports it through Ad of its edge.  In these coordinates the
     system has entries of order 1 and the sums round to order eps; with
@@ -267,8 +272,8 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
     g = framing.graph
     nedges, ncols = len(g.edges), 6 * g.vertex_count
     rows, upper, lower = _float_residue_system(framing)
-    kernel = solve_kernel(rows, 3 * nedges, FLOAT).basis
-    u = np.array(kernel, dtype=complex).reshape(len(kernel), nedges, 3)
+    kernel = _float_kernel(rows, 3 * nedges)
+    u = kernel.reshape(len(kernel), nedges, 3)
     # [field, vertex, coordinate, marked point]: coefficient 6v + 2k + p
     coeffs = np.zeros((len(kernel), g.vertex_count, 3, 2), dtype=complex)
     for side, block in ((1, upper), (0, lower)):

@@ -35,10 +35,22 @@ integer elimination above.  The mod-P rows are sparse maps too, with
 the same pivot choice; an entry that cancels to 0 mod P may stay in its
 row.
 
-Float path: numpy SVD with a relative singular value threshold.  numpy
-is imported on the first float call, so an exact run never loads it.
-The rows may be lists of scalars or a complex array; a kernel basis
-comes back as lists of Python complex numbers, not numpy scalars.
+Float path: a rank counts the singular values above RANK_RTOL times the
+largest, s_0.  Most float systems here have full rank, and for those a
+Cholesky certificate replaces the SVD (_full_rank).  With G = A A^H for
+a wide or square A and A^H A for a tall one, a successful Cholesky
+factorization of G - (c ||A||_F)^2 I, c = FULL_RANK_RTOL, shows
+sigma_min(A) > c ||A||_F >= c s_0, far above RANK_RTOL s_0, so the SVD
+would keep full rank too and the rank is min(m, n) (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., ch. 10).  The kernel of a
+wide A of full row rank m is then spanned by the trailing n - m columns
+of the complete Q factor of A^H, which are orthogonal to its row space
+(Golub and Van Loan, Matrix Computations, 4th ed., section 5.4).  When the
+certificate fails the SVD decides, with the kernel from the trailing
+right singular vectors.  numpy is imported on the first float call, so
+an exact run never loads it.  The rows may be lists of scalars or a
+complex array; a kernel basis comes back as lists of Python complex
+numbers, not numpy scalars.
 """
 from __future__ import annotations
 
@@ -46,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import EXACT, RANK_RTOL, check_domain
+from .scalars import EXACT, FULL_RANK_RTOL, RANK_RTOL, check_domain
 
 P = 2**61 - 1  # the Mersenne prime behind exact_rank's certificate
 
@@ -233,21 +245,62 @@ def _svd_rank(s) -> int:
     return int((s > RANK_RTOL * s[0]).sum())
 
 
+def _full_rank(a) -> bool:
+    """The full-rank certificate of the complex array a (module docstring).
+
+    True when the Cholesky factorization of the smaller Gram matrix less
+    (FULL_RANK_RTOL ||a||_F)^2 I succeeds with finite entries: then
+    sigma_min(a) > FULL_RANK_RTOL ||a||_F.  False for a zero matrix, for
+    any entry that is not finite, and whenever the factorization fails,
+    which it must for a matrix of lower rank.
+    """
+    import numpy as np
+    m, n = a.shape
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below
+        g = a @ a.conj().T if m <= n else a.conj().T @ a
+        g[np.diag_indices_from(g)] -= (FULL_RANK_RTOL * np.linalg.norm(a)) ** 2
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(g)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def float_rank(rows, ncols) -> int:
+    """Numerical rank: min(nrows, ncols) when the full-rank certificate
+    holds, otherwise the singular values above RANK_RTOL * s_0."""
     import numpy as np
     a = np.array(rows, dtype=complex)
     if a.size == 0:
         return 0
+    if _full_rank(a):
+        return min(a.shape)
     return _svd_rank(np.linalg.svd(a, compute_uv=False))
 
 
-def float_nullspace(rows, ncols):
-    """Orthonormal kernel basis from the trailing right singular vectors."""
-    if len(rows) == 0:
-        return [[complex(i == j) for j in range(ncols)] for i in range(ncols)]
+def _float_kernel(rows, ncols):
+    """Orthonormal kernel basis as a complex array, one vector per row.
+
+    With the full-rank certificate, the kernel is empty for a tall or
+    square system and the trailing ncols - nrows columns of the complete
+    Q of A^H for a wide one; otherwise it is the trailing right singular
+    vectors past the SVD rank.
+    """
     import numpy as np
-    _, s, vh = np.linalg.svd(np.array(rows, dtype=complex))
-    return vh[_svd_rank(s):].conj().tolist()
+    if len(rows) == 0:
+        return np.eye(ncols, dtype=complex)
+    a = np.array(rows, dtype=complex)
+    m, n = a.shape
+    if _full_rank(a):
+        if m >= n:
+            return np.zeros((0, n), dtype=complex)
+        return np.linalg.qr(a.conj().T, mode="complete").Q[:, m:].T
+    _, s, vh = np.linalg.svd(a)
+    return vh[_svd_rank(s):].conj()
+
+
+def float_nullspace(rows, ncols):
+    """Orthonormal kernel basis (_float_kernel), as lists of Python complex."""
+    return _float_kernel(rows, ncols).tolist()
 
 
 def rank(rows, ncols, domain: str) -> int:

@@ -6,7 +6,8 @@ All linear algebra runs in one of two interchangeable scalar domains:
   Ranks and kernels are exact, so a dimension statement checked in this
   domain is a proof for the given input.
 * ``FLOAT``: double-precision complex numbers.  Ranks are counted from
-  singular values with the relative threshold :data:`RANK_RTOL`.
+  singular values with the relative threshold :data:`RANK_RTOL`, or
+  found full by a Cholesky certificate (:data:`FULL_RANK_RTOL`).
 
 A value's domain is fixed where it is built (:func:`domain_of`): a
 ``Fraction`` is exact, a ``float`` or ``complex`` is float, and an
@@ -26,6 +27,17 @@ DOMAINS = (EXACT, FLOAT)
 # Every float tolerance of the package.  Exact-domain checks are exact;
 # these bounds apply to the float domain unless stated otherwise.
 RANK_RTOL = 1e-9         # singular values below RANK_RTOL * s_max count as zero
+# A float system has full rank, with no SVD, when the Cholesky factorization
+# of its smaller Gram matrix G less (FULL_RANK_RTOL ||A||_F)^2 I succeeds
+# (linalg._full_rank).  Forming G and factoring it round by n eps ||A||_F^2
+# <= 1e-13 ||A||_F^2 for n <= 1000 (Higham, Accuracy and Stability, 2nd ed.,
+# ch. 10), 10^3 below FULL_RANK_RTOL^2 ||A||_F^2 = 1e-10 ||A||_F^2, so a
+# success still shows sigma_min > 0.999 FULL_RANK_RTOL ||A||_F >= 0.999e-5
+# s_max, about 10^4 times the RANK_RTOL threshold: the SVD would keep full
+# rank too.  The constant is small enough to certify the full-rank systems
+# the package builds: at V = 80 the float Hitchin Jacobian has
+# sigma_min / ||J||_F of 6e-4 to 8e-4, the float Higgs systems 4e-3 and up.
+FULL_RANK_RTOL = 1e-5
 DET_TOL = 1e-12          # |det - 1| allowed for unimodular matrices
 IDENTITY_TOL = 1e-10     # max-norm distance at which a matrix is the identity
 MATCH_TOL = 1e-9         # bi-residue agreement across a node

@@ -154,10 +154,16 @@ def _higgs_solves(monkeypatch, *argv):
     basis size."""
     domains, framings, converted = [], [], []
     solve, init = higgs_mod.solve_kernel, Framing.__init__
+    float_kernel = higgs_mod._float_kernel
 
     def counted(rows, ncols, domain):
         domains.append(domain)
         return solve(rows, ncols, domain)
+
+    def counted_float(rows, ncols):
+        # the float solve takes its kernel as an array, past solve_kernel
+        domains.append(FLOAT)
+        return float_kernel(rows, ncols)
 
     def recorded(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -179,6 +185,7 @@ def _higgs_solves(monkeypatch, *argv):
         if hasattr(module, "_clear_denominators"):
             record(module, "_clear_denominators", lambda vec: [vec])
     monkeypatch.setattr(higgs_mod, "solve_kernel", counted)
+    monkeypatch.setattr(higgs_mod, "_float_kernel", counted_float)
     monkeypatch.setattr(Framing, "__init__", recorded)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0, argv

@@ -31,14 +31,19 @@ The numbers are wall times of one process on a possibly shared machine;
 compare stages within one run and claim speed-ups only from the
 benchmark.
 
-A second table gives the rank margins of the float Higgs solve on the
-float framing of each V: for the per-vertex-sum system in orthonormal
-per-edge coordinates (``higgs._float_residue_system``, which
-``higgs_space`` solves) and the node-cancellation system
-(``assemble_higgs_constraints``) of the same framing, the rank r the SVD threshold keeps, the smallest
-kept singular value s_{r-1}/s_0 and the largest dropped one s_r/s_0 (``-``
-when r is the number of rows: the whole kernel then comes from the
-shape).  The threshold is ``RANK_RTOL`` = 1e-9.
+A second table gives the rank margins of the float systems on the float
+framing of each V: the per-vertex-sum system in orthonormal per-edge
+coordinates (``higgs._float_residue_system``, which ``higgs_space``
+solves), the node-cancellation system (``assemble_higgs_constraints``)
+of the same framing, and the float Hitchin Jacobian at
+``random_higgs_field(framing, seed)``.  Each row shows the rank r the SVD
+threshold keeps, the smallest kept singular value s_{r-1}/s_0, the
+largest dropped one s_r/s_0 (``-`` when r is min(rows, columns): the
+whole kernel then comes from the shape), the smallest singular value
+over the Frobenius norm, s_min/norm_F, and the path the float rank and
+kernel take: ``certificate`` when ``linalg._full_rank`` holds (s_min/norm_F
+above ``FULL_RANK_RTOL`` = 1e-5, no SVD), ``SVD`` otherwise.  The
+threshold is ``RANK_RTOL`` = 1e-9.
 """
 from __future__ import annotations
 
@@ -126,22 +131,30 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
 
 
 def rank_margins(vertices: int, seed: int) -> dict:
-    """(shape, r, s_{r-1}/s_0, s_r/s_0 or None) per float Higgs system."""
+    """(shape, r, s_{r-1}/s_0, s_r/s_0 or None, s_min/norm_F, path) per
+    float system."""
     import numpy as np
 
     from graphcurves.framings import Framing
     from graphcurves.graphs import random_trivalent
-    from graphcurves.higgs import _float_residue_system, assemble_higgs_constraints
-    from graphcurves.linalg import _svd_rank
+    from graphcurves.higgs import (_float_residue_system, assemble_higgs_constraints,
+                                   random_higgs_field)
+    from graphcurves.hitchin import hitchin_jacobian
+    from graphcurves.linalg import _full_rank, _svd_rank
 
     framing = Framing.random(random_trivalent(vertices, seed), seed, "float")
     out = {}
-    for name, build in (("residue sums", lambda f: _float_residue_system(f)[0]),
-                        ("node cancellation", assemble_higgs_constraints)):
+    for name, build in (
+            ("residue sums", lambda f: _float_residue_system(f)[0]),
+            ("node cancellation", assemble_higgs_constraints),
+            ("Hitchin Jacobian",
+             lambda f: hitchin_jacobian(random_higgs_field(f, seed), f).matrix)):
         a = np.array(build(framing), dtype=complex)
         s = np.linalg.svd(a, compute_uv=False)
         r = _svd_rank(s)
-        out[name] = (a.shape, r, s[r - 1] / s[0], s[r] / s[0] if r < len(s) else None)
+        path = "certificate" if _full_rank(a) else "SVD"
+        out[name] = (a.shape, r, s[r - 1] / s[0], s[r] / s[0] if r < len(s) else None,
+                     s[-1] / np.linalg.norm(a), path)
     return out
 
 
@@ -164,12 +177,14 @@ def main(argv=None) -> int:
                                for times in (exact, floats))
             print(f"| {stage} | {v} | {cells} |")
     print()
-    print("| system | V | shape | rank | s_{r-1}/s_0 | s_r/s_0 |")
-    print("|---|---|---|---|---|---|")
+    print("| system | V | shape | rank | s_{r-1}/s_0 | s_r/s_0 | s_min/norm_F | path |")
+    print("|---|---|---|---|---|---|---|---|")
     for v in args.vertices:
-        for name, (shape, r, kept, dropped) in rank_margins(v, args.seed).items():
+        for name, (shape, r, kept, dropped, least, path) in rank_margins(
+                v, args.seed).items():
             dropped = "-" if dropped is None else f"{dropped:.2e}"
-            print(f"| {name} | {v} | {shape[0]}x{shape[1]} | {r} | {kept:.2e} | {dropped} |")
+            print(f"| {name} | {v} | {shape[0]}x{shape[1]} | {r} | {kept:.2e} "
+                  f"| {dropped} | {least:.2e} | {path} |")
     return 0
 
 
