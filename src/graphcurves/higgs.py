@@ -254,18 +254,19 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
     linalg._float_kernel returns (a QR under the full-rank certificate,
     else the SVD), gives each edge's two residues; a vertex's
     coefficients are its residues at marked points 0 and 1, and a dart at
-    marked point 2 adds nothing, its residue being -(r0 + r1).  The lifted basis is made orthonormal in
-    coefficient coordinates by one QR, and its entries leave the array as
-    Python complex numbers, as float_nullspace's do.
+    marked point 2 adds nothing, its residue being -(r0 + r1).  The
+    lifted basis is made orthonormal in coefficient coordinates by one
+    QR, and its entries leave the array as Python complex numbers, as
+    float_nullspace's do.
 
     The orthonormal edge coordinates keep the rounding of the basis, as
     higgs_residual measures it, of order eps |Ad|, as for an orthonormal
-    kernel of the node-cancellation system.  A residue at marked point 2 is read off
-    the vertex sum, so it carries that sum's rounding, and the residual
-    transports it through Ad of its edge.  In these coordinates the
-    system has entries of order 1 and the sums round to order eps; with
-    a plain residue per edge as the coordinates its entries reach |Ad|,
-    and the residual grew as eps |Ad|^2.
+    kernel of the node-cancellation system.  A residue at marked point 2
+    is read off the vertex sum, so it carries that sum's rounding, and
+    the residual transports it through Ad of its edge.  In these
+    coordinates the system has entries of order 1 and the sums round to
+    order eps; with a plain residue per edge as the coordinates its
+    entries reach |Ad|, and the residual grew as eps |Ad|^2.
     """
     import numpy as np
 

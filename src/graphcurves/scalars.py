@@ -30,13 +30,15 @@ RANK_RTOL = 1e-9         # singular values below RANK_RTOL * s_max count as zero
 # A float system has full rank, with no SVD, when the Cholesky factorization
 # of its smaller Gram matrix G less (FULL_RANK_RTOL ||A||_F)^2 I succeeds
 # (linalg._full_rank).  Forming G and factoring it round by n eps ||A||_F^2
-# <= 1e-13 ||A||_F^2 for n <= 1000 (Higham, Accuracy and Stability, 2nd ed.,
-# ch. 10), 10^3 below FULL_RANK_RTOL^2 ||A||_F^2 = 1e-10 ||A||_F^2, so a
+# <= 1e-13 ||A||_F^2 for a Gram order n <= 1000 (Higham, Accuracy and
+# Stability, 2nd ed., ch. 10), 10^3 below FULL_RANK_RTOL^2 ||A||_F^2, so a
 # success still shows sigma_min > 0.999 FULL_RANK_RTOL ||A||_F >= 0.999e-5
 # s_max, about 10^4 times the RANK_RTOL threshold: the SVD would keep full
 # rank too.  The constant is small enough to certify the full-rank systems
-# the package builds: at V = 80 the float Hitchin Jacobian has
-# sigma_min / ||J||_F of 6e-4 to 8e-4, the float Higgs systems 4e-3 and up.
+# the package builds: on random_trivalent(V, s) with Framing.random for
+# V = 80 and 160, s = 0, 1, 7, sigma_min / ||A||_F is at least 8e-3 for the
+# float Higgs residue system, 2.5e-4 for the flat linearization and 2.7e-4
+# for the float Hitchin Jacobian.
 FULL_RANK_RTOL = 1e-5
 DET_TOL = 1e-12          # |det - 1| allowed for unimodular matrices
 IDENTITY_TOL = 1e-10     # max-norm distance at which a matrix is the identity

@@ -225,9 +225,9 @@ def test_one_higgs_solve_per_framing(monkeypatch, argv, per_trial, conversions,
 def test_one_jacobian_per_float_hitchin_trial(monkeypatch, domain, jacobians,
                                               ranks, trials):
     # a float trial checks fd_rel_err against the Jacobian it reports: one
-    # hitchin_jacobian and one SVD rank; an exact trial builds its exact
+    # hitchin_jacobian and one float rank; an exact trial builds its exact
     # Jacobian (an exact rank), and its float check on its float framing
-    # builds Jacobian rows only, with no hitchin_jacobian and no SVD rank
+    # builds Jacobian rows only, with no hitchin_jacobian and no float rank
     calls = {"hitchin_jacobian": 0, "float_rank": 0}
 
     def counted(module, name):
