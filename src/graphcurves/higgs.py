@@ -371,8 +371,9 @@ def _float_residual(fields, framing: Framing, edges):
     every entry rounds as in the Mat2 product of complex numbers.  The
     residues are taken on the fields' float working form
     (sections._residues), so the residue at marked point 2 is summed
-    from the rounded r0 and r1.  The inverse transport is Mat2.inv(),
-    and magnitudes are np.hypot, the hypot of abs(complex).
+    from the rounded r0 and r1.  The inverse transport is the upper
+    dart's matrix, which Framing stores as Mat2.inv() of the lower's, and
+    magnitudes are np.hypot, the hypot of abs(complex).
     """
     if not (fields and edges):
         return 0
@@ -389,13 +390,11 @@ def _float_residual(fields, framing: Framing, edges):
         return from_sl2_coords(*(residues.map(lambda a: a[:, 3 * v + k, p])
                                  for k in range(3)))
 
-    def transport(mats):
-        entries = [x for m in mats for x in m.entries()]
+    def transport(side):
+        entries = [x for e in edges for x in framing.matrix(g.edges[e][side]).entries()]
         return Mat2(*_to_pairs([entries], len(entries)).columns(4))
 
-    mats = [framing.matrix(g.edges[e][0]) for e in edges]
-    gap = residue_matrices(0) + (transport(mats) * residue_matrices(1)
-                                 * transport([t.inv() for t in mats]))
+    gap = residue_matrices(0) + transport(0) * residue_matrices(1) * transport(1)
     return max(0, max(float(np.hypot(*x).max()) for x in gap.entries()))
 
 
@@ -417,7 +416,8 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
     """Seeded random element of the framing's Higgs space (a kernel combination).
 
     The kernel has dimension at least 3g - 3 (9g - 9 equations in 12g - 12
-    unknowns), so the basis is never empty.
+    unknowns), so the basis is never empty.  A float field is _float_draw's
+    first draw, as in random_regular_higgs.
     """
     report, g = higgs_space(framing), framing.graph
     rng = Random(seed)
@@ -434,26 +434,30 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
                 s = c * (den // d)
                 acc = [a + s * x for a, x in zip(acc, ints)]
         return HiggsField(g, [Fraction(a, den) for a in acc])
-    coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-    return HiggsField(g, _float_combination(
-        coeffs, _working_form(report.basis, g, FLOAT), 0j))
+    return _float_draw(report.basis, g, rng)
 
 
-def _float_combination(coeffs, parts, start=None):
+def _float_draw(basis, graph, rng) -> HiggsField:
+    """_float_combination of a float basis on graph, the real and
+    imaginary parts of each coefficient drawn from rng.gauss(0, 1)."""
+    coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in basis]
+    return HiggsField(graph, _float_combination(
+        coeffs, _working_form(basis, graph, FLOAT)))
+
+
+def _float_combination(coeffs, parts):
     """sum_k c_k psi_k over a float basis given as its float working form
     (_working_form), a complex batch, with the rounding of the scalar loop
 
-        acc = start; for c, psi: acc = [a + c * x for a, x in zip(acc, psi)]
+        acc = 0j; for c, psi: acc = [a + c * x for a, x in zip(acc, psi)]
 
-    whose products are taken at once and summed in its order.  With start
-    None the loop starts at the first term c_0 psi_0, not at 0j + c_0
-    psi_0, which differ in signed zeros.
+    whose products are taken at once and summed in its order.
     The entries are Python complex numbers (scalars._from_pairs), as the
     loop gives on a basis of Python complex numbers.
     """
-    acc = start
+    acc = 0j
     for term in (_to_pairs([[c] for c in coeffs], 1) * parts).rows():
-        acc = term if acc is None else acc + term
+        acc = acc + term
     return _from_pairs(acc).tolist()
 
 

@@ -31,9 +31,9 @@ rank mod P is never larger than the rank over the rationals (Cohen, A
 Course in Computational Algebraic Number Theory, 1993, ch. 2).  A rank
 mod P equal to min(nrows, ncols) is therefore the rational rank; any
 lower result may be a drop at P, and the rank is recomputed by the
-integer elimination above.  The mod-P rows are sparse maps too, with
-the same pivot choice; an entry that cancels to 0 mod P may stay in its
-row.
+integer elimination above.  The mod-P rows are sparse maps too, and
+one loop, _echelon, eliminates both kinds with the same pivot choice;
+only the update that clears a column differs.
 
 Float path: a rank counts the singular values above RANK_RTOL times the
 largest, s_0.  Most float systems here have full rank, and for those a
@@ -82,41 +82,66 @@ def _integer_row(row):
     return out
 
 
-def _reduce(row, pivot_items, p, c):
-    """Clear row[c] with the pivot row; returns the new primitive row.
+def _integer_update(pr, c):
+    """_echelon's integer update: a row with entry f at column c becomes
+    the primitive (p/γ)·row − (f/γ)·pr, p = pr[c], γ = gcd(p, f).  The
+    row may be updated in place."""
+    p = pr[c]
+    items = list(pr.items())
+    items.remove((c, p))
 
-    The row becomes (p/γ)·row − (f/γ)·pivot_row, p = pivot_row[c],
-    f = row[c], γ = gcd(p, f); pivot_items are the pivot row's
-    (column, entry) pairs.  The row may be updated in place.
-    """
-    f = row[c]
-    gamma = math.gcd(p, f)
-    a = p // gamma
-    b = f // gamma
-    if a < 0:  # the negated update: same row up to sign, and a = 1 when p | f
-        a, b = -a, -b
-    if a != 1:
-        row = {j: a * x for j, x in row.items()}
-    for j, x in pivot_items:
-        y = row.get(j, 0) - b * x
-        if y:
-            row[j] = y
-        else:
-            del row[j]
-    content = math.gcd(*row.values())
-    if content > 1:
-        return {j: x // content for j, x in row.items()}
-    return row
+    def clear(row):
+        f = row.pop(c)
+        gamma = math.gcd(p, f)
+        a = p // gamma
+        b = f // gamma
+        if a < 0:  # the negated update: same row up to sign, and a = 1 when p | f
+            a, b = -a, -b
+        if a != 1:
+            row = {j: a * x for j, x in row.items()}
+        for j, x in items:
+            y = row.get(j, 0) - b * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+        content = math.gcd(*row.values())
+        if content > 1:
+            return {j: x // content for j, x in row.items()}
+        return row
+
+    return clear
 
 
-def _echelon(m, ncols, reduced):
-    """Integer row echelon form of the sparse rows m, in place; returns
-    the pivot columns.
+def _mod_p_update(pr, c):
+    """_echelon's GF(P) update: a row with entry f at column c loses
+    f·pr[c]^-1·pr, in place; the inverse is taken once per pivot."""
+    inv = pow(pr[c], -1, P)
+    items = list(pr.items())
+    items.remove((c, pr[c]))
+
+    def clear(row):
+        f = row.pop(c) * inv % P
+        for j, x in items:
+            y = (row.get(j, 0) - f * x) % P
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+        return row
+
+    return clear
+
+
+def _echelon(m, ncols, reduced, update=_integer_update):
+    """Echelon form of the sparse rows m, in place; returns the pivot columns.
 
     The pivot of column c is the shortest remaining row with an entry
     there, and it becomes row k for the k-th pivot; the rows without a
     pivot, all zero by then, follow.  With reduced, a backward pass then
-    clears the entries above each pivot, last pivot first.
+    clears the entries above each pivot, last pivot first.  update(pr, c)
+    gives the function that clears column c from a row with the pivot
+    row pr, and stores no zero.
     """
     rest = list(m)
     done = []
@@ -129,23 +154,20 @@ def _echelon(m, ncols, reduced):
             continue
         k = min(hits, key=lambda i: len(rest[i]))
         pr = rest[k]
-        items = list(pr.items())
-        p = pr[c]
+        clear = update(pr, c)
         for i in hits:
             if i != k:
-                rest[i] = _reduce(rest[i], items, p, c)
+                rest[i] = clear(rest[i])
         del rest[k]
         done.append(pr)
         pivots.append(c)
     if reduced:
         for r in range(len(done) - 1, 0, -1):
             c = pivots[r]
-            pr = done[r]
-            items = list(pr.items())
-            p = pr[c]
+            clear = update(done[r], c)
             for k in range(r):
                 if c in done[k]:
-                    done[k] = _reduce(done[k], items, p, c)
+                    done[k] = clear(done[k])
     m[:] = done + rest
     return pivots
 
@@ -173,33 +195,10 @@ def exact_rref(rows, ncols):
 
 
 def _rank_mod_p(m, ncols) -> int:
-    """Rank of the sparse integer rows m reduced mod P, by Gaussian
-    elimination with the shortest-row pivot of _echelon.
-
-    The working rows may hold zero entries, so a row has an entry in
-    column c when row.get(c) is nonzero.
-    """
-    rest = [{j: x % P for j, x in row.items()} for row in m]
-    r = 0
-    for c in range(ncols):
-        if not rest:
-            break
-        hits = [i for i, row in enumerate(rest) if row.get(c)]
-        if not hits:
-            continue
-        k = min(hits, key=lambda i: len(rest[i]))
-        pr = rest[k]
-        inv = pow(pr[c], -1, P)
-        items = [(j, x) for j, x in pr.items() if x and j != c]
-        for i in hits:
-            if i != k:
-                row = rest[i]
-                f = row.pop(c) * inv % P
-                for j, x in items:
-                    row[j] = (row.get(j, 0) - f * x) % P
-        del rest[k]
-        r += 1
-    return r
+    """Rank of the sparse integer rows m reduced mod P (m is unchanged):
+    _echelon on the nonzero residues, with the GF(P) update."""
+    rows = [{j: y for j, x in row.items() if (y := x % P)} for row in m]
+    return len(_echelon(rows, ncols, False, _mod_p_update))
 
 
 def exact_rank(rows, ncols) -> int:

@@ -97,17 +97,13 @@ def from_sl2_coords(x11, x12, x21) -> Mat2:
     return Mat2(x11, x12, x21, -x11)
 
 
-def conj(g: Mat2, m: Mat2) -> Mat2:
-    """g m g^-1."""
-    return g * m * g.inv()
-
-
 def adjoint_matrix(g: Mat2):
     """3x3 matrix of m -> g m g^-1 on (x11, x12, x21) coordinates.
 
     Returned as nested tuples, rows indexing the image coordinate.
     """
-    cols = [sl2_coords(conj(g, e)) for e in SL2_BASIS]
+    g_inv = g.inv()
+    cols = [sl2_coords(g * e * g_inv) for e in SL2_BASIS]
     return tuple(tuple(cols[k][r] for k in range(3)) for r in range(3))
 
 

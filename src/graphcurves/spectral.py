@@ -24,8 +24,8 @@ from .errors import (DegenerateNode, InconsistentSpectralData,
                      IrregularDeterminant, NumericalError, ValidationError)
 from .framings import Framing
 from .graphs import TrivalentGraph, _breadth_first
-from .higgs import (HiggsField, _float_combination, _residue_matrix,
-                    _vertex_coefficients, _working_form, higgs_space)
+from .higgs import (HiggsField, _float_draw, _residue_matrix,
+                    _vertex_coefficients, higgs_space)
 from .hitchin import hitchin_image, is_regular
 from .linalg import independent_rows, integer_rank
 from .matrices import Mat2, to_complex_mat
@@ -472,17 +472,15 @@ def roundtrip_error(phi: HiggsField, framing: Framing) -> float:
 def random_regular_higgs(framing: Framing, seed: int) -> HiggsField:
     """Seeded random Higgs field with regular determinant (float domain).
 
-    Draws up to MAX_DRAWS kernel combinations until the determinant is
-    regular and every node is non-degenerate; deterministic for fixed
-    inputs.
+    Draws up to MAX_DRAWS kernel combinations (higgs._float_draw) until
+    the determinant is regular and every node is non-degenerate; the
+    first is random_higgs_field's on a float framing.
     """
     a_c = _as_complex_framing(framing)
-    report = higgs_space(a_c)
-    parts = _working_form(report.basis, a_c.graph, FLOAT)
+    basis = higgs_space(a_c).basis
     rng = Random(seed)
     for _ in range(MAX_DRAWS):
-        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-        phi = HiggsField(a_c.graph, _float_combination(coeffs, parts))
+        phi = _float_draw(basis, a_c.graph, rng)
         if not is_regular(hitchin_image(phi)).regular:
             continue
         try:

@@ -522,27 +522,21 @@ def old_random_higgs_field(framing, seed, domain, report):
             coeffs[0] = Fraction(1)
     else:
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-    zero = 0 if domain == EXACT else 0j
-    phi = [(ComponentDifferential(zero, zero),) * 3
-           for _ in range(framing.graph.vertex_count)]
-    for c, psi in zip(coeffs, report.basis):
+    return old_combination(coeffs, report.basis, framing.graph,
+                           0 if domain == EXACT else 0j)
+
+
+def old_combination(coeffs, basis, graph, zero):
+    """The combination loop of random_higgs_field and random_regular_higgs:
+    sum c_k psi_k started at zero, as per-vertex triples."""
+    phi = [(ComponentDifferential(zero, zero),) * 3 for _ in range(graph.vertex_count)]
+    for c, psi in zip(coeffs, basis):
         phi = old_add(phi, old_scale(vertex_data(psi), c))
     return phi
 
 
-def old_first_term_combination(coeffs, basis):
-    """random_regular_higgs's combination loop: sum c_k psi_k started at
-    the first term, as per-vertex triples; None for an empty basis, which
-    old_random_regular_higgs reads as no draw."""
-    phi = None
-    for c, psi in zip(coeffs, basis):
-        term = old_scale(vertex_data(psi), c)
-        phi = term if phi is None else old_add(phi, term)
-    return phi
-
-
 def old_random_regular_higgs(framing, seed, max_tries=32):
-    """random_regular_higgs with its first-term-started combination loop."""
+    """random_regular_higgs with the zero-started combination loop."""
     from random import Random
 
     from graphcurves.errors import IrregularDeterminant, NumericalError
@@ -557,9 +551,7 @@ def old_random_regular_higgs(framing, seed, max_tries=32):
     rng = Random(seed)
     for _ in range(max_tries):
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in report.basis]
-        phi = old_first_term_combination(coeffs, report.basis)
-        if phi is None:
-            break
+        phi = old_combination(coeffs, report.basis, g, 0j)
         omega = GlobalQuadratic(g, quadratic_coefficients(old_hitchin_image(phi)))
         if not is_regular(omega).regular:
             continue

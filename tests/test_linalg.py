@@ -29,7 +29,6 @@ from graphcurves.matrices import (
     Mat2,
     adjoint_matrix,
     check_unimodular,
-    conj,
     from_sl2_coords,
     mat_close,
     random_unimodular,
@@ -44,7 +43,8 @@ from graphcurves.scalars import (
 )
 from graphcurves.sections import canonical_space, double_canonical_space
 
-from helpers import fraction_nullspace, fraction_rref, minor_rank, residual, svd_rank
+from helpers import (dense_integer_row, dense_rank_mod_p, fraction_nullspace,
+                     fraction_rref, minor_rank, residual, svd_rank)
 
 
 # -- scalars ------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_adjoint_matrix_matches_conjugation():
         g = random_unimodular(rng, EXACT)
         A = adjoint_matrix(g)
         x = tuple(Fraction(rng.randint(-5, 5)) for _ in range(3))
-        direct = sl2_coords(conj(g, from_sl2_coords(*x)))
+        direct = sl2_coords(g * from_sl2_coords(*x) * g.inv())
         via_matrix = tuple(
             sum(A[i][j] * x[j] for j in range(3)) for i in range(3))
         assert direct == via_matrix
@@ -416,13 +416,15 @@ def _drops_mod_3(draw):
 
 
 def _count_echelon_calls(mp):
-    """Record the calls of the integer elimination behind exact_rank."""
+    """Record the integer eliminations behind exact_rank: the calls of
+    _echelon with the integer update, not the mod-P certificate's."""
     calls = []
     echelon = linalg_mod._echelon
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return echelon(*args, **kwargs)
+    def counted(m, ncols, reduced, update=linalg_mod._integer_update):
+        if update is linalg_mod._integer_update:
+            calls.append(m)
+        return echelon(m, ncols, reduced, update)
 
     mp.setattr(linalg_mod, "_echelon", counted)
     return calls
@@ -430,6 +432,8 @@ def _count_echelon_calls(mp):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_drops_mod_3())
+@example(([[1, 1], [1, 2]], 2, False))  # full rank mod 3: certified, no fallback
+@example(([[1, 2, 0], [Fraction(1, 3), 0, 1]], 3, True))
 def test_rank_falls_back_when_the_prime_divides_a_minor(system):
     rows, ncols, scaled = system
     with pytest.MonkeyPatch.context() as mp:
@@ -437,8 +441,13 @@ def test_rank_falls_back_when_the_prime_divides_a_minor(system):
         calls = _count_echelon_calls(mp)
         r = exact_rank(rows, ncols)
     assert r == _oracle_rank(rows, ncols)
+    # the integer elimination runs exactly when the rank mod 3 is not full;
+    # for a drawn unscaled system that rank is 1, so only the fallback
+    # knows an r above 1
+    rank_mod_3 = dense_rank_mod_p([dense_integer_row(row) for row in rows], ncols, 3)
+    assert len(calls) == (rank_mod_3 < min(len(rows), ncols))
     if r > 1 and not scaled:
-        assert calls  # the rank mod 3 is at most 1: only the fallback knows r
+        assert calls or rank_mod_3 == r
 
 
 def test_rank_fallback_and_certificate_at_p_3(monkeypatch):

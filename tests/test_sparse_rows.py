@@ -131,6 +131,22 @@ def test_sparse_rank_mod_p_matches_the_dense_oracle(system, p):
     assert [_sparse_to_dense(row, ncols) for row in sparse] == dense  # input untouched
 
 
+@PROPERTY
+@given(_sparse_matrices(), st.sampled_from([linalg_mod.P, 3]))
+@example(([[1, 1, 2], [1, 4, 5], [2, 2, 1]], 3), 3)  # row 2 cancels to 0 mod 3
+def test_echelon_with_the_mod_p_update(system, p):
+    rows, ncols = system
+    dense = [dense_integer_row(row) for row in rows]
+    m = [{j: x % p for j, x in enumerate(row) if x % p} for row in dense]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_mod, "P", p)
+        pivots = linalg_mod._echelon(m, ncols, False, linalg_mod._mod_p_update)
+    assert len(pivots) == dense_rank_mod_p(dense, ncols, p)
+    assert all(0 < x < p for row in m for x in row.values())  # no zero stored
+    assert [min(row) for row in m[:len(pivots)]] == pivots
+    assert not any(m[len(pivots):])
+
+
 # -- the pivot choice cannot change an output -----------------------------
 
 

@@ -10,6 +10,7 @@ from graphcurves.errors import (
     DegenerateNode,
     InconsistentSpectralData,
     IrregularDeterminant,
+    NumericalError,
     ValidationError,
 )
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
@@ -19,6 +20,7 @@ from graphcurves.higgs import HiggsField, random_higgs_field
 from graphcurves.hitchin import is_regular, hitchin_image
 from graphcurves.spectral import (
     NodeLift,
+    _as_complex_framing,
     all_node_eigendata,
     anti_invariant_cycles,
     branch_points,
@@ -438,10 +440,11 @@ def test_random_regular_higgs_matches_component_oracle():
             field_coefficients(old_random_regular_higgs(a, seed=k)))
 
 
-def test_regular_field_combination_keeps_signed_zeros(monkeypatch):
-    # As in test_hitchin: only a planted basis shows the combination's
-    # starting value.  The one basis field is a regular Higgs field with an
-    # exactly zero coefficient, so c * 0j is a signed zero for some seeds.
+def _plant_signed_zero_basis(monkeypatch):
+    """Make higgs_space return one regular Higgs field on k4 with an
+    exactly zero coefficient, so c * 0j is a signed zero for some c; only
+    such a basis shows a combination's starting value.  Returns the
+    exact framing the field lies on."""
     import graphcurves.higgs as higgs_mod
     import graphcurves.spectral as spectral_mod
     from graphcurves.higgs import higgs_space
@@ -458,6 +461,44 @@ def test_regular_field_combination_keeps_signed_zeros(monkeypatch):
     report = KernelReport(domain=FLOAT, nrows=0, ncols=24, rank=0, basis=[phi])
     for mod in (higgs_mod, spectral_mod):
         monkeypatch.setattr(mod, "higgs_space", lambda framing: report)
+    return a
+
+
+def test_regular_field_combination_keeps_signed_zeros(monkeypatch):
+    # As in test_hitchin: only a planted basis shows the combination's
+    # starting value.
+    a = _plant_signed_zero_basis(monkeypatch)
     for seed in range(8):
         assert bits(random_regular_higgs(a, seed).coefficients) == bits(
             field_coefficients(old_random_regular_higgs(a, seed)))
+
+
+def _first_draw_is_regular(phi, framing):
+    if not is_regular(hitchin_image(phi)).regular:
+        return False
+    try:
+        all_node_eigendata(phi, framing)
+    except NumericalError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_first_regular_draw_is_random_higgs_field(monkeypatch, planted):
+    # random_regular_higgs draws by random_higgs_field's rule, so a regular
+    # first draw has its bits, signed zeros of a planted basis included
+    if planted:
+        framings = [_as_complex_framing(_plant_signed_zero_basis(monkeypatch))]
+    else:
+        graphs = [catalog_graph(n) for n in CATALOG_NAMES]
+        graphs += [random_trivalent(v, s) for v in (8, 20) for s in (0, 1)]
+        framings = [Framing.random(g, seed=s, domain=FLOAT) for g in graphs for s in (0, 1)]
+    checked = 0
+    for a in framings:
+        for seed in range(8 if planted else 2):
+            phi = random_higgs_field(a, seed)
+            if _first_draw_is_regular(phi, a):
+                checked += 1
+                assert bits(random_regular_higgs(a, seed).coefficients) == bits(
+                    phi.coefficients)
+    assert checked >= len(framings)
