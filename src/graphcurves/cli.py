@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -30,8 +31,7 @@ from .graphs import (CATALOG_NAMES, canonical_hash, catalog_graph,
                      graph_from_json, graph_to_json, random_trivalent)
 from .higgs import (higgs_residual, higgs_space, random_higgs_field,
                     residue_parameterization_matrix)
-from .hitchin import (hitchin_edge_coords, hitchin_image, hitchin_jacobian,
-                      is_regular, jacobian_fd_error)
+from .hitchin import hitchin_image, hitchin_jacobian, is_regular, jacobian_fd_error
 from .linalg import rank as matrix_rank
 from .scalars import EXACT, FLOAT
 from .sections import bires_coordinates, canonical_space, double_canonical_space
@@ -53,7 +53,8 @@ def _resolve_graph(spec: str):
     if spec in CATALOG_NAMES:
         return catalog_graph(spec), spec
     path = Path(spec)
-    if not path.exists():
+    # os.path.exists is False, where Path.exists raises, on a name too long
+    if not os.path.exists(path):
         raise ValidationError(f"{spec!r} is neither a catalog name nor a file")
     try:
         obj = json.loads(path.read_text())
@@ -175,7 +176,8 @@ def cmd_hitchin(args) -> dict:
     def one_trial(seed):
         framing = Framing.random(graph, seed, args.domain)
         phi = random_higgs_field(framing, seed)
-        coords = hitchin_edge_coords(phi)
+        omega = hitchin_image(phi)
+        coords = bires_coordinates([omega])[0]
         jac = hitchin_jacobian(phi, framing)
         # The finite-difference check runs in floats: on this trial's
         # framing, field and Jacobian when they are float, else on a float
@@ -188,7 +190,7 @@ def cmd_hitchin(args) -> dict:
                                            float_framing)
         return {
             "edge_coords": coords,
-            "regular": is_regular(hitchin_image(phi)).regular,
+            "regular": is_regular(omega).regular,
             "jacobian_rank": jac.rank,
             "fd_rel_err": fd_rel_err,
         }

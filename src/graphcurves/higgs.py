@@ -62,9 +62,10 @@ from random import Random
 from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .linalg import KernelReport, _clear_denominators, _float_kernel, solve_kernel
-from .matrices import SL2_BASIS, Mat2, adjoint_matrix, from_sl2_coords, sl2_coords
+from .matrices import (IDENTITY, SL2_BASIS, Mat2, adjoint_matrix, from_sl2_coords,
+                       sl2_coords)
 from .scalars import EXACT, FLOAT, _ComplexBatch, _from_pairs, _to_pairs, domain_of
-from .sections import RESIDUE_FUNCTIONAL, _residues, _VertexCoefficients
+from .sections import RESIDUE_FUNCTIONAL, _node_rows, _residues, _VertexCoefficients
 
 
 def _residue_coords(c, base: int, point: int):
@@ -112,28 +113,10 @@ def assemble_higgs_constraints(framing: Framing):
     its equation.
     """
     g = framing.graph
-    ncols = 6 * g.vertex_count
-    rows = []
-    for d, p in g.edges:
-        block = [[0] * ncols for _ in range(3)]
-        # Source side: identity transport.
-        func = RESIDUE_FUNCTIONAL[g.marked_point(d)]
-        base = 6 * g.vertex_of(d)
-        for r in range(3):
-            block[r][base + 2 * r] += func[0]
-            block[r][base + 2 * r + 1] += func[1]
-        # Target side conjugated by the transport into the source frame.
-        ad = adjoint_matrix(framing.matrix(d))
-        func = RESIDUE_FUNCTIONAL[g.marked_point(p)]
-        base = 6 * g.vertex_of(p)
-        for r in range(3):
-            for k in range(3):
-                coeff = ad[r][k]
-                if coeff:
-                    block[r][base + 2 * k] += coeff * func[0]
-                    block[r][base + 2 * k + 1] += coeff * func[1]
-        rows.extend(block)
-    return rows
+    # the source side in its own frame, the partner side transported into it
+    source = adjoint_matrix(IDENTITY)
+    blocks = ((source, adjoint_matrix(framing.matrix(a))) for a, _ in g.edges)
+    return _node_rows(g, 6, RESIDUE_FUNCTIONAL, blocks)
 
 
 def higgs_space(framing: Framing) -> KernelReport:

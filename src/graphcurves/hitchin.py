@@ -16,8 +16,9 @@ polarization of det.
 The kernels map a field's flat 6V coefficient tuple to the flat 3V
 (q0, q1, q2)-per-vertex tuple of a GlobalQuadratic.  The Jacobians run
 them in one of two ways.  Exact rows of hitchin_jacobian run on the
-integer numerators of the fields and divide once per entry, which gives
-the same Fractions as the rational computation.  Float rows, of
+integer numerators of the fields, matched by bires_coordinates' matcher
+(sections._integer_biresidues), and divide once per entry, which gives
+the same Fractions and messages as the rational computation.  Float rows, of
 hitchin_jacobian, finite_difference_jacobian and jacobian_fd_error, run
 the same kernels over the whole basis at once on complex batches
 (scalars._ComplexBatch), so every entry has the bits the kernels give
@@ -32,13 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MatchingViolated
 from .framings import Framing
 from .higgs import HiggsField, _working_form, higgs_space
 from .linalg import _clear_denominators, rank as matrix_rank
 from .scalars import EXACT, FLOAT, REGULAR_RTOL, _ComplexBatch, _from_pairs, _to_pairs
-from .sections import (GlobalQuadratic, _biresidues, _exact_biresidues,
-                       _float_biresidue_rows, _product_coefficients,
+from .sections import (GlobalQuadratic, _biresidues, _float_biresidue_rows,
+                       _integer_biresidues, _product_coefficients,
                        bires_coordinates)
 
 FD_STEP = 1e-5  # central-difference step of the finite-difference Jacobian
@@ -152,16 +152,10 @@ def _exact_jacobian_rows(phi: HiggsField, basis):
     g = phi.graph
     x, den_phi = _clear_denominators(phi.coefficients)
     int_rows, rows = [], []
-    for psi, (y, den_psi, _) in zip(basis, _working_form(basis, g, EXACT)):
-        try:
-            coords = _exact_biresidues(g, _polarization_coefficients(x, y))
-        except MatchingViolated:
-            # raise again with the rational bi-residues in the message
-            _exact_biresidues(g, _polarization_coefficients(
-                phi.coefficients, psi.coefficients))
-            raise
-        int_rows.append(coords)
+    for y, den_psi, _ in _working_form(basis, g, EXACT):
         den = den_phi * den_psi
+        coords = _integer_biresidues(g, _polarization_coefficients(x, y), den)
+        int_rows.append(coords)
         rows.append([Fraction(c, den) for c in coords])
     return int_rows, rows
 

@@ -17,16 +17,18 @@ and the sum of all three at 1 (_biresidues); three dimensions per vertex.
 Per-vertex data is one flat coefficient tuple, vertex by vertex:
 (r0, r1) per vertex for differentials (2V entries), (q0, q1, q2) per
 vertex for quadratic differentials (3V entries).  A global section is
-such a tuple whose residues cancel (for differentials) or whose
-bi-residues agree (for quadratic differentials) across every node.
-Global sections of the dualizing sheaf form a g-dimensional space; its
-square gives a (3g-3)-dimensional space on which the per-edge
-bi-residues are global coordinates.
+such a tuple that meets one node rule at every edge (a, b) (_node_rows):
+the functional at a's point plus a factor times the one at b's is zero,
+the factor being 1 for residues, -1 for bi-residues and Ad(a) for the
+residue matrices of Higgs fields.  Global sections of the dualizing
+sheaf form a g-dimensional space; its square gives a (3g-3)-dimensional
+space on which the per-edge bi-residues are global coordinates.
 """
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import MatchingViolated, ValidationError
 from .graphs import TrivalentGraph
@@ -120,23 +122,38 @@ class GlobalQuadratic(_VertexCoefficients):
     WIDTH = 3
 
 
+def _node_rows(graph: TrivalentGraph, width: int, functional, blocks):
+    """The node rows of width coefficients per vertex: per edge (a, b), n
+    rows block_a · functional[point of a] on a's vertex plus block_b ·
+    functional[point of b] on b's, for the pair of n-row blocks that
+    blocks gives per edge.  Block column k acts on the k-th run of
+    len(functional[0]) coordinates; a zero block entry writes nothing."""
+    per = len(functional[0])
+    ncols = width * graph.vertex_count
+    rows = []
+    for u, pu, w, pw, (block_a, block_b) in zip(*graph._edge_ends[0],
+                                                *graph._edge_ends[1], blocks):
+        edge_rows = [[0] * ncols for _ in block_a]
+        for v, point, block in ((u, pu, block_a), (w, pw, block_b)):
+            base = width * v
+            func = functional[point]
+            for row, block_row in zip(edge_rows, block):
+                for k, coeff in enumerate(block_row):
+                    if coeff:
+                        col = base + per * k
+                        for j, f in enumerate(func):
+                            row[col + j] += coeff * f
+        rows.extend(edge_rows)
+    return rows
+
+
 def canonical_matrix(graph: TrivalentGraph):
     """Residue-cancellation system for global differentials.
 
     One row per edge, columns (r0, r1) per vertex; entries are small
     integers, usable in either scalar domain.
     """
-    ncols = 2 * graph.vertex_count
-    rows = []
-    for a, b in graph.edges:
-        row = [0] * ncols
-        for d in (a, b):
-            base = 2 * graph.vertex_of(d)
-            func = RESIDUE_FUNCTIONAL[graph.marked_point(d)]
-            row[base] += func[0]
-            row[base + 1] += func[1]
-        rows.append(row)
-    return rows
+    return _node_rows(graph, 2, RESIDUE_FUNCTIONAL, repeat((((1,),), ((1,),))))
 
 
 def canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> KernelReport:
@@ -152,17 +169,7 @@ def double_canonical_matrix(graph: TrivalentGraph):
     One row per edge: the bi-residue functional on the lower-dart side
     minus the functional on the partner side.
     """
-    ncols = 3 * graph.vertex_count
-    rows = []
-    for a, b in graph.edges:
-        row = [0] * ncols
-        for d, sign in ((a, 1), (b, -1)):
-            base = 3 * graph.vertex_of(d)
-            func = BIRESIDUE_FUNCTIONAL[graph.marked_point(d)]
-            for j in range(3):
-                row[base + j] += sign * func[j]
-        rows.append(row)
-    return rows
+    return _node_rows(graph, 3, BIRESIDUE_FUNCTIONAL, repeat((((1,),), ((-1,),))))
 
 
 def double_canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> KernelReport:
@@ -180,7 +187,7 @@ def bires_coordinates(quadratics):
     has one row per quadratic, one scalar per edge in canonical edge
     order, and an empty sequence gives [].  The two sides of each node
     must agree.  When every quadratic is exact, each is matched exactly on
-    its integer numerators (_exact_biresidues).  Otherwise the whole
+    its integer numerators (_integer_biresidues).  Otherwise the whole
     sequence is FLOAT, as domain_of decides for a value, and is matched
     at once (_float_biresidue_rows), within MATCH_TOL relative to each
     quadratic's scale; its values are Python complex numbers.
@@ -231,25 +238,29 @@ def _exact_biresidues(g: TrivalentGraph, coeffs):
     """The per-edge bi-residues of one exact quadratic differential's flat
     coefficients, matched on their integer numerators.
 
-    The coefficients are cleared of denominators once, the bi-residues
-    compared as ints, and each edge's divided back once.  An entry has
-    the type rational arithmetic gives it: an int where every
-    coefficient it sums is an int, a Fraction otherwise.
+    An entry has the type rational arithmetic gives it: an int where
+    every coefficient it sums is an int, a Fraction otherwise.
     """
     ints, den = _clear_denominators(coeffs)
-    bires = list(map(_biresidues, ints[::3], ints[1::3], ints[2::3]))
-    # per bi-residue, the number of Fraction coefficients it sums
+    coords = _integer_biresidues(g, ints, den)
+    # per bi-residue, whether it sums a Fraction coefficient
     fractions = [not isinstance(x, int) for x in coeffs]
     kinds = list(map(_biresidues, fractions[::3], fractions[1::3], fractions[2::3]))
+    return [Fraction(n, den) if kinds[u][pu] else n // den
+            for n, u, pu in zip(coords, *g._edge_ends[0])]
 
-    def value(v, point):
-        n = bires[v][point]
-        return Fraction(n, den) if kinds[v][point] else n // den
 
+def _integer_biresidues(g: TrivalentGraph, ints, den):
+    """The exact bi-residue matcher, of bires_coordinates and of the exact
+    hitchin_jacobian rows: the per-edge bi-residues, as ints, of the flat
+    integer coefficients ints, a quadratic differential times den > 0.
+    MatchingViolated shows the two sides over den, as Fractions."""
+    bires = list(map(_biresidues, ints[::3], ints[1::3], ints[2::3]))
     coords = []
     for e, (u, pu, w, pw) in enumerate(zip(*g._edge_ends[0], *g._edge_ends[1])):
-        if bires[u][pu] != bires[w][pw]:
+        x, y = bires[u][pu], bires[w][pw]
+        if x != y:
             raise MatchingViolated(f"bi-residues differ across edge {e}: "
-                                   f"{value(u, pu)} vs {value(w, pw)}")
-        coords.append(value(u, pu))
+                                   f"{Fraction(x, den)} vs {Fraction(y, den)}")
+        coords.append(x)
     return coords

@@ -308,20 +308,53 @@ def old_twist_gluings(bundle, parameters):
     return gluings
 
 
-def higher_dart_higgs_constraints(framing):
-    """assemble_higgs_constraints with each edge's equation anchored at its
-    higher dart instead of its lower one.
+# The package's three node systems as separate loops, before one builder
+# (sections._node_rows) made all three; kept as bitwise oracles.
 
-    The two systems differ row by row (one is the other transported
-    across the node) but must have the same kernel.
-    """
+
+def old_canonical_matrix(graph):
+    from graphcurves.sections import RESIDUE_FUNCTIONAL
+
+    ncols = 2 * graph.vertex_count
+    rows = []
+    for a, b in graph.edges:
+        row = [0] * ncols
+        for d in (a, b):
+            base = 2 * graph.vertex_of(d)
+            func = RESIDUE_FUNCTIONAL[graph.marked_point(d)]
+            row[base] += func[0]
+            row[base + 1] += func[1]
+        rows.append(row)
+    return rows
+
+
+def old_double_canonical_matrix(graph):
+    from graphcurves.sections import BIRESIDUE_FUNCTIONAL
+
+    ncols = 3 * graph.vertex_count
+    rows = []
+    for a, b in graph.edges:
+        row = [0] * ncols
+        for d, sign in ((a, 1), (b, -1)):
+            base = 3 * graph.vertex_of(d)
+            func = BIRESIDUE_FUNCTIONAL[graph.marked_point(d)]
+            for j in range(3):
+                row[base + j] += sign * func[j]
+        rows.append(row)
+    return rows
+
+
+def old_higgs_constraints(framing, edges=None):
+    """assemble_higgs_constraints, each edge's equation anchored at the
+    first dart of its pair in edges (by default graph.edges, lower dart
+    first)."""
     from graphcurves.matrices import adjoint_matrix
     from graphcurves.sections import RESIDUE_FUNCTIONAL
 
     g = framing.graph
     ncols = 6 * g.vertex_count
     rows = []
-    for p, d in g.edges:
+    for d, p in g.edges if edges is None else edges:
         block = [[0] * ncols for _ in range(3)]
         func = RESIDUE_FUNCTIONAL[g.marked_point(d)]
         base = 6 * g.vertex_of(d)
@@ -339,6 +372,16 @@ def higher_dart_higgs_constraints(framing):
                     block[r][base + 2 * k + 1] += coeff * func[1]
         rows.extend(block)
     return rows
+
+
+def higher_dart_higgs_constraints(framing):
+    """assemble_higgs_constraints with each edge's equation anchored at its
+    higher dart instead of its lower one.
+
+    The two systems differ row by row (one is the other transported
+    across the node) but must have the same kernel.
+    """
+    return old_higgs_constraints(framing, [(b, a) for a, b in framing.graph.edges])
 
 
 # -- the per-component Hitchin layer, kept as a bitwise oracle -----------

@@ -388,8 +388,12 @@ def test_stdout_is_sorted_and_indented():
     assert proc.stdout == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def test_graph_directory_exits_2(tmp_path):
-    proc = run_cli("graph", "--graph", str(tmp_path), expect=2)
+@pytest.mark.parametrize("spec", [None, "a" * 5000, "a/" * 3000],
+                         ids=["directory", "long_name", "long_path"])
+def test_graph_directory_exits_2(tmp_path, spec):
+    # a directory, and names too long for the file system (ENAMETOOLONG)
+    proc = run_cli("graph", "--graph", str(tmp_path) if spec is None else spec,
+                   expect=2)
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
 

@@ -26,8 +26,8 @@ from graphcurves.higgs import (
 )
 
 from helpers import (bits, field_coefficients, higher_dart_higgs_constraints,
-                     minor_rank, old_higgs_residual, old_random_higgs_field,
-                     svd_kernel, svd_rank)
+                     minor_rank, old_higgs_constraints, old_higgs_residual,
+                     old_random_higgs_field, svd_kernel, svd_rank)
 
 
 GENERIC_DIM = {name: 3 * catalog_graph(name).genus - 3 for name in CATALOG_NAMES}
@@ -66,6 +66,26 @@ def test_higgs_dimension_identity_framing(name):
     g = catalog_graph(name)
     sp = higgs_space(Framing.identity(g))
     assert sp.dim == 3 * g.genus
+
+
+@pytest.mark.parametrize("graph", [
+    *CATALOG_NAMES, *((v, s) for v in (8, 20) for s in (0, 1))], ids=str)
+def test_higgs_constraints_match_the_loop(graph):
+    # the shared node builder gives the bits and types of the separate
+    # loop, on the loops of dumbbell and the parallel edges of theta, for
+    # integer, Fraction, float and identity float framings
+    g = catalog_graph(graph) if isinstance(graph, str) else random_trivalent(*graph)
+    rational = Mat2(Fraction(2), Fraction(1, 3), Fraction(0), Fraction(1, 2))
+    framings = [Framing.random(g, seed, domain) for seed in (0, 1)
+                for domain in (EXACT, FLOAT)]
+    framings += [Framing.identity(g, FLOAT),
+                 apply_gauge(GaugeTransform(g, [rational] * g.vertex_count), framings[0])]
+    kinds = set()
+    for framing in framings:
+        rows = assemble_higgs_constraints(framing)
+        assert bits(rows) == bits(old_higgs_constraints(framing))
+        kinds.update(type(x) for row in rows for x in row)
+    assert kinds == {int, Fraction, complex}
 
 
 def test_higgs_ranks_against_minor_oracle():

@@ -21,7 +21,8 @@ from graphcurves.sections import (
     multiply_differentials,
 )
 from helpers import (ComponentQuadratic, bits, minor_rank, old_bires_coordinates,
-                     residual, svd_rank)
+                     old_canonical_matrix, old_double_canonical_matrix, residual,
+                     svd_rank)
 
 
 def test_residue_functional_table():
@@ -107,6 +108,16 @@ def test_canonical_matrix_dumbbell():
         [-1, -1, -1, -1],
         [0, 0, 1, 1],
     ]
+
+
+@pytest.mark.parametrize("graph", [
+    *CATALOG_NAMES, *((v, s) for v in (8, 20) for s in (0, 1))], ids=str)
+def test_section_systems_match_the_loops(graph):
+    # the shared node builder gives the bits of the separate loops, on the
+    # loops of dumbbell and the parallel edges of theta
+    g = catalog_graph(graph) if isinstance(graph, str) else random_trivalent(*graph)
+    assert bits(canonical_matrix(g)) == bits(old_canonical_matrix(g))
+    assert bits(double_canonical_matrix(g)) == bits(old_double_canonical_matrix(g))
 
 
 # ranks frozen from the determinant-minor oracle
