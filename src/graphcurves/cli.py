@@ -25,8 +25,8 @@ from pathlib import Path
 
 from . import spectral as spectral_mod
 from .errors import GraphCurveError, NumericalError, ValidationError
-from .framings import (Framing, flat_linearization, flat_local_dimension,
-                       subspace_flags, vertex_relation_residual, zero_section)
+from .framings import (Framing, flat_linearization, subspace_flags,
+                       vertex_relation_residual, zero_section)
 from .graphs import (CATALOG_NAMES, canonical_hash, catalog_graph,
                      graph_from_json, graph_to_json, random_trivalent)
 from .higgs import (higgs_residual, higgs_space, random_higgs_field,
@@ -142,11 +142,14 @@ def cmd_flat(args) -> dict:
     def one_trial(seed):
         framing = Framing.random(graph, seed, args.domain)
         bundle = zero_section(framing)
+        # flat_local_dimension's check cannot fire: int IDENTITY meridians give 0
+        rows = flat_linearization(bundle)
+        ncols = 3 * len(graph.edges)
         return {
-            "local_dim": flat_local_dimension(bundle),
+            "local_dim": ncols - matrix_rank(rows, ncols, args.domain),
             "vertex_residual": float(vertex_relation_residual(bundle)),
             "linearization_matches_higgs":
-                residue_parameterization_matrix(framing) == flat_linearization(bundle),
+                residue_parameterization_matrix(framing) == rows,
             "flags": subspace_flags(bundle),
         }
 

@@ -34,8 +34,8 @@ from random import Random
 from .errors import NotOnVariety, ValidationError
 from .graphs import TrivalentGraph
 from .linalg import rank
-from .matrices import (IDENTITY, Mat2, SL2_BASIS, check_unimodular, random_unimodular,
-                       sl2_coords)
+from .matrices import (IDENTITY, Mat2, _conjugation, check_unimodular,
+                       random_unimodular)
 from .scalars import EXACT, FLAT_TOL, IDENTITY_TOL, check_domain, domain_of
 
 
@@ -296,28 +296,19 @@ def apply_gauge_bundle(gauge: GaugeTransform,
 def flat_linearization(bundle: SurfaceFlatBundle):
     """Jacobian of the vertex relations in per-edge meridian coordinates.
 
-    Each edge contributes three parameters: the meridian on its lower
+    Each edge contributes three parameters: the meridian mu on its lower
     dart moves as mu -> exp(t X) mu for X in the traceless basis, and the
-    partner side follows through the edge compatibility.  Rows are the
-    (x11, x12, x21) coordinates of d(product) * product^-1 per vertex,
-    vertices in order; columns are edges in canonical order, three per
-    edge in basis order.
+    partner's, by edge compatibility, by -A mu^-1 X A^-1, A = a(partner).
+    Rows are the (x11, x12, x21) coordinates of d(product) * product^-1
+    per vertex, vertices in order; columns are edges in canonical order,
+    three per edge in basis order.  A slot's block is X -> left X right
+    (matrices._conjugation), with prefix and suffix the meridian products
+    before and after the slot and f the whole product: left = prefix and
+    right = mu suffix f^-1 on a lower dart, left = -prefix A mu^-1 and
+    right = A^-1 suffix f^-1 on a partner.  right is not left^-1, since
+    the constructor accepts meridians that break edge compatibility.
     """
     g = bundle.graph
-    a = bundle.framing
-
-    # Derivative of each dart's meridian for a unit move on its edge parameter.
-    # Lower dart: X mu(d).  Partner dart: -a(partner) mu(d)^-1 X a(partner)^-1.
-    dmu = {}  # (dart, basis index) -> Mat2
-    for e, (lo, hi) in enumerate(g.edges):
-        mu = bundle.meridian(lo)
-        mu_inv = mu.inv()
-        t = a.matrix(hi)
-        t_inv = t.inv()
-        for k, basis in enumerate(SL2_BASIS):
-            dmu[(lo, k)] = basis * mu
-            dmu[(hi, k)] = -(t * mu_inv * basis * t_inv)
-
     ncols = 3 * len(g.edges)
     rows = []
     for v in range(g.vertex_count):
@@ -330,13 +321,16 @@ def flat_linearization(bundle: SurfaceFlatBundle):
         blocks = [[0] * ncols for _ in range(3)]
         for i, d in enumerate(darts):
             e = g.edge_index(d)
-            for k in range(3):
-                contrib = prefix[i] * dmu[(d, k)] * suffix[i] * f_inv
-                x11, x12, x21 = sl2_coords(contrib)
-                col = 3 * e + k
-                blocks[0][col] += x11
-                blocks[1][col] += x12
-                blocks[2][col] += x21
+            lo = g.edges[e][0]
+            if d == lo:
+                left, right = prefix[i], mats[i] * suffix[i] * f_inv
+            else:
+                t = bundle.framing.matrix(d)
+                left = -(prefix[i] * t * bundle.meridian(lo).inv())
+                right = t.inv() * suffix[i] * f_inv
+            for block, coeffs in zip(blocks, _conjugation(left, right)):
+                for k, x in enumerate(coeffs):
+                    block[3 * e + k] += x
         rows.extend(blocks)
     return rows
 

@@ -62,8 +62,7 @@ from random import Random
 from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
 from .linalg import KernelReport, _clear_denominators, _float_kernel, solve_kernel
-from .matrices import (IDENTITY, SL2_BASIS, Mat2, adjoint_matrix, from_sl2_coords,
-                       sl2_coords)
+from .matrices import IDENTITY, Mat2, _conjugation, adjoint_matrix, from_sl2_coords
 from .scalars import EXACT, FLOAT, _ComplexBatch, _from_pairs, _to_pairs, domain_of
 from .sections import RESIDUE_FUNCTIONAL, _node_rows, _residues, _VertexCoefficients
 
@@ -280,8 +279,8 @@ def higgs_residual(fields, framing: Framing):
     their working form (_working_form), so a field on another graph
     raises ValidationError; an empty one gives 0.  The check reads the
     residues and the framing matrices themselves, never the rows of
-    assemble_higgs_constraints, so it checks that assembly
-    independently.  The work of an edge (its
+    assemble_higgs_constraints; the exact check shares only
+    matrices._conjugation with it.  The work of an edge (its
     transport and its inverse) is done once for all the fields.
 
     An exact field is checked on integers where the edge's matrix is
@@ -310,29 +309,22 @@ def higgs_residual(fields, framing: Framing):
                _float_residual(float_fields, framing, range(len(g.edges))))
 
 
-def _conjugation_coefficients(p, q, r, s):
-    """The nine ints of X -> T X adj(T), T = [[p, q], [r, s]], on
-    (x11, x12, x21) coordinates, row by row (a row per image coordinate)."""
-    t, adj = Mat2(p, q, r, s), Mat2(s, -q, -r, p)
-    cols = [sl2_coords(t * e * adj) for e in SL2_BASIS]
-    return tuple(cols[k][row] for row in range(3) for k in range(3))
-
-
 def _exact_residual(fields, framing: Framing, edges):
     """higgs_residual of exact fields over the edges (indices) with exact
-    matrices."""
+    matrices T/d, on ints: d^2 times the source plus _conjugation(T, adj T),
+    adj T = [[s, -q], [-r, p]] for T = [[p, q], [r, s]], on the partner."""
     if not (fields and edges):
         return 0
     g = framing.graph
     (vs, ps), (vt, pt) = g._edge_ends
     hoisted = []
     for e in edges:
-        entries, d = _clear_denominators(framing.matrix(g.edges[e][0]).entries())
+        (p, q, r, s), d = _clear_denominators(framing.matrix(g.edges[e][0]).entries())
         hoisted.append((vs[e], ps[e], vt[e], pt[e], d * d,
-                        _conjugation_coefficients(*entries)))
+                        _conjugation(Mat2(p, q, r, s), Mat2(s, -q, -r, p))))
     worst = 0
     for c, den, live in _working_form(fields, g, EXACT):
-        for u, pu, w, pw, dd, (a0, a1, a2, b0, b1, b2, c0, c1, c2) in hoisted:
+        for u, pu, w, pw, dd, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) in hoisted:
             if not (live[u] or live[w]):
                 continue
             x0, x1, x2 = _residue_coords(c, 6 * u, pu)

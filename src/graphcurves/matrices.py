@@ -3,6 +3,9 @@
 Traceless matrices are written in the coordinate triple
 ``(x11, x12, x21)`` with the (2,2) entry implied as ``-x11``; the basis
 behind those coordinates is :data:`SL2_BASIS`.
+
+Every sl2 transport, across a node or by a gauge, reads one closed-form
+kernel, _conjugation(g, h), the matrix of X -> g X h in those coordinates.
 """
 from __future__ import annotations
 
@@ -97,14 +100,20 @@ def from_sl2_coords(x11, x12, x21) -> Mat2:
     return Mat2(x11, x12, x21, -x11)
 
 
-def adjoint_matrix(g: Mat2):
-    """3x3 matrix of m -> g m g^-1 on (x11, x12, x21) coordinates.
+def _conjugation(g: Mat2, h: Mat2):
+    """3x3 matrix of X -> g X h on (x11, x12, x21) coordinates, nested tuples:
+    column k is sl2_coords(g E_k h), each entry paired as the Mat2 product
+    (g E_k) h pairs it, so a float entry rounds as there."""
+    (a, b, c, d), (p, q, r, s) = g.entries(), h.entries()
+    return ((a * p - b * r, a * r, b * p),
+            (a * q - b * s, a * s, b * q),
+            (c * p - d * r, c * r, d * p))
 
-    Returned as nested tuples, rows indexing the image coordinate.
-    """
-    g_inv = g.inv()
-    cols = [sl2_coords(g * e * g_inv) for e in SL2_BASIS]
-    return tuple(tuple(cols[k][r] for k in range(3)) for r in range(3))
+
+def adjoint_matrix(g: Mat2):
+    """3x3 matrix of m -> g m g^-1 on (x11, x12, x21) coordinates, rows
+    indexing the image coordinate: the kernel _conjugation(g, g.inv())."""
+    return _conjugation(g, g.inv())
 
 
 def mat_close(m1: Mat2, m2: Mat2, tol) -> bool:

@@ -344,11 +344,57 @@ def old_double_canonical_matrix(graph):
     return rows
 
 
+def old_adjoint_matrix(g):
+    """adjoint_matrix through Mat2 products: column k is the coordinates
+    of (g E_k) g^-1 for E_k in SL2_BASIS."""
+    from graphcurves.matrices import SL2_BASIS, sl2_coords
+
+    g_inv = g.inv()
+    cols = [sl2_coords(g * e * g_inv) for e in SL2_BASIS]
+    return tuple(tuple(cols[k][r] for k in range(3)) for r in range(3))
+
+
+def old_flat_linearization(bundle):
+    """flat_linearization through Mat2 products: the derivative of each
+    dart's meridian for a unit move on its edge parameter, in a table,
+    then prefix * derivative * suffix * product^-1 per vertex slot."""
+    from graphcurves.matrices import IDENTITY, SL2_BASIS, sl2_coords
+
+    g = bundle.graph
+    a = bundle.framing
+    # Lower dart: X mu(d).  Partner dart: -a(partner) mu(d)^-1 X a(partner)^-1.
+    dmu = {}
+    for lo, hi in g.edges:
+        mu = bundle.meridian(lo)
+        mu_inv = mu.inv()
+        t = a.matrix(hi)
+        t_inv = t.inv()
+        for k, basis in enumerate(SL2_BASIS):
+            dmu[(lo, k)] = basis * mu
+            dmu[(hi, k)] = -(t * mu_inv * basis * t_inv)
+    ncols = 3 * len(g.edges)
+    rows = []
+    for v in range(g.vertex_count):
+        darts = g.vertex_darts(v)
+        mats = [bundle.meridian(d) for d in darts]
+        f_inv = (mats[0] * mats[1] * mats[2]).inv()
+        prefix = [IDENTITY, mats[0], mats[0] * mats[1]]
+        suffix = [mats[1] * mats[2], mats[2], IDENTITY]
+        blocks = [[0] * ncols for _ in range(3)]
+        for i, d in enumerate(darts):
+            e = g.edge_index(d)
+            for k in range(3):
+                contrib = prefix[i] * dmu[(d, k)] * suffix[i] * f_inv
+                for block, x in zip(blocks, sl2_coords(contrib)):
+                    block[3 * e + k] += x
+        rows.extend(blocks)
+    return rows
+
+
 def old_higgs_constraints(framing, edges=None):
     """assemble_higgs_constraints, each edge's equation anchored at the
     first dart of its pair in edges (by default graph.edges, lower dart
     first)."""
-    from graphcurves.matrices import adjoint_matrix
     from graphcurves.sections import RESIDUE_FUNCTIONAL
 
     g = framing.graph
@@ -361,7 +407,7 @@ def old_higgs_constraints(framing, edges=None):
         for r in range(3):
             block[r][base + 2 * r] += func[0]
             block[r][base + 2 * r + 1] += func[1]
-        ad = adjoint_matrix(framing.matrix(d))
+        ad = old_adjoint_matrix(framing.matrix(d))
         func = RESIDUE_FUNCTIONAL[g.marked_point(p)]
         base = 6 * g.vertex_of(p)
         for r in range(3):

@@ -25,7 +25,10 @@ Markdown table row per stage and V, with an exact and a float column:
 * ``bires_coordinates`` over the double-canonical basis, in one call;
 * hitchin trial: one ``cli.main(["hitchin", ...])`` call in the domain
   on a temporary JSON file of the graph, from reading the file through
-  printing the report, with stdout and stderr captured.
+  printing the report, with stdout and stderr captured;
+* Higgs assembly: ``assemble_higgs_constraints`` on a fresh framing,
+  built untimed, as for the Higgs solve;
+* flat linearization: ``flat_linearization(zero_section(framing))``.
 
 The numbers are wall times of one process on a possibly shared machine;
 compare stages within one run and claim speed-ups only from the
@@ -59,7 +62,7 @@ from pathlib import Path
 
 STAGES = ("Higgs solve", "higgs_residual over the basis", "hitchin_jacobian",
           "FD rows", "FD compare", "bires_coordinates over the 2K basis",
-          "hitchin trial")
+          "hitchin trial", "Higgs assembly", "flat linearization")
 
 
 def _times(repeats, run, setup=lambda: None):
@@ -86,9 +89,10 @@ def _hitchin_trial(path: str, seed: int, domain: str) -> None:
 
 def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
     from graphcurves import hitchin
-    from graphcurves.framings import Framing
+    from graphcurves.framings import Framing, flat_linearization, zero_section
     from graphcurves.graphs import graph_to_json, random_trivalent
-    from graphcurves.higgs import higgs_residual, higgs_space, random_higgs_field
+    from graphcurves.higgs import (assemble_higgs_constraints, higgs_residual,
+                                   higgs_space, random_higgs_field)
     from graphcurves.hitchin import hitchin_jacobian, jacobian_fd_error
     from graphcurves.sections import bires_coordinates, double_canonical_space
 
@@ -126,6 +130,9 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
         fd_compare,
         _times(repeats, lambda _: bires_coordinates(quadratics)),
         trial,
+        _times(repeats, assemble_higgs_constraints,
+               lambda: Framing.random(graph, seed, domain)),
+        _times(repeats, lambda _: flat_linearization(zero_section(framing))),
     )
     return dict(zip(STAGES, times))
 
