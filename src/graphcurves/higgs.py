@@ -24,8 +24,11 @@ Jacobians of hitchin, called without a basis, reuse that solve.
 
 The two domains solve different systems for the same space.  An exact
 framing solves the node-cancellation system above (3E rows, 6V
-columns): its reduced echelon form gives the canonical basis, one field
-per free coefficient, that the exact outputs are built on.  A float
+columns), sparse from end to end: its rows are built as primitive
+{column: int} maps, and linalg's one kernel reader reads the canonical
+basis off their reduced echelon form, one field per free coefficient,
+as integer numerators over an lcm denominator.  The exact outputs are
+built on that basis.  A float
 framing solves the per-vertex sums in per-edge residue coordinates (3V
 rows, 3E columns, the system flat ranks, residue_parameterization_matrix):
 one traceless residue per edge fixes the field, its partner being the
@@ -44,24 +47,34 @@ one pass: the per-edge work is done once for all the fields, exact
 fields on exact edges run on integer numerators, and every other field
 and edge on float64 arrays with the rounding of the Mat2 product.  It
 reads the residue matrices and the framing matrices themselves, not the
-rows that assemble_higgs_constraints builds from them, so a fault in the
-assembly shows as a nonzero residual instead of cancelling out.
+rows that the solves build from them, so a fault in the assembly shows
+as a nonzero residual instead of cancelling out.
 
 Every kernel reads a sequence of fields in one working form per domain
-(_working_form).  A basis from higgs_space keeps each form, read-only,
-once the first kernel has made it (the float solve makes its own), so
-no kernel converts that basis again.
+(_working_form).  The exact form is sparse: per field, its lcm
+denominator and the six integer numerators of each live vertex, one
+with a nonzero coefficient.  A field of the exact basis lives on about
+a third of the vertices at V = 40, and the exact kernels (higgs_residual,
+random_higgs_field and hitchin's Jacobian rows) work on the live
+vertices and the edges at them only.  The float form is the complex
+batch of the coefficients.  Each solve makes its own form, and the
+basis it returns (_Basis, one type for both domains) keeps it, read-only,
+so no kernel converts that basis.  The basis makes its HiggsFields, of
+Fraction or complex coefficients, only when a caller first indexes,
+slices or iterates it, and no CLI path does.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
-from .linalg import KernelReport, _clear_denominators, _float_kernel, solve_kernel
+from .linalg import (KernelReport, _clear_denominators, _float_kernel, _integer_kernel,
+                     solve_kernel)
 from .matrices import IDENTITY, Mat2, _conjugation, adjoint_matrix, from_sl2_coords
 from .scalars import EXACT, FLOAT, _ComplexBatch, _from_pairs, _to_pairs, domain_of
 from .sections import RESIDUE_FUNCTIONAL, _node_rows, _residues, _VertexCoefficients
@@ -122,69 +135,193 @@ def higgs_space(framing: Framing) -> KernelReport:
     """The framing's Higgs space, solved in its domain, as HiggsFields.
 
     An exact framing solves the node-cancellation system
-    (assemble_higgs_constraints); the basis is read off its reduced
-    echelon form, one field per free coefficient, and defines the exact
-    output.  A float framing solves the smaller per-vertex-sum system in
-    per-edge residue coordinates (_float_residue_system), by QR when
-    linalg's full-rank certificate holds and by SVD otherwise, and lifts
-    that kernel to the 6V coefficients (_float_higgs_space).
-    Either way the report describes the node-cancellation system: ncols
-    is 6V, nrows its 3E rows and rank 6V - dim.
+    (assemble_higgs_constraints) on sparse integers (_exact_higgs_space);
+    the basis is read off its reduced echelon form, one field per free
+    coefficient, and defines the exact output.  A float framing solves
+    the smaller per-vertex-sum system in per-edge residue coordinates
+    (_float_residue_system), by QR when linalg's full-rank certificate
+    holds and by SVD otherwise, and lifts that kernel to the 6V
+    coefficients (_float_higgs_space).  Either way the report describes
+    the node-cancellation system: ncols is 6V, nrows its 3E rows and
+    rank 6V - dim.
 
     A framing's matrices never change, so the space is solved once per
     framing, on the first call, and the report is stored on the framing
-    and shared by every later call.  Its basis is a tuple, and it keeps
-    its working form per domain (_working_form) read-only, so no caller
-    can change the basis another caller sees.
+    and shared by every later call.  Its basis (_Basis) is an immutable
+    sequence that keeps its working form per domain (_working_form)
+    read-only, so no caller can change the basis another caller sees.
     """
     if framing._higgs_space is None:
-        g = framing.graph
-        if framing.domain == EXACT:
-            report = solve_kernel(assemble_higgs_constraints(framing),
-                                  6 * g.vertex_count, EXACT)
-            report.basis = _Basis(HiggsField(g, vec) for vec in report.basis)
-        else:
-            report = _float_higgs_space(framing)
-        framing._higgs_space = report
+        solve = _exact_higgs_space if framing.domain == EXACT else _float_higgs_space
+        framing._higgs_space = solve(framing)
     return framing._higgs_space
 
 
-class _Basis(tuple):
-    """A Higgs basis as higgs_space returns it: a tuple of HiggsFields that
-    keeps its working form in each domain once made, forms[domain]."""
+class _Basis(Sequence):
+    """A Higgs basis as higgs_space returns it, in either domain: an
+    immutable sequence of size HiggsFields on graph, all of domain.
 
-    def __new__(cls, fields, forms=()):
-        basis = super().__new__(cls, fields)
-        basis.forms = dict(forms)
-        return basis
+    It keeps its working form per domain, forms[domain] (_working_form),
+    starting with the one its solve made.  The fields are made when a
+    caller first indexes, slices or iterates the basis, from
+    coefficients(), which gives each field's coefficients as the solve
+    has already checked them; len, the forms, the graph and the domain
+    are read without making them.
+    """
+
+    __slots__ = ("graph", "domain", "forms", "_size", "_coefficients", "_fields")
+
+    def __init__(self, graph, domain: str, size: int, forms: dict, coefficients):
+        self.graph, self.domain, self.forms = graph, domain, forms
+        self._size, self._coefficients, self._fields = size, coefficients, None
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def _read(self):
+        """The tuple of HiggsFields, made on the first call."""
+        if self._fields is None:
+            self._fields = tuple(HiggsField._checked(self.graph, tuple(c), self.domain)
+                                 for c in self._coefficients())
+            self._coefficients = None
+        return self._fields
+
+
+def _domains(fields) -> set:
+    """The domains of the fields; a basis from higgs_space gives its own
+    without making its fields."""
+    if isinstance(fields, _Basis):
+        return {fields.domain} if fields else set()
+    return {phi.domain for phi in fields}
 
 
 def _working_form(fields, graph, domain: str):
     """The form in which the kernels read a sequence of HiggsFields on graph.
 
-    EXACT: per field, its integer numerators, their lcm denominator
-    (linalg._clear_denominators) and its live vertices, one bool per
-    vertex that has a nonzero coefficient.  FLOAT: the complex batch of
-    the coefficients, one row per field (scalars._to_pairs).
-    A basis from higgs_space keeps each form once made, the float one
-    taken from the solve's own array with the same bits; any other
-    sequence is converted on each call.  The form is read-only: tuples,
-    and arrays that cannot be written.  Raises ValidationError when a
-    field lies on another graph.
+    EXACT: per field, (live, den): den the lcm denominator of its
+    coefficients, and live the pairs (v, the six integer numerators of
+    vertex v) of the vertices v with a nonzero coefficient, in increasing
+    order (_live_form).  FLOAT: the complex batch of the coefficients,
+    one row per field (scalars._to_pairs).  A basis from higgs_space
+    keeps each form once made, starting with the one its solve made, and
+    is read without making its fields; any other sequence is converted
+    on each call.  The form is read-only: tuples, and arrays that cannot
+    be written.  Raises ValidationError when a field lies on another
+    graph.
     """
-    if any(phi.graph != graph for phi in fields):
+    if isinstance(fields, _Basis):
+        forms, graphs = fields.forms, [fields.graph]
+    else:
+        forms, graphs = {}, (phi.graph for phi in fields)
+    if any(other != graph for other in graphs):
         raise ValidationError("Higgs fields on another graph")
-    forms = getattr(fields, "forms", {})
     if domain not in forms:
         if domain == EXACT:
             cleared = (_clear_denominators(phi.coefficients) for phi in fields)
-            forms[EXACT] = tuple(
-                (tuple(c), den, tuple(any(c[i:i + 6]) for i in range(0, len(c), 6)))
-                for c, den in cleared)
+            forms[EXACT] = tuple(_live_form(((j, x) for j, x in enumerate(c) if x), den)
+                                 for c, den in cleared)
         else:
             forms[FLOAT] = _read_only(_to_pairs([phi.coefficients for phi in fields],
                                                 6 * graph.vertex_count))
     return forms[domain]
+
+
+def _live_form(numerators, den):
+    """One field's exact working form (_working_form) from its nonzero
+    integer numerators, as (column, int) pairs, and their lcm denominator."""
+    live = {}
+    for j, x in numerators:
+        v, i = divmod(j, 6)
+        six = live.get(v)
+        if six is None:
+            six = live[v] = [0] * 6
+        six[i] = x
+    return tuple(sorted((v, tuple(six)) for v, six in live.items())), den
+
+
+def _edges_at(graph, vertices):
+    """The indices of the edges with an end at one of the vertices, in
+    increasing order."""
+    return sorted({graph._edge_of_dart[d] for v in vertices
+                   for d in graph._vertex_darts[v]})
+
+
+def _integer_transport(a: Mat2):
+    """(d^2, d^2 Ad(a)) on ints for an exact matrix a = T/d, T an integer
+    matrix: det T = d^2 and a^-1 = adj(T)/d, so d^2 Ad(a) is
+    _conjugation(T, adj T), adj T = [[s, -q], [-r, p]] for
+    T = [[p, q], [r, s]]."""
+    (p, q, r, s), d = _clear_denominators(a.entries())
+    return d * d, _conjugation(Mat2(p, q, r, s), Mat2(s, -q, -r, p))
+
+
+def _integer_higgs_rows(framing: Framing):
+    """assemble_higgs_constraints of an exact framing as primitive sparse
+    integer rows, each the linalg._integer_row of the dense row: d^2
+    times an edge's three rows, for the matrix a = T/d of its lower dart,
+    is d^2 times the source functional plus d^2 Ad(a) (_integer_transport)
+    on the partner, all integers, and the content of each row is divided
+    out.
+    """
+    g = framing.graph
+    rows = []
+    for u, pu, w, pw, (a, _) in zip(*g._edge_ends[0], *g._edge_ends[1], g.edges):
+        dd, transport = _integer_transport(framing.matrix(a))
+        source, partner = RESIDUE_FUNCTIONAL[pu], RESIDUE_FUNCTIONAL[pw]
+        for k in range(3):
+            row = {6 * u + 2 * k + j: dd * f for j, f in enumerate(source) if f}
+            for i, coeff in enumerate(transport[k]):
+                if coeff:
+                    for j, f in enumerate(partner):
+                        if f:
+                            col = 6 * w + 2 * i + j
+                            y = row.get(col, 0) + coeff * f
+                            if y:
+                                row[col] = y
+                            else:  # a loop's two sides cancel
+                                del row[col]
+            content = math.gcd(*row.values())
+            rows.append({j: x // content for j, x in row.items()} if content > 1 else row)
+    return rows
+
+
+def _exact_higgs_space(framing: Framing) -> KernelReport:
+    """higgs_space of an exact framing, sparse from end to end.
+
+    The node-cancellation system is built as sparse integer rows
+    (_integer_higgs_rows), and linalg._integer_kernel reads its kernel
+    off their reduced echelon form: per free coefficient, the numerators
+    of a field over their lcm denominator.  Grouped by live vertex
+    (_live_form), they are the basis's exact working form; the Fraction
+    fields are made from it on first read (_exact_coefficients).
+    """
+    g = framing.graph
+    ncols = 6 * g.vertex_count
+    kernel = _integer_kernel(_integer_higgs_rows(framing), ncols)
+    form = tuple(_live_form(ints.items(), den) for ints, den in kernel)
+    basis = _Basis(g, EXACT, len(form), {EXACT: form},
+                   lambda: _exact_coefficients(form, ncols))
+    return KernelReport(domain=EXACT, nrows=3 * len(g.edges), ncols=ncols,
+                        rank=ncols - len(basis), basis=basis)
+
+
+def _exact_coefficients(form, ncols):
+    """The Fraction coefficients of each field of an exact working form,
+    Fraction(0) where the form has none."""
+    zero = Fraction(0)
+    for live, den in form:
+        c = [zero] * ncols
+        for v, six in live:
+            for i, x in enumerate(six, 6 * v):
+                if x:
+                    c[i] = Fraction(x, den)
+        yield c
 
 
 def _read_only(arrays):
@@ -266,8 +403,9 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
             if point != 2:
                 coeffs[:, v, :, point] = residues[e]
     z = np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)[0].T
-    basis = _Basis((HiggsField(g, vec) for vec in z.tolist()),
-                   {FLOAT: _read_only(_to_pairs(z, ncols))})
+    if not np.isfinite(z).all():
+        raise ValidationError("float coefficients must be finite")
+    basis = _Basis(g, FLOAT, len(z), {FLOAT: _read_only(_to_pairs(z, ncols))}, z.tolist)
     return KernelReport(domain=FLOAT, nrows=3 * nedges, ncols=ncols,
                         rank=ncols - len(basis), basis=basis)
 
@@ -279,16 +417,17 @@ def higgs_residual(fields, framing: Framing):
     their working form (_working_form), so a field on another graph
     raises ValidationError; an empty one gives 0.  The check reads the
     residues and the framing matrices themselves, never the rows of
-    assemble_higgs_constraints; the exact check shares only
-    matrices._conjugation with it.  The work of an edge (its
-    transport and its inverse) is done once for all the fields.
+    assemble_higgs_constraints or _integer_higgs_rows; the exact check
+    shares only an edge's integer transport (_integer_transport) with
+    the exact solve.  The work of an edge (its transport and its
+    inverse) is done once for all the fields.
 
     An exact field is checked on integers where the edge's matrix is
     exact (every entry an int or Fraction): with phi scaled by its lcm
     denominator L and a = T/d for an integer matrix T,
-    d^2 L (R_s + a R_t a^-1) = d^2 L R_s + T (L R_t) adj(T), since a^-1
-    is the adjugate of a (det a = 1).  An edge whose two vertices carry
-    only zero coefficients has residual 0 there and is skipped.  Every
+    d^2 L (R_s + a R_t a^-1) = d^2 L R_s + T (L R_t) adj(T).  Only the
+    edges at the field's live vertices are checked: on any other edge
+    both sides are zero.  Every
     other field and edge is checked in floats, all at once
     (_float_residual), to the bits of the Mat2 product on the fields'
     complex copies.  The result is 0, a Fraction or a float.
@@ -298,12 +437,14 @@ def higgs_residual(fields, framing: Framing):
     for e, (a, _) in enumerate(g.edges):
         exact = domain_of(*framing.matrix(a).entries()) == EXACT
         (exact_edges if exact else float_edges).append(e)
-    exact_fields = [phi for phi in fields if phi.domain == EXACT]
-    float_fields = [phi for phi in fields if phi.domain != EXACT]
-    if not (exact_fields and float_fields):
+    domains = _domains(fields)
+    if len(domains) == 2:
+        exact_fields = [phi for phi in fields if phi.domain == EXACT]
+        float_fields = [phi for phi in fields if phi.domain != EXACT]
+    else:
         # fields of one domain, such as a basis, are read whole, in the
         # working form a basis keeps
-        exact_fields, float_fields = (fields, []) if exact_fields else ([], fields)
+        exact_fields, float_fields = (fields, []) if EXACT in domains else ([], fields)
     return max(_exact_residual(exact_fields, framing, exact_edges),
                _float_residual(exact_fields, framing, float_edges),
                _float_residual(float_fields, framing, range(len(g.edges))))
@@ -311,24 +452,29 @@ def higgs_residual(fields, framing: Framing):
 
 def _exact_residual(fields, framing: Framing, edges):
     """higgs_residual of exact fields over the edges (indices) with exact
-    matrices T/d, on ints: d^2 times the source plus _conjugation(T, adj T),
-    adj T = [[s, -q], [-r, p]] for T = [[p, q], [r, s]], on the partner."""
+    matrices T/d, on ints: d^2 times the source plus d^2 Ad(T/d)
+    (_integer_transport) on the partner, on the edges at each field's
+    live vertices."""
     if not (fields and edges):
         return 0
     g = framing.graph
     (vs, ps), (vt, pt) = g._edge_ends
-    hoisted = []
+    hoisted = [None] * len(g.edges)
     for e in edges:
-        (p, q, r, s), d = _clear_denominators(framing.matrix(g.edges[e][0]).entries())
-        hoisted.append((vs[e], ps[e], vt[e], pt[e], d * d,
-                        _conjugation(Mat2(p, q, r, s), Mat2(s, -q, -r, p))))
+        hoisted[e] = (vs[e], ps[e], vt[e], pt[e],
+                      *_integer_transport(framing.matrix(g.edges[e][0])))
+    none = ((0, 0, 0),) * 3
     worst = 0
-    for c, den, live in _working_form(fields, g, EXACT):
-        for u, pu, w, pw, dd, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) in hoisted:
-            if not (live[u] or live[w]):
+    for live, den in _working_form(fields, g, EXACT):
+        # per live vertex, _residue_coords at each marked point
+        residues = {v: ((c0, c2, c4), (c1, c3, c5), (-(c0 + c1), -(c2 + c3), -(c4 + c5)))
+                    for v, (c0, c1, c2, c3, c4, c5) in live}
+        for e in _edges_at(g, residues):
+            if hoisted[e] is None:
                 continue
-            x0, x1, x2 = _residue_coords(c, 6 * u, pu)
-            y0, y1, y2 = _residue_coords(c, 6 * w, pw)
+            u, pu, w, pw, dd, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = hoisted[e]
+            x0, x1, x2 = residues.get(u, none)[pu]
+            y0, y1, y2 = residues.get(w, none)[pw]
             m = max(abs(dd * x0 + a0 * y0 + a1 * y1 + a2 * y2),
                     abs(dd * x1 + b0 * y0 + b1 * y1 + b2 * y2),
                     abs(dd * x2 + c0 * y0 + c1 * y1 + c2 * y2))
@@ -397,17 +543,20 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
     report, g = higgs_space(framing), framing.graph
     rng = Random(seed)
     if framing.domain == EXACT:
-        coeffs = [rng.randint(-9, 9) for _ in report.basis]
+        coeffs = [rng.randint(-9, 9) for _ in range(len(report.basis))]
         if not any(coeffs):
             coeffs[0] = 1
         # sum c_k psi_k over the numerators at one common denominator
         form = _working_form(report.basis, g, EXACT)
-        den = math.lcm(*(d for _, d, _ in form))
+        den = math.lcm(*(d for _, d in form))
         acc = [0] * (6 * g.vertex_count)
-        for c, (ints, d, _) in zip(coeffs, form):
+        for c, (live, d) in zip(coeffs, form):
             if c:
                 s = c * (den // d)
-                acc = [a + s * x for a, x in zip(acc, ints)]
+                for v, six in live:
+                    for i, x in enumerate(six, 6 * v):
+                        if x:
+                            acc[i] += s * x
         return HiggsField(g, [Fraction(a, den) for a in acc])
     return _float_draw(report.basis, g, rng)
 
@@ -415,7 +564,7 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
 def _float_draw(basis, graph, rng) -> HiggsField:
     """_float_combination of a float basis on graph, the real and
     imaginary parts of each coefficient drawn from rng.gauss(0, 1)."""
-    coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in basis]
+    coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(len(basis))]
     return HiggsField(graph, _float_combination(
         coeffs, _working_form(basis, graph, FLOAT)))
 

@@ -18,7 +18,11 @@ The kernels map a field's flat 6V coefficient tuple to the flat 3V
 them in one of two ways.  Exact rows of hitchin_jacobian run on the
 integer numerators of the fields, matched by bires_coordinates' matcher
 (sections._integer_biresidues), and divide once per entry, which gives
-the same Fractions and messages as the rational computation.  Float rows, of
+the same Fractions and messages as the rational computation.  They read
+a basis in its sparse exact form, which lists each field's live
+vertices: the polarization with a field vanishes wherever the field
+does, so its row is formed on those vertices and matched on the edges
+at them, and no other edge can fail to match.  Float rows, of
 hitchin_jacobian, finite_difference_jacobian and jacobian_fd_error, run
 the same kernels over the whole basis at once on complex batches
 (scalars._ComplexBatch), so every entry has the bits the kernels give
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .framings import Framing
-from .higgs import HiggsField, _working_form, higgs_space
+from .higgs import HiggsField, _domains, _edges_at, _working_form, higgs_space
 from .linalg import _clear_denominators, rank as matrix_rank
 from .scalars import EXACT, FLOAT, REGULAR_RTOL, _ComplexBatch, _from_pairs, _to_pairs
 from .sections import (GlobalQuadratic, _biresidues, _float_biresidue_rows,
@@ -140,23 +144,35 @@ def hitchin_jacobian(phi: HiggsField, framing: Framing,
 
 
 def _all_exact(phi: HiggsField, basis) -> bool:
-    return all(f.domain == EXACT for f in [phi, *basis])
+    return phi.domain == EXACT and FLOAT not in _domains(basis)
 
 
 def _exact_jacobian_rows(phi: HiggsField, basis):
     """hitchin_jacobian's rows of exact fields, and their integer rows.
 
     The polarization is bilinear, so the integer row of phi * den_phi
-    against psi * den_psi is den_phi * den_psi times row k.
+    against psi * den_psi is den_phi * den_psi times row k.  It vanishes
+    wherever psi does, so it is formed on psi's live vertices only and
+    matched on the edges at them; every other entry is 0, and the zeros
+    of the Fraction rows are one shared Fraction(0).
     """
     g = phi.graph
     x, den_phi = _clear_denominators(phi.coefficients)
+    nedges = len(g.edges)
+    zero, none = Fraction(0), (0, 0, 0)
     int_rows, rows = [], []
-    for y, den_psi, _ in _working_form(basis, g, EXACT):
+    for live, den_psi in _working_form(basis, g, EXACT):
         den = den_phi * den_psi
-        coords = _integer_biresidues(g, _polarization_coefficients(x, y), den)
+        bires = [none] * g.vertex_count
+        for v, y in live:
+            bires[v] = _biresidues(*_polarization_coefficients(x[6 * v:6 * v + 6], y))
+        edges = _edges_at(g, (v for v, _ in live))
+        coords, row = [0] * nedges, [zero] * nedges
+        for e, c in zip(edges, _integer_biresidues(g, bires, den, edges)):
+            if c:
+                coords[e], row[e] = c, Fraction(c, den)
         int_rows.append(coords)
-        rows.append([Fraction(c, den) for c in coords])
+        rows.append(row)
     return int_rows, rows
 
 

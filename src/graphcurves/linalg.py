@@ -14,9 +14,14 @@ The forward pass takes the columns in order and picks as pivot of
 column c the shortest remaining row with an entry there, to limit
 fill-in (Davis, Direct Methods for Sparse Linear Systems, 2006); it
 clears column c from the other remaining rows.  Ranks need only this
-pass.  exact_rref and exact_nullspace then run a backward pass that
-clears the entries above each pivot, last pivot first, and divide each
-pivot row by its pivot once, at the end.  The choice of pivot rows
+pass.  exact_rref and the kernels then run a backward pass that clears
+the entries above each pivot, last pivot first.  exact_rref divides each
+pivot row by its pivot once, at the end.  A kernel has one reader,
+_kernel_numerators: it reads each free column's vector off the reduced
+integer rows as integer numerators over their lcm denominator, a sparse
+map that is never made dense.  exact_nullspace is the Fraction view of
+that reader, and the exact Higgs solve (higgs.higgs_space) keeps its
+integers as the basis's working form.  The choice of pivot rows
 cannot change a result: every step scales a row by a nonzero rational
 or adds a multiple of another row to it, so the row space over the
 rationals never changes; the pivot columns are then the leftmost
@@ -214,27 +219,56 @@ def exact_rank(rows, ncols) -> int:
     return len(_echelon(m, ncols, reduced=False))
 
 
+def _kernel_numerators(m, pivots, ncols):
+    """The kernel read off the reduced integer echelon rows m, with pivot
+    columns pivots, that _echelon(m, ncols, reduced=True) returns.
+
+    One vector v_f per free column f, in increasing order, as (ints, den):
+    ints the sparse map {column: int} of the numerators of v_f, den their
+    lcm denominator.  Row r, with pivot p at column c and entry x at f,
+    gives v_f[c] = -x/p, and v_f[f] = 1; so den is the lcm, over the rows
+    with an entry at f, of |p| / gcd(x, p), ints[c] = -x·den/p and
+    ints[f] = den.  Each map holds exactly the nonzero entries of v_f.
+    """
+    pivot_set = set(pivots)
+    hits = {f: [] for f in range(ncols) if f not in pivot_set}
+    for c, row in zip(pivots, m):
+        p = row[c]
+        for f, x in row.items():
+            if f != c:
+                hits[f].append((c, x, p))
+    out = []
+    for f, entries in hits.items():
+        den = 1
+        for _, x, p in entries:
+            if p != 1 and p != -1:  # most pivots are units, which add no denominator
+                den = math.lcm(den, abs(p) // math.gcd(x, p))
+        ints = {c: -x * den // p for c, x, p in entries}
+        ints[f] = den
+        out.append((ints, den))
+    return out
+
+
+def _integer_kernel(m, ncols):
+    """_kernel_numerators of the primitive sparse integer rows m, which
+    _echelon reduces in place."""
+    return _kernel_numerators(m, _echelon(m, ncols, reduced=True), ncols)
+
+
 def exact_nullspace(rows, ncols):
     """Basis of the right kernel over the rationals, one vector per free column.
 
-    Read straight off the integer reduced form: the entry for pivot
-    column c of row r is -m[r][free] / m[r][c], one Fraction per entry.
+    The Fraction view of _integer_kernel on the integer rows: entry j of
+    a vector is ints[j] / den, and Fraction(0) off its map.
     """
-    m = [_integer_row(row) for row in rows]
-    pivots = _echelon(m, ncols, reduced=True)
-    pivot_set = set(pivots)
-    basis = {}
-    for free in range(ncols):
-        if free not in pivot_set:
-            v = [Fraction(0)] * ncols
-            v[free] = Fraction(1)
-            basis[free] = v
-    for c, row in zip(pivots, m):
-        p = row[c]
-        for free, x in row.items():
-            if free != c:
-                basis[free][c] = Fraction(-x, p)
-    return list(basis.values())
+    zero = Fraction(0)
+    basis = []
+    for ints, den in _integer_kernel([_integer_row(row) for row in rows], ncols):
+        v = [zero] * ncols
+        for j, x in ints.items():
+            v[j] = Fraction(x, den)
+        basis.append(v)
+    return basis
 
 
 def _svd_rank(s) -> int:

@@ -102,6 +102,14 @@ class _VertexCoefficients:
             raise ValidationError("float coefficients must be finite")
         self.graph, self.coefficients, self.domain = graph, coefficients, domain
 
+    @classmethod
+    def _checked(cls, graph: TrivalentGraph, coefficients: tuple, domain: str):
+        """An instance on coefficients that its maker has already checked:
+        a tuple of the right length, all of domain, finite when FLOAT."""
+        obj = object.__new__(cls)
+        obj.graph, obj.coefficients, obj.domain = graph, coefficients, domain
+        return obj
+
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -242,7 +250,8 @@ def _exact_biresidues(g: TrivalentGraph, coeffs):
     every coefficient it sums is an int, a Fraction otherwise.
     """
     ints, den = _clear_denominators(coeffs)
-    coords = _integer_biresidues(g, ints, den)
+    bires = list(map(_biresidues, ints[::3], ints[1::3], ints[2::3]))
+    coords = _integer_biresidues(g, bires, den, range(len(g.edges)))
     # per bi-residue, whether it sums a Fraction coefficient
     fractions = [not isinstance(x, int) for x in coeffs]
     kinds = list(map(_biresidues, fractions[::3], fractions[1::3], fractions[2::3]))
@@ -250,15 +259,17 @@ def _exact_biresidues(g: TrivalentGraph, coeffs):
             for n, u, pu in zip(coords, *g._edge_ends[0])]
 
 
-def _integer_biresidues(g: TrivalentGraph, ints, den):
+def _integer_biresidues(g: TrivalentGraph, bires, den, edges):
     """The exact bi-residue matcher, of bires_coordinates and of the exact
-    hitchin_jacobian rows: the per-edge bi-residues, as ints, of the flat
-    integer coefficients ints, a quadratic differential times den > 0.
-    MatchingViolated shows the two sides over den, as Fractions."""
-    bires = list(map(_biresidues, ints[::3], ints[1::3], ints[2::3]))
+    hitchin_jacobian rows: the bi-residues, as ints, of the edges (indices,
+    in increasing order), from bires, per vertex the bi-residues at
+    (0, 1, inf) of a quadratic differential times den > 0.
+    MatchingViolated names the first of the edges whose two sides differ,
+    and shows them over den, as Fractions."""
+    (vs, ps), (vt, pt) = g._edge_ends
     coords = []
-    for e, (u, pu, w, pw) in enumerate(zip(*g._edge_ends[0], *g._edge_ends[1])):
-        x, y = bires[u][pu], bires[w][pw]
+    for e in edges:
+        x, y = bires[vs[e]][ps[e]], bires[vt[e]][pt[e]]
         if x != y:
             raise MatchingViolated(f"bi-residues differ across edge {e}: "
                                    f"{Fraction(x, den)} vs {Fraction(y, den)}")

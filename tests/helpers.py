@@ -679,3 +679,142 @@ def bits(values):
     if isinstance(values, (list, tuple)):
         return [bits(v) for v in values]
     return scalar_bits(values)
+
+
+# -- the dense exact Higgs path, kept as an oracle ----------------------
+#
+# The exact Higgs solve once read a dense Fraction kernel off the integer
+# echelon rows, made every basis HiggsField at once, and cleared their
+# denominators back to a dense integer working form per field, (ints,
+# den, one bool per vertex).  The kernels read that form over all 6V
+# coefficients and all edges.  Below is that path, verbatim but for
+# taking the form as an argument.
+
+
+def old_exact_nullspace(rows, ncols):
+    """exact_nullspace reading each entry as Fraction(-x, p) off the
+    reduced integer rows."""
+    from graphcurves.linalg import _echelon, _integer_row
+
+    m = [_integer_row(row) for row in rows]
+    pivots = _echelon(m, ncols, reduced=True)
+    pivot_set = set(pivots)
+    basis = {}
+    for free in range(ncols):
+        if free not in pivot_set:
+            v = [Fraction(0)] * ncols
+            v[free] = Fraction(1)
+            basis[free] = v
+    for c, row in zip(pivots, m):
+        p = row[c]
+        for free, x in row.items():
+            if free != c:
+                basis[free][c] = Fraction(-x, p)
+    return list(basis.values())
+
+
+def old_exact_higgs_basis(framing):
+    """The exact Higgs basis as coefficient tuples: old_exact_nullspace of
+    the dense node-cancellation rows."""
+    from graphcurves.higgs import assemble_higgs_constraints
+
+    return [tuple(v) for v in old_exact_nullspace(
+        assemble_higgs_constraints(framing), 6 * framing.graph.vertex_count)]
+
+
+def old_exact_form(coefficients):
+    """The dense exact working form of fields given by their coefficients."""
+    from graphcurves.linalg import _clear_denominators
+
+    cleared = (_clear_denominators(c) for c in coefficients)
+    return tuple((tuple(c), den, tuple(any(c[i:i + 6]) for i in range(0, len(c), 6)))
+                 for c, den in cleared)
+
+
+def old_exact_residual(form, framing):
+    """higgs_residual of exact fields, in their dense form, on an exact
+    framing: every edge, on ints."""
+    from graphcurves.higgs import _residue_coords
+    from graphcurves.linalg import _clear_denominators
+    from graphcurves.matrices import Mat2, _conjugation
+
+    g = framing.graph
+    (vs, ps), (vt, pt) = g._edge_ends
+    hoisted = []
+    for e in range(len(g.edges)):
+        (p, q, r, s), d = _clear_denominators(framing.matrix(g.edges[e][0]).entries())
+        hoisted.append((vs[e], ps[e], vt[e], pt[e], d * d,
+                        _conjugation(Mat2(p, q, r, s), Mat2(s, -q, -r, p))))
+    worst = 0
+    for c, den, live in form:
+        for u, pu, w, pw, dd, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) in hoisted:
+            if not (live[u] or live[w]):
+                continue
+            x0, x1, x2 = _residue_coords(c, 6 * u, pu)
+            y0, y1, y2 = _residue_coords(c, 6 * w, pw)
+            m = max(abs(dd * x0 + a0 * y0 + a1 * y1 + a2 * y2),
+                    abs(dd * x1 + b0 * y0 + b1 * y1 + b2 * y2),
+                    abs(dd * x2 + c0 * y0 + c1 * y1 + c2 * y2))
+            if m:
+                worst = max(worst, Fraction(m, den * dd))
+    return worst
+
+
+def old_exact_jacobian_rows(phi, form):
+    """hitchin_jacobian's integer and Fraction rows of an exact phi against
+    exact fields in their dense form: the polarization over all 6V
+    coefficients, matched on every edge."""
+    from graphcurves.errors import MatchingViolated
+    from graphcurves.hitchin import _polarization_coefficients
+    from graphcurves.linalg import _clear_denominators
+    from graphcurves.sections import _biresidues
+
+    g = phi.graph
+    x, den_phi = _clear_denominators(phi.coefficients)
+    int_rows, rows = [], []
+    for y, den_psi, _ in form:
+        den = den_phi * den_psi
+        q = _polarization_coefficients(x, y)
+        bires = list(map(_biresidues, q[::3], q[1::3], q[2::3]))
+        coords = []
+        for e, (u, pu, w, pw) in enumerate(zip(*g._edge_ends[0], *g._edge_ends[1])):
+            a, b = bires[u][pu], bires[w][pw]
+            if a != b:
+                raise MatchingViolated(f"bi-residues differ across edge {e}: "
+                                       f"{Fraction(a, den)} vs {Fraction(b, den)}")
+            coords.append(a)
+        int_rows.append(coords)
+        rows.append([Fraction(c, den) for c in coords])
+    return int_rows, rows
+
+
+def old_exact_random_coefficients(framing, seed, form):
+    """random_higgs_field's coefficients on an exact framing whose basis
+    has the dense form: the draws, then the sum over all 6V numerators at
+    one common denominator."""
+    from random import Random
+
+    rng = Random(seed)
+    coeffs = [rng.randint(-9, 9) for _ in form]
+    if not any(coeffs):
+        coeffs[0] = 1
+    den = math.lcm(*(d for _, d, _ in form))
+    acc = [0] * (6 * framing.graph.vertex_count)
+    for c, (ints, d, _) in zip(coeffs, form):
+        if c:
+            s = c * (den // d)
+            acc = [a + s * x for a, x in zip(acc, ints)]
+    return [Fraction(a, den) for a in acc]
+
+
+def expand_exact_form(form, vertex_count):
+    """The sparse exact working form, per field (live, den), laid out as
+    the dense one, per field (ints, den, one bool per vertex)."""
+    out = []
+    for live, den in form:
+        ints = [0] * (6 * vertex_count)
+        for v, six in live:
+            ints[6 * v:6 * v + 6] = six
+        vertices = {v for v, _ in live}
+        out.append((tuple(ints), den, tuple(v in vertices for v in range(vertex_count))))
+    return tuple(out)

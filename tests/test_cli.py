@@ -148,22 +148,24 @@ def test_spectral_command():
 
 def _higgs_solves(monkeypatch, *argv):
     """Domains of the Higgs kernel solves one in-process CLI call makes, and
-    for each solved framing, in the order the framings were made, how many
-    times its Higgs basis was converted: the number of basis fields whose
+    for each solved framing, in the order the framings were made, whether
+    its Higgs basis made its HiggsFields during the call and how many
+    times the basis was converted: the number of basis fields whose
     coefficients went through _to_pairs or _clear_denominators, over the
     basis size."""
     domains, framings, converted = [], [], []
-    solve, init = higgs_mod.solve_kernel, Framing.__init__
-    float_kernel = higgs_mod._float_kernel
+    init = Framing.__init__
 
-    def counted(rows, ncols, domain):
-        domains.append(domain)
-        return solve(rows, ncols, domain)
+    def count(name, domain_of_call):
+        # the exact solve reads its kernel off sparse integer rows and the
+        # float one takes its kernel as an array, both past solve_kernel
+        solve = getattr(higgs_mod, name)
 
-    def counted_float(rows, ncols):
-        # the float solve takes its kernel as an array, past solve_kernel
-        domains.append(FLOAT)
-        return float_kernel(rows, ncols)
+        def counted(*args):
+            domains.append(domain_of_call(args))
+            return solve(*args)
+
+        monkeypatch.setattr(higgs_mod, name, counted)
 
     def recorded(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -184,37 +186,40 @@ def _higgs_solves(monkeypatch, *argv):
             record(module, "_to_pairs", list)
         if hasattr(module, "_clear_denominators"):
             record(module, "_clear_denominators", lambda vec: [vec])
-    monkeypatch.setattr(higgs_mod, "solve_kernel", counted)
-    monkeypatch.setattr(higgs_mod, "_float_kernel", counted_float)
+    count("solve_kernel", lambda args: args[2])
+    count("_integer_kernel", lambda args: EXACT)
+    count("_float_kernel", lambda args: FLOAT)
     monkeypatch.setattr(Framing, "__init__", recorded)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0, argv
+    bases = [f._higgs_space.basis for f in framings if f._higgs_space is not None]
+    made = [basis._fields is not None for basis in bases]
     times = Counter(map(id, converted))
     conversions = [sum(times[id(psi.coefficients)] for psi in basis) / len(basis)
-                   for basis in (f._higgs_space.basis for f in framings
-                                 if f._higgs_space is not None)]
-    return domains, conversions
+                   for basis in bases]
+    return domains, made, conversions
 
 
 @pytest.mark.parametrize("trials", [1, 2])
-@pytest.mark.parametrize("argv, per_trial, conversions", [
-    (("hitchin", "--domain", "float"), [FLOAT], [0]),
-    (("hitchin", "--domain", "exact"), [EXACT, FLOAT], [1, 0]),
-    (("higgs", "--domain", "exact"), [EXACT], [1]),
-    (("higgs", "--domain", "float"), [FLOAT], [0]),
-    (("spectral",), [FLOAT], [0]),
+@pytest.mark.parametrize("argv, per_trial", [
+    (("hitchin", "--domain", "float"), [FLOAT]),
+    (("hitchin", "--domain", "exact"), [EXACT, FLOAT]),
+    (("higgs", "--domain", "exact"), [EXACT]),
+    (("higgs", "--domain", "float"), [FLOAT]),
+    (("spectral",), [FLOAT]),
 ], ids=["hitchin-float", "hitchin-exact", "higgs-exact", "higgs-float", "spectral"])
-def test_one_higgs_solve_per_framing(monkeypatch, argv, per_trial, conversions,
-                                     trials):
+def test_one_higgs_solve_per_framing(monkeypatch, argv, per_trial, trials):
     # each framing's Higgs space is solved once: a float hitchin trial
     # checks its Jacobian on its own framing, an exact one on one float
-    # framing of the same seed.  Each basis is converted at most once: an
-    # exact one when higgs_space clears its denominators, a float one
-    # never, its pairs being the solve's own array
-    domains, converted = _higgs_solves(monkeypatch, *argv, "--graph", "k4",
-                                       "--seed", "1", "--trials", str(trials))
+    # framing of the same seed.  No basis is ever converted and no basis
+    # makes its HiggsFields: the kernels read the working form each solve
+    # made, the exact one off the integer echelon rows, the float one
+    # from the solve's own array
+    domains, made, converted = _higgs_solves(
+        monkeypatch, *argv, "--graph", "k4", "--seed", "1", "--trials", str(trials))
     assert domains == per_trial * trials
-    assert converted == conversions * trials
+    assert made == [False] * len(per_trial) * trials
+    assert converted == [0] * len(per_trial) * trials
 
 
 @pytest.mark.parametrize("trials", [1, 2])

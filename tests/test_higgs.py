@@ -1,3 +1,4 @@
+from collections.abc import MutableSequence, Sequence
 from fractions import Fraction
 from random import Random
 
@@ -49,7 +50,9 @@ def test_higgs_space_is_stored_on_the_framing(domain):
         framing = Framing.random(g, seed=k, domain=domain)
         space = higgs_space(framing)
         assert higgs_space(framing) is space
-        assert isinstance(space.basis, tuple)
+        # an immutable sequence: it has no item assignment, append or sort
+        assert isinstance(space.basis, Sequence)
+        assert not isinstance(space.basis, MutableSequence)
         # an equal framing solves its own system, to the same bits
         twin = higgs_space(Framing.random(g, seed=k, domain=domain))
         assert twin is not space

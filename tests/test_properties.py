@@ -33,7 +33,7 @@ from graphcurves.sections import (GlobalDifferential, GlobalQuadratic,
                                   double_canonical_space)
 from graphcurves.spectral import anti_invariant_cycles, prym_report
 
-from helpers import integer_det
+from helpers import expand_exact_form, integer_det
 
 GRAPHS = st.builds(random_trivalent, st.integers(1, 12).map(lambda k: 2 * k),
                    st.integers(0, 10**6))
@@ -102,15 +102,20 @@ def test_edge_ends_table_matches_the_dart_accessors(graph):
 @example(catalog_graph("theta"), 1, FLOAT)
 def test_a_higgs_basis_keeps_its_working_form(graph, seed, domain):
     # the form a basis keeps is, bit for bit, a fresh conversion of the
-    # basis, and read-only
+    # basis, and read-only; the exact one, per field its live vertices'
+    # numerators, lays out as the dense form the fields clear to
     basis = higgs_space(Framing.random(graph, seed, domain)).basis
     kept = _working_form(basis, graph, domain)
     assert basis.forms[domain] is kept
     coefficients = [psi.coefficients for psi in basis]
     if domain == EXACT:
-        assert kept == tuple(
+        assert kept == _working_form(list(basis), graph, EXACT)
+        assert expand_exact_form(kept, graph.vertex_count) == tuple(
             (tuple(c), den, tuple(any(c[i:i + 6]) for i in range(0, len(c), 6)))
             for c, den in map(_clear_denominators, coefficients))
+        assert isinstance(kept, tuple) and all(
+            isinstance(live, tuple) and all(isinstance(six, tuple) for _, six in live)
+            for live, _ in kept)
     else:
         fresh = _to_pairs(coefficients, 6 * graph.vertex_count)
         assert [(x.shape, x.tobytes()) for x in kept] == [

@@ -4,8 +4,11 @@ The elimination picks the shortest remaining row as pivot and clears
 above the pivots in a backward pass; its results are checked against
 Gauss-Jordan on Fractions and against the dense integer elimination it
 replaced (helpers.dense_echelon, helpers.dense_rank_mod_p), on random
-matrices that are mostly zeros.
+matrices that are mostly zeros; so is the one kernel reader, against the
+Fraction reading of the echelon rows it replaced
+(helpers.old_exact_nullspace).
 """
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,11 +29,13 @@ from graphcurves.linalg import (
 from graphcurves.scalars import EXACT
 
 from helpers import (
+    bits,
     dense_echelon,
     dense_integer_row,
     dense_rank_mod_p,
     fraction_nullspace,
     fraction_rref,
+    old_exact_nullspace,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -173,3 +178,23 @@ def test_higgs_system_kernel_equals_fraction_gauss_jordan(seed):
     rows = assemble_higgs_constraints(framing)
     ncols = 6 * framing.graph.vertex_count
     assert exact_nullspace(rows, ncols) == fraction_nullspace(rows, ncols)
+
+
+@PROPERTY
+@given(_sparse_matrices())
+@example(([[0, 2, 0, 3], [0, 0, 4, -6]], 4))  # pivots 2 and 4, entries sharing factors
+def test_kernel_reader_matches_the_fraction_reading(system):
+    # the one kernel reader gives, per free column, the numerators of the
+    # kernel vector over their lcm denominator, its nonzero entries only;
+    # exact_nullspace, its Fraction view, has the bits of the reading of
+    # each entry as Fraction(-x, p) that it replaced
+    rows, ncols = system
+    oracle = old_exact_nullspace(rows, ncols)
+    assert bits(exact_nullspace(rows, ncols)) == bits(oracle)
+    kernel = linalg_mod._integer_kernel(
+        [linalg_mod._integer_row(row) for row in rows], ncols)
+    assert len(kernel) == len(oracle)
+    for (ints, den), vec in zip(kernel, oracle):
+        assert den == math.lcm(*(x.denominator for x in vec))
+        assert ints == {j: x.numerator * (den // x.denominator)
+                        for j, x in enumerate(vec) if x}

@@ -26,9 +26,23 @@ Markdown table row per stage and V, with an exact and a float column:
 * hitchin trial: one ``cli.main(["hitchin", ...])`` call in the domain
   on a temporary JSON file of the graph, from reading the file through
   printing the report, with stdout and stderr captured;
-* Higgs assembly: ``assemble_higgs_constraints`` on a fresh framing,
-  built untimed, as for the Higgs solve;
+* Higgs assembly: the system the Higgs solve builds, on a fresh framing
+  built untimed, as for the Higgs solve: the sparse integer rows of the
+  node cancellation (``higgs._integer_higgs_rows``) when exact, the
+  per-vertex sums in edge coordinates (``higgs._float_residue_system``)
+  when float;
+* Higgs elimination: on that system, built untimed, the reduced echelon
+  form (``linalg._echelon``) when exact, the kernel array
+  (``linalg._float_kernel``) when float;
+* Higgs kernel form, exact only: the working form read off that echelon
+  form, built untimed (``linalg._kernel_numerators``, then
+  ``higgs._live_form`` per field);
+* Higgs fields on first read: ``basis[0]`` of a fresh solve's basis,
+  which makes every field of the basis;
 * flat linearization: ``flat_linearization(zero_section(framing))``.
+
+The four Higgs rows split the Higgs solve; a cell that does not apply
+prints ``-``.
 
 The numbers are wall times of one process on a possibly shared machine;
 compare stages within one run and claim speed-ups only from the
@@ -62,7 +76,8 @@ from pathlib import Path
 
 STAGES = ("Higgs solve", "higgs_residual over the basis", "hitchin_jacobian",
           "FD rows", "FD compare", "bires_coordinates over the 2K basis",
-          "hitchin trial", "Higgs assembly", "flat linearization")
+          "hitchin trial", "Higgs assembly", "Higgs elimination", "Higgs kernel form",
+          "Higgs fields on first read", "flat linearization")
 
 
 def _times(repeats, run, setup=lambda: None):
@@ -87,12 +102,48 @@ def _hitchin_trial(path: str, seed: int, domain: str) -> None:
             raise RuntimeError(f"{' '.join(argv)} failed: {err.getvalue()}")
 
 
+def _higgs_split(graph, seed: int, domain: str, repeats: int):
+    """The times of the Higgs assembly, elimination, kernel form (None
+    when float) and fields on first read."""
+    from graphcurves.framings import Framing
+    from graphcurves.higgs import (_float_residue_system, _integer_higgs_rows,
+                                   _live_form, higgs_space)
+    from graphcurves.linalg import _echelon, _float_kernel, _kernel_numerators
+
+    def framing():
+        return Framing.random(graph, seed, domain)
+
+    def first_field(basis):
+        return basis[0]
+
+    fields = _times(repeats, first_field, lambda: higgs_space(framing()).basis)
+    if domain == "float":
+        ncols = 3 * len(graph.edges)
+        return (_times(repeats, _float_residue_system, framing),
+                _times(repeats, lambda rows: _float_kernel(rows, ncols),
+                       lambda: _float_residue_system(framing())[0]),
+                None, fields)
+    ncols = 6 * graph.vertex_count
+
+    def echelon():
+        rows = _integer_higgs_rows(framing())
+        return rows, _echelon(rows, ncols, reduced=True)
+
+    def kernel_form(reduced):
+        return tuple(_live_form(ints.items(), den)
+                     for ints, den in _kernel_numerators(*reduced, ncols))
+
+    return (_times(repeats, _integer_higgs_rows, framing),
+            _times(repeats, lambda rows: _echelon(rows, ncols, reduced=True),
+                   lambda: _integer_higgs_rows(framing())),
+            _times(repeats, kernel_form, echelon), fields)
+
+
 def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
     from graphcurves import hitchin
     from graphcurves.framings import Framing, flat_linearization, zero_section
     from graphcurves.graphs import graph_to_json, random_trivalent
-    from graphcurves.higgs import (assemble_higgs_constraints, higgs_residual,
-                                   higgs_space, random_higgs_field)
+    from graphcurves.higgs import higgs_residual, higgs_space, random_higgs_field
     from graphcurves.hitchin import hitchin_jacobian, jacobian_fd_error
     from graphcurves.sections import bires_coordinates, double_canonical_space
 
@@ -130,8 +181,7 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
         fd_compare,
         _times(repeats, lambda _: bires_coordinates(quadratics)),
         trial,
-        _times(repeats, assemble_higgs_constraints,
-               lambda: Framing.random(graph, seed, domain)),
+        *_higgs_split(graph, seed, domain, repeats),
         _times(repeats, lambda _: flat_linearization(zero_section(framing))),
     )
     return dict(zip(STAGES, times))
@@ -180,7 +230,8 @@ def main(argv=None) -> int:
         exact = stage_times(v, args.seed, "exact", args.repeats)
         floats = stage_times(v, args.seed, "float", args.repeats)
         for stage in STAGES:
-            cells = " | ".join("{:.4f} / {:.4f}".format(*times[stage])
+            cells = " | ".join("-" if times[stage] is None
+                               else "{:.4f} / {:.4f}".format(*times[stage])
                                for times in (exact, floats))
             print(f"| {stage} | {v} | {cells} |")
     print()
