@@ -24,11 +24,12 @@ Jacobians of hitchin, called without a basis, reuse that solve.
 
 The two domains solve different systems for the same space.  An exact
 framing solves the node-cancellation system above (3E rows, 6V
-columns), sparse from end to end: its rows are built as primitive
-{column: int} maps, and linalg's one kernel reader reads the canonical
-basis off their reduced echelon form, one field per free coefficient,
-as integer numerators over an lcm denominator.  The exact outputs are
-built on that basis.  A float
+columns), sparse from end to end: its rows are the sparse node rows of
+assemble_higgs_constraints (sections._node_rows) read as primitive
+{column: int} maps (linalg._integer_row), and linalg's one kernel
+reader reads the canonical basis off their reduced echelon form, one
+field per free coefficient, as integer numerators over an lcm
+denominator.  The exact outputs are built on that basis.  A float
 framing solves the per-vertex sums in per-edge residue coordinates (3V
 rows, 3E columns, the system flat ranks, residue_parameterization_matrix):
 one traceless residue per edge fixes the field, its partner being the
@@ -73,11 +74,12 @@ from random import Random
 
 from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
-from .linalg import (KernelReport, _clear_denominators, _float_kernel, _integer_kernel,
-                     solve_kernel)
+from .linalg import (KernelReport, _clear_denominators, _float_kernel, _fractions,
+                     _integer_kernel, _integer_row, solve_kernel)
 from .matrices import IDENTITY, Mat2, _conjugation, adjoint_matrix, from_sl2_coords
 from .scalars import EXACT, FLOAT, _ComplexBatch, _from_pairs, _to_pairs, domain_of
-from .sections import RESIDUE_FUNCTIONAL, _node_rows, _residues, _VertexCoefficients
+from .sections import (RESIDUE_FUNCTIONAL, _dense, _node_rows, _residues,
+                       _VertexCoefficients)
 
 
 def _residue_coords(c, base: int, point: int):
@@ -124,6 +126,12 @@ def assemble_higgs_constraints(framing: Framing):
     equation), six columns per vertex; each edge's lower dart anchors
     its equation.
     """
+    return _dense(_higgs_rows(framing), 6 * framing.graph.vertex_count)
+
+
+def _higgs_rows(framing: Framing):
+    """The sparse rows behind assemble_higgs_constraints (sections._node_rows),
+    with each edge's blocks (Ad(1), Ad(a)) for its lower dart a."""
     g = framing.graph
     # the source side in its own frame, the partner side transported into it
     source = adjoint_matrix(IDENTITY)
@@ -262,33 +270,9 @@ def _integer_transport(a: Mat2):
 
 
 def _integer_higgs_rows(framing: Framing):
-    """assemble_higgs_constraints of an exact framing as primitive sparse
-    integer rows, each the linalg._integer_row of the dense row: d^2
-    times an edge's three rows, for the matrix a = T/d of its lower dart,
-    is d^2 times the source functional plus d^2 Ad(a) (_integer_transport)
-    on the partner, all integers, and the content of each row is divided
-    out.
-    """
-    g = framing.graph
-    rows = []
-    for u, pu, w, pw, (a, _) in zip(*g._edge_ends[0], *g._edge_ends[1], g.edges):
-        dd, transport = _integer_transport(framing.matrix(a))
-        source, partner = RESIDUE_FUNCTIONAL[pu], RESIDUE_FUNCTIONAL[pw]
-        for k in range(3):
-            row = {6 * u + 2 * k + j: dd * f for j, f in enumerate(source) if f}
-            for i, coeff in enumerate(transport[k]):
-                if coeff:
-                    for j, f in enumerate(partner):
-                        if f:
-                            col = 6 * w + 2 * i + j
-                            y = row.get(col, 0) + coeff * f
-                            if y:
-                                row[col] = y
-                            else:  # a loop's two sides cancel
-                                del row[col]
-            content = math.gcd(*row.values())
-            rows.append({j: x // content for j, x in row.items()} if content > 1 else row)
-    return rows
+    """The node-cancellation rows of an exact framing (_higgs_rows) as
+    primitive sparse integer rows (linalg._integer_row)."""
+    return [_integer_row(row) for row in _higgs_rows(framing)]
 
 
 def _exact_higgs_space(framing: Framing) -> KernelReport:
@@ -312,16 +296,11 @@ def _exact_higgs_space(framing: Framing) -> KernelReport:
 
 
 def _exact_coefficients(form, ncols):
-    """The Fraction coefficients of each field of an exact working form,
-    Fraction(0) where the form has none."""
-    zero = Fraction(0)
+    """The Fraction coefficients of each field of an exact working form
+    (linalg._fractions)."""
     for live, den in form:
-        c = [zero] * ncols
-        for v, six in live:
-            for i, x in enumerate(six, 6 * v):
-                if x:
-                    c[i] = Fraction(x, den)
-        yield c
+        yield _fractions(((i, x) for v, six in live for i, x in enumerate(six, 6 * v)),
+                         den, ncols)
 
 
 def _read_only(arrays):
@@ -417,10 +396,11 @@ def higgs_residual(fields, framing: Framing):
     their working form (_working_form), so a field on another graph
     raises ValidationError; an empty one gives 0.  The check reads the
     residues and the framing matrices themselves, never the rows of
-    assemble_higgs_constraints or _integer_higgs_rows; the exact check
-    shares only an edge's integer transport (_integer_transport) with
-    the exact solve.  The work of an edge (its transport and its
-    inverse) is done once for all the fields.
+    assemble_higgs_constraints or _integer_higgs_rows, and shares no
+    code with the solve that builds them.  The work of an edge (its
+    transport and its inverse) is done once for all the fields.  The
+    fields must be of one domain: a sequence of exact and float fields
+    raises ValidationError.
 
     An exact field is checked on integers where the edge's matrix is
     exact (every entry an int or Fraction): with phi scaled by its lcm
@@ -432,19 +412,18 @@ def higgs_residual(fields, framing: Framing):
     (_float_residual), to the bits of the Mat2 product on the fields'
     complex copies.  The result is 0, a Fraction or a float.
     """
+    domains = _domains(fields)
+    if len(domains) == 2:
+        raise ValidationError("Higgs fields of both domains, exact and float, "
+                              "in one sequence")
     g = framing.graph
     exact_edges, float_edges = [], []
     for e, (a, _) in enumerate(g.edges):
         exact = domain_of(*framing.matrix(a).entries()) == EXACT
         (exact_edges if exact else float_edges).append(e)
-    domains = _domains(fields)
-    if len(domains) == 2:
-        exact_fields = [phi for phi in fields if phi.domain == EXACT]
-        float_fields = [phi for phi in fields if phi.domain != EXACT]
-    else:
-        # fields of one domain, such as a basis, are read whole, in the
-        # working form a basis keeps
-        exact_fields, float_fields = (fields, []) if EXACT in domains else ([], fields)
+    # the fields, such as a basis, are read whole, in the working form a
+    # basis keeps
+    exact_fields, float_fields = (fields, []) if EXACT in domains else ([], fields)
     return max(_exact_residual(exact_fields, framing, exact_edges),
                _float_residual(exact_fields, framing, float_edges),
                _float_residual(float_fields, framing, range(len(g.edges))))

@@ -35,11 +35,10 @@ every float value outside an array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .framings import Framing
 from .higgs import HiggsField, _domains, _edges_at, _working_form, higgs_space
-from .linalg import _clear_denominators, rank as matrix_rank
+from .linalg import _clear_denominators, _fractions, rank as matrix_rank
 from .scalars import EXACT, FLOAT, REGULAR_RTOL, _ComplexBatch, _from_pairs, _to_pairs
 from .sections import (GlobalQuadratic, _biresidues, _float_biresidue_rows,
                        _integer_biresidues, _product_coefficients,
@@ -153,13 +152,13 @@ def _exact_jacobian_rows(phi: HiggsField, basis):
     The polarization is bilinear, so the integer row of phi * den_phi
     against psi * den_psi is den_phi * den_psi times row k.  It vanishes
     wherever psi does, so it is formed on psi's live vertices only and
-    matched on the edges at them; every other entry is 0, and the zeros
-    of the Fraction rows are one shared Fraction(0).
+    matched on the edges at them; every other entry is 0.  The Fraction
+    rows are linalg._fractions of the integer rows.
     """
     g = phi.graph
     x, den_phi = _clear_denominators(phi.coefficients)
     nedges = len(g.edges)
-    zero, none = Fraction(0), (0, 0, 0)
+    none = (0, 0, 0)
     int_rows, rows = [], []
     for live, den_psi in _working_form(basis, g, EXACT):
         den = den_phi * den_psi
@@ -167,12 +166,12 @@ def _exact_jacobian_rows(phi: HiggsField, basis):
         for v, y in live:
             bires[v] = _biresidues(*_polarization_coefficients(x[6 * v:6 * v + 6], y))
         edges = _edges_at(g, (v for v, _ in live))
-        coords, row = [0] * nedges, [zero] * nedges
-        for e, c in zip(edges, _integer_biresidues(g, bires, den, edges)):
-            if c:
-                coords[e], row[e] = c, Fraction(c, den)
+        matched = _integer_biresidues(g, bires, den, edges)
+        coords = [0] * nedges
+        for e, c in zip(edges, matched):
+            coords[e] = c
         int_rows.append(coords)
-        rows.append(row)
+        rows.append(_fractions(zip(edges, matched), den, nedges))
     return int_rows, rows
 
 

@@ -6,7 +6,7 @@ the previous pivot.  A row is a sparse map {column: int} with the zeros
 left out (the assembled systems touch a few columns per row).  Each row
 is first cleared of denominators (scaled by the lcm of its nonzero
 entries' denominators) and divided by its content, the gcd of its
-entries.  A row with entry f under a pivot p then becomes
+entries (_primitive).  A row with entry f under a pivot p then becomes
 (p/γ)·row − (f/γ)·pivot_row with γ = gcd(p, f), and is again divided by
 its content, which keeps the integers small.
 
@@ -21,10 +21,11 @@ _kernel_numerators: it reads each free column's vector off the reduced
 integer rows as integer numerators over their lcm denominator, a sparse
 map that is never made dense.  exact_nullspace is the Fraction view of
 that reader, and the exact Higgs solve (higgs.higgs_space) keeps its
-integers as the basis's working form.  The choice of pivot rows
-cannot change a result: every step scales a row by a nonzero rational
-or adds a multiple of another row to it, so the row space over the
-rationals never changes; the pivot columns are then the leftmost
+integers as the basis's working form.  Every dense Fraction vector made
+from integers over a denominator is laid out by _fractions.  The choice
+of pivot rows cannot change a result: every step scales a row by a
+nonzero rational or adds a multiple of another row to it, so the row
+space over the rationals never changes; the pivot columns are then the leftmost
 independent columns, whichever rows carry them, and the reduced row
 echelon form of a matrix is unique, so the result equals Gauss–Jordan
 over the rationals, Fraction for Fraction.
@@ -75,16 +76,37 @@ def _clear_denominators(vec):
     return [x.numerator * (den // x.denominator) if x else 0 for x in vec], den
 
 
-def _integer_row(row):
-    """The row as a primitive sparse row {column: int}: its nonzero
-    entries cleared of denominators, the content divided out."""
-    items = [(j, x) for j, x in enumerate(row) if x]
-    den = math.lcm(*(x.denominator for _, x in items))
-    out = {j: x.numerator * (den // x.denominator) for j, x in items}
-    content = math.gcd(*out.values())
+def _primitive(row):
+    """The sparse integer row {column: int} divided by its content, the
+    gcd of its entries."""
+    content = math.gcd(*row.values())
     if content > 1:
-        return {j: x // content for j, x in out.items()}
-    return out
+        return {j: x // content for j, x in row.items()}
+    return row
+
+
+def _integer_row(row):
+    """The row, a sequence or a map {column: value} of ints and Fractions,
+    as a primitive sparse row {column: int}: its nonzero entries cleared
+    of denominators, the content divided out."""
+    pairs = row.items() if isinstance(row, dict) else enumerate(row)
+    items = [(j, x) for j, x in pairs if x]
+    den = math.lcm(*(x.denominator for _, x in items))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in items})
+
+
+_ZERO = Fraction(0)  # the one zero of every vector _fractions makes
+
+
+def _fractions(entries, den, ncols):
+    """The dense Fraction vector of length ncols with x/den at each
+    (column, int x) of entries, x nonzero, and the shared _ZERO
+    everywhere else."""
+    v = [_ZERO] * ncols
+    for j, x in entries:
+        if x:
+            v[j] = Fraction(x, den)
+    return v
 
 
 def _integer_update(pr, c):
@@ -110,10 +132,7 @@ def _integer_update(pr, c):
                 row[j] = y
             else:
                 del row[j]
-        content = math.gcd(*row.values())
-        if content > 1:
-            return {j: x // content for j, x in row.items()}
-        return row
+        return _primitive(row)
 
     return clear
 
@@ -188,15 +207,8 @@ def exact_rref(rows, ncols):
     """
     m = [_integer_row(row) for row in rows]
     pivots = _echelon(m, ncols, reduced=True)
-    zero = Fraction(0)
-    out = []
-    for r, row in enumerate(m):
-        p = row[pivots[r]] if r < len(pivots) else 1
-        dense = [zero] * ncols
-        for j, x in row.items():
-            dense[j] = Fraction(x, p)
-        out.append(dense)
-    return out, pivots
+    return [_fractions(row.items(), row[pivots[r]] if r < len(pivots) else 1, ncols)
+            for r, row in enumerate(m)], pivots
 
 
 def _rank_mod_p(m, ncols) -> int:
@@ -258,17 +270,11 @@ def _integer_kernel(m, ncols):
 def exact_nullspace(rows, ncols):
     """Basis of the right kernel over the rationals, one vector per free column.
 
-    The Fraction view of _integer_kernel on the integer rows: entry j of
-    a vector is ints[j] / den, and Fraction(0) off its map.
+    The Fraction view (_fractions) of _integer_kernel on the integer rows:
+    entry j of a vector is ints[j] / den, and Fraction(0) off its map.
     """
-    zero = Fraction(0)
-    basis = []
-    for ints, den in _integer_kernel([_integer_row(row) for row in rows], ncols):
-        v = [zero] * ncols
-        for j, x in ints.items():
-            v[j] = Fraction(x, den)
-        basis.append(v)
-    return basis
+    return [_fractions(ints.items(), den, ncols)
+            for ints, den in _integer_kernel([_integer_row(row) for row in rows], ncols)]
 
 
 def _svd_rank(s) -> int:

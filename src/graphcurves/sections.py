@@ -20,9 +20,12 @@ vertex for quadratic differentials (3V entries).  A global section is
 such a tuple that meets one node rule at every edge (a, b) (_node_rows):
 the functional at a's point plus a factor times the one at b's is zero,
 the factor being 1 for residues, -1 for bi-residues and Ad(a) for the
-residue matrices of Higgs fields.  Global sections of the dualizing
-sheaf form a g-dimensional space; its square gives a (3g-3)-dimensional
-space on which the per-edge bi-residues are global coordinates.
+residue matrices of Higgs fields.  Its rows are sparse maps {column:
+value}: _dense lays them out for the public matrices, and the exact
+Higgs solve reads them as integer rows (linalg._integer_row).  Global
+sections of the dualizing sheaf form a g-dimensional space; its square
+gives a (3g-3)-dimensional space on which the per-edge bi-residues are
+global coordinates.
 """
 from __future__ import annotations
 
@@ -131,28 +134,37 @@ class GlobalQuadratic(_VertexCoefficients):
 
 
 def _node_rows(graph: TrivalentGraph, width: int, functional, blocks):
-    """The node rows of width coefficients per vertex: per edge (a, b), n
-    rows block_a · functional[point of a] on a's vertex plus block_b ·
-    functional[point of b] on b's, for the pair of n-row blocks that
-    blocks gives per edge.  Block column k acts on the k-th run of
-    len(functional[0]) coordinates; a zero block entry writes nothing."""
+    """The sparse node rows of width coefficients per vertex: per edge
+    (a, b), n rows block_a · functional[point of a] on a's vertex plus
+    block_b · functional[point of b] on b's, for the pair of n-row blocks
+    that blocks gives per edge.  Block column k acts on the k-th run of
+    len(functional[0]) coordinates.  A row is a map {column: value} of
+    every column that a nonzero block entry writes, with its sum, even
+    when that sum is zero; a zero block entry writes nothing."""
     per = len(functional[0])
-    ncols = width * graph.vertex_count
     rows = []
     for u, pu, w, pw, (block_a, block_b) in zip(*graph._edge_ends[0],
                                                 *graph._edge_ends[1], blocks):
-        edge_rows = [[0] * ncols for _ in block_a]
+        edge_rows = [{} for _ in block_a]
         for v, point, block in ((u, pu, block_a), (w, pw, block_b)):
-            base = width * v
             func = functional[point]
             for row, block_row in zip(edge_rows, block):
                 for k, coeff in enumerate(block_row):
                     if coeff:
-                        col = base + per * k
-                        for j, f in enumerate(func):
-                            row[col + j] += coeff * f
+                        for j, f in enumerate(func, width * v + per * k):
+                            row[j] = row.get(j, 0) + coeff * f
         rows.extend(edge_rows)
     return rows
+
+
+def _dense(rows, ncols):
+    """The sparse rows {column: value} as lists of ncols entries, 0 off
+    their maps."""
+    out = [[0] * ncols for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row.items():
+            dense[j] = x
+    return out
 
 
 def canonical_matrix(graph: TrivalentGraph):
@@ -161,7 +173,8 @@ def canonical_matrix(graph: TrivalentGraph):
     One row per edge, columns (r0, r1) per vertex; entries are small
     integers, usable in either scalar domain.
     """
-    return _node_rows(graph, 2, RESIDUE_FUNCTIONAL, repeat((((1,),), ((1,),))))
+    return _dense(_node_rows(graph, 2, RESIDUE_FUNCTIONAL, repeat((((1,),), ((1,),)))),
+                  2 * graph.vertex_count)
 
 
 def canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> KernelReport:
@@ -177,7 +190,8 @@ def double_canonical_matrix(graph: TrivalentGraph):
     One row per edge: the bi-residue functional on the lower-dart side
     minus the functional on the partner side.
     """
-    return _node_rows(graph, 3, BIRESIDUE_FUNCTIONAL, repeat((((1,),), ((-1,),))))
+    return _dense(_node_rows(graph, 3, BIRESIDUE_FUNCTIONAL, repeat((((1,),), ((-1,),)))),
+                  3 * graph.vertex_count)
 
 
 def double_canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> KernelReport:

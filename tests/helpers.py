@@ -722,6 +722,37 @@ def old_exact_higgs_basis(framing):
         assemble_higgs_constraints(framing), 6 * framing.graph.vertex_count)]
 
 
+def old_integer_higgs_rows(framing):
+    """The exact Higgs rows as their own edge loop once built them, with
+    no code shared with sections._node_rows: d^2 times an edge's three
+    rows, for the matrix a = T/d of its lower dart, is d^2 times the
+    source functional plus d^2 Ad(a) (_integer_transport) on the
+    partner, all integers, and the content of each row is divided out."""
+    from graphcurves.higgs import _integer_transport
+    from graphcurves.sections import RESIDUE_FUNCTIONAL
+
+    g = framing.graph
+    rows = []
+    for u, pu, w, pw, (a, _) in zip(*g._edge_ends[0], *g._edge_ends[1], g.edges):
+        dd, transport = _integer_transport(framing.matrix(a))
+        source, partner = RESIDUE_FUNCTIONAL[pu], RESIDUE_FUNCTIONAL[pw]
+        for k in range(3):
+            row = {6 * u + 2 * k + j: dd * f for j, f in enumerate(source) if f}
+            for i, coeff in enumerate(transport[k]):
+                if coeff:
+                    for j, f in enumerate(partner):
+                        if f:
+                            col = 6 * w + 2 * i + j
+                            y = row.get(col, 0) + coeff * f
+                            if y:
+                                row[col] = y
+                            else:  # a loop's two sides cancel
+                                del row[col]
+            content = math.gcd(*row.values())
+            rows.append({j: x // content for j, x in row.items()} if content > 1 else row)
+    return rows
+
+
 def old_exact_form(coefficients):
     """The dense exact working form of fields given by their coefficients."""
     from graphcurves.linalg import _clear_denominators

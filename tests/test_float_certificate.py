@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcurves.framings import Framing
+from graphcurves.framings import Framing, flat_linearization, zero_section
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
-from graphcurves.higgs import _float_residue_system, higgs_space
+from graphcurves.higgs import _float_residue_system, higgs_space, random_higgs_field
+from graphcurves.hitchin import hitchin_jacobian
 from graphcurves.linalg import _full_rank, float_nullspace, float_rank
-from graphcurves.scalars import FLOAT, FULL_RANK_RTOL
+from graphcurves.scalars import EXACT, FLOAT, FULL_RANK_RTOL
 from graphcurves.sections import canonical_matrix
 
 from helpers import svd_kernel, svd_rank
@@ -126,6 +127,35 @@ def test_residue_system_is_certified(seed):
         patch.setattr(np.linalg, "svd", _no_svd)
         report = higgs_space(framing)
     assert report.dim == 3 * 11 - 3
+
+
+def test_rank_margins_and_agreement_at_large_genus():
+    # on random_trivalent(V, seed) with its float framing, V = 80 and 160
+    # (genus 41 and 81), seeds 0 and 1, each float system a rank is taken
+    # of has sigma_min / ||A||_F at least 10 x FULL_RANK_RTOL (measured
+    # minima: 7.97e-3, 2.51e-4 and 2.74e-4); at genus 81 the exact and
+    # float `higgs` dim and rank and `hitchin` jacobian_rank agree
+    margins = {}
+    for vertices, seed in ((80, 0), (80, 1), (160, 0), (160, 1)):
+        g = random_trivalent(vertices, seed)
+        ranks = []
+        for domain in (FLOAT, EXACT) if vertices == 160 else (FLOAT,):
+            framing = Framing.random(g, seed, domain)
+            space = higgs_space(framing)
+            jac = hitchin_jacobian(random_higgs_field(framing, seed), framing)
+            ranks.append((space.dim, space.rank, jac.rank))
+            if domain == FLOAT:
+                for name, rows in (
+                        ("residue sums", _float_residue_system(framing)[0]),
+                        ("flat linearization", flat_linearization(zero_section(framing))),
+                        ("Hitchin Jacobian", jac.matrix)):
+                    a = np.array(rows, dtype=complex)
+                    least = np.linalg.svd(a, compute_uv=False)[-1] / np.linalg.norm(a)
+                    margins[name] = min(margins.get(name, np.inf), least)
+        generic = 3 * g.genus - 3
+        assert set(ranks) == {(generic, 6 * vertices - generic, generic)}, ranks
+    thin = {name: m for name, m in margins.items() if m < 10 * FULL_RANK_RTOL}
+    assert not thin, f"sigma_min / ||A||_F below {10 * FULL_RANK_RTOL:.0e}: {thin}"
 
 
 @pytest.mark.parametrize("vertices", [8, 20])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
 from graphcurves.matrices import Mat2
+from graphcurves.errors import ValidationError
 from graphcurves.linalg import KernelReport
 from graphcurves.scalars import EXACT, FLOAT, _to_pairs
 from graphcurves.framings import (Framing, GaugeTransform, apply_gauge, flat_linearization,
@@ -292,6 +293,18 @@ def test_exact_fields_on_float_framings():
         want = max(old_higgs_residual(phi, identity) for phi in fields)
         assert type(want) is Fraction
         assert bits(higgs_residual(fields, identity)) == bits(want)
+
+
+def test_fields_of_both_domains_raise():
+    # exact and float fields in one sequence, in either order, are a
+    # ValidationError, on either kind of framing
+    g = catalog_graph("k4")
+    exact = random_higgs_field(Framing.random(g, 1, EXACT), 1)
+    floating = random_higgs_field(Framing.random(g, 1, FLOAT), 1)
+    for framing in (Framing.random(g, 2, EXACT), Framing.random(g, 2, FLOAT)):
+        for fields in ([exact, floating], [floating, exact]):
+            with pytest.raises(ValidationError, match="both domains"):
+                higgs_residual(fields, framing)
 
 
 @pytest.mark.parametrize("domain", [EXACT, FLOAT])

@@ -26,12 +26,12 @@ from graphcurves.higgs import (HiggsField, _integer_higgs_rows, _working_form,
                                assemble_higgs_constraints, higgs_residual,
                                higgs_space, random_higgs_field)
 from graphcurves.hitchin import _exact_jacobian_rows, hitchin_jacobian
-from graphcurves.linalg import _integer_row
+from graphcurves.linalg import _integer_row, exact_nullspace, exact_rref
 from graphcurves.scalars import EXACT, FLOAT
 
 from helpers import (bits, expand_exact_form, old_exact_form, old_exact_higgs_basis,
                      old_exact_jacobian_rows, old_exact_random_coefficients,
-                     old_exact_residual)
+                     old_exact_residual, old_integer_higgs_rows)
 
 FIXED = [catalog_graph(name) for name in CATALOG_NAMES] + [
     random_trivalent(v, s) for v in (8, 20, 40) for s in (0, 1)]
@@ -67,9 +67,11 @@ def _check_solve(framing):
     g = framing.graph
     basis = higgs_space(framing).basis
     oracle = old_exact_higgs_basis(framing)
-    # the sparse assembly is the primitive integer rows of the dense one
-    assert _integer_higgs_rows(framing) == [
-        _integer_row(row) for row in assemble_higgs_constraints(framing)]
+    # the sparse assembly is the primitive integer rows of the dense one,
+    # and the rows of the edge loop it replaced
+    rows = _integer_higgs_rows(framing)
+    assert rows == [_integer_row(row) for row in assemble_higgs_constraints(framing)]
+    assert rows == old_integer_higgs_rows(framing)
     # the size and the sparse form are read without making a field
     assert len(basis) == len(oracle)
     form = _working_form(basis, g, EXACT)
@@ -142,6 +144,19 @@ def test_a_basis_makes_its_fields_once_on_first_read(domain):
     assert list(basis)[1:] == list(basis[1:])
     with pytest.raises(TypeError):
         basis[0] = first
+
+
+def test_dense_fraction_vectors_share_one_zero():
+    # the dense Fraction vectors made from integers over a denominator,
+    # of exact_rref, exact_nullspace, the exact Higgs fields and the exact
+    # Jacobian rows, hold one Fraction(0) object between them
+    framing = Framing.random(random_trivalent(8, 1), 1, EXACT)
+    rows, ncols = assemble_higgs_constraints(framing), 6 * 8
+    phi = random_higgs_field(framing, 1)
+    vectors = [*exact_rref(rows, ncols)[0], *exact_nullspace(rows, ncols),
+               *(psi.coefficients for psi in higgs_space(framing).basis),
+               *hitchin_jacobian(phi, framing).matrix]
+    assert len({id(x) for vec in vectors for x in vec if not x}) == 1
 
 
 def test_a_float_basis_that_is_not_finite_is_a_validation_error(monkeypatch):
