@@ -34,7 +34,8 @@ from .higgs import (higgs_residual, higgs_space, random_higgs_field,
 from .hitchin import hitchin_image, hitchin_jacobian, is_regular, jacobian_fd_error
 from .linalg import rank as matrix_rank
 from .scalars import EXACT, FLOAT
-from .sections import bires_coordinates, canonical_space, double_canonical_space
+from .sections import (_biresidue_rows, bires_coordinates, canonical_space,
+                       double_canonical_space)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -123,15 +124,15 @@ def cmd_sections(args) -> dict:
     graph, inputs = _resolve_graph(args.graph)
     can = canonical_space(graph, args.domain)
     double = double_canonical_space(graph, args.domain)
-    coords = bires_coordinates(double.basis)
-    ncols = len(graph.edges)
+    # the bi-residue rows in the basis's working form: ints, or one array
+    rows, _ = _biresidue_rows(double.basis)
     results = {
         "genus": graph.genus,
         "dim_K": can.dim,
         "rank_K": can.rank,
         "dim_2K": double.dim,
         "rank_2K": double.rank,
-        "bires_rank": matrix_rank(coords, ncols, args.domain),
+        "bires_rank": matrix_rank(rows, len(graph.edges), args.domain),
     }
     return _report("sections", {"graph": inputs}, args.domain, args.seed, results)
 

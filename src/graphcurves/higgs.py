@@ -29,7 +29,8 @@ assemble_higgs_constraints (sections._node_rows) read as primitive
 {column: int} maps (linalg._integer_row), and linalg's one kernel
 reader reads the canonical basis off their reduced echelon form, one
 field per free coefficient, as integer numerators over an lcm
-denominator.  The exact outputs are built on that basis.  A float
+denominator, as the K and 2K solves of sections read theirs.  The exact
+outputs are built on that basis.  A float
 framing solves the per-vertex sums in per-edge residue coordinates (3V
 rows, 3E columns, the system flat ranks, residue_parameterization_matrix):
 one traceless residue per edge fixes the field, its partner being the
@@ -59,26 +60,27 @@ a third of the vertices at V = 40, and the exact kernels (higgs_residual,
 random_higgs_field and hitchin's Jacobian rows) work on the live
 vertices and the edges at them only.  The float form is the complex
 batch of the coefficients.  Each solve makes its own form, and the
-basis it returns (_Basis, one type for both domains) keeps it, read-only,
-so no kernel converts that basis.  The basis makes its HiggsFields, of
+basis it returns (sections._Basis, the one lazy basis type of the K,
+2K and Higgs solves, in both domains) keeps it, read-only, so no kernel
+converts that basis.  The basis makes its HiggsFields, of
 Fraction or complex coefficients, only when a caller first indexes,
 slices or iterates it, and no CLI path does.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
-from .linalg import (KernelReport, _clear_denominators, _float_kernel, _fractions,
-                     _integer_kernel, _integer_row, solve_kernel)
+from .linalg import (KernelReport, _clear_denominators, _float_kernel, _integer_kernel,
+                     _integer_row, solve_kernel)
 from .matrices import IDENTITY, Mat2, _conjugation, adjoint_matrix, from_sl2_coords
 from .scalars import EXACT, FLOAT, _ComplexBatch, _from_pairs, _to_pairs, domain_of
-from .sections import (RESIDUE_FUNCTIONAL, _dense, _node_rows, _residues,
+from .sections import (RESIDUE_FUNCTIONAL, _Basis, _dense, _edges_at, _exact_basis,
+                       _float_basis, _live_form, _node_rows, _read_only, _residues,
                        _VertexCoefficients)
 
 
@@ -165,42 +167,6 @@ def higgs_space(framing: Framing) -> KernelReport:
     return framing._higgs_space
 
 
-class _Basis(Sequence):
-    """A Higgs basis as higgs_space returns it, in either domain: an
-    immutable sequence of size HiggsFields on graph, all of domain.
-
-    It keeps its working form per domain, forms[domain] (_working_form),
-    starting with the one its solve made.  The fields are made when a
-    caller first indexes, slices or iterates the basis, from
-    coefficients(), which gives each field's coefficients as the solve
-    has already checked them; len, the forms, the graph and the domain
-    are read without making them.
-    """
-
-    __slots__ = ("graph", "domain", "forms", "_size", "_coefficients", "_fields")
-
-    def __init__(self, graph, domain: str, size: int, forms: dict, coefficients):
-        self.graph, self.domain, self.forms = graph, domain, forms
-        self._size, self._coefficients, self._fields = size, coefficients, None
-
-    def __len__(self):
-        return self._size
-
-    def __getitem__(self, index):
-        return self._read()[index]
-
-    def __iter__(self):
-        return iter(self._read())
-
-    def _read(self):
-        """The tuple of HiggsFields, made on the first call."""
-        if self._fields is None:
-            self._fields = tuple(HiggsField._checked(self.graph, tuple(c), self.domain)
-                                 for c in self._coefficients())
-            self._coefficients = None
-        return self._fields
-
-
 def _domains(fields) -> set:
     """The domains of the fields; a basis from higgs_space gives its own
     without making its fields."""
@@ -232,32 +198,12 @@ def _working_form(fields, graph, domain: str):
     if domain not in forms:
         if domain == EXACT:
             cleared = (_clear_denominators(phi.coefficients) for phi in fields)
-            forms[EXACT] = tuple(_live_form(((j, x) for j, x in enumerate(c) if x), den)
+            forms[EXACT] = tuple(_live_form(((j, x) for j, x in enumerate(c) if x), den, 6)
                                  for c, den in cleared)
         else:
             forms[FLOAT] = _read_only(_to_pairs([phi.coefficients for phi in fields],
                                                 6 * graph.vertex_count))
     return forms[domain]
-
-
-def _live_form(numerators, den):
-    """One field's exact working form (_working_form) from its nonzero
-    integer numerators, as (column, int) pairs, and their lcm denominator."""
-    live = {}
-    for j, x in numerators:
-        v, i = divmod(j, 6)
-        six = live.get(v)
-        if six is None:
-            six = live[v] = [0] * 6
-        six[i] = x
-    return tuple(sorted((v, tuple(six)) for v, six in live.items())), den
-
-
-def _edges_at(graph, vertices):
-    """The indices of the edges with an end at one of the vertices, in
-    increasing order."""
-    return sorted({graph._edge_of_dart[d] for v in vertices
-                   for d in graph._vertex_darts[v]})
 
 
 def _integer_transport(a: Mat2):
@@ -282,32 +228,15 @@ def _exact_higgs_space(framing: Framing) -> KernelReport:
     (_integer_higgs_rows), and linalg._integer_kernel reads its kernel
     off their reduced echelon form: per free coefficient, the numerators
     of a field over their lcm denominator.  Grouped by live vertex
-    (_live_form), they are the basis's exact working form; the Fraction
-    fields are made from it on first read (_exact_coefficients).
+    (sections._exact_basis), they are the basis's exact working form; the
+    Fraction fields are made from it on first read.
     """
     g = framing.graph
     ncols = 6 * g.vertex_count
-    kernel = _integer_kernel(_integer_higgs_rows(framing), ncols)
-    form = tuple(_live_form(ints.items(), den) for ints, den in kernel)
-    basis = _Basis(g, EXACT, len(form), {EXACT: form},
-                   lambda: _exact_coefficients(form, ncols))
+    basis = _exact_basis(HiggsField, g, _integer_kernel(_integer_higgs_rows(framing),
+                                                        ncols))
     return KernelReport(domain=EXACT, nrows=3 * len(g.edges), ncols=ncols,
                         rank=ncols - len(basis), basis=basis)
-
-
-def _exact_coefficients(form, ncols):
-    """The Fraction coefficients of each field of an exact working form
-    (linalg._fractions)."""
-    for live, den in form:
-        yield _fractions(((i, x) for v, six in live for i, x in enumerate(six, 6 * v)),
-                         den, ncols)
-
-
-def _read_only(arrays):
-    """The arrays, each made so that it cannot be written."""
-    for x in arrays:
-        x.setflags(write=False)
-    return arrays
 
 
 def _float_residue_system(framing: Framing):
@@ -381,10 +310,8 @@ def _float_higgs_space(framing: Framing) -> KernelReport:
         for e, (v, point) in enumerate(zip(*g._edge_ends[side])):
             if point != 2:
                 coeffs[:, v, :, point] = residues[e]
-    z = np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)[0].T
-    if not np.isfinite(z).all():
-        raise ValidationError("float coefficients must be finite")
-    basis = _Basis(g, FLOAT, len(z), {FLOAT: _read_only(_to_pairs(z, ncols))}, z.tolist)
+    basis = _float_basis(HiggsField, g,
+                         np.linalg.qr(coeffs.reshape(len(kernel), ncols).T)[0].T)
     return KernelReport(domain=FLOAT, nrows=3 * nedges, ncols=ncols,
                         rank=ncols - len(basis), basis=basis)
 

@@ -16,9 +16,10 @@ polarization of det.
 The kernels map a field's flat 6V coefficient tuple to the flat 3V
 (q0, q1, q2)-per-vertex tuple of a GlobalQuadratic.  The Jacobians run
 them in one of two ways.  Exact rows of hitchin_jacobian run on the
-integer numerators of the fields, matched by bires_coordinates' matcher
-(sections._integer_biresidues), and divide once per entry, which gives
-the same Fractions and messages as the rational computation.  They read
+integer numerators of the fields, matched by the loop that reads the
+bi-residue rows of a 2K basis (sections._integer_biresidue_rows), and
+divide once per entry, which gives the same Fractions and messages as
+the rational computation.  They read
 a basis in its sparse exact form, which lists each field's live
 vertices: the polarization with a field vanishes wherever the field
 does, so its row is formed on those vertices and matched on the edges
@@ -37,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .framings import Framing
-from .higgs import HiggsField, _domains, _edges_at, _working_form, higgs_space
+from .higgs import HiggsField, _domains, _working_form, higgs_space
 from .linalg import _clear_denominators, _fractions, rank as matrix_rank
 from .scalars import EXACT, FLOAT, REGULAR_RTOL, _ComplexBatch, _from_pairs, _to_pairs
 from .sections import (GlobalQuadratic, _biresidues, _float_biresidue_rows,
-                       _integer_biresidues, _product_coefficients,
+                       _integer_biresidue_rows, _product_coefficients,
                        bires_coordinates)
 
 FD_STEP = 1e-5  # central-difference step of the finite-difference Jacobian
@@ -152,27 +153,19 @@ def _exact_jacobian_rows(phi: HiggsField, basis):
     The polarization is bilinear, so the integer row of phi * den_phi
     against psi * den_psi is den_phi * den_psi times row k.  It vanishes
     wherever psi does, so it is formed on psi's live vertices only and
-    matched on the edges at them; every other entry is 0.  The Fraction
-    rows are linalg._fractions of the integer rows.
+    matched on the edges at them (sections._integer_biresidue_rows);
+    every other entry is 0.  The Fraction rows are linalg._fractions of
+    the integer rows.
     """
     g = phi.graph
     x, den_phi = _clear_denominators(phi.coefficients)
+    int_rows, dens = _integer_biresidue_rows(g, (
+        ([(v, _biresidues(*_polarization_coefficients(x[6 * v:6 * v + 6], y)))
+          for v, y in live], den_phi * den_psi)
+        for live, den_psi in _working_form(basis, g, EXACT)))
     nedges = len(g.edges)
-    none = (0, 0, 0)
-    int_rows, rows = [], []
-    for live, den_psi in _working_form(basis, g, EXACT):
-        den = den_phi * den_psi
-        bires = [none] * g.vertex_count
-        for v, y in live:
-            bires[v] = _biresidues(*_polarization_coefficients(x[6 * v:6 * v + 6], y))
-        edges = _edges_at(g, (v for v, _ in live))
-        matched = _integer_biresidues(g, bires, den, edges)
-        coords = [0] * nedges
-        for e, c in zip(edges, matched):
-            coords[e] = c
-        int_rows.append(coords)
-        rows.append(_fractions(zip(edges, matched), den, nedges))
-    return int_rows, rows
+    return int_rows, [_fractions(enumerate(row), den, nedges)
+                      for row, den in zip(int_rows, dens)]
 
 
 def finite_difference_jacobian(phi: HiggsField, framing: Framing, basis=None):

@@ -20,8 +20,10 @@ pivot row by its pivot once, at the end.  A kernel has one reader,
 _kernel_numerators: it reads each free column's vector off the reduced
 integer rows as integer numerators over their lcm denominator, a sparse
 map that is never made dense.  exact_nullspace is the Fraction view of
-that reader, and the exact Higgs solve (higgs.higgs_space) keeps its
-integers as the basis's working form.  Every dense Fraction vector made
+that reader, and the exact K, 2K and Higgs solves
+(sections.canonical_space, sections.double_canonical_space and
+higgs.higgs_space) call _integer_kernel on their integer rows and keep
+its integers as the basis's working form.  Every dense Fraction vector made
 from integers over a denominator is laid out by _fractions.  The choice
 of pivot rows cannot change a result: every step scales a row by a
 nonzero rational or adds a multiple of another row to it, so the row
@@ -30,15 +32,19 @@ independent columns, whichever rows carry them, and the reduced row
 echelon form of a matrix is unique, so the result equals Gauss–Jordan
 over the rationals, Fraction for Fraction.
 
-exact_rank (and integer_rank through it) first eliminates the primitive
-integer rows mod the prime P = 2^61 - 1.  Every minor of the integer
-matrix reduces mod P to the same minor of the reduced matrix, so the
-rank mod P is never larger than the rank over the rationals (Cohen, A
-Course in Computational Algebraic Number Theory, 1993, ch. 2).  A rank
-mod P equal to min(nrows, ncols) is therefore the rational rank; any
-lower result may be a drop at P, and the rank is recomputed by the
-integer elimination above.  The mod-P rows are sparse maps too, and
-one loop, _echelon, eliminates both kinds with the same pivot choice;
+exact_rank (and integer_rank through it) takes the columns in order of
+increasing nonzero count, which a rank does not depend on: a column
+with few entries, eliminated early, spreads fill-in over few rows.  It
+then eliminates the primitive integer rows mod the prime P = 2^61 - 1.
+Every minor of the integer matrix reduces mod P to the same minor of
+the reduced matrix, so the rank mod P is never larger than the rank
+over the rationals (Cohen, A Course in Computational Algebraic Number
+Theory, 1993, ch. 2).  A rank mod P equal to min(nrows, ncols) is
+therefore the rational rank; any lower result may be a drop at P, and
+the rank is recomputed by the integer elimination above.  exact_rref,
+the kernels and independent_rows keep the given column order, on which
+their results depend.  The mod-P rows are sparse maps too, and one
+loop, _echelon, eliminates both kinds with the same pivot choice;
 only the update that clears a column differs.
 
 Float path: a rank counts the singular values above RANK_RTOL times the
@@ -56,13 +62,16 @@ certificate fails the SVD decides, with the kernel from the trailing
 right singular vectors.  numpy is imported on the first float call, so
 an exact run never loads it.  The rows may be lists of scalars or a
 complex array; a kernel basis comes back as lists of Python complex
-numbers, not numpy scalars.
+numbers, not numpy scalars.  The float K, 2K and Higgs solves call
+_float_kernel and keep its array as the basis's working form.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .scalars import EXACT, FULL_RANK_RTOL, RANK_RTOL, check_domain
 
@@ -211,23 +220,37 @@ def exact_rref(rows, ncols):
             for r, row in enumerate(m)], pivots
 
 
+def _column_order(m):
+    """{column: k}: the nonzero columns of the sparse rows m numbered
+    0, 1, ... in order of increasing nonzero count, ties by column."""
+    counts = Counter(chain.from_iterable(m))
+    return dict(zip(sorted(sorted(counts), key=counts.__getitem__), range(len(counts))))
+
+
 def _rank_mod_p(m, ncols) -> int:
     """Rank of the sparse integer rows m reduced mod P (m is unchanged):
-    _echelon on the nonzero residues, with the GF(P) update."""
-    rows = [{j: y for j, x in row.items() if (y := x % P)} for row in m]
+    _echelon on the nonzero residues, with the GF(P) update, with the
+    columns renumbered in _column_order."""
+    order = _column_order(m)
+    rows = [{order[j]: y for j, x in row.items() if (y := x % P)} for row in m]
     return len(_echelon(rows, ncols, False, _mod_p_update))
 
 
 def exact_rank(rows, ncols) -> int:
     """Rank over the rationals, certified mod P when it is full.
 
-    The integer rows are first eliminated mod P; a full rank there is
-    the answer, and anything lower is recomputed by _echelon.
+    A rank does not depend on the order of the columns, so both
+    eliminations take them in order of increasing nonzero count
+    (_column_order), in which _echelon's pivots fill in less.  The
+    integer rows are first eliminated mod P; a full rank there is the
+    answer, and anything lower is recomputed by _echelon.
     """
     m = [_integer_row(row) for row in rows]
     full = min(len(m), ncols)
     if _rank_mod_p(m, ncols) == full:
         return full
+    order = _column_order(m)
+    m = [{order[j]: x for j, x in row.items()} for row in m]
     return len(_echelon(m, ncols, reduced=False))
 
 

@@ -22,22 +22,38 @@ the functional at a's point plus a factor times the one at b's is zero,
 the factor being 1 for residues, -1 for bi-residues and Ad(a) for the
 residue matrices of Higgs fields.  Its rows are sparse maps {column:
 value}: _dense lays them out for the public matrices, and the exact
-Higgs solve reads them as integer rows (linalg._integer_row).  Global
+solves read them as integer rows (linalg._integer_row).  Global
 sections of the dualizing sheaf form a g-dimensional space; its square
 gives a (3g-3)-dimensional space on which the per-edge bi-residues are
 global coordinates.
+
+The K, 2K and Higgs spaces are kernels of such rows, and each solve
+returns its basis as one lazy sequence type (_Basis) that keeps the
+kernel in a working form per domain: exact, per vector, its lcm
+denominator and the integer numerators of its live vertices, those
+with a nonzero coefficient (_live_form), as linalg._integer_kernel
+reads them off the integer rows; float, the read-only complex batch of
+linalg._float_kernel's array.  The fields, GlobalDifferentials,
+GlobalQuadratics or HiggsFields, are made from it only when a caller
+first indexes, slices or iterates the basis, with the bits
+exact_nullspace and float_nullspace give.  The bi-residue rows of a 2K
+basis are read off its working form (_biresidue_rows), so the sections
+report solves, matches and ranks on ints or on one array and makes no
+field.
 """
 from __future__ import annotations
 
 import cmath
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat
 
 from .errors import MatchingViolated, ValidationError
 from .graphs import TrivalentGraph
-from .linalg import KernelReport, _clear_denominators, solve_kernel
+from .linalg import (KernelReport, _clear_denominators, _float_kernel, _fractions,
+                     _integer_kernel, _integer_row)
 from .scalars import (EXACT, FLOAT, MATCH_TOL, _ComplexBatch, _from_pairs, _to_pairs,
-                      domain_of)
+                      check_domain, domain_of)
 
 
 def _residues(r0, r1):
@@ -133,6 +149,116 @@ class GlobalQuadratic(_VertexCoefficients):
     WIDTH = 3
 
 
+class _Basis(Sequence):
+    """A kernel basis as a section space or higgs_space returns it, in
+    either domain: an immutable sequence of size fields of the class cls
+    (a _VertexCoefficients) on graph, all of domain.
+
+    It keeps its working form per domain, forms[domain], starting with
+    the one its solve made (_exact_basis, _float_basis).  The fields are
+    made when a caller first indexes, slices or iterates the basis, by
+    cls._checked from coefficients(), which gives each field's
+    coefficients as the solve has already checked them; len, the forms,
+    the class, the graph and the domain are read without making them.
+    """
+
+    __slots__ = ("cls", "graph", "domain", "forms", "_size", "_coefficients",
+                 "_fields")
+
+    def __init__(self, cls, graph, domain: str, size: int, forms: dict, coefficients):
+        self.cls, self.graph, self.domain, self.forms = cls, graph, domain, forms
+        self._size, self._coefficients, self._fields = size, coefficients, None
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def _read(self):
+        """The tuple of fields, made on the first call."""
+        if self._fields is None:
+            self._fields = tuple(self.cls._checked(self.graph, tuple(c), self.domain)
+                                 for c in self._coefficients())
+            self._coefficients = None
+        return self._fields
+
+
+def _live_form(numerators, den, width: int):
+    """One vector's exact working form from its nonzero integer
+    numerators, as (column, int) pairs, and their lcm denominator den:
+    (live, den), live the pairs (v, the width numerators of vertex v) of
+    the vertices v with a nonzero numerator, in increasing order, each
+    as a tuple."""
+    live = {}
+    for j, x in numerators:
+        v, i = divmod(j, width)
+        block = live.get(v)
+        if block is None:
+            block = live[v] = [0] * width
+        block[i] = x
+    return tuple(sorted((v, tuple(block)) for v, block in live.items())), den
+
+
+def _exact_basis(cls, graph: TrivalentGraph, kernel) -> _Basis:
+    """The _Basis of cls on graph of an exact kernel, (ints, den) per
+    vector as linalg._integer_kernel gives it, kept in its live-vertex
+    form (_live_form); a field's coefficients are the linalg._fractions
+    of its numerators, as exact_nullspace gives them."""
+    width = cls.WIDTH
+    ncols = width * graph.vertex_count
+    form = tuple(_live_form(ints.items(), den, width) for ints, den in kernel)
+
+    def coefficients():
+        for live, den in form:
+            yield _fractions(((i, x) for v, block in live
+                              for i, x in enumerate(block, width * v)), den, ncols)
+
+    return _Basis(cls, graph, EXACT, len(form), {EXACT: form}, coefficients)
+
+
+def _float_basis(cls, graph: TrivalentGraph, z) -> _Basis:
+    """The _Basis of cls on graph of the complex array z, one vector per
+    row, kept as its read-only complex batch; a field's coefficients are
+    its row's Python complex numbers (z.tolist), as float_nullspace gives
+    them.  Raises ValidationError, as a field would, on an entry that is
+    not finite."""
+    import numpy as np
+
+    if not np.isfinite(z).all():
+        raise ValidationError("float coefficients must be finite")
+    batch = _read_only(_to_pairs(z, cls.WIDTH * graph.vertex_count))
+    return _Basis(cls, graph, FLOAT, len(z), {FLOAT: batch}, z.tolist)
+
+
+def _read_only(arrays):
+    """The arrays, each made so that it cannot be written."""
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
+def _section_space(cls, graph: TrivalentGraph, rows, nrows: int,
+                   domain: str) -> KernelReport:
+    """The kernel of the sparse node rows (_node_rows) on cls's
+    coefficients, in domain: linalg._integer_kernel of their integer rows
+    (linalg._integer_row) when exact, linalg._float_kernel of the dense
+    rows when float, kept as the working form of the basis (_exact_basis,
+    _float_basis).  The report gives nrows as the system's row count."""
+    check_domain(domain)
+    ncols = cls.WIDTH * graph.vertex_count
+    if domain == EXACT:
+        basis = _exact_basis(cls, graph, _integer_kernel(
+            [_integer_row(row) for row in rows], ncols))
+    else:
+        basis = _float_basis(cls, graph, _float_kernel(_dense(rows, ncols), ncols))
+    return KernelReport(domain=domain, nrows=nrows, ncols=ncols,
+                        rank=ncols - len(basis), basis=basis)
+
+
 def _node_rows(graph: TrivalentGraph, width: int, functional, blocks):
     """The sparse node rows of width coefficients per vertex: per edge
     (a, b), n rows block_a · functional[point of a] on a's vertex plus
@@ -167,21 +293,39 @@ def _dense(rows, ncols):
     return out
 
 
+def _canonical_rows(graph: TrivalentGraph):
+    """The sparse rows of canonical_matrix (_node_rows)."""
+    return _node_rows(graph, 2, RESIDUE_FUNCTIONAL, repeat((((1,),), ((1,),))))
+
+
 def canonical_matrix(graph: TrivalentGraph):
     """Residue-cancellation system for global differentials.
 
     One row per edge, columns (r0, r1) per vertex; entries are small
     integers, usable in either scalar domain.
     """
-    return _dense(_node_rows(graph, 2, RESIDUE_FUNCTIONAL, repeat((((1,),), ((1,),)))),
-                  2 * graph.vertex_count)
+    return _dense(_canonical_rows(graph), 2 * graph.vertex_count)
 
 
 def canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> KernelReport:
-    """Global sections of the dualizing sheaf; dimension g, rank 3g - 4."""
-    report = solve_kernel(canonical_matrix(graph), 2 * graph.vertex_count, domain)
-    report.basis = [GlobalDifferential(graph, vec) for vec in report.basis]
-    return report
+    """Global sections of the dualizing sheaf; dimension g, rank 3g - 4.
+
+    The basis (_Basis) makes its GlobalDifferentials on first read.  The
+    report describes canonical_matrix, E rows, but the kernel is solved
+    on all rows but the last: every (vertex, marked point) is an end of
+    exactly one edge, and the residues of a vertex at 0, 1 and inf sum
+    to zero, so the rows sum to zero and the last is minus the sum of
+    the others.  The row space is the same, so the exact basis, read off
+    the unique reduced echelon form, is too, and the E - 1 rows have
+    full rank, which the float solve certifies in place of an SVD.
+    """
+    return _section_space(GlobalDifferential, graph, _canonical_rows(graph)[:-1],
+                          len(graph.edges), domain)
+
+
+def _double_canonical_rows(graph: TrivalentGraph):
+    """The sparse rows of double_canonical_matrix (_node_rows)."""
+    return _node_rows(graph, 3, BIRESIDUE_FUNCTIONAL, repeat((((1,),), ((-1,),))))
 
 
 def double_canonical_matrix(graph: TrivalentGraph):
@@ -190,16 +334,17 @@ def double_canonical_matrix(graph: TrivalentGraph):
     One row per edge: the bi-residue functional on the lower-dart side
     minus the functional on the partner side.
     """
-    return _dense(_node_rows(graph, 3, BIRESIDUE_FUNCTIONAL, repeat((((1,),), ((-1,),)))),
-                  3 * graph.vertex_count)
+    return _dense(_double_canonical_rows(graph), 3 * graph.vertex_count)
 
 
 def double_canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> KernelReport:
-    """Global quadratic differentials; dimension 3g - 3, full rank system."""
-    report = solve_kernel(double_canonical_matrix(graph), 3 * graph.vertex_count,
-                          domain)
-    report.basis = [GlobalQuadratic(graph, vec) for vec in report.basis]
-    return report
+    """Global quadratic differentials; dimension 3g - 3, full rank system.
+
+    The basis (_Basis) makes its GlobalQuadratics on first read;
+    bires_coordinates and _biresidue_rows read it without them.
+    """
+    return _section_space(GlobalQuadratic, graph, _double_canonical_rows(graph),
+                          len(graph.edges), domain)
 
 
 def bires_coordinates(quadratics):
@@ -216,9 +361,20 @@ def bires_coordinates(quadratics):
     MatchingViolated names the first edge that fails in the first
     quadratic with one; a quadratic on another graph raises
     ValidationError.
+
+    On a basis of double_canonical_space the rows are the view of its
+    working-form rows (_biresidue_rows), with the same values and types:
+    linalg._fractions of the integer rows when exact, the array's Python
+    complex numbers when float; no field is made.
     """
     if not quadratics:
         return []
+    if isinstance(quadratics, _Basis) and quadratics.cls is GlobalQuadratic:
+        rows, dens = _biresidue_rows(quadratics)
+        if dens is None:
+            return rows.tolist()
+        nedges = len(quadratics.graph.edges)
+        return [_fractions(enumerate(row), den, nedges) for row, den in zip(rows, dens)]
     g = quadratics[0].graph
     if any(omega.graph != g for omega in quadratics):
         raise ValidationError("quadratic differentials on different graphs")
@@ -226,6 +382,23 @@ def bires_coordinates(quadratics):
         return [_exact_biresidues(g, omega.coefficients) for omega in quadratics]
     q = _to_pairs([omega.coefficients for omega in quadratics], 3 * g.vertex_count)
     return _from_pairs(_float_biresidue_rows(g, q.columns(3))).tolist()
+
+
+def _biresidue_rows(basis: _Basis):
+    """The per-edge bi-residue rows of a double-canonical basis, read off
+    its working form without making a field.
+
+    EXACT: (rows, dens), per quadratic its integer row, the bi-residues
+    times its lcm denominator den (_integer_biresidue_rows), and den.
+    FLOAT: (the complex array of the rows, None), matched at once by
+    _float_biresidue_rows on the batch the basis keeps.  Each exact row
+    is den > 0 times the rational row, so both have one rank.
+    """
+    g = basis.graph
+    if basis.domain == EXACT:
+        return _integer_biresidue_rows(g, (([(v, _biresidues(*q)) for v, q in live], den)
+                                           for live, den in basis.forms[EXACT]))
+    return _from_pairs(_float_biresidue_rows(g, basis.forms[FLOAT].columns(3))), None
 
 
 def _float_biresidue_rows(g: TrivalentGraph, q):
@@ -273,11 +446,48 @@ def _exact_biresidues(g: TrivalentGraph, coeffs):
             for n, u, pu in zip(coords, *g._edge_ends[0])]
 
 
+def _edges_at(graph: TrivalentGraph, vertices):
+    """The indices of the edges with an end at one of the vertices, in
+    increasing order."""
+    return sorted({graph._edge_of_dart[d] for v in vertices
+                   for d in graph._vertex_darts[v]})
+
+
+def _integer_biresidue_rows(g: TrivalentGraph, live_bires):
+    """The exact bi-residue rows of many quadratic differentials, of a
+    double-canonical basis (_biresidue_rows) and of the exact
+    hitchin_jacobian rows.
+
+    live_bires gives per differential (live, den): den > 0, and live the
+    pairs (v, the bi-residues at (0, 1, inf) times den) of the vertices
+    where the differential may not vanish; it vanishes at every other
+    vertex.  Each is matched by _integer_biresidues on the edges at its
+    live vertices (_edges_at): on any other edge both sides are 0.
+    Returns (rows, dens): per differential, the list of its per-edge
+    bi-residues times den, as ints, and den.
+    """
+    none = (0, 0, 0)
+    nedges = len(g.edges)
+    rows, dens = [], []
+    for live, den in live_bires:
+        bires = [none] * g.vertex_count
+        for v, b in live:
+            bires[v] = b
+        edges = _edges_at(g, (v for v, _ in live))
+        row = [0] * nedges
+        for e, x in zip(edges, _integer_biresidues(g, bires, den, edges)):
+            row[e] = x
+        rows.append(row)
+        dens.append(den)
+    return rows, dens
+
+
 def _integer_biresidues(g: TrivalentGraph, bires, den, edges):
     """The exact bi-residue matcher, of bires_coordinates and of the exact
-    hitchin_jacobian rows: the bi-residues, as ints, of the edges (indices,
-    in increasing order), from bires, per vertex the bi-residues at
-    (0, 1, inf) of a quadratic differential times den > 0.
+    bi-residue rows (_integer_biresidue_rows): the bi-residues, as ints,
+    of the edges (indices, in increasing order), from bires, per vertex
+    the bi-residues at (0, 1, inf) of a quadratic differential times
+    den > 0.
     MatchingViolated names the first of the edges whose two sides differ,
     and shows them over den, as Fractions."""
     (vs, ps), (vt, pt) = g._edge_ends

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import graphcurves.linalg as linalg_mod
 from graphcurves.framings import Framing
 from graphcurves.graphs import random_trivalent
-from graphcurves.higgs import assemble_higgs_constraints
+from graphcurves.higgs import _integer_higgs_rows, assemble_higgs_constraints
 from graphcurves.linalg import (
     exact_nullspace,
     exact_rank,
@@ -27,6 +27,7 @@ from graphcurves.linalg import (
     integer_rank,
 )
 from graphcurves.scalars import EXACT
+from graphcurves.sections import canonical_matrix, double_canonical_matrix
 
 from helpers import (
     bits,
@@ -198,3 +199,58 @@ def test_kernel_reader_matches_the_fraction_reading(system):
         assert den == math.lcm(*(x.denominator for x in vec))
         assert ints == {j: x.numerator * (den // x.denominator)
                         for j, x in enumerate(vec) if x}
+
+
+# -- exact_rank in column-count order ---------------------------------------
+
+
+@st.composite
+def _low_rank_integer_matrices(draw):
+    """(rows, ncols, r): B C for sparse integer B (nrows x r) and C
+    (r x ncols), so of rank at most r, often less than both sides; the
+    columns of C are given very different nonzero counts."""
+    nrows, ncols, r = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(
+        st.integers(0, 6))
+    entry = st.integers(-5, 5)
+    b = [[draw(entry) if draw(st.integers(0, 2)) else 0 for _ in range(r)]
+         for _ in range(nrows)]
+    density = [draw(st.integers(0, 9)) for _ in range(ncols)]  # tenths, per column
+    c = [[draw(entry) if draw(st.integers(0, 9)) < density[j] else 0
+          for j in range(ncols)] for _ in range(r)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] if r else
+            [0] * ncols for row in b], ncols, r
+
+
+@PROPERTY
+@given(_low_rank_integer_matrices())
+@example(([[0, 0, 0], [0, 0, 0]], 3, 0))
+@example(([[1, 2, 0], [2, 4, 0], [0, 1, 1]], 3, 2))
+def test_exact_rank_in_column_count_order_is_the_rational_rank(system):
+    rows, ncols, r = system
+    rank = len(fraction_rref(rows, ncols)[1])
+    assert rank <= r
+    assert exact_rank(rows, ncols) == rank
+    assert integer_rank(rows) == rank
+    # exact_rank reorders the columns itself: any order gives one rank
+    reversed_cols = [row[::-1] for row in rows]
+    assert exact_rank(reversed_cols, ncols) == rank
+
+
+# -- the rows the elimination leaves on the node systems ---------------------
+
+
+@pytest.mark.parametrize("vertices, seed", [(8, 0), (20, 1), (40, 2)])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_echelon_rows_of_the_node_systems_are_primitive(vertices, seed, reduced):
+    # every row _echelon leaves on the K, 2K and Higgs integer rows is
+    # divided by its content: the update of a row keeps it primitive
+    g = random_trivalent(vertices, seed)
+    V = g.vertex_count
+    systems = [([linalg_mod._integer_row(row) for row in canonical_matrix(g)], 2 * V),
+               ([linalg_mod._integer_row(row) for row in double_canonical_matrix(g)],
+                3 * V),
+               (_integer_higgs_rows(Framing.random(g, seed, EXACT)), 6 * V)]
+    for m, ncols in systems:
+        pivots = linalg_mod._echelon(m, ncols, reduced)
+        assert len(pivots) > 0
+        assert all(math.gcd(*row.values()) == 1 for row in m if row)

@@ -20,14 +20,16 @@ def test_stage_times_prints_both_tables():
     assert lines[0] == "| stage | V | exact s, min / median | float s, min / median |"
     assert lines.index("| system | V | shape | rank | s_{r-1}/s_0 | s_r/s_0 "
                        "| s_min/norm_F | path |") > 0
-    # twelve stage rows, then the two float Higgs systems and the Jacobian
+    # fifteen stage rows, then the two float Higgs systems and the Jacobian
     rows = [line.split(" | ")[0] for line in lines if " | 8 | " in line]
-    assert len(rows) == 15
+    assert len(rows) == 18
     assert rows[0] == "| Higgs solve"
     assert rows[7:12] == ["| Higgs assembly", "| Higgs elimination", "| Higgs kernel form",
                           "| Higgs fields on first read", "| flat linearization"]
-    assert rows[12:] == ["| residue sums", "| node cancellation", "| Hitchin Jacobian"]
-    for line in lines[2:14]:  # each time cell is "min / median", or "-"
+    assert rows[12:15] == ["| canonical_space", "| double_canonical_space",
+                           "| bi-residue rank"]
+    assert rows[15:] == ["| residue sums", "| node cancellation", "| Hitchin Jacobian"]
+    for line in lines[2:17]:  # each time cell is "min / median", or "-"
         cells = [cell.strip(" |") for cell in line.split(" | ")[2:4]]
         if line.startswith("| Higgs kernel form |"):
             assert cells[1] == "-"  # exact only

@@ -3,7 +3,11 @@
     python3 tools/stage_times.py [CHECKOUT] [--vertices 40 80] [--repeats 3] [--seed 1]
 
 CHECKOUT (default: this checkout) is the root of a graphcurves source
-tree that has ``hitchin._float_fd_rows``; its ``src`` is imported.  For each V the graph is
+tree that has ``hitchin._float_fd_rows``; its ``src`` is imported.  A
+tree from before the K, 2K and Higgs bases shared ``sections._Basis``
+is timed too: its kernel form is read by ``higgs._live_form``, and its
+bi-residue rank takes the rows of ``bires_coordinates``, as its
+``sections`` call did.  For each V the graph is
 ``random_trivalent(V, seed)`` and the framing ``Framing.random(graph,
 seed, domain)``.  Each stage is timed with ``time.perf_counter``, and
 each cell prints ``min / median`` of the repeats, so a stage whose
@@ -36,10 +40,16 @@ Markdown table row per stage and V, with an exact and a float column:
   (``linalg._float_kernel``) when float;
 * Higgs kernel form, exact only: the working form read off that echelon
   form, built untimed (``linalg._kernel_numerators``, then
-  ``higgs._live_form`` per field);
+  ``sections._live_form`` per field);
 * Higgs fields on first read: ``basis[0]`` of a fresh solve's basis,
   which makes every field of the basis;
-* flat linearization: ``flat_linearization(zero_section(framing))``.
+* flat linearization: ``flat_linearization(zero_section(framing))``;
+* ``canonical_space`` and ``double_canonical_space`` of the graph, as
+  the ``sections`` call solves them;
+* bi-residue rank: the rank that ``cli.cmd_sections`` takes of the
+  bi-residue rows of the double-canonical basis, built untimed in the
+  basis's working form (``sections._biresidue_rows``): integer rows
+  when exact, one complex array when float.
 
 The four Higgs rows split the Higgs solve; a cell that does not apply
 prints ``-``.
@@ -77,7 +87,8 @@ from pathlib import Path
 STAGES = ("Higgs solve", "higgs_residual over the basis", "hitchin_jacobian",
           "FD rows", "FD compare", "bires_coordinates over the 2K basis",
           "hitchin trial", "Higgs assembly", "Higgs elimination", "Higgs kernel form",
-          "Higgs fields on first read", "flat linearization")
+          "Higgs fields on first read", "flat linearization", "canonical_space",
+          "double_canonical_space", "bi-residue rank")
 
 
 def _times(repeats, run, setup=lambda: None):
@@ -105,10 +116,16 @@ def _hitchin_trial(path: str, seed: int, domain: str) -> None:
 def _higgs_split(graph, seed: int, domain: str, repeats: int):
     """The times of the Higgs assembly, elimination, kernel form (None
     when float) and fields on first read."""
+    from graphcurves import sections
     from graphcurves.framings import Framing
-    from graphcurves.higgs import (_float_residue_system, _integer_higgs_rows,
-                                   _live_form, higgs_space)
+    from graphcurves.higgs import _float_residue_system, _integer_higgs_rows, higgs_space
     from graphcurves.linalg import _echelon, _float_kernel, _kernel_numerators
+
+    if hasattr(sections, "_Basis"):
+        def live_form(ints, den):
+            return sections._live_form(ints, den, 6)
+    else:
+        from graphcurves.higgs import _live_form as live_form
 
     def framing():
         return Framing.random(graph, seed, domain)
@@ -130,13 +147,31 @@ def _higgs_split(graph, seed: int, domain: str, repeats: int):
         return rows, _echelon(rows, ncols, reduced=True)
 
     def kernel_form(reduced):
-        return tuple(_live_form(ints.items(), den)
+        return tuple(live_form(ints.items(), den)
                      for ints, den in _kernel_numerators(*reduced, ncols))
 
     return (_times(repeats, _integer_higgs_rows, framing),
             _times(repeats, lambda rows: _echelon(rows, ncols, reduced=True),
                    lambda: _integer_higgs_rows(framing())),
             _times(repeats, kernel_form, echelon), fields)
+
+
+def _section_times(graph, domain: str, repeats: int):
+    """The times of canonical_space, double_canonical_space and the
+    bi-residue rank of the sections call."""
+    from graphcurves import sections
+    from graphcurves.linalg import rank
+
+    def bires_rows():
+        basis = sections.double_canonical_space(graph, domain).basis
+        if hasattr(sections, "_biresidue_rows"):
+            return sections._biresidue_rows(basis)[0]
+        return sections.bires_coordinates(basis)
+
+    nedges = len(graph.edges)
+    return (_times(repeats, lambda _: sections.canonical_space(graph, domain)),
+            _times(repeats, lambda _: sections.double_canonical_space(graph, domain)),
+            _times(repeats, lambda rows: rank(rows, nedges, domain), bires_rows))
 
 
 def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
@@ -183,6 +218,7 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
         trial,
         *_higgs_split(graph, seed, domain, repeats),
         _times(repeats, lambda _: flat_linearization(zero_section(framing))),
+        *_section_times(graph, domain, repeats),
     )
     return dict(zip(STAGES, times))
 
