@@ -229,10 +229,8 @@ def _column_order(m):
 
 def _rank_mod_p(m, ncols) -> int:
     """Rank of the sparse integer rows m reduced mod P (m is unchanged):
-    _echelon on the nonzero residues, with the GF(P) update, with the
-    columns renumbered in _column_order."""
-    order = _column_order(m)
-    rows = [{order[j]: y for j, x in row.items() if (y := x % P)} for row in m]
+    _echelon on the nonzero residues, with the GF(P) update."""
+    rows = [{j: y for j, x in row.items() if (y := x % P)} for row in m]
     return len(_echelon(rows, ncols, False, _mod_p_update))
 
 
@@ -246,11 +244,11 @@ def exact_rank(rows, ncols) -> int:
     answer, and anything lower is recomputed by _echelon.
     """
     m = [_integer_row(row) for row in rows]
+    order = _column_order(m)
+    m = [{order[j]: x for j, x in row.items()} for row in m]
     full = min(len(m), ncols)
     if _rank_mod_p(m, ncols) == full:
         return full
-    order = _column_order(m)
-    m = [{order[j]: x for j, x in row.items()} for row in m]
     return len(_echelon(m, ncols, reduced=False))
 
 

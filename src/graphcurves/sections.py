@@ -341,7 +341,7 @@ def double_canonical_space(graph: TrivalentGraph, domain: str = EXACT) -> Kernel
     """Global quadratic differentials; dimension 3g - 3, full rank system.
 
     The basis (_Basis) makes its GlobalQuadratics on first read;
-    bires_coordinates and _biresidue_rows read it without them.
+    _biresidue_rows reads its bi-residue rows without them.
     """
     return _section_space(GlobalQuadratic, graph, _double_canonical_rows(graph),
                           len(graph.edges), domain)
@@ -361,20 +361,9 @@ def bires_coordinates(quadratics):
     MatchingViolated names the first edge that fails in the first
     quadratic with one; a quadratic on another graph raises
     ValidationError.
-
-    On a basis of double_canonical_space the rows are the view of its
-    working-form rows (_biresidue_rows), with the same values and types:
-    linalg._fractions of the integer rows when exact, the array's Python
-    complex numbers when float; no field is made.
     """
     if not quadratics:
         return []
-    if isinstance(quadratics, _Basis) and quadratics.cls is GlobalQuadratic:
-        rows, dens = _biresidue_rows(quadratics)
-        if dens is None:
-            return rows.tolist()
-        nedges = len(quadratics.graph.edges)
-        return [_fractions(enumerate(row), den, nedges) for row, den in zip(rows, dens)]
     g = quadratics[0].graph
     if any(omega.graph != g for omega in quadratics):
         raise ValidationError("quadratic differentials on different graphs")

@@ -65,38 +65,38 @@ def test_lazy_section_fields_are_the_dense_kernels(graph, domain):
 @pytest.mark.parametrize("domain", [EXACT, FLOAT])
 @pytest.mark.parametrize("graph", [("k33",), ("dumbbell",), (20, 0), (40, 2)], ids=str)
 def test_biresidue_rows_of_a_basis_are_its_fields_rows(graph, domain):
-    # bires_coordinates on a 2K basis reads its working form, makes no
-    # field, and gives the bits and types of the same call on its fields
+    # the rows read off a 2K basis's working form make no field, and are
+    # the rows bires_coordinates gives on its fields
     g = catalog_graph(*graph) if len(graph) == 1 else random_trivalent(*graph)
     basis = double_canonical_space(g, domain).basis
-    got = bires_coordinates(basis)
-    assert basis._fields is None
-    assert bits(got) == bits(bires_coordinates(list(basis)))
     rows, dens = sections_mod._biresidue_rows(basis)
+    assert basis._fields is None
+    want = bires_coordinates(list(basis))
     if domain == EXACT:
         # each integer row is its Fraction row times a positive den
         assert all(type(x) is int for row in rows for x in row)
-        assert all(den > 0 and [x * den for x in want] == row
-                   for row, den, want in zip(rows, dens, got))
+        assert all(den > 0 and [x * den for x in coords] == row
+                   for row, den, coords in zip(rows, dens, want))
     else:
-        assert dens is None and bits(rows.tolist()) == bits(got)
+        assert dens is None and bits(rows.tolist()) == bits(want)
 
 
 @pytest.mark.parametrize("graph", [("k4",), (20, 1)], ids=str)
 def test_biresidue_rows_of_a_basis_over_denominators(graph):
     # the K and 2K kernels of these graphs have denominator 1; 1/(k + 2)
     # times vector k gives a basis of the same space over other
-    # denominators, which the view of its rows divides back out
+    # denominators, whose integer rows are their Fraction rows times them
     g = catalog_graph(*graph) if len(graph) == 1 else random_trivalent(*graph)
     ncols = 3 * g.vertex_count
     rows = [linalg_mod._integer_row(row) for row in double_canonical_matrix(g)]
     kernel = [(ints, den * (k + 2))
               for k, (ints, den) in enumerate(linalg_mod._integer_kernel(rows, ncols))]
     basis = sections_mod._exact_basis(GlobalQuadratic, g, kernel)
-    got = bires_coordinates(basis)
-    assert basis._fields is None
-    assert bits(got) == bits(bires_coordinates(list(basis)))
-    assert {x.denominator for row in got for x in row} > {1}
+    rows, dens = sections_mod._biresidue_rows(basis)
+    want = bires_coordinates(list(basis))
+    assert {x.denominator for row in want for x in row} > {1}
+    assert dens == [den for _, den in kernel]
+    assert [[Fraction(x, den) for x in row] for row, den in zip(rows, dens)] == want
 
 
 @pytest.fixture

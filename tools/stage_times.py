@@ -3,11 +3,8 @@
     python3 tools/stage_times.py [CHECKOUT] [--vertices 40 80] [--repeats 3] [--seed 1]
 
 CHECKOUT (default: this checkout) is the root of a graphcurves source
-tree that has ``hitchin._float_fd_rows``; its ``src`` is imported.  A
-tree from before the K, 2K and Higgs bases shared ``sections._Basis``
-is timed too: its kernel form is read by ``higgs._live_form``, and its
-bi-residue rank takes the rows of ``bires_coordinates``, as its
-``sections`` call did.  For each V the graph is
+tree that has ``sections._biresidue_rows``; its ``src`` is imported.
+For each V the graph is
 ``random_trivalent(V, seed)`` and the framing ``Framing.random(graph,
 seed, domain)``.  Each stage is timed with ``time.perf_counter``, and
 each cell prints ``min / median`` of the repeats, so a stage whose
@@ -121,12 +118,6 @@ def _higgs_split(graph, seed: int, domain: str, repeats: int):
     from graphcurves.higgs import _float_residue_system, _integer_higgs_rows, higgs_space
     from graphcurves.linalg import _echelon, _float_kernel, _kernel_numerators
 
-    if hasattr(sections, "_Basis"):
-        def live_form(ints, den):
-            return sections._live_form(ints, den, 6)
-    else:
-        from graphcurves.higgs import _live_form as live_form
-
     def framing():
         return Framing.random(graph, seed, domain)
 
@@ -147,7 +138,7 @@ def _higgs_split(graph, seed: int, domain: str, repeats: int):
         return rows, _echelon(rows, ncols, reduced=True)
 
     def kernel_form(reduced):
-        return tuple(live_form(ints.items(), den)
+        return tuple(sections._live_form(ints.items(), den, 6)
                      for ints, den in _kernel_numerators(*reduced, ncols))
 
     return (_times(repeats, _integer_higgs_rows, framing),
@@ -163,10 +154,7 @@ def _section_times(graph, domain: str, repeats: int):
     from graphcurves.linalg import rank
 
     def bires_rows():
-        basis = sections.double_canonical_space(graph, domain).basis
-        if hasattr(sections, "_biresidue_rows"):
-            return sections._biresidue_rows(basis)[0]
-        return sections.bires_coordinates(basis)
+        return sections._biresidue_rows(sections.double_canonical_space(graph, domain).basis)[0]
 
     nedges = len(graph.edges)
     return (_times(repeats, lambda _: sections.canonical_space(graph, domain)),
