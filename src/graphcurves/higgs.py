@@ -24,12 +24,10 @@ Jacobians of hitchin, called without a basis, reuse that solve.
 
 The two domains solve different systems for the same space.  An exact
 framing solves the node-cancellation system above (3E rows, 6V
-columns), sparse from end to end: its rows are the sparse node rows of
-assemble_higgs_constraints (sections._node_rows) read as primitive
-{column: int} maps (linalg._integer_row), and linalg's one kernel
-reader reads the canonical basis off their reduced echelon form, one
-field per free coefficient, as integer numerators over an lcm
-denominator, as the K and 2K solves of sections read theirs.  The exact
+columns), the sparse node rows of assemble_higgs_constraints
+(sections._node_rows), by the one exact solve of the K and 2K spaces
+too (sections._section_space): the canonical basis, one field per free
+coefficient, as integer numerators over an lcm denominator.  The exact
 outputs are built on that basis.  A float
 framing solves the per-vertex sums in per-edge residue coordinates (3V
 rows, 3E columns, the system flat ranks, residue_parameterization_matrix):
@@ -75,12 +73,12 @@ from random import Random
 
 from .errors import ValidationError
 from .framings import Framing, GaugeTransform, flat_linearization, zero_section
-from .linalg import (KernelReport, _clear_denominators, _float_kernel, _integer_kernel,
-                     _integer_row, solve_kernel)
+from .linalg import (KernelReport, _clear_denominators, _float_kernel, _fractions,
+                     solve_kernel)
 from .matrices import IDENTITY, Mat2, _conjugation, adjoint_matrix, from_sl2_coords
 from .scalars import EXACT, FLOAT, _ComplexBatch, _from_pairs, _to_pairs, domain_of
-from .sections import (RESIDUE_FUNCTIONAL, _Basis, _dense, _edges_at, _exact_basis,
-                       _float_basis, _live_form, _node_rows, _read_only, _residues,
+from .sections import (RESIDUE_FUNCTIONAL, _Basis, _dense, _edges_at, _float_basis,
+                       _live_form, _node_rows, _read_only, _residues, _section_space,
                        _VertexCoefficients)
 
 
@@ -145,7 +143,7 @@ def higgs_space(framing: Framing) -> KernelReport:
     """The framing's Higgs space, solved in its domain, as HiggsFields.
 
     An exact framing solves the node-cancellation system
-    (assemble_higgs_constraints) on sparse integers (_exact_higgs_space);
+    (assemble_higgs_constraints) on sparse integers (sections._section_space);
     the basis is read off its reduced echelon form, one field per free
     coefficient, and defines the exact output.  A float framing solves
     the smaller per-vertex-sum system in per-edge residue coordinates
@@ -162,8 +160,12 @@ def higgs_space(framing: Framing) -> KernelReport:
     read-only, so no caller can change the basis another caller sees.
     """
     if framing._higgs_space is None:
-        solve = _exact_higgs_space if framing.domain == EXACT else _float_higgs_space
-        framing._higgs_space = solve(framing)
+        if framing.domain == EXACT:
+            g = framing.graph
+            framing._higgs_space = _section_space(HiggsField, g, _higgs_rows(framing),
+                                                  3 * len(g.edges), EXACT)
+        else:
+            framing._higgs_space = _float_higgs_space(framing)
     return framing._higgs_space
 
 
@@ -213,30 +215,6 @@ def _integer_transport(a: Mat2):
     T = [[p, q], [r, s]]."""
     (p, q, r, s), d = _clear_denominators(a.entries())
     return d * d, _conjugation(Mat2(p, q, r, s), Mat2(s, -q, -r, p))
-
-
-def _integer_higgs_rows(framing: Framing):
-    """The node-cancellation rows of an exact framing (_higgs_rows) as
-    primitive sparse integer rows (linalg._integer_row)."""
-    return [_integer_row(row) for row in _higgs_rows(framing)]
-
-
-def _exact_higgs_space(framing: Framing) -> KernelReport:
-    """higgs_space of an exact framing, sparse from end to end.
-
-    The node-cancellation system is built as sparse integer rows
-    (_integer_higgs_rows), and linalg._integer_kernel reads its kernel
-    off their reduced echelon form: per free coefficient, the numerators
-    of a field over their lcm denominator.  Grouped by live vertex
-    (sections._exact_basis), they are the basis's exact working form; the
-    Fraction fields are made from it on first read.
-    """
-    g = framing.graph
-    ncols = 6 * g.vertex_count
-    basis = _exact_basis(HiggsField, g, _integer_kernel(_integer_higgs_rows(framing),
-                                                        ncols))
-    return KernelReport(domain=EXACT, nrows=3 * len(g.edges), ncols=ncols,
-                        rank=ncols - len(basis), basis=basis)
 
 
 def _float_residue_system(framing: Framing):
@@ -323,11 +301,10 @@ def higgs_residual(fields, framing: Framing):
     their working form (_working_form), so a field on another graph
     raises ValidationError; an empty one gives 0.  The check reads the
     residues and the framing matrices themselves, never the rows of
-    assemble_higgs_constraints or _integer_higgs_rows, and shares no
-    code with the solve that builds them.  The work of an edge (its
-    transport and its inverse) is done once for all the fields.  The
-    fields must be of one domain: a sequence of exact and float fields
-    raises ValidationError.
+    assemble_higgs_constraints, and shares no code with the solve that
+    builds them.  The work of an edge (its transport and its inverse) is
+    done once for all the fields.  The fields must be of one domain: a
+    sequence of exact and float fields raises ValidationError.
 
     An exact field is checked on integers where the edge's matrix is
     exact (every entry an int or Fraction): with phi scaled by its lcm
@@ -463,7 +440,8 @@ def random_higgs_field(framing: Framing, seed: int) -> HiggsField:
                     for i, x in enumerate(six, 6 * v):
                         if x:
                             acc[i] += s * x
-        return HiggsField(g, [Fraction(a, den) for a in acc])
+        return HiggsField._checked(g, tuple(_fractions(enumerate(acc), den, len(acc))),
+                                   EXACT)
     return _float_draw(report.basis, g, rng)
 
 

@@ -20,32 +20,32 @@ pivot row by its pivot once, at the end.  A kernel has one reader,
 _kernel_numerators: it reads each free column's vector off the reduced
 integer rows as integer numerators over their lcm denominator, a sparse
 map that is never made dense.  exact_nullspace is the Fraction view of
-that reader, and the exact K, 2K and Higgs solves
-(sections.canonical_space, sections.double_canonical_space and
-higgs.higgs_space) call _integer_kernel on their integer rows and keep
-its integers as the basis's working form.  Every dense Fraction vector made
-from integers over a denominator is laid out by _fractions.  The choice
-of pivot rows cannot change a result: every step scales a row by a
-nonzero rational or adds a multiple of another row to it, so the row
-space over the rationals never changes; the pivot columns are then the leftmost
-independent columns, whichever rows carry them, and the reduced row
-echelon form of a matrix is unique, so the result equals Gauss–Jordan
-over the rationals, Fraction for Fraction.
+that reader, and the one exact solve of the K, 2K and Higgs spaces
+(sections._section_space) calls _integer_kernel on their integer rows
+and keeps its integers as the basis's working form.  Every dense
+Fraction vector made from integers over a denominator is laid out by
+_fractions.  The choice of pivot rows cannot change a result: every step
+scales a row by a nonzero rational or adds a multiple of another row to
+it, so the row space over the rationals never changes; the pivot columns
+are then the leftmost independent columns, whichever rows carry them,
+and the reduced row echelon form of a matrix is unique, so the result
+equals Gauss–Jordan over the rationals, Fraction for Fraction.
 
 exact_rank (and integer_rank through it) takes the columns in order of
 increasing nonzero count, which a rank does not depend on: a column
 with few entries, eliminated early, spreads fill-in over few rows.  It
-then eliminates the primitive integer rows mod the prime P = 2^61 - 1.
+then eliminates the primitive integer rows mod the prime P = 2^61 - 1,
+in one copy of the rows that _rank_mod_p renumbers as it reduces them.
 Every minor of the integer matrix reduces mod P to the same minor of
 the reduced matrix, so the rank mod P is never larger than the rank
 over the rationals (Cohen, A Course in Computational Algebraic Number
 Theory, 1993, ch. 2).  A rank mod P equal to min(nrows, ncols) is
 therefore the rational rank; any lower result may be a drop at P, and
-the rank is recomputed by the integer elimination above.  exact_rref,
-the kernels and independent_rows keep the given column order, on which
-their results depend.  The mod-P rows are sparse maps too, and one
-loop, _echelon, eliminates both kinds with the same pivot choice;
-only the update that clears a column differs.
+the rank is recomputed by the integer elimination above, on rows
+renumbered only then.  exact_rref, the kernels and independent_rows keep
+the given column order, on which their results depend.  The mod-P rows
+are sparse maps too, and one loop, _echelon, eliminates both kinds with
+the same pivot choice; only the update that clears a column differs.
 
 Float path: a rank counts the singular values above RANK_RTOL times the
 largest, s_0.  Most float systems here have full rank, and for those a
@@ -227,10 +227,11 @@ def _column_order(m):
     return dict(zip(sorted(sorted(counts), key=counts.__getitem__), range(len(counts))))
 
 
-def _rank_mod_p(m, ncols) -> int:
+def _rank_mod_p(m, ncols, order) -> int:
     """Rank of the sparse integer rows m reduced mod P (m is unchanged):
-    _echelon on the nonzero residues, with the GF(P) update."""
-    rows = [{j: y for j, x in row.items() if (y := x % P)} for row in m]
+    _echelon, with the GF(P) update, on the nonzero residues, each column
+    j renumbered order[j] in the one copy it makes."""
+    rows = [{order[j]: y for j, x in row.items() if (y := x % P)} for row in m]
     return len(_echelon(rows, ncols, False, _mod_p_update))
 
 
@@ -241,15 +242,16 @@ def exact_rank(rows, ncols) -> int:
     eliminations take them in order of increasing nonzero count
     (_column_order), in which _echelon's pivots fill in less.  The
     integer rows are first eliminated mod P; a full rank there is the
-    answer, and anything lower is recomputed by _echelon.
+    answer, and anything lower is recomputed by _echelon on the rows
+    renumbered in the same order.
     """
     m = [_integer_row(row) for row in rows]
     order = _column_order(m)
-    m = [{order[j]: x for j, x in row.items()} for row in m]
     full = min(len(m), ncols)
-    if _rank_mod_p(m, ncols) == full:
+    if _rank_mod_p(m, ncols, order) == full:
         return full
-    return len(_echelon(m, ncols, reduced=False))
+    return len(_echelon([{order[j]: x for j, x in row.items()} for row in m], ncols,
+                        reduced=False))
 
 
 def _kernel_numerators(m, pivots, ncols):

@@ -27,8 +27,10 @@ sections of the dualizing sheaf form a g-dimensional space; its square
 gives a (3g-3)-dimensional space on which the per-edge bi-residues are
 global coordinates.
 
-The K, 2K and Higgs spaces are kernels of such rows, and each solve
-returns its basis as one lazy sequence type (_Basis) that keeps the
+The K, 2K and Higgs spaces are kernels of such rows.  _section_space
+solves K, 2K and the exact Higgs space (a float framing's, in residue
+coordinates, is higgs._float_higgs_space), and each solve returns its
+basis as one lazy sequence type (_Basis) that keeps the
 kernel in a working form per domain: exact, per vector, its lcm
 denominator and the integer numerators of its live vertices, those
 with a nonzero coefficient (_live_form), as linalg._integer_kernel
@@ -354,7 +356,7 @@ def bires_coordinates(quadratics):
     has one row per quadratic, one scalar per edge in canonical edge
     order, and an empty sequence gives [].  The two sides of each node
     must agree.  When every quadratic is exact, each is matched exactly on
-    its integer numerators (_integer_biresidues).  Otherwise the whole
+    its integer numerators (_exact_biresidues).  Otherwise the whole
     sequence is FLOAT, as domain_of decides for a value, and is matched
     at once (_float_biresidue_rows), within MATCH_TOL relative to each
     quadratic's scale; its values are Python complex numbers.
@@ -426,8 +428,8 @@ def _exact_biresidues(g: TrivalentGraph, coeffs):
     every coefficient it sums is an int, a Fraction otherwise.
     """
     ints, den = _clear_denominators(coeffs)
-    bires = list(map(_biresidues, ints[::3], ints[1::3], ints[2::3]))
-    coords = _integer_biresidues(g, bires, den, range(len(g.edges)))
+    bires = map(_biresidues, ints[::3], ints[1::3], ints[2::3])
+    (coords,), _ = _integer_biresidue_rows(g, [(list(enumerate(bires)), den)])
     # per bi-residue, whether it sums a Fraction coefficient
     fractions = [not isinstance(x, int) for x in coeffs]
     kinds = list(map(_biresidues, fractions[::3], fractions[1::3], fractions[2::3]))
@@ -443,18 +445,21 @@ def _edges_at(graph: TrivalentGraph, vertices):
 
 
 def _integer_biresidue_rows(g: TrivalentGraph, live_bires):
-    """The exact bi-residue rows of many quadratic differentials, of a
-    double-canonical basis (_biresidue_rows) and of the exact
-    hitchin_jacobian rows.
+    """The exact bi-residue matcher, of a double-canonical basis
+    (_biresidue_rows), of bires_coordinates (_exact_biresidues) and of
+    the exact hitchin_jacobian rows.
 
     live_bires gives per differential (live, den): den > 0, and live the
     pairs (v, the bi-residues at (0, 1, inf) times den) of the vertices
     where the differential may not vanish; it vanishes at every other
-    vertex.  Each is matched by _integer_biresidues on the edges at its
-    live vertices (_edges_at): on any other edge both sides are 0.
+    vertex.  Each is matched on the edges at its live vertices
+    (_edges_at), in increasing order: on any other edge both sides are 0.
     Returns (rows, dens): per differential, the list of its per-edge
-    bi-residues times den, as ints, and den.
+    bi-residues times den, as ints, and den.  MatchingViolated names the
+    first edge whose two sides differ, in the first differential with
+    one, and shows them over den, as Fractions.
     """
+    (vs, ps), (vt, pt) = g._edge_ends
     none = (0, 0, 0)
     nedges = len(g.edges)
     rows, dens = [], []
@@ -462,29 +467,13 @@ def _integer_biresidue_rows(g: TrivalentGraph, live_bires):
         bires = [none] * g.vertex_count
         for v, b in live:
             bires[v] = b
-        edges = _edges_at(g, (v for v, _ in live))
         row = [0] * nedges
-        for e, x in zip(edges, _integer_biresidues(g, bires, den, edges)):
+        for e in _edges_at(g, (v for v, _ in live)):
+            x, y = bires[vs[e]][ps[e]], bires[vt[e]][pt[e]]
+            if x != y:
+                raise MatchingViolated(f"bi-residues differ across edge {e}: "
+                                       f"{Fraction(x, den)} vs {Fraction(y, den)}")
             row[e] = x
         rows.append(row)
         dens.append(den)
     return rows, dens
-
-
-def _integer_biresidues(g: TrivalentGraph, bires, den, edges):
-    """The exact bi-residue matcher, of bires_coordinates and of the exact
-    bi-residue rows (_integer_biresidue_rows): the bi-residues, as ints,
-    of the edges (indices, in increasing order), from bires, per vertex
-    the bi-residues at (0, 1, inf) of a quadratic differential times
-    den > 0.
-    MatchingViolated names the first of the edges whose two sides differ,
-    and shows them over den, as Fractions."""
-    (vs, ps), (vt, pt) = g._edge_ends
-    coords = []
-    for e in edges:
-        x, y = bires[vs[e]][ps[e]], bires[vt[e]][pt[e]]
-        if x != y:
-            raise MatchingViolated(f"bi-residues differ across edge {e}: "
-                                   f"{Fraction(x, den)} vs {Fraction(y, den)}")
-        coords.append(x)
-    return coords

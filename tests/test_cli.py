@@ -15,6 +15,7 @@ from graphcurves import cli
 from graphcurves import higgs as higgs_mod
 from graphcurves import hitchin as hitchin_mod
 from graphcurves import linalg as linalg_mod
+from graphcurves import sections as sections_mod
 from graphcurves import spectral as spectral_mod
 from graphcurves.framings import Framing
 from graphcurves.graphs import catalog_graph, graph_to_json, random_trivalent
@@ -156,16 +157,17 @@ def _higgs_solves(monkeypatch, *argv):
     domains, framings, converted = [], [], []
     init = Framing.__init__
 
-    def count(name, domain_of_call):
-        # the exact solve reads its kernel off sparse integer rows and the
-        # float one takes its kernel as an array, both past solve_kernel
-        solve = getattr(higgs_mod, name)
+    def count(name, domain_of_call, module=higgs_mod):
+        # the exact solve (sections._section_space) reads its kernel off
+        # sparse integer rows and the float one takes its kernel as an
+        # array, both past solve_kernel
+        solve = getattr(module, name)
 
         def counted(*args):
             domains.append(domain_of_call(args))
             return solve(*args)
 
-        monkeypatch.setattr(higgs_mod, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def recorded(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -187,7 +189,7 @@ def _higgs_solves(monkeypatch, *argv):
         if hasattr(module, "_clear_denominators"):
             record(module, "_clear_denominators", lambda vec: [vec])
     count("solve_kernel", lambda args: args[2])
-    count("_integer_kernel", lambda args: EXACT)
+    count("_integer_kernel", lambda args: EXACT, sections_mod)
     count("_float_kernel", lambda args: FLOAT)
     monkeypatch.setattr(Framing, "__init__", recorded)
     with contextlib.redirect_stdout(io.StringIO()):

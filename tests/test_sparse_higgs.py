@@ -22,7 +22,7 @@ from graphcurves import higgs as higgs_mod
 from graphcurves.errors import MatchingViolated, ValidationError
 from graphcurves.framings import Framing
 from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
-from graphcurves.higgs import (HiggsField, _integer_higgs_rows, _working_form,
+from graphcurves.higgs import (HiggsField, _higgs_rows, _working_form,
                                assemble_higgs_constraints, higgs_residual,
                                higgs_space, random_higgs_field)
 from graphcurves.hitchin import _exact_jacobian_rows, hitchin_jacobian
@@ -69,7 +69,7 @@ def _check_solve(framing):
     oracle = old_exact_higgs_basis(framing)
     # the sparse assembly is the primitive integer rows of the dense one,
     # and the rows of the edge loop it replaced
-    rows = _integer_higgs_rows(framing)
+    rows = [_integer_row(r) for r in _higgs_rows(framing)]
     assert rows == [_integer_row(row) for row in assemble_higgs_constraints(framing)]
     assert rows == old_integer_higgs_rows(framing)
     # the size and the sparse form are read without making a field

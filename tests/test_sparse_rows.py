@@ -16,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphcurves.linalg as linalg_mod
+import graphcurves.sections as sections_mod
 from graphcurves.framings import Framing
 from graphcurves.graphs import random_trivalent
-from graphcurves.higgs import _integer_higgs_rows, assemble_higgs_constraints
+from graphcurves.higgs import _higgs_rows, assemble_higgs_constraints, higgs_space
 from graphcurves.linalg import (
     exact_nullspace,
     exact_rank,
@@ -27,7 +28,8 @@ from graphcurves.linalg import (
     integer_rank,
 )
 from graphcurves.scalars import EXACT
-from graphcurves.sections import canonical_matrix, double_canonical_matrix
+from graphcurves.sections import (canonical_matrix, canonical_space,
+                                  double_canonical_matrix, double_canonical_space)
 
 from helpers import (
     bits,
@@ -133,7 +135,9 @@ def test_sparse_rank_mod_p_matches_the_dense_oracle(system, p):
     dense = [dense_integer_row(row) for row in rows]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg_mod, "P", p)
-        assert linalg_mod._rank_mod_p(sparse, ncols) == dense_rank_mod_p(dense, ncols, p)
+        # a rank mod p does not depend on the column order
+        assert (linalg_mod._rank_mod_p(sparse, ncols, linalg_mod._column_order(sparse))
+                == dense_rank_mod_p(dense, ncols, p))
     assert [_sparse_to_dense(row, ncols) for row in sparse] == dense  # input untouched
 
 
@@ -246,11 +250,34 @@ def test_echelon_rows_of_the_node_systems_are_primitive(vertices, seed, reduced)
     # divided by its content: the update of a row keeps it primitive
     g = random_trivalent(vertices, seed)
     V = g.vertex_count
-    systems = [([linalg_mod._integer_row(row) for row in canonical_matrix(g)], 2 * V),
-               ([linalg_mod._integer_row(row) for row in double_canonical_matrix(g)],
-                3 * V),
-               (_integer_higgs_rows(Framing.random(g, seed, EXACT)), 6 * V)]
-    for m, ncols in systems:
+    systems = [(canonical_matrix(g), 2 * V), (double_canonical_matrix(g), 3 * V),
+               (_higgs_rows(Framing.random(g, seed, EXACT)), 6 * V)]
+    for rows, ncols in systems:
+        m = [linalg_mod._integer_row(row) for row in rows]
         pivots = linalg_mod._echelon(m, ncols, reduced)
         assert len(pivots) > 0
         assert all(math.gcd(*row.values()) == 1 for row in m if row)
+
+
+@pytest.mark.parametrize("vertices, seed", [(8, 0), (20, 1)])
+def test_the_exact_solve_eliminates_the_primitive_node_rows(monkeypatch, vertices, seed):
+    # sections._section_space, the one exact solve of K, 2K and the Higgs
+    # space, hands the elimination each node row as linalg._integer_row
+    # gives it, divided by its content: a row left with a common factor
+    # gives the same kernel, only on larger integers, so no output shows it
+    g = random_trivalent(vertices, seed)
+    framing = Framing.random(g, seed, EXACT)
+    seen = []
+    kernel = linalg_mod._integer_kernel
+
+    def recorded(m, ncols):
+        seen.append([dict(row) for row in m])
+        return kernel(m, ncols)
+
+    monkeypatch.setattr(sections_mod, "_integer_kernel", recorded)
+    canonical_space(g, EXACT)
+    double_canonical_space(g, EXACT)
+    higgs_space(framing)
+    systems = [canonical_matrix(g)[:-1], double_canonical_matrix(g),
+               assemble_higgs_constraints(framing)]
+    assert seen == [[linalg_mod._integer_row(row) for row in rows] for rows in systems]

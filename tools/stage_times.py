@@ -29,9 +29,10 @@ Markdown table row per stage and V, with an exact and a float column:
   printing the report, with stdout and stderr captured;
 * Higgs assembly: the system the Higgs solve builds, on a fresh framing
   built untimed, as for the Higgs solve: the sparse integer rows of the
-  node cancellation (``higgs._integer_higgs_rows``) when exact, the
-  per-vertex sums in edge coordinates (``higgs._float_residue_system``)
-  when float;
+  node cancellation (``linalg._integer_row`` of each of
+  ``higgs._higgs_rows``, as ``sections._section_space`` reads them) when
+  exact, the per-vertex sums in edge coordinates
+  (``higgs._float_residue_system``) when float;
 * Higgs elimination: on that system, built untimed, the reduced echelon
   form (``linalg._echelon``) when exact, the kernel array
   (``linalg._float_kernel``) when float;
@@ -115,8 +116,8 @@ def _higgs_split(graph, seed: int, domain: str, repeats: int):
     when float) and fields on first read."""
     from graphcurves import sections
     from graphcurves.framings import Framing
-    from graphcurves.higgs import _float_residue_system, _integer_higgs_rows, higgs_space
-    from graphcurves.linalg import _echelon, _float_kernel, _kernel_numerators
+    from graphcurves.higgs import _float_residue_system, _higgs_rows, higgs_space
+    from graphcurves.linalg import _echelon, _float_kernel, _integer_row, _kernel_numerators
 
     def framing():
         return Framing.random(graph, seed, domain)
@@ -133,17 +134,20 @@ def _higgs_split(graph, seed: int, domain: str, repeats: int):
                 None, fields)
     ncols = 6 * graph.vertex_count
 
+    def integer_rows(f):
+        return [_integer_row(row) for row in _higgs_rows(f)]
+
     def echelon():
-        rows = _integer_higgs_rows(framing())
+        rows = integer_rows(framing())
         return rows, _echelon(rows, ncols, reduced=True)
 
     def kernel_form(reduced):
         return tuple(sections._live_form(ints.items(), den, 6)
                      for ints, den in _kernel_numerators(*reduced, ncols))
 
-    return (_times(repeats, _integer_higgs_rows, framing),
+    return (_times(repeats, integer_rows, framing),
             _times(repeats, lambda rows: _echelon(rows, ncols, reduced=True),
-                   lambda: _integer_higgs_rows(framing())),
+                   lambda: integer_rows(framing())),
             _times(repeats, kernel_form, echelon), fields)
 
 
