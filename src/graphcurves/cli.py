@@ -2,8 +2,10 @@
 
 Every subcommand prints one JSON object to stdout, built only from the
 inputs, the seed and the scalar domain, so identical invocations produce
-byte-identical output; wall time goes to stderr.  Exit codes: 0 on
-success, 2 on invalid input, 3 on a numerical failure.
+byte-identical output; its wall time, loading its layers included, goes
+to stderr.  Exit codes: 0 on success, 2 on invalid input, 3 on a
+numerical failure.  Each cmd_* imports its layers when it runs, so a
+process loads (and, with bytecode caching off, compiles) only those.
 
 The report is the package's only output format, and _jsonable its only
 scalar encoding: an exact scalar (Fraction) becomes its "p/q" string
@@ -19,23 +21,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from . import spectral as spectral_mod
 from .errors import GraphCurveError, NumericalError, ValidationError
-from .framings import (Framing, flat_linearization, subspace_flags,
-                       vertex_relation_residual, zero_section)
 from .graphs import (CATALOG_NAMES, canonical_hash, catalog_graph,
                      graph_from_json, graph_to_json, random_trivalent)
-from .higgs import (higgs_residual, higgs_space, random_higgs_field,
-                    residue_parameterization_matrix)
-from .hitchin import hitchin_image, hitchin_jacobian, is_regular, jacobian_fd_error
-from .linalg import rank as matrix_rank
 from .scalars import EXACT, FLOAT
-from .sections import (_biresidue_rows, bires_coordinates, canonical_space,
-                       double_canonical_space)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -121,6 +113,8 @@ def cmd_graph(args) -> dict:
 
 
 def cmd_sections(args) -> dict:
+    from .linalg import rank as matrix_rank
+    from .sections import _biresidue_rows, canonical_space, double_canonical_space
     graph, inputs = _resolve_graph(args.graph)
     can = canonical_space(graph, args.domain)
     double = double_canonical_space(graph, args.domain)
@@ -138,6 +132,10 @@ def cmd_sections(args) -> dict:
 
 
 def cmd_flat(args) -> dict:
+    from .framings import (Framing, flat_linearization, subspace_flags,
+                           vertex_relation_residual, zero_section)
+    from .higgs import residue_parameterization_matrix
+    from .linalg import rank as matrix_rank
     graph, inputs = _resolve_graph(args.graph)
 
     def one_trial(seed):
@@ -159,6 +157,8 @@ def cmd_flat(args) -> dict:
 
 
 def cmd_higgs(args) -> dict:
+    from .framings import Framing
+    from .higgs import higgs_residual, higgs_space
     graph, inputs = _resolve_graph(args.graph)
 
     def one_trial(seed):
@@ -175,6 +175,10 @@ def cmd_higgs(args) -> dict:
 
 
 def cmd_hitchin(args) -> dict:
+    from .framings import Framing
+    from .higgs import random_higgs_field
+    from .hitchin import hitchin_image, hitchin_jacobian, is_regular, jacobian_fd_error
+    from .sections import bires_coordinates
     graph, inputs = _resolve_graph(args.graph)
 
     def one_trial(seed):
@@ -204,12 +208,17 @@ def cmd_hitchin(args) -> dict:
 
 
 def cmd_spectral(args) -> dict:
+    from dataclasses import asdict
+
+    from .framings import Framing
+    from .spectral import (build_spectral_curve, prym_report, random_regular_higgs,
+                           roundtrip_error)
     graph, inputs = _resolve_graph(args.graph)
 
     def one_trial(seed):
         framing = Framing.random(graph, seed, FLOAT)
-        phi = spectral_mod.random_regular_higgs(framing, seed)
-        curve = spectral_mod.build_spectral_curve(phi, framing)
+        phi = random_regular_higgs(framing, seed)
+        curve = build_spectral_curve(phi, framing)
         matching = max(lift.matching_residual for lift in curve.nodes.values())
         return {
             "genus": curve.arithmetic_genus,
@@ -219,9 +228,9 @@ def cmd_spectral(args) -> dict:
                                 curve.fixed_points_per_component().values()),
             "quotient_matches_base": curve.quotient_dual_graph() == [
                 graph.edge_endpoints(e) for e in range(len(graph.edges))],
-            "prym": asdict(spectral_mod.prym_report(graph)),
+            "prym": asdict(prym_report(graph)),
             "matching_residual": matching,
-            "roundtrip_err": spectral_mod.roundtrip_error(phi, framing),
+            "roundtrip_err": roundtrip_error(phi, framing),
         }
 
     return _report("spectral", {"graph": inputs}, FLOAT, args.seed,

@@ -248,7 +248,6 @@ def test_one_jacobian_per_float_hitchin_trial(monkeypatch, domain, jacobians,
 
     counted(hitchin_mod, "hitchin_jacobian")
     counted(linalg_mod, "float_rank")
-    monkeypatch.setattr(cli, "hitchin_jacobian", hitchin_mod.hitchin_jacobian)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["hitchin", "--graph", "k4", "--seed", "1", "--domain",
                          domain, "--trials", str(trials)]) == 0
@@ -337,6 +336,37 @@ def test_exact_subcommands_never_import_numpy():
     proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT],
                           capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
+
+
+LOADED_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from graphcurves import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0, sys.argv
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.startswith("graphcurves."))))
+"""
+GRAPH_MODULES = {"cli", "errors", "graphs", "scalars"}
+SECTION_MODULES = GRAPH_MODULES | {"linalg", "sections"}
+HIGGS_MODULES = SECTION_MODULES | {"framings", "higgs", "matrices"}
+HITCHIN_MODULES = HIGGS_MODULES | {"hitchin"}
+LOADED_BY = {"graph": GRAPH_MODULES, "sections": SECTION_MODULES,
+             "flat": HIGGS_MODULES, "higgs": HIGGS_MODULES,
+             "hitchin": HITCHIN_MODULES, "spectral": HITCHIN_MODULES | {"spectral"}}
+
+
+@pytest.mark.parametrize("command", LOADED_BY)
+def test_each_subcommand_loads_only_its_layers(command):
+    # cli imports each subcommand's layers when it runs, so a fresh
+    # process loads (and, with bytecode caching off, compiles) only those;
+    # an eager import at module level shows up here
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_SCRIPT, command, "--graph", "k4"],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == sorted(f"graphcurves.{m}" for m in LOADED_BY[command])
 
 
 def test_unknown_graph_name_exits_2():

@@ -1,22 +1,30 @@
 """The tools in tools/ run against this checkout.
 
 tools/stage_times.py reaches into private kernels of higgs, hitchin and
-linalg, so a change that moves them shows here.
+linalg, so a change that moves them shows here; its start-up table runs
+the CLI of this checkout.
 """
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_stage_times_prints_both_tables():
+@pytest.fixture(scope="module")
+def stage_times_lines():
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "stage_times.py"),
          "--vertices", "8", "--repeats", "1"],
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
+    return run.stdout.splitlines()
+
+
+def test_stage_times_prints_both_tables(stage_times_lines):
+    lines = stage_times_lines
     assert lines[0] == "| stage | V | exact s, min / median | float s, min / median |"
     assert lines.index("| system | V | shape | rank | s_{r-1}/s_0 | s_r/s_0 "
                        "| s_min/norm_F | path |") > 0
@@ -37,3 +45,18 @@ def test_stage_times_prints_both_tables():
         for cell in cells:
             low, median = (float(x) for x in cell.split(" / "))
             assert 0 <= low <= median
+
+
+def test_stage_times_prints_startup_rows(stage_times_lines):
+    # one process per row, below the value the times depend on
+    lines = stage_times_lines
+    start = lines.index("| process | s, min / median |")
+    assert lines[start - 1].startswith("PYTHONDONTWRITEBYTECODE=")
+    startup = [line.split(" | ") for line in lines[start + 2:]]
+    assert [cells[0] for cells in startup] == [
+        "| bare interpreter", "| import graphcurves", "| import numpy",
+        *(f"| {cmd} --graph k4" for cmd in
+          ("graph", "sections", "flat", "higgs", "hitchin", "spectral"))]
+    for cells in startup:
+        low, median = (float(x) for x in cells[1].strip(" |").split(" / "))
+        assert 0 < low <= median

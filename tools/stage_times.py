@@ -69,6 +69,16 @@ over the Frobenius norm, s_min/norm_F, and the path the float rank and
 kernel take: ``certificate`` when ``linalg._full_rank`` holds (s_min/norm_F
 above ``FULL_RANK_RTOL`` = 1e-5, no SVD), ``SVD`` otherwise.  The
 threshold is ``RANK_RTOL`` = 1e-9.
+
+A third table times start-up, one fresh process per call with the
+checkout's ``src`` first on ``PYTHONPATH``: a bare interpreter
+(``python -c pass``), ``import graphcurves``, ``import numpy``, and
+``python -m graphcurves CMD --graph k4`` for each of the six
+subcommands in its default domain, output discarded.  The repeats run
+round-robin over the rows, and each row prints ``min / median`` in
+seconds.  Start-up compiles every module a process loads when bytecode
+caching is off, so the value of ``PYTHONDONTWRITEBYTECODE`` is printed
+above the table.
 """
 from __future__ import annotations
 
@@ -76,7 +86,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -87,6 +99,12 @@ STAGES = ("Higgs solve", "higgs_residual over the basis", "hitchin_jacobian",
           "hitchin trial", "Higgs assembly", "Higgs elimination", "Higgs kernel form",
           "Higgs fields on first read", "flat linearization", "canonical_space",
           "double_canonical_space", "bi-residue rank")
+
+STARTUP = (("bare interpreter", ["-c", "pass"]),
+           ("import graphcurves", ["-c", "import graphcurves"]),
+           ("import numpy", ["-c", "import numpy"]),
+           *((f"{cmd} --graph k4", ["-m", "graphcurves", cmd, "--graph", "k4"])
+             for cmd in ("graph", "sections", "flat", "higgs", "hitchin", "spectral")))
 
 
 def _times(repeats, run, setup=lambda: None):
@@ -243,6 +261,21 @@ def rank_margins(vertices: int, seed: int) -> dict:
     return out
 
 
+def startup_times(checkout: Path, repeats: int) -> dict:
+    """(min, median) over repeats of the wall time of each STARTUP process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(checkout / "src"), env.get("PYTHONPATH")) if p)
+    times = {name: [] for name, _ in STARTUP}
+    for _ in range(repeats):
+        for name, args in STARTUP:
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *args], env=env, check=True,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            times[name].append(time.perf_counter() - start)
+    return {name: (min(t), statistics.median(t)) for name, t in times.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", nargs="?",
@@ -251,7 +284,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.checkout).resolve() / "src"))
+    checkout = Path(args.checkout).resolve()
+    sys.path.insert(0, str(checkout / "src"))
     print("| stage | V | exact s, min / median | float s, min / median |")
     print("|---|---|---|---|")
     for v in args.vertices:
@@ -271,6 +305,13 @@ def main(argv=None) -> int:
             dropped = "-" if dropped is None else f"{dropped:.2e}"
             print(f"| {name} | {v} | {shape[0]}x{shape[1]} | {r} | {kept:.2e} "
                   f"| {dropped} | {least:.2e} | {path} |")
+    print()
+    bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    print("PYTHONDONTWRITEBYTECODE=" + ("(unset)" if bytecode is None else bytecode))
+    print("| process | s, min / median |")
+    print("|---|---|")
+    for name, (low, median) in startup_times(checkout, args.repeats).items():
+        print(f"| {name} | {low:.4f} / {median:.4f} |")
     return 0
 
 
