@@ -275,9 +275,6 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         report = _COMMANDS[args.command](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

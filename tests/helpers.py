@@ -6,6 +6,7 @@ numpy's SVD, and fraction_rref is Gauss-Jordan on Fraction objects.
 All are slow and meant for small fixtures only.
 """
 
+import importlib.util
 import math
 import os
 from dataclasses import dataclass
@@ -16,7 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+
+
+@lru_cache(maxsize=None)
+def load_by_path(relative: str):
+    """The module at ROOT / relative (a tool, a benchmark module), loaded once."""
+    path = ROOT / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def cli_env():

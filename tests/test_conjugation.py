@@ -20,13 +20,13 @@ from graphcurves.graphs import CATALOG_NAMES, catalog_graph, random_trivalent
 from graphcurves.matrices import Mat2, adjoint_matrix, random_unimodular
 from graphcurves.scalars import EXACT, FLOAT
 
-from helpers import bits, old_adjoint_matrix, old_flat_linearization
+from helpers import bits, load_by_path, old_adjoint_matrix, old_flat_linearization
 
+cli_grid = load_by_path("tools/cli_grid.py")
 GRID_GRAPHS = {name: catalog_graph(name) for name in CATALOG_NAMES}
 GRID_GRAPHS.update({f"random_{v}_{s}": random_trivalent(v, s)
-                    for v in (8, 20, 40) for s in (0, 1)})
-SEEDS = (0, 1, 2)
-GRID = [(label, seed) for label in GRID_GRAPHS for seed in SEEDS]
+                    for v, s in cli_grid.RANDOM_GRAPHS})
+GRID = [(label, seed) for label in GRID_GRAPHS for seed in cli_grid.SEEDS]
 
 
 def _rational_unimodular(rng):

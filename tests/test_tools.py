@@ -2,15 +2,39 @@
 
 tools/stage_times.py reaches into private kernels of higgs, hitchin and
 linalg, so a change that moves them shows here; its start-up table runs
-the CLI of this checkout.
+the CLI of this checkout.  tools/cli_grid.py's ``call`` records outcomes.
 """
+import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from graphcurves import cli
+
+from helpers import ROOT, load_by_path
+
+cli_grid = load_by_path("tools/cli_grid.py")
+
+
+def test_cli_grid_call_records_stdout_and_exit_code():
+    out, code = cli_grid.call(["graph", "--graph", "theta"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["command"] == "graph"
+    assert report["results"]["genus"] == 2  # the theta graph: two vertices, three edges
+
+
+def test_cli_grid_call_records_an_argparse_rejection():
+    assert cli_grid.call(["graph", "--trials", "2"]) == ("", 2)
+
+
+def test_cli_grid_call_records_a_crash(monkeypatch, capsys):
+    monkeypatch.setitem(cli._COMMANDS, "graph", lambda args: 1 / 0)
+    assert cli_grid.call(["graph", "--graph", "theta"]) == ("", "raised:ZeroDivisionError")
+    err = capsys.readouterr().err
+    assert err.startswith("graph --graph theta\nTraceback")
+    assert "ZeroDivisionError: division by zero" in err
 
 
 @pytest.fixture(scope="module")
@@ -28,16 +52,17 @@ def test_stage_times_prints_both_tables(stage_times_lines):
     assert lines[0] == "| stage | V | exact s, min / median | float s, min / median |"
     assert lines.index("| system | V | shape | rank | s_{r-1}/s_0 | s_r/s_0 "
                        "| s_min/norm_F | path |") > 0
-    # fifteen stage rows, then the two float Higgs systems and the Jacobian
+    # fourteen stage rows, then the two float Higgs systems and the Jacobian
     rows = [line.split(" | ")[0] for line in lines if " | 8 | " in line]
-    assert len(rows) == 18
+    assert len(rows) == 17
     assert rows[0] == "| Higgs solve"
-    assert rows[7:12] == ["| Higgs assembly", "| Higgs elimination", "| Higgs kernel form",
+    assert rows[3:6] == ["| FD rows", "| FD check", "| hitchin trial"]
+    assert rows[6:11] == ["| Higgs assembly", "| Higgs elimination", "| Higgs kernel form",
                           "| Higgs fields on first read", "| flat linearization"]
-    assert rows[12:15] == ["| canonical_space", "| double_canonical_space",
+    assert rows[11:14] == ["| canonical_space", "| double_canonical_space",
                            "| bi-residue rank"]
-    assert rows[15:] == ["| residue sums", "| node cancellation", "| Hitchin Jacobian"]
-    for line in lines[2:17]:  # each time cell is "min / median", or "-"
+    assert rows[14:] == ["| residue sums", "| node cancellation", "| Hitchin Jacobian"]
+    for line in lines[2:16]:  # each time cell is "min / median", or "-"
         cells = [cell.strip(" |") for cell in line.split(" | ")[2:4]]
         if line.startswith("| Higgs kernel form |"):
             assert cells[1] == "-"  # exact only

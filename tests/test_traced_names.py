@@ -9,22 +9,13 @@ the benchmark.
 """
 
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
-LAYERS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
-
-
-def _expected_functions():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers.EXPECTED_FUNCTIONS
+from helpers import load_by_path
 
 
 def test_traced_names_are_public_module_functions():
-    names = _expected_functions()
+    names = load_by_path("perfbench/layers.py").EXPECTED_FUNCTIONS
     assert names
     missing = []
     for name in names:

@@ -27,6 +27,10 @@ no ``--domain``, ``--domain exact`` and ``--domain float``.  Options a
 subcommand does not take exit 2 and are kept, so the option surface is
 compared too.  Graph files go to a temporary directory and are shown by
 file name only.
+
+The grid constants, ``grid_graphs``, ``call`` and ``grid_lines`` also
+run the exact half of the grid in tests/test_golden_grid.py, and
+``call`` times a ``hitchin`` call in tools/stage_times.py.
 """
 from __future__ import annotations
 
@@ -46,16 +50,35 @@ SEEDS = (0, 1, 2)
 DOMAINS = (None, "exact", "float")
 
 
-def _digest(text: str) -> str:
+def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _call(main, argv):
+def grid_graphs(tmp: Path, random_graphs):
+    """(label, --graph argument, graph): the catalog graphs by name, then
+    random_trivalent(V, s) as JSON files in tmp, labelled by file name."""
+    from graphcurves.graphs import (CATALOG_NAMES, catalog_graph, graph_to_json,
+                                    random_trivalent)
+
+    graphs = [(name, name, catalog_graph(name)) for name in CATALOG_NAMES]
+    for v, s in random_graphs:
+        graph = random_trivalent(v, s)
+        path = tmp / f"random_{v}_{s}.json"
+        path.write_text(json.dumps(graph_to_json(graph)))
+        graphs.append((path.name, str(path), graph))
+    return graphs
+
+
+def call(argv):
+    """(stdout, exit code) of ``cli.main(argv)`` in-process; a call that
+    raises exits ``raised:Name``, its traceback printed to stderr."""
+    from graphcurves.cli import main as cli_main
+
     out = io.StringIO()
     crash = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            code = main(argv)
+            code = cli_main(argv)
         except SystemExit as exc:  # argparse rejects the option
             code = exc.code
         except Exception as exc:  # a crash is a result to compare, not a stop
@@ -63,7 +86,21 @@ def _call(main, argv):
             crash = traceback.format_exc()
     if crash:
         print(" ".join(argv), crash, sep="\n", file=sys.stderr)
-    return _digest(out.getvalue()), code
+    return out.getvalue(), code
+
+
+def grid_lines(graphs, commands, domains, digest):
+    """One ``digest(stdout) exit_code command label args`` line per call,
+    over commands, then graphs, seeds and domains."""
+    for command in commands:
+        for label, spec, _ in graphs:
+            for seed in SEEDS:
+                for domain in domains:
+                    tail = ["--seed", str(seed)]
+                    if domain is not None:
+                        tail += ["--domain", domain]
+                    out, code = call([command, "--graph", spec, *tail])
+                    yield " ".join([digest(out), str(code), command, label, *tail])
 
 
 def _bits(values) -> str:
@@ -85,7 +122,7 @@ def _twist_parameters(seed: int, count: int):
 
 
 def _prym_lines(graphs):
-    """The Prym line fields for (label, graph) pairs: digest, status, what."""
+    """The Prym lines of the grid graphs: digest, status, what, label."""
     from graphcurves.errors import NumericalError
     from graphcurves.framings import Framing
     from graphcurves.scalars import FLOAT
@@ -93,9 +130,9 @@ def _prym_lines(graphs):
                                       random_regular_higgs, spectral_line_bundle,
                                       twist)
 
-    for label, graph in graphs:
+    for label, _, graph in graphs:
         cycles = anti_invariant_cycles(graph)
-        yield _digest(_bits(cycles)), "0", "cycles", label
+        yield f"{digest(_bits(cycles))} 0 cycles {label}"
         for seed in SEEDS:
             text, status = "", "0"
             try:
@@ -106,7 +143,16 @@ def _prym_lines(graphs):
                 text = _bits(sorted(twisted.gluings.items()))
             except NumericalError as exc:
                 status = f"raised:{type(exc).__name__}"
-            yield _digest(text), status, "twist", label, str(seed)
+            yield f"{digest(text)} {status} twist {label} {seed}"
+
+
+def _print_with_total(name: str, lines) -> None:
+    """Print each line as it comes, then ``name sha256`` over them."""
+    total = hashlib.sha256()
+    for line in lines:
+        print(line, flush=True)
+        total.update((line + "\n").encode())
+    print(f"{name} {total.hexdigest()}")
 
 
 def main(argv=None) -> int:
@@ -115,39 +161,10 @@ def main(argv=None) -> int:
         print("usage: python3 tools/cli_grid.py CHECKOUT", file=sys.stderr)
         return 2
     sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
-    from graphcurves.cli import main as cli_main
-    from graphcurves.graphs import (CATALOG_NAMES, catalog_graph, graph_to_json,
-                                    random_trivalent)
-
-    total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        graphs = [(name, name) for name in CATALOG_NAMES]
-        objects = [(name, catalog_graph(name)) for name in CATALOG_NAMES]
-        for v, s in RANDOM_GRAPHS:
-            path = Path(tmp) / f"random_{v}_{s}.json"
-            graph = random_trivalent(v, s)
-            path.write_text(json.dumps(graph_to_json(graph)))
-            graphs.append((str(path), path.name))
-            objects.append((path.name, graph))
-        for command in COMMANDS:
-            for spec, label in graphs:
-                for seed in SEEDS:
-                    for domain in DOMAINS:
-                        tail = ["--seed", str(seed)]
-                        if domain is not None:
-                            tail += ["--domain", domain]
-                        digest, code = _call(cli_main,
-                                             [command, "--graph", spec, *tail])
-                        line = " ".join([digest, str(code), command, label, *tail])
-                        print(line, flush=True)
-                        total.update((line + "\n").encode())
-    print(f"total {total.hexdigest()}")
-    total = hashlib.sha256()
-    for fields in _prym_lines(objects):
-        line = " ".join(fields)
-        print(line, flush=True)
-        total.update((line + "\n").encode())
-    print(f"prym-total {total.hexdigest()}")
+        graphs = grid_graphs(Path(tmp), RANDOM_GRAPHS)
+        _print_with_total("total", grid_lines(graphs, COMMANDS, DOMAINS, digest))
+    _print_with_total("prym-total", _prym_lines(graphs))
     return 0
 
 

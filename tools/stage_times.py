@@ -4,12 +4,12 @@
 
 CHECKOUT (default: this checkout) is the root of a graphcurves source
 tree that has ``sections._biresidue_rows``; its ``src`` is imported.
-For each V the graph is
-``random_trivalent(V, seed)`` and the framing ``Framing.random(graph,
-seed, domain)``.  Each stage is timed with ``time.perf_counter``, and
-each cell prints ``min / median`` of the repeats, so a stage whose
-repeats spread wider than a change can be seen as such.  There is one
-Markdown table row per stage and V, with an exact and a float column:
+For each V the graph is ``random_trivalent(V, seed)`` and the framing
+``Framing.random(graph, seed, domain)``.  Each stage is timed with
+``time.perf_counter``, and each cell prints ``min / median`` of the
+repeats, so a stage whose repeats spread wider than a change can be seen
+as such.  There is one Markdown table row per stage and V, with an exact
+and a float column:
 
 * Higgs solve: ``higgs_space`` on a fresh framing (a framing keeps its
   solve, so each repeat builds a new one, untimed);
@@ -19,14 +19,13 @@ Markdown table row per stage and V, with an exact and a float column:
   builds (``hitchin._float_fd_rows``) on the field and framing of
   ``cli.cmd_hitchin``'s check: a float trial checks its own, an exact
   trial the float field on the float framing of the same seed;
-* FD compare: the rest of ``jacobian_fd_error`` as ``cmd_hitchin`` calls
-  it, timed with those rows built beforehand.  A float trial passes the
-  Jacobian it built; an exact trial's check builds float Jacobian rows,
-  with no rank, and that is part of this stage;
-* ``bires_coordinates`` over the double-canonical basis, in one call;
+* FD check: the whole ``jacobian_fd_error`` call as ``cmd_hitchin`` makes
+  it, those rows included, on the same field and framing.  A float trial
+  passes the Jacobian it built; an exact trial's check builds float
+  Jacobian rows, with no rank, and that is part of this stage;
 * hitchin trial: one ``cli.main(["hitchin", ...])`` call in the domain
   on a temporary JSON file of the graph, from reading the file through
-  printing the report, with stdout and stderr captured;
+  printing the report, run by tools/cli_grid.py's ``call``;
 * Higgs assembly: the system the Higgs solve builds, on a fresh framing
   built untimed, as for the Higgs solve: the sparse integer rows of the
   node cancellation (``linalg._integer_row`` of each of
@@ -83,8 +82,6 @@ above the table.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import statistics
@@ -94,11 +91,12 @@ import tempfile
 import time
 from pathlib import Path
 
+from cli_grid import call
+
 STAGES = ("Higgs solve", "higgs_residual over the basis", "hitchin_jacobian",
-          "FD rows", "FD compare", "bires_coordinates over the 2K basis",
-          "hitchin trial", "Higgs assembly", "Higgs elimination", "Higgs kernel form",
-          "Higgs fields on first read", "flat linearization", "canonical_space",
-          "double_canonical_space", "bi-residue rank")
+          "FD rows", "FD check", "hitchin trial", "Higgs assembly", "Higgs elimination",
+          "Higgs kernel form", "Higgs fields on first read", "flat linearization",
+          "canonical_space", "double_canonical_space", "bi-residue rank")
 
 STARTUP = (("bare interpreter", ["-c", "pass"]),
            ("import graphcurves", ["-c", "import graphcurves"]),
@@ -119,14 +117,10 @@ def _times(repeats, run, setup=lambda: None):
 
 
 def _hitchin_trial(path: str, seed: int, domain: str) -> None:
-    """One hitchin CLI call on the graph file at path, its output captured."""
-    from graphcurves import cli
-
+    """One hitchin CLI call on the graph file at path, which must exit 0."""
     argv = ["hitchin", "--graph", path, "--seed", str(seed), "--domain", domain]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        if cli.main(argv) != 0:
-            raise RuntimeError(f"{' '.join(argv)} failed: {err.getvalue()}")
+    if (code := call(argv)[1]) != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
 
 
 def _higgs_split(graph, seed: int, domain: str, repeats: int):
@@ -190,7 +184,6 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
     from graphcurves.graphs import graph_to_json, random_trivalent
     from graphcurves.higgs import higgs_residual, higgs_space, random_higgs_field
     from graphcurves.hitchin import hitchin_jacobian, jacobian_fd_error
-    from graphcurves.sections import bires_coordinates, double_canonical_space
 
     graph = random_trivalent(vertices, seed)
     framing = Framing.random(graph, seed, domain)
@@ -203,33 +196,22 @@ def stage_times(vertices: int, seed: int, domain: str, repeats: int) -> dict:
         check_framing = Framing.random(graph, seed, "float")
         check_phi = random_higgs_field(check_framing, seed)
         jacobian = None
-    quadratics = double_canonical_space(graph, domain).basis
-    build_fd_rows = hitchin._float_fd_rows
     check_basis = higgs_space(check_framing).basis
-    fd_rows = _times(repeats, lambda _: build_fd_rows(check_phi, check_basis))
-    built = build_fd_rows(check_phi, check_basis)
-    hitchin._float_fd_rows = lambda *args, **kwargs: built
-    try:
-        fd_compare = _times(repeats, lambda _: jacobian_fd_error(
-            check_phi, check_framing, jacobian=jacobian))
-    finally:
-        hitchin._float_fd_rows = build_fd_rows
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "graph.json")
         Path(path).write_text(json.dumps(graph_to_json(graph)))
-        trial = _times(repeats, lambda _: _hitchin_trial(path, seed, domain))
-    times = (
-        _times(repeats, higgs_space, lambda: Framing.random(graph, seed, domain)),
-        _times(repeats, lambda _: higgs_residual(basis, framing)),
-        _times(repeats, lambda _: hitchin_jacobian(phi, framing)),
-        fd_rows,
-        fd_compare,
-        _times(repeats, lambda _: bires_coordinates(quadratics)),
-        trial,
-        *_higgs_split(graph, seed, domain, repeats),
-        _times(repeats, lambda _: flat_linearization(zero_section(framing))),
-        *_section_times(graph, domain, repeats),
-    )
+        times = (
+            _times(repeats, higgs_space, lambda: Framing.random(graph, seed, domain)),
+            _times(repeats, lambda _: higgs_residual(basis, framing)),
+            _times(repeats, lambda _: hitchin_jacobian(phi, framing)),
+            _times(repeats, lambda _: hitchin._float_fd_rows(check_phi, check_basis)),
+            _times(repeats, lambda _: jacobian_fd_error(check_phi, check_framing,
+                                                        jacobian=jacobian)),
+            _times(repeats, lambda _: _hitchin_trial(path, seed, domain)),
+            *_higgs_split(graph, seed, domain, repeats),
+            _times(repeats, lambda _: flat_linearization(zero_section(framing))),
+            *_section_times(graph, domain, repeats),
+        )
     return dict(zip(STAGES, times))
 
 
